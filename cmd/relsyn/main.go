@@ -286,7 +286,7 @@ func runSynth(args []string) error {
 	threshold := fs.Float64("threshold", 0.55, "LC^f threshold (lcf)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
 	maxBDD := fs.Int("max-bdd-nodes", 0, "BDD node budget for assignment (0 = unlimited)")
-	maxConflicts := fs.Int64("max-conflicts", 0, "SAT conflict budget for verification (0 = default)")
+	maxConflicts := fs.Int64("max-conflicts", 0, "SAT conflict budget; bounds network (resyn) jobs only, so a synth run ignores it (0 = default)")
 	maxAIG := fs.Int("max-aig-nodes", 0, "AIG node budget for synthesis (0 = unlimited)")
 	strict := fs.Bool("strict", false, "fail on budget exhaustion instead of degrading")
 	jsonOut := fs.Bool("json", false, "print the result as JSON (the relsynd wire format)")
@@ -488,7 +488,7 @@ func runResyn(args []string) error {
 	dcMode := fs.String("dc-mode", "auto", "DC extraction engine: auto, exhaustive, or windowed-sat")
 	windowTFI := fs.Int("window-tfi", 0, "window fanin depth for windowed-sat (0 = default, negative = full)")
 	windowTFO := fs.Int("window-tfo", 0, "window fanout depth for windowed-sat (0 = default, negative = full)")
-	maxConflicts := fs.Int64("max-conflicts", 0, "per-node SAT conflict budget (0 = default)")
+	maxConflicts := fs.Int64("max-conflicts", 0, "per-node SAT conflict budget of the windowed DC extraction; bounds network (resyn) jobs only (0 = default)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
 	strict := fs.Bool("strict", false, "fail on budget exhaustion instead of degrading")
 	jsonOut := fs.Bool("json", false, "print the result as JSON (the relsynd wire format)")

@@ -138,7 +138,7 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "grace period for finishing jobs on shutdown")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	fs.IntVar(&cfg.budget.maxBDDNodes, "max-bdd-nodes", 0, "default BDD node budget for jobs that carry none (0 = unlimited)")
-	fs.Int64Var(&cfg.budget.maxConflicts, "max-conflicts", 0, "default SAT conflict budget for jobs that carry none (0 = unlimited)")
+	fs.Int64Var(&cfg.budget.maxConflicts, "max-conflicts", 0, "default per-node SAT conflict budget for network (resyn) jobs that carry none; dense synth jobs run no SAT (0 = default)")
 	fs.IntVar(&cfg.budget.maxAIGNodes, "max-aig-nodes", 0, "default AIG node budget for jobs that carry none (0 = unlimited)")
 	fs.IntVar(&cfg.budget.parallelism, "j", 0, "default per-job analysis parallelism for jobs that carry none (0 = GOMAXPROCS, 1 = sequential)")
 	fs.StringVar(&cfg.budget.dcMode, "dc-mode", "", "default DC-extraction engine for network jobs that carry none: auto, exhaustive, or windowed-sat")
@@ -210,9 +210,10 @@ func (cfg *daemonConfig) validateCluster() error {
 }
 
 // backendWithDefaults wraps pipeline.RunJob, filling in server-wide
-// resource budgets for jobs that do not set their own. Applied in the
-// backend (after the cache key is derived) so the defaults do not
-// fragment the cache when they change across restarts. Parallelism gets
+// resource budgets for jobs that do not set their own (the SAT conflict
+// budget bounds network jobs only, so resynBackend alone applies it).
+// Applied in the backend (after the cache key is derived) so the
+// defaults do not fragment the cache when they change across restarts. Parallelism gets
 // the same treatment: it is an execution knob, never part of the cache
 // key (JobOptions.Key strips it), so the server-wide -j default is also
 // applied post-key.
@@ -220,9 +221,6 @@ func (b budgetDefaults) backend() server.Backend {
 	return func(ctx context.Context, f *tt.Function, jo pipeline.JobOptions) (*pipeline.JobResult, error) {
 		if jo.MaxBDDNodes == 0 {
 			jo.MaxBDDNodes = b.maxBDDNodes
-		}
-		if jo.MaxConflicts == 0 {
-			jo.MaxConflicts = b.maxConflicts
 		}
 		if jo.MaxAIGNodes == 0 {
 			jo.MaxAIGNodes = b.maxAIGNodes

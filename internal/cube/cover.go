@@ -73,9 +73,22 @@ func (cv *Cover) LiteralCount() int {
 
 // RemoveContained deletes every cube that is contained in another single
 // cube of the cover (single-cube containment).
-func (cv *Cover) RemoveContained() {
+func (cv *Cover) RemoveContained() { _ = cv.RemoveContainedPoll(nil) }
+
+// RemoveContainedPoll is RemoveContained with poll (nil = never) checked
+// about every 2^20 containment tests, since the scan is quadratic in the
+// cube count. A non-nil return from poll stops the scan and is returned;
+// the cover's contents are then unspecified.
+func (cv *Cover) RemoveContainedPoll(poll func() error) error {
+	work := 0
 	keep := cv.Cubes[:0]
 	for i, c := range cv.Cubes {
+		if work += len(cv.Cubes); poll != nil && work >= 1<<20 {
+			work = 0
+			if err := poll(); err != nil {
+				return err
+			}
+		}
 		contained := false
 		for j, d := range cv.Cubes {
 			if i == j {
@@ -92,6 +105,7 @@ func (cv *Cover) RemoveContained() {
 		}
 	}
 	cv.Cubes = keep
+	return nil
 }
 
 // Sort orders cubes by descending minterm count, then lexicographically,

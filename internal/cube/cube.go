@@ -298,11 +298,12 @@ func (c Cube) Minterms(fn func(m uint)) {
 func FromMinterm(n int, m uint) Cube {
 	c := New(n)
 	for i := 0; i < n; i++ {
+		l := Zero
 		if m>>uint(i)&1 == 1 {
-			c = c.SetVal(i, One)
-		} else {
-			c = c.SetVal(i, Zero)
+			l = One
 		}
+		sh := 2 * (uint(i) % varsPerWord)
+		c.words[i/varsPerWord] = c.words[i/varsPerWord]&^(3<<sh) | uint64(l)<<sh
 	}
 	return c
 }

@@ -232,7 +232,7 @@ func minimizeGeneric(on, dc *cube.Cover, poll func() error) *cube.Cover {
 	for _, c := range dc.Cubes {
 		all.Add(c)
 	}
-	r := Complement(all)
+	r := complement(all, poll)
 
 	check(poll)
 	f := Expand(on, r)

@@ -17,13 +17,20 @@ import (
 	"relsyn/internal/cube"
 )
 
+// pollStride is how many cubes the per-cube loops of complement visit
+// between polls: one node of the recursion can hold a million cubes.
+const pollStride = 1024
+
 // varCounts tallies, for each variable, how many cubes bind it to Zero
-// and to One.
-func varCounts(f *cube.Cover) (zeros, ones []int) {
+// and to One. poll (nil = never) is checked every pollStride cubes.
+func varCounts(f *cube.Cover, poll func() error) (zeros, ones []int) {
 	n := f.NumVars()
 	zeros = make([]int, n)
 	ones = make([]int, n)
-	for _, c := range f.Cubes {
+	for k, c := range f.Cubes {
+		if k%pollStride == pollStride-1 {
+			check(poll)
+		}
 		for i := 0; i < n; i++ {
 			switch c.Val(i) {
 			case cube.Zero:
@@ -39,8 +46,8 @@ func varCounts(f *cube.Cover) (zeros, ones []int) {
 // binateSelect returns the most binate variable of f — the variable
 // maximizing min(#Zero, #One) bindings, ties broken toward more total
 // bindings then lower index — or -1 if the cover is unate.
-func binateSelect(f *cube.Cover) int {
-	zeros, ones := varCounts(f)
+func binateSelect(f *cube.Cover, poll func() error) int {
+	zeros, ones := varCounts(f, poll)
 	best, bestMin, bestTot := -1, 0, 0
 	for i := range zeros {
 		lo := zeros[i]
@@ -60,8 +67,8 @@ func binateSelect(f *cube.Cover) int {
 
 // mostBoundVar returns the variable bound by the most cubes, or -1 if no
 // variable is bound (all cubes are the universe or the cover is empty).
-func mostBoundVar(f *cube.Cover) int {
-	zeros, ones := varCounts(f)
+func mostBoundVar(f *cube.Cover, poll func() error) int {
+	zeros, ones := varCounts(f, poll)
 	best, bestTot := -1, 0
 	for i := range zeros {
 		if t := zeros[i] + ones[i]; t > bestTot {
@@ -102,7 +109,7 @@ func Tautology(f *cube.Cover) bool {
 	if total < space {
 		return false
 	}
-	x := binateSelect(f)
+	x := binateSelect(f, nil)
 	if x < 0 {
 		// Unate cover without a universe cube is never a tautology.
 		return false
@@ -132,7 +139,14 @@ func sharp(c cube.Cube) *cube.Cover {
 }
 
 // Complement returns ¬f as a cover, via unate recursion.
-func Complement(f *cube.Cover) *cube.Cover {
+func Complement(f *cube.Cover) *cube.Cover { return complement(f, nil) }
+
+// complement is Complement with poll (nil = never) checked at every
+// node of the recursion, which is exponential in the worst case, and
+// inside each node's per-cube scans; see check for how an interrupt
+// unwinds.
+func complement(f *cube.Cover, poll func() error) *cube.Cover {
+	check(poll)
 	n := f.NumVars()
 	if len(f.Cubes) == 0 {
 		return cube.CoverOf(n, cube.New(n)) // ¬0 = 1
@@ -143,18 +157,35 @@ func Complement(f *cube.Cover) *cube.Cover {
 	if len(f.Cubes) == 1 {
 		return sharp(f.Cubes[0])
 	}
-	x := binateSelect(f)
+	x := binateSelect(f, poll)
 	if x < 0 {
-		x = mostBoundVar(f)
+		x = mostBoundVar(f, poll)
 	}
 	lit0 := cube.New(n).SetVal(x, cube.Zero)
 	lit1 := cube.New(n).SetVal(x, cube.One)
-	c0 := Complement(f.Cofactor(lit0))
-	c1 := Complement(f.Cofactor(lit1))
+	c0 := complement(cofactor(f, lit0, poll), poll)
+	c1 := complement(cofactor(f, lit1, poll), poll)
 	out := cube.NewCover(n)
 	mergeBranch(out, c0, x, cube.Zero)
 	mergeBranch(out, c1, x, cube.One)
-	out.RemoveContained()
+	if err := out.RemoveContainedPoll(poll); err != nil {
+		panic(interrupted{err})
+	}
+	return out
+}
+
+// cofactor is f.Cofactor(p) with poll (nil = never) checked every
+// pollStride cubes.
+func cofactor(f *cube.Cover, p cube.Cube, poll func() error) *cube.Cover {
+	out := cube.NewCover(f.NumVars())
+	for k, c := range f.Cubes {
+		if k%pollStride == pollStride-1 {
+			check(poll)
+		}
+		if cf, ok := c.Cofactor(p); ok {
+			out.Add(cf)
+		}
+	}
 	return out
 }
 

@@ -2,7 +2,7 @@
 // pipeline runner. It implements the pipeline's Inject hook and fires a
 // scripted fault — a panic, an artificial budget exhaustion, or a context
 // cancellation — the first time execution reaches a chosen stage-boundary
-// point ("assign/bdd", "synth/resyn", "verify/sat", ...).
+// point ("assign/bdd", "synth/resyn", "verify/netlist", ...).
 //
 // The harness exists to prove, benchmark by benchmark, that every edge of
 // the pipeline's degradation ladder is actually exercised: the injection
@@ -51,8 +51,7 @@ func Points() []string {
 		"assign/dense",
 		"synth/resyn",
 		"synth/sop",
-		"verify/sat",
-		"verify/exhaustive",
+		"verify/netlist",
 	}
 }
 

@@ -34,11 +34,11 @@ func TestHarnessFiresOnceAtPoint(t *testing.T) {
 }
 
 func TestHarnessVisitCount(t *testing.T) {
-	h := &Harness{Point: "verify/sat", Kind: Budget, Visit: 2}
-	if err := h.Hook("verify/sat"); err != nil {
+	h := &Harness{Point: "verify/netlist", Kind: Budget, Visit: 2}
+	if err := h.Hook("verify/netlist"); err != nil {
 		t.Fatalf("fired on first visit with Visit=2: %v", err)
 	}
-	if err := h.Hook("verify/sat"); err == nil {
+	if err := h.Hook("verify/netlist"); err == nil {
 		t.Fatal("did not fire on second visit")
 	}
 }

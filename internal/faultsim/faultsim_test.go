@@ -73,10 +73,10 @@ func TestMaskingByDownstreamGate(t *testing.T) {
 	}
 }
 
-// evalGate's raw word loop used to silently truncate an input table
-// longer than the simulation size (and index out of range on a shorter
-// one). It must now refuse the mismatch with the same typed error the
-// Set binary ops raise.
+// evalGate's raw word loop would silently truncate an input buffer
+// longer than the block (and index out of range on a shorter one). It
+// must refuse the mismatch with the same typed error the Set binary ops
+// raise.
 func TestEvalGateRejectsMismatchedTable(t *testing.T) {
 	g := aig.New(2)
 	g.AddPO(g.And(g.PI(0), g.PI(1)))
@@ -84,12 +84,14 @@ func TestEvalGateRejectsMismatchedTable(t *testing.T) {
 	if len(r.Gates) == 0 {
 		t.Fatal("no gates mapped")
 	}
-	s := newSim(r, 2, 4)
-	gt := r.Gates[0]
-	vals := netValues{
-		// Wrong-sized table injected for the first gate input.
-		gt.Inputs[0]: bitset.New(128),
+	s, err := NewSim(r, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	vals := s.buffers()
+	gt := &s.gates[0]
+	// Wrong-sized buffer injected for the first gate input.
+	vals[gt.in[0]] = make([]uint64, 2)
 	defer func() {
 		rec := recover()
 		if rec == nil {
@@ -104,7 +106,7 @@ func TestEvalGateRejectsMismatchedTable(t *testing.T) {
 			t.Fatalf("mismatch detail wrong: %#v", rec)
 		}
 	}()
-	s.evalGate(vals, gt)
+	evalGate(gt, vals, vals[gt.out])
 }
 
 func TestStuckFaultsExhaustiveVsNaive(t *testing.T) {
@@ -308,5 +310,56 @@ func TestAnalyzeRejectsMalformedNetlists(t *testing.T) {
 	}
 	if _, err := Analyze(ok, 2); err != nil {
 		t.Fatalf("well-formed netlist rejected: %v", err)
+	}
+}
+
+// Simulate must reproduce the function of the AIG the netlist was
+// mapped from, at widths below one word, inside one block, and across
+// several blocks (n=14 spans four), and its poll hook must stop it.
+func TestSimulateMatchesAIG(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 3, 6, 7, 9, 14} {
+		g := randomGraph(rng, n, 40, 3)
+		s, err := NewSim(mapGraph(t, g), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tts := g.NodeTruthTables()
+		blocks := 0
+		err = s.Simulate(nil, func(w0 int, po [][]uint64) error {
+			blocks++
+			for o, v := range po {
+				want := g.LitTable(tts, g.PO(o)).Words()
+				for w, x := range v {
+					if x != want[w0+w] {
+						t.Fatalf("n=%d output %d word %d: got %#x, want %#x", n, o, w0+w, x, want[w0+w])
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (1<<uint(n) + 64*blockWords - 1) / (64 * blockWords); blocks != want {
+			t.Fatalf("n=%d: %d blocks, want %d", n, blocks, want)
+		}
+	}
+
+	g := randomGraph(rng, 14, 40, 1)
+	s, err := NewSim(mapGraph(t, g), 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	polls := 0
+	err = s.Simulate(func() error {
+		if polls++; polls == 2 {
+			return stop
+		}
+		return nil
+	}, func(int, [][]uint64) error { return nil })
+	if !errors.Is(err, stop) || polls != 2 {
+		t.Fatalf("poll did not stop the simulation: err=%v polls=%d", err, polls)
 	}
 }

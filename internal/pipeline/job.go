@@ -48,14 +48,15 @@ type JobOptions struct {
 	Flow string `json:"flow,omitempty"`
 	// Strict disables the degradation ladder.
 	Strict bool `json:"strict,omitempty"`
-	// SkipVerify skips the independent CEC stage.
+	// SkipVerify skips the independent netlist verification stage.
 	SkipVerify bool `json:"skip_verify,omitempty"`
 
 	// TimeoutMs is the wall-clock budget in milliseconds (0 = none).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// MaxBDDNodes caps each BDD manager arena (0 = unlimited).
 	MaxBDDNodes int `json:"max_bdd_nodes,omitempty"`
-	// MaxConflicts caps the SAT conflict budget (0 = default).
+	// MaxConflicts caps the per-node SAT conflict budget of network
+	// (resyn) jobs (0 = default). Dense jobs run no SAT and ignore it.
 	MaxConflicts int64 `json:"max_conflicts,omitempty"`
 	// MaxAIGNodes caps the optimized AIG size (0 = unlimited).
 	MaxAIGNodes int `json:"max_aig_nodes,omitempty"`

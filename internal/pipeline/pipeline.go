@@ -1,7 +1,8 @@
 // Package pipeline is the fault-tolerant staged runner for the full
 // synthesis stack: reliability-driven DC assignment (internal/core), the
-// synthesis flow (internal/synth), and independent verification
-// (internal/cec), all under one context.Context and one resource Budget.
+// synthesis flow (internal/synth), and independent verification of the
+// mapped netlist by exhaustive simulation (internal/faultsim), all under
+// one context.Context and one resource Budget.
 //
 // The runner upholds three guarantees that the bare library calls do not:
 //
@@ -9,9 +10,9 @@
 //     library panics surface as typed *StageError values.
 //
 //  2. Bounded effort. The Budget caps wall-clock time (deadline), BDD
-//     manager nodes, SAT conflicts, and AIG nodes; every long-running
-//     loop in the stack polls a context-derived interrupt, so cancelled
-//     runs return promptly.
+//     manager nodes, SAT conflicts (network jobs), and AIG nodes; every
+//     long-running loop in the stack polls a context-derived interrupt,
+//     so cancelled runs return promptly.
 //
 //  3. Degrade, don't die. When an attempt fails on a budget, a panic, or
 //     an internal error, the runner walks an explicit degradation ladder
@@ -19,11 +20,13 @@
 //
 //     assign: BDD set representation  -> dense truth-table path
 //     synth:  resyn flow              -> sop flow
-//     verify: SAT CEC                 -> exhaustive CEC (n <= 16)
 //
-//     Every fallback taken is recorded in Result.Fallbacks. Options.Strict
-//     disables the ladder: the first failure is returned as-is. A
-//     cancelled context never degrades — the caller asked to stop.
+//     Verification has one rung, verify/netlist: it simulates the mapped
+//     netlist over every input vector, so a failure there is a wrong
+//     circuit, never a budget to degrade around. Every fallback taken is
+//     recorded in Result.Fallbacks. Options.Strict disables the ladder:
+//     the first failure is returned as-is. A cancelled context never
+//     degrades — the caller asked to stop.
 //
 // The paper's own framing motivates this: LCF assignment is a knob that
 // trades reliability for cost under a budget, and the SAT-based complete
@@ -36,16 +39,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"time"
 
-	"relsyn/internal/aig"
 	"relsyn/internal/bdd"
 	"relsyn/internal/bitset"
-	"relsyn/internal/cec"
 	"relsyn/internal/core"
-	"relsyn/internal/espresso"
-	"relsyn/internal/factor"
+	"relsyn/internal/faultsim"
+	"relsyn/internal/mapper"
 	"relsyn/internal/obs"
 	"relsyn/internal/sat"
 	"relsyn/internal/synth"
@@ -96,7 +98,7 @@ const (
 
 // ErrBudget is a generic budget-exhaustion sentinel. The fault-injection
 // harness returns errors wrapping it; libraries use their own typed
-// budget errors (bdd.LimitError, synth.ErrAIGBudget, cec.ErrUnknown),
+// budget errors (bdd.LimitError, synth.ErrAIGBudget, sat.ErrBudget),
 // which the runner classifies identically.
 var ErrBudget = errors.New("pipeline: budget exhausted")
 
@@ -152,8 +154,10 @@ type Budget struct {
 	// MaxBDDNodes caps each BDD manager arena used by the BDD assignment
 	// path (0 = unlimited).
 	MaxBDDNodes int
-	// MaxConflicts caps the per-output SAT conflict budget of the CEC
-	// verification stage (0 = sat.DefaultMaxConflicts).
+	// MaxConflicts caps the per-node SAT conflict budget of network
+	// (resyn) jobs' windowed don't-care extraction (0 =
+	// sat.DefaultMaxConflicts). Dense jobs verify by simulation and run
+	// no SAT, so it does not bound them.
 	MaxConflicts int64
 	// MaxAIGNodes caps the optimized AIG size (0 = unlimited).
 	MaxAIGNodes int
@@ -195,8 +199,8 @@ type Options struct {
 	// Strict disables the degradation ladder: the first stage failure is
 	// returned instead of degraded around.
 	Strict bool
-	// SkipVerify skips the CEC verification stage (the synthesis stage's
-	// own care-set consistency check still runs).
+	// SkipVerify skips the netlist verification stage (the synthesis
+	// stage's own care-set consistency check still runs).
 	SkipVerify bool
 	// Inject, when non-nil, is called at every stage-boundary attempt
 	// with the attempt name ("assign/bdd", "synth/sop", ...). It may
@@ -246,10 +250,11 @@ type Result struct {
 	// Synth is the synthesized implementation; Synth.Impl is consistent
 	// with the input function's care set.
 	Synth *synth.Result
-	// Verified reports that the verify stage proved Synth.Graph
-	// equivalent to an independently constructed reference circuit.
+	// Verified reports that the verify stage simulated Synth.Netlist over
+	// every input vector and found it consistent with the spec's care
+	// set and the assigned function's, and equal to Synth.Impl.
 	Verified bool
-	// VerifyMethod is "sat" or "exhaustive" ("" when skipped).
+	// VerifyMethod is "netlist" ("" when skipped).
 	VerifyMethod string
 	// Fallbacks lists every degradation-ladder step taken, in order.
 	Fallbacks []Fallback
@@ -334,7 +339,7 @@ func (r *runner) runStages(f *tt.Function) *StageError {
 		return serr
 	}
 	if !r.opt.SkipVerify {
-		if serr := r.runVerify(); serr != nil {
+		if serr := r.runVerify(f, fa); serr != nil {
 			return serr
 		}
 	}
@@ -419,7 +424,6 @@ func (r *runner) classify(stage Stage, name string, err error) *StageError {
 		reason = ReasonCancel
 	case errors.Is(err, ErrBudget),
 		errors.Is(err, synth.ErrAIGBudget),
-		errors.Is(err, cec.ErrUnknown),
 		errors.Is(err, sat.ErrBudget),
 		errors.As(err, &limit):
 		reason = ReasonBudget
@@ -555,84 +559,60 @@ func (r *runner) runSynth(fa *tt.Function) *StageError {
 
 // --- verify stage ---
 
-// runVerify independently re-derives a reference circuit from the
-// implemented truth table (fresh two-level minimization, factoring, and
-// AIG construction) and proves the optimized, mapped graph equivalent to
-// it: first by SAT CEC under the conflict budget, then — when the SAT
-// verdict is Unknown or the solver faults — by exhaustive bit-parallel
-// CEC for n <= 16. A genuine mismatch is terminal: it is never degraded
-// around, in strict mode or not.
-func (r *runner) runVerify() *StageError {
+// runVerify simulates the mapped netlist — the circuit whose area,
+// delay and power are reported — over all 2^n input vectors, reading
+// only its gate list and the cells' truth tables (never the AIG it was
+// mapped from), and checks every primary output against three things:
+// the request spec f's on- and off-sets, the assigned function fa's care
+// set, and Synth.Impl bit for bit, so the reported error rate is the
+// netlist's own. A mismatch is terminal: there is no rung to degrade to.
+func (r *runner) runVerify(f, fa *tt.Function) *StageError {
 	began := time.Now()
 	defer r.finishStage(StageVerify, began)
-
-	impl := r.res.Synth.Impl
-	g := r.res.Synth.Graph
-	var ref *aig.Graph
-	buildRef := func() error {
-		if ref != nil {
-			return nil
-		}
-		ref = aig.New(impl.NumIn)
-		for o := range impl.Outs {
-			cov, err := espresso.MinimizeInterruptible(impl.OnCover(o), nil, r.interrupt)
-			if err != nil {
-				return err
-			}
-			ref.AddPO(ref.FromExpr(factor.GoodFactor(cov)))
-		}
-		ref = ref.Cleanup()
-		return nil
-	}
-
-	serr := r.attempt(StageVerify, "verify/sat", func() error {
-		if err := buildRef(); err != nil {
+	return r.attempt(StageVerify, "verify/netlist", func() error {
+		if err := checkNetlist(r.res.Synth.Netlist, f, fa, r.res.Synth.Impl, r.interrupt); err != nil {
 			return err
 		}
-		eq, cex, err := cec.CheckOpt(g, ref, cec.Options{
-			MaxConflicts: r.opt.Budget.MaxConflicts,
-			Interrupt:    r.interruptBool,
-		})
-		if err != nil {
-			return err
-		}
-		if !eq {
-			return mismatchError(cex)
-		}
-		r.res.Verified, r.res.VerifyMethod = true, "sat"
-		return nil
-	})
-	if serr == nil {
-		return nil
-	}
-	// Mismatches and other hard errors are terminal; only budget
-	// exhaustion and solver faults may degrade to the exhaustive path.
-	if serr.Reason != ReasonBudget && serr.Reason != ReasonPanic {
-		return serr
-	}
-	if impl.NumIn > 16 {
-		return serr
-	}
-	if serr = r.degrade(serr, "verify/exhaustive"); serr != nil {
-		return serr
-	}
-	return r.attempt(StageVerify, "verify/exhaustive", func() error {
-		if err := buildRef(); err != nil {
-			return err
-		}
-		eq, cex, err := cec.CheckExhaustive(g, ref)
-		if err != nil {
-			return err
-		}
-		if !eq {
-			return mismatchError(cex)
-		}
-		r.res.Verified, r.res.VerifyMethod = true, "exhaustive"
+		r.res.Verified, r.res.VerifyMethod = true, "netlist"
 		return nil
 	})
 }
 
-func mismatchError(cex *cec.Counterexample) error {
-	return fmt.Errorf("verify: implementation differs from reference at minterm %d, output %d",
-		cex.Minterm, cex.Output)
+// checkNetlist is the verify stage's check; poll runs between blocks.
+func checkNetlist(nl *mapper.Result, f, fa, impl *tt.Function, poll func() error) error {
+	sim, err := faultsim.NewSim(nl, f.NumIn)
+	if err != nil {
+		return fmt.Errorf("verify: %w", err)
+	}
+	if sim.NumPO() != f.NumOut() {
+		return fmt.Errorf("verify: netlist has %d outputs, spec has %d", sim.NumPO(), f.NumOut())
+	}
+	return sim.Simulate(poll, func(w0 int, po [][]uint64) error {
+		for o, v := range po {
+			on, dc := f.Outs[o].On.Words()[w0:], f.Outs[o].DC.Words()[w0:]
+			aon, adc := fa.Outs[o].On.Words()[w0:], fa.Outs[o].DC.Words()[w0:]
+			im := impl.Outs[o].On.Words()[w0:]
+			for w, x := range v {
+				var what string
+				var bad uint64
+				switch {
+				case on[w]&^x != 0:
+					what, bad = "is 0 on an on-set minterm of the spec", on[w]&^x
+				case x&^(on[w]|dc[w]) != 0:
+					what, bad = "is 1 on an off-set minterm of the spec", x&^(on[w]|dc[w])
+				case aon[w]&^x != 0:
+					what, bad = "is 0 on an on-set minterm of the assigned function", aon[w]&^x
+				case x&^(aon[w]|adc[w]) != 0:
+					what, bad = "is 1 on an off-set minterm of the assigned function", x&^(aon[w]|adc[w])
+				case x != im[w]:
+					what, bad = "differs from the reported implementation", x^im[w]
+				default:
+					continue
+				}
+				return fmt.Errorf("verify: netlist output %d %s (minterm %d)",
+					o, what, 64*(w0+w)+bits.TrailingZeros64(bad))
+			}
+		}
+		return nil
+	})
 }

@@ -1,16 +1,21 @@
 package pipeline_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"relsyn/internal/benchmarks"
-	"relsyn/internal/cec"
 	"relsyn/internal/faultinject"
+	"relsyn/internal/network"
 	"relsyn/internal/pipeline"
+	"relsyn/internal/pla"
 	"relsyn/internal/reliability"
+	"relsyn/internal/sat"
 	"relsyn/internal/synth"
 	"relsyn/internal/tt"
 )
@@ -55,8 +60,8 @@ func TestRunHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Verified || res.VerifyMethod != "sat" {
-		t.Fatalf("want SAT-verified result, got verified=%v method=%q", res.Verified, res.VerifyMethod)
+	if !res.Verified || res.VerifyMethod != "netlist" {
+		t.Fatalf("want netlist-verified result, got verified=%v method=%q", res.Verified, res.VerifyMethod)
 	}
 	if res.Degraded() {
 		t.Fatalf("unexpected fallbacks: %v", res.Fallbacks)
@@ -110,17 +115,22 @@ var sweepTopology = map[string]struct {
 	degradable bool
 	forcer     string // point to pre-exhaust so execution reaches this rung
 }{
-	"assign/bdd":        {degradable: true},
-	"assign/dense":      {degradable: false, forcer: "assign/bdd"},
-	"synth/resyn":       {degradable: true},
-	"synth/sop":         {degradable: false, forcer: "synth/resyn"},
-	"verify/sat":        {degradable: true},
-	"verify/exhaustive": {degradable: false, forcer: "verify/sat"},
+	"assign/bdd":     {degradable: true},
+	"assign/dense":   {degradable: false, forcer: "assign/bdd"},
+	"synth/resyn":    {degradable: true},
+	"synth/sop":      {degradable: false, forcer: "synth/resyn"},
+	"verify/netlist": {degradable: false},
 }
+
+// retiredPoints are the rungs verify/netlist replaced: SAT CEC against a
+// rebuilt reference, then exhaustive CEC. The dense pipeline must never
+// reach them, so a fault armed there never fires and the run verifies by
+// simulation, undegraded.
+var retiredPoints = []string{"verify/sat", "verify/exhaustive"}
 
 // TestInjectionSweep crosses every stage-boundary injection point with
 // every fault kind on the benchmark suite and asserts the pipeline's core
-// guarantee: each run ends in a care-set-consistent, CEC-verified
+// guarantee: each run ends in a care-set-consistent, netlist-verified
 // implementation via a documented fallback, or in a typed *StageError —
 // never a process panic, never a hang.
 func TestInjectionSweep(t *testing.T) {
@@ -170,6 +180,28 @@ func TestInjectionSweep(t *testing.T) {
 					assertStageError(t, err, c.Point, wantReason)
 				}
 			})
+		}
+		for _, point := range retiredPoints {
+			for _, kind := range faultinject.Kinds() {
+				c := faultinject.Case{Point: point, Kind: kind}
+				t.Run(bench+"/"+c.String(), func(t *testing.T) {
+					h := faultinject.New(c.Point, c.Kind)
+					opt := baseOptions()
+					opt.Inject = h.Hook
+					res, err := pipeline.Run(h.Bind(context.Background()), spec, opt)
+					if h.Fired() {
+						t.Fatalf("retired point %s was reached", c.Point)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Verified || res.VerifyMethod != "netlist" || res.Degraded() {
+						t.Fatalf("verified=%v method=%q fallbacks=%v",
+							res.Verified, res.VerifyMethod, res.Fallbacks)
+					}
+					checkConsistent(t, spec, res)
+				})
+			}
 		}
 	}
 }
@@ -276,30 +308,98 @@ func TestAIGBudget(t *testing.T) {
 	}
 }
 
-// TestConflictBudgetFallsBackToExhaustive starves the SAT verifier so the
-// verdict is Unknown, and checks the exhaustive CEC rung takes over.
+// TestConflictBudgetFallsBackToExhaustive starves the SAT conflict budget
+// of a windowed network job, so some window's don't-care query runs out
+// of conflicts, and checks the exhaustive extraction rung takes over.
 func TestConflictBudgetFallsBackToExhaustive(t *testing.T) {
-	spec := load(t, "p3")
-	opt := baseOptions()
-	opt.Budget.MaxConflicts = 1
-	res, err := pipeline.Run(context.Background(), spec, opt)
+	res, err := synth.Synthesize(load(t, "t4"), synth.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Verified {
-		t.Fatal("degraded run not verified")
+	nw, err := network.FromAIG(res.Graph, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.VerifyMethod != "exhaustive" || !hasFallbackFrom(res, "verify/sat") {
-		t.Fatalf("want exhaustive fallback, got method=%q fallbacks=%v",
-			res.VerifyMethod, res.Fallbacks)
+	want := nw.POFunction()
+	jo := pipeline.JobOptions{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat"}
+	opt := pipeline.Options{Budget: pipeline.Budget{MaxConflicts: 1}}
+	jr, err := pipeline.RunNetworkJobOpt(context.Background(), nw, jo, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(res.Fallbacks[0].Cause, cec.ErrUnknown) {
-		t.Fatalf("fallback cause should wrap cec.ErrUnknown: %v", res.Fallbacks[0].Cause)
+	if jr.DCMode != "exhaustive" || len(jr.Fallbacks) != 1 ||
+		jr.Fallbacks[0].From != "extract/windowed-sat" || jr.Fallbacks[0].Reason != "budget" {
+		t.Fatalf("want exhaustive fallback, got dc_mode=%q fallbacks=%+v", jr.DCMode, jr.Fallbacks)
 	}
-	// Strict mode surfaces the Unknown verdict instead.
+	if !jr.Equivalent || !jr.Network.POFunction().Equal(want) {
+		t.Fatal("fallback reassignment changed PO functions")
+	}
+	// Strict mode surfaces the exhaustion instead.
 	opt.Strict = true
-	_, err = pipeline.Run(context.Background(), spec, opt)
-	assertStageError(t, err, "verify/sat", pipeline.ReasonBudget)
+	_, err = pipeline.RunNetworkJobOpt(context.Background(), nw, jo, opt)
+	assertStageError(t, err, "extract/windowed-sat", pipeline.ReasonBudget)
+	if !errors.Is(err, sat.ErrBudget) {
+		t.Fatalf("budget failure should wrap sat.ErrBudget: %v", err)
+	}
+}
+
+// TestMaxConflictsDoesNotChangeDenseJob pins that the SAT conflict
+// budget bounds network jobs only: a dense job verifies by simulation,
+// so its answer is the same under a starved budget as under the default.
+func TestMaxConflictsDoesNotChangeDenseJob(t *testing.T) {
+	spec := load(t, "p3")
+	var want []byte
+	for _, mc := range []int64{0, 1} {
+		jr, err := pipeline.RunJob(context.Background(), spec,
+			pipeline.JobOptions{Method: "rank", Fraction: 0.5, MaxConflicts: mc})
+		if err != nil {
+			t.Fatalf("max_conflicts=%d: %v", mc, err)
+		}
+		if !jr.Verified || jr.VerifyMethod != "netlist" || jr.Degraded {
+			t.Fatalf("max_conflicts=%d: verified=%v method=%q degraded=%v",
+				mc, jr.Verified, jr.VerifyMethod, jr.Degraded)
+		}
+		jr.ElapsedMs = 0
+		for i := range jr.Stages {
+			jr.Stages[i].TookMs = 0
+		}
+		got, err := json.Marshal(jr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("max_conflicts=%d changed the job result:\n%s\nvs\n%s", mc, got, want)
+		}
+	}
+}
+
+// TestWideSpecHonoursDeadline runs a 60-byte, 21-input spec whose
+// per-minterm on-cover is 2^20 cubes. Synthesis takes the generic
+// (n > 16) minimizer, whose complementation must poll the interrupt:
+// the run has to end in a cancel within the deadline plus latencySlack.
+func TestWideSpecHonoursDeadline(t *testing.T) {
+	p, err := pla.Parse(strings.NewReader(".i 21\n.o 1\n1-------------------- 1\n.e\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := p.ToFunction()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = time.Second
+	start := time.Now()
+	_, err = pipeline.Run(context.Background(), f, pipeline.Options{Budget: pipeline.Budget{Timeout: timeout}})
+	elapsed := time.Since(start)
+	var serr *pipeline.StageError
+	if !errors.As(err, &serr) || serr.Reason != pipeline.ReasonCancel {
+		t.Fatalf("want a cancel StageError, got %v", err)
+	}
+	t.Logf("cancelled after %v in %s", elapsed, serr.Attempt)
+	if over := elapsed - timeout; over > latencySlack {
+		t.Fatalf("returned %v past the %v deadline (limit %v)", over, timeout, latencySlack)
+	}
 }
 
 // TestDeadlineReturnsPromptly runs the whole benchmark suite under

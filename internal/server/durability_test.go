@@ -67,6 +67,9 @@ func TestServerPersistsLifecycle(t *testing.T) {
 
 	out := submitPLA(t, s, 1, 3)
 	waitDone(t, out.Job)
+	// completeJob releases waiters before it appends the done record,
+	// so the trail can lag the in-memory state by one append.
+	waitTerminalRecord(t, st, out.Job.id)
 
 	rec, ok := st.Get(out.Job.id)
 	if !ok {

@@ -316,7 +316,7 @@ type PipelineOptions = pipeline.Options
 type PipelineResult = pipeline.Result
 
 // PipelineBudget bounds a pipeline run's resources (wall clock, BDD
-// nodes, SAT conflicts, AIG nodes); see pipeline.Budget.
+// nodes, SAT conflicts of network jobs, AIG nodes); see pipeline.Budget.
 type PipelineBudget = pipeline.Budget
 
 // PipelineAssign configures the pipeline's assignment stage.
@@ -337,11 +337,12 @@ const (
 	MethodComplete = pipeline.MethodComplete
 )
 
-// RunPipeline executes assignment, synthesis, and verification on f as a
-// fault-tolerant staged job: panics become typed *StageError values,
-// resource budgets bound the effort, and budget exhaustion degrades along
-// an explicit ladder (BDD assignment → dense; resyn flow → sop; SAT CEC →
-// exhaustive CEC) instead of failing. See internal/pipeline.
+// RunPipeline executes assignment, synthesis, and verification (an
+// exhaustive simulation of the mapped netlist) on f as a fault-tolerant
+// staged job: panics become typed *StageError values, resource budgets
+// bound the effort, and budget exhaustion degrades along an explicit
+// ladder (BDD assignment → dense; resyn flow → sop) instead of failing.
+// See internal/pipeline.
 func RunPipeline(ctx context.Context, f *Function, opt PipelineOptions) (*PipelineResult, error) {
 	return pipeline.Run(ctx, f, opt)
 }
