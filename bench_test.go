@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"relsyn/client"
-	"relsyn/internal/bitset"
 	"relsyn/internal/census"
 	"relsyn/internal/cluster"
 	"relsyn/internal/complexity"
@@ -26,8 +25,8 @@ import (
 	"relsyn/internal/estimate"
 	"relsyn/internal/experiments"
 	"relsyn/internal/fleet"
+	"relsyn/internal/metatest"
 	"relsyn/internal/obs"
-	"relsyn/internal/pla"
 	"relsyn/internal/reliability"
 	"relsyn/internal/server"
 	"relsyn/internal/store"
@@ -266,15 +265,12 @@ func BenchmarkParSynthesize(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Kernel-vs-scalar benchmarks (internal/bitset word-parallel paths).
+// Analysis benchmarks at n = 12/14/16.
 //
-// Each benchmark runs the same Θ(n·2^n) scan through the word-parallel
-// kernel and through its scalar oracle at n = 12/14/16. Both paths are
-// pinned per call (exported *Kernel/*Scalar entry points and
-// core.Options.Kernels) — the process-wide bitset.UseKernels switch is
-// never touched, so these are safe alongside parallel tests.
-// cmd/benchjson pairs the kernel/scalar rows of this output into
-// BENCH_kernels.json and gates CI on the speedup ratios.
+// BenchmarkKernelErrorRate runs the error-rate scan through its
+// production fused-popcount kernel and through the scalar oracle in
+// internal/metatest; cmd/benchjson pairs the kernel/scalar rows into
+// BENCH_kernels.json and gates CI on the speedup ratio.
 
 var benchKernelInputs = []int{12, 14, 16}
 
@@ -321,172 +317,53 @@ func BenchmarkKernelErrorRate(b *testing.B) {
 		benchKernelPair(b, n,
 			func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := reliability.ErrorRateKernel(spec, impl, 0); err != nil {
+					if _, err := reliability.ErrorRate(spec, impl, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
 			},
 			func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := reliability.ErrorRateScalar(spec, impl, 0); err != nil {
-						b.Fatal(err)
-					}
+					metatest.ErrorRateScalar(spec, impl, 0)
 				}
 			})
 	}
 }
 
-func BenchmarkKernelBounds(b *testing.B) {
+// BenchmarkAnalysisBundle times the spec-side analysis one /v1/synth
+// job pays before synthesis, cold: the fused neighbor census is built
+// every iteration (census.Compute, as on a census-cache miss) and then
+// read by every reduction — exact bounds, C^f, the Poisson border
+// estimate, and the ranking and LC^f assignment passes. It reports
+// absolute ns/op and allocs/op; there is no second lane to divide by.
+func BenchmarkAnalysisBundle(b *testing.B) {
 	for _, n := range benchKernelInputs {
 		spec := benchKernelSpec(b, n)
-		benchKernelPair(b, n,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					reliability.BoundsKernel(spec, 0)
-				}
-			},
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					reliability.BoundsScalar(spec, 0)
-				}
-			})
-	}
-}
-
-func BenchmarkKernelFactor(b *testing.B) {
-	for _, n := range benchKernelInputs {
-		spec := benchKernelSpec(b, n)
-		benchKernelPair(b, n,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					complexity.FactorKernel(spec, 0)
-				}
-			},
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					complexity.FactorScalar(spec, 0)
-				}
-			})
-	}
-}
-
-func BenchmarkKernelLocal(b *testing.B) {
-	ctx := context.Background()
-	for _, n := range benchKernelInputs {
-		spec := benchKernelSpec(b, n)
-		benchKernelPair(b, n,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := complexity.LocalAllKernelCtx(ctx, spec, 0, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := complexity.LocalAllScalarCtx(ctx, spec, 0, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-	}
-}
-
-func BenchmarkKernelBorder(b *testing.B) {
-	for _, n := range benchKernelInputs {
-		spec := benchKernelSpec(b, n)
-		benchKernelPair(b, n,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					reliability.CountBordersKernel(spec, 0)
-				}
-			},
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					reliability.CountBordersScalar(spec, 0)
-				}
-			})
-	}
-}
-
-func BenchmarkKernelRanking(b *testing.B) {
-	for _, n := range benchKernelInputs {
-		spec := benchKernelSpec(b, n)
-		run := func(mode core.KernelMode) func(b *testing.B) {
-			return func(b *testing.B) {
-				opt := core.Options{Kernels: mode, Parallelism: 1}
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Ranking(spec, 0.5, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		benchKernelPair(b, n, run(core.KernelsOn), run(core.KernelsOff))
-	}
-}
-
-// ---------------------------------------------------------------------
-// Fused-vs-unfused census benchmarks (internal/census engine).
-//
-// BenchmarkSynthesize runs the full analysis bundle one /v1/synth job
-// pays before synthesis proper — exact bounds, C^f, the Poisson border
-// estimate, and both assignment passes — twice per input count:
-//
-//   - unfused: the PR 5 path, every metric re-deriving its neighbor
-//     censuses in its own ShiftNeighbor/popcount scan (kernels on).
-//   - fused: the metrics served from one shared neighbor census pulled
-//     through a content-addressed census.Engine exactly as the pipeline
-//     does — the first iteration computes the census, the rest ride the
-//     warm cache, which is the engine's steady serving state.
-//
-// Both lanes produce bit-identical answers (metatest property 7), so
-// the fused/unfused ratio is pure execution win. cmd/benchjson pairs
-// the rows into BENCH_fused.json and CI gates the n=16 ratio ≥ 2.0×.
-
-func benchCensusBundle(b *testing.B, spec *tt.Function, cs []*bitset.Census) {
-	b.Helper()
-	ctx := context.Background()
-	opt := core.Options{Kernels: core.KernelsOn, Parallelism: 1, Census: cs}
-	if _, _, err := reliability.BoundsMeanCensusCtx(ctx, spec, cs, 1); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := estimate.BorderBasedMeanCensusCtx(ctx, spec, cs, 1); err != nil {
-		b.Fatal(err)
-	}
-	for o := 0; o < spec.NumOut(); o++ {
-		if o < len(cs) && cs[o] != nil {
-			complexity.FactorCensus(cs[o])
-		} else {
-			complexity.FactorKernel(spec, o)
-		}
-	}
-	if _, err := core.Ranking(spec, 0.5, opt); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := core.LCF(spec, 0.55, opt); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkSynthesize(b *testing.B) {
-	for _, n := range benchKernelInputs {
-		spec := benchKernelSpec(b, n)
-		hash := pla.HashFunction(spec)
-		b.Run(fmt.Sprintf("n=%d/fused", n), func(b *testing.B) {
-			eng := census.NewEngine(4, 64<<20)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			ctx := context.Background()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fc, err := eng.For(ctx, hash, spec, 1)
+				fc, err := census.Compute(ctx, spec, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchCensusBundle(b, spec, fc.Outs)
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/unfused", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchCensusBundle(b, spec, nil)
+				cs := fc.Outs
+				if _, _, err := reliability.BoundsMeanCensusCtx(ctx, spec, cs, 1); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := estimate.BorderBasedMeanCensusCtx(ctx, spec, cs, 1); err != nil {
+					b.Fatal(err)
+				}
+				for _, c := range cs {
+					complexity.FactorCensus(c)
+				}
+				opt := core.Options{Parallelism: 1, Census: cs}
+				if _, err := core.Ranking(spec, 0.5, opt); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := core.LCF(spec, 0.55, opt); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -106,8 +106,8 @@ func usage() {
   relsyn assign [-in spec.pla | -bench name] [-out out.pla] -method rank|lcf|complete [-fraction F] [-threshold T]
   relsyn synth  [-in spec.pla | -bench name] [-objective delay|power|area] [-flow sop|resyn]
                 [-method none|rank|lcf|complete] [-fraction F] [-threshold T]
-                [-timeout D] [-max-bdd-nodes N] [-max-conflicts N] [-max-aig-nodes N] [-strict]
-                [-j N] [-kernels=false] [-json] [-trace]
+                [-timeout D] [-max-conflicts N] [-max-aig-nodes N] [-strict]
+                [-j N] [-json] [-trace]
   relsyn verilog [-in spec.pla | -bench name] [-module name] [-out file.v]
   relsyn decompose [-in spec.pla | -bench name] [-k 5] [-threshold 0.7] [-blif file.blif]
   relsyn resyn  [-in file.blif] [-out file.blif] [-threshold T]
@@ -285,23 +285,18 @@ func runSynth(args []string) error {
 	fraction := fs.Float64("fraction", 0.5, "fraction of ranked DCs to assign (rank)")
 	threshold := fs.Float64("threshold", 0.55, "LC^f threshold (lcf)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
-	maxBDD := fs.Int("max-bdd-nodes", 0, "BDD node budget for assignment (0 = unlimited)")
 	maxConflicts := fs.Int64("max-conflicts", 0, "SAT conflict budget; bounds network (resyn) jobs only, so a synth run ignores it (0 = default)")
 	maxAIG := fs.Int("max-aig-nodes", 0, "AIG node budget for synthesis (0 = unlimited)")
 	strict := fs.Bool("strict", false, "fail on budget exhaustion instead of degrading")
 	jsonOut := fs.Bool("json", false, "print the result as JSON (the relsynd wire format)")
 	trace := fs.Bool("trace", false, "print the span tree of the run to stderr")
 	jobs := fs.Int("j", 0, "worker parallelism for per-output analysis (0 = GOMAXPROCS, 1 = sequential)")
-	kernels := fs.Bool("kernels", true, "use word-parallel bitset kernels (false = bit-identical scalar paths)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *jobs < 0 {
 		return usagef("-j must be >= 0, got %d", *jobs)
 	}
-	// Process-wide switch, set before any work begins: the scalar paths
-	// compute bit-identical results, so this only trades speed.
-	relsyn.SetKernels(*kernels)
 	if err := checkFraction(*fraction); err != nil {
 		return err
 	}
@@ -332,16 +327,15 @@ func runSynth(args []string) error {
 		Objective:    *objective,
 		Flow:         *flow,
 		Strict:       *strict,
-		MaxBDDNodes:  *maxBDD,
 		MaxConflicts: *maxConflicts,
 		MaxAIGNodes:  *maxAIG,
 		Parallelism:  *jobs,
 	}
 	switch *method {
 	case "rank":
-		jo.Fraction, jo.UseBDD = *fraction, true
+		jo.Fraction = *fraction
 	case "lcf":
-		jo.Threshold, jo.UseBDD = *threshold, true
+		jo.Threshold = *threshold
 	}
 	// The CLI enforces -timeout via a context deadline rather than the
 	// wire field timeout_ms, preserving sub-millisecond budgets exactly.

@@ -337,9 +337,8 @@ func TestFlagValidation(t *testing.T) {
 }
 
 // The pipeline knobs demonstrably change behavior: a tiny -timeout turns
-// a succeeding run into a prompt cancellation error; -max-bdd-nodes
-// forces the dense-assignment fallback, which -strict turns into a
-// budget error.
+// a succeeding run into a prompt cancellation error, and a tiny
+// -max-aig-nodes into a budget error.
 func TestRunSynthPipelineFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs in -short mode")
@@ -364,20 +363,14 @@ func TestRunSynthPipelineFlags(t *testing.T) {
 		t.Fatalf("timeout error not classified as cancellation: %v", err)
 	}
 
-	// -max-bdd-nodes: BDD assignment exhausts its arena but the run
-	// degrades to the dense path and still succeeds...
+	// -max-aig-nodes: the sop flow is the ladder's last rung, so an AIG
+	// too small for the circuit fails the run with a budget error.
 	if _, err := capture(t, func() error {
-		return runSynth([]string{"-bench", "bench", "-method", "lcf", "-max-bdd-nodes", "8"})
-	}); err != nil {
-		t.Fatalf("-max-bdd-nodes should degrade, not fail: %v", err)
-	}
-	// ...unless -strict forbids degradation.
-	if _, err := capture(t, func() error {
-		return runSynth([]string{"-bench", "bench", "-method", "lcf", "-max-bdd-nodes", "8", "-strict"})
+		return runSynth([]string{"-bench", "bench", "-method", "lcf", "-max-aig-nodes", "1"})
 	}); err == nil {
-		t.Fatal("-strict with exhausted BDD budget did not fail")
+		t.Fatal("-max-aig-nodes 1 did not fail the run")
 	} else if !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("strict BDD exhaustion not classified as budget: %v", err)
+		t.Fatalf("AIG exhaustion not classified as budget: %v", err)
 	}
 }
 
@@ -438,7 +431,7 @@ func TestRunSynthJSONFailure(t *testing.T) {
 	}
 	out, err := capture(t, func() error {
 		return runSynth([]string{"-bench", "bench", "-method", "lcf",
-			"-max-bdd-nodes", "8", "-strict", "-json"})
+			"-max-aig-nodes", "1", "-strict", "-json"})
 	})
 	if err == nil {
 		t.Fatal("strict budget exhaustion did not fail")
@@ -529,7 +522,7 @@ func TestRunSynthTrace(t *testing.T) {
 		t.Fatal(runErr)
 	}
 	tree := string(raw)
-	for _, want := range []string{"cli/synth", "pipeline/run", "stage/assign/bdd", "stage/synth/sop", "stage/verify/"} {
+	for _, want := range []string{"cli/synth", "pipeline/run", "stage/assign/dense", "stage/synth/sop", "stage/verify/"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("trace output missing %q:\n%s", want, tree)
 		}
@@ -551,26 +544,10 @@ func normalizeTimings(raw []byte) []byte {
 // Differential test: for a fixed spec and options, the "result" object
 // printed by `relsyn synth -json` is byte-identical (modulo wall-clock
 // timings) to the "result" object in the relsynd /v1/synth response
-// body — one wire format, produced by two front ends.
+// body — one wire format and one analysis path, produced by two front
+// ends — for both of the paper's selective assignment methods.
 func TestSynthJSONMatchesServiceResponse(t *testing.T) {
 	in := writeTemp(t, testPLA)
-	cliOut, err := capture(t, func() error {
-		return runSynth([]string{"-in", in, "-method", "rank", "-fraction", "1", "-json"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cliEnv struct {
-		Status string          `json:"status"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.Unmarshal([]byte(cliOut), &cliEnv); err != nil {
-		t.Fatalf("CLI output not JSON: %v\n%s", err, cliOut)
-	}
-	if cliEnv.Status != "done" {
-		t.Fatalf("CLI status %q", cliEnv.Status)
-	}
-
 	srv := server.New(server.Config{
 		Workers: 1, QueueDepth: 8, CacheSize: 8, Metrics: obs.NewRegistry(),
 	})
@@ -578,44 +555,69 @@ func TestSynthJSONMatchesServiceResponse(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Mirror the CLI's effective options exactly (runSynth sets UseBDD
-	// for method=rank and defaults objective=power, flow=sop).
-	body, err := json.Marshal(map[string]any{
-		"pla": testPLA,
-		"options": map[string]any{
-			"method": "rank", "fraction": 1.0, "use_bdd": true,
-			"objective": "power", "flow": "sop",
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/synth", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("service HTTP %d: %s", resp.StatusCode, raw)
-	}
-	var svcEnv struct {
-		Status string          `json:"status"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.Unmarshal(raw, &svcEnv); err != nil {
-		t.Fatalf("service body not JSON: %v\n%s", err, raw)
-	}
-	if svcEnv.Status != "done" {
-		t.Fatalf("service status %q: %s", svcEnv.Status, raw)
-	}
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		options map[string]any
+	}{
+		{"rank", []string{"-method", "rank", "-fraction", "1"},
+			map[string]any{"method": "rank", "fraction": 1.0}},
+		{"lcf", []string{"-method", "lcf", "-threshold", "0.55"},
+			map[string]any{"method": "lcf", "threshold": 0.55}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cliOut, err := capture(t, func() error {
+				return runSynth(append([]string{"-in", in, "-json"}, tc.args...))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cliEnv struct {
+				Status string          `json:"status"`
+				Result json.RawMessage `json:"result"`
+			}
+			if err := json.Unmarshal([]byte(cliOut), &cliEnv); err != nil {
+				t.Fatalf("CLI output not JSON: %v\n%s", err, cliOut)
+			}
+			if cliEnv.Status != "done" {
+				t.Fatalf("CLI status %q", cliEnv.Status)
+			}
 
-	cliRes := normalizeTimings(cliEnv.Result)
-	svcRes := normalizeTimings(svcEnv.Result)
-	if !bytes.Equal(cliRes, svcRes) {
-		t.Fatalf("CLI and service results diverge\n--- cli ---\n%s\n--- service ---\n%s", cliRes, svcRes)
+			// Mirror the CLI's effective options exactly (runSynth
+			// defaults objective=power, flow=sop).
+			tc.options["objective"], tc.options["flow"] = "power", "sop"
+			body, err := json.Marshal(map[string]any{"pla": testPLA, "options": tc.options})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/synth", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("service HTTP %d: %s", resp.StatusCode, raw)
+			}
+			var svcEnv struct {
+				Status string          `json:"status"`
+				Result json.RawMessage `json:"result"`
+			}
+			if err := json.Unmarshal(raw, &svcEnv); err != nil {
+				t.Fatalf("service body not JSON: %v\n%s", err, raw)
+			}
+			if svcEnv.Status != "done" {
+				t.Fatalf("service status %q: %s", svcEnv.Status, raw)
+			}
+
+			cliRes := normalizeTimings(cliEnv.Result)
+			svcRes := normalizeTimings(svcEnv.Result)
+			if !bytes.Equal(cliRes, svcRes) {
+				t.Fatalf("CLI and service results diverge\n--- cli ---\n%s\n--- service ---\n%s", cliRes, svcRes)
+			}
+		})
 	}
 }

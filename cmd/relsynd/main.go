@@ -8,7 +8,7 @@
 //	relsynd [-addr :8337] [-workers N] [-queue-depth N] [-cache-size N]
 //	        [-default-timeout 30s] [-max-timeout 5m] [-retry-after 1s]
 //	        [-drain-timeout 30s] [-pprof-addr localhost:6060]
-//	        [-max-bdd-nodes N] [-max-conflicts N] [-max-aig-nodes N] [-j N]
+//	        [-max-conflicts N] [-max-aig-nodes N] [-j N]
 //	        [-dc-mode auto|exhaustive|windowed-sat] [-window-tfi N] [-window-tfo N]
 //	        [-store-dir DIR] [-wal-sync always|interval|off]
 //	        [-peers host:port,... -self host:port] [-vnodes 64]
@@ -65,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"relsyn"
 	"relsyn/internal/census"
 	"relsyn/internal/cluster"
 	"relsyn/internal/network"
@@ -100,7 +99,6 @@ type daemonConfig struct {
 	addr         string
 	pprofAddr    string
 	drainTimeout time.Duration
-	kernels      bool
 	censusMB     int
 	storeDir     string
 	walSync      string
@@ -112,7 +110,6 @@ type daemonConfig struct {
 // budgetDefaults are server-wide resource caps applied to jobs that do
 // not carry their own.
 type budgetDefaults struct {
-	maxBDDNodes  int
 	maxConflicts int64
 	maxAIGNodes  int
 	parallelism  int
@@ -137,14 +134,12 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.DurationVar(&cfg.server.RetryAfter, "retry-after", 0, "Retry-After hint on 429 responses (default 1s)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "grace period for finishing jobs on shutdown")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	fs.IntVar(&cfg.budget.maxBDDNodes, "max-bdd-nodes", 0, "default BDD node budget for jobs that carry none (0 = unlimited)")
 	fs.Int64Var(&cfg.budget.maxConflicts, "max-conflicts", 0, "default per-node SAT conflict budget for network (resyn) jobs that carry none; dense synth jobs run no SAT (0 = default)")
 	fs.IntVar(&cfg.budget.maxAIGNodes, "max-aig-nodes", 0, "default AIG node budget for jobs that carry none (0 = unlimited)")
 	fs.IntVar(&cfg.budget.parallelism, "j", 0, "default per-job analysis parallelism for jobs that carry none (0 = GOMAXPROCS, 1 = sequential)")
 	fs.StringVar(&cfg.budget.dcMode, "dc-mode", "", "default DC-extraction engine for network jobs that carry none: auto, exhaustive, or windowed-sat")
 	fs.IntVar(&cfg.budget.windowTFI, "window-tfi", 0, "default window fanin depth for windowed-sat network jobs that carry none (0 = engine default, negative = full)")
 	fs.IntVar(&cfg.budget.windowTFO, "window-tfo", 0, "default window fanout depth for windowed-sat network jobs that carry none (0 = engine default, negative = full)")
-	fs.BoolVar(&cfg.kernels, "kernels", true, "use word-parallel bitset kernels process-wide (false = bit-identical scalar paths); per-job override via the \"kernels\" wire option")
 	fs.IntVar(&cfg.censusMB, "census-cache-mb", 64, "byte budget (MiB) of the fused neighbor-census cache (0 disables census caching)")
 	fs.StringVar(&cfg.storeDir, "store-dir", "", "directory for the durable job store (empty = volatile, no durability)")
 	fs.StringVar(&cfg.walSync, "wal-sync", "always", "WAL fsync policy: always, interval, or off")
@@ -219,9 +214,6 @@ func (cfg *daemonConfig) validateCluster() error {
 // applied post-key.
 func (b budgetDefaults) backend() server.Backend {
 	return func(ctx context.Context, f *tt.Function, jo pipeline.JobOptions) (*pipeline.JobResult, error) {
-		if jo.MaxBDDNodes == 0 {
-			jo.MaxBDDNodes = b.maxBDDNodes
-		}
 		if jo.MaxAIGNodes == 0 {
 			jo.MaxAIGNodes = b.maxAIGNodes
 		}
@@ -266,9 +258,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintf(stderr, "relsynd: %v\n", err)
 		return 2
 	}
-	// Process-wide kernel switch, set before the worker pool starts any
-	// job (the scalar paths are bit-identical, only slower).
-	relsyn.SetKernels(cfg.kernels)
 	// Fused-census cache: sized (or disabled) before any worker touches
 	// census.Default, and instrumented on the same registry the server
 	// exports so /metrics carries relsyn_census_{hits,misses,bytes} from

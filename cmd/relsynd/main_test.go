@@ -187,15 +187,15 @@ func TestDaemonFlagErrors(t *testing.T) {
 
 func TestDaemonBudgetDefaultsApplied(t *testing.T) {
 	out, errOut := &lockedBuffer{}, &lockedBuffer{}
-	// A 2-node BDD cap cannot fit any real spec: strict jobs must fail
+	// A 1-node AIG cap cannot fit any real spec: strict jobs must fail
 	// with a budget error, proving the server-wide default reached the
 	// pipeline.
 	base, sig, code := startDaemon(t,
-		[]string{"-max-bdd-nodes", "2"}, out, errOut)
+		[]string{"-max-aig-nodes", "1"}, out, errOut)
 
 	body, _ := json.Marshal(map[string]any{
 		"pla":     daemonPLA,
-		"options": map[string]any{"method": "rank", "use_bdd": true, "strict": true},
+		"options": map[string]any{"method": "rank", "strict": true},
 	})
 	resp, err := http.Post(base+"/v1/synth", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -37,26 +37,12 @@ type triple struct {
 
 type iteKey struct{ f, g, h Ref }
 
-// LimitError reports that a manager exceeded its configured node budget.
-// Operations raise it as a panic from deep inside the recursive ITE core;
-// use Manager.Guard (or a recover that checks for *LimitError) to convert
-// it into an ordinary error at the API boundary.
-type LimitError struct {
-	// Limit is the configured node cap; Nodes the arena size when it hit.
-	Limit, Nodes int
-}
-
-func (e *LimitError) Error() string {
-	return fmt.Sprintf("bdd: node budget exhausted (%d nodes, limit %d)", e.Nodes, e.Limit)
-}
-
 // Manager owns a node arena and operation caches for one variable order.
 type Manager struct {
-	numVars  int
-	nodes    []node
-	unique   map[triple]Ref
-	iteMemo  map[iteKey]Ref
-	maxNodes int // 0 = unlimited
+	numVars int
+	nodes   []node
+	unique  map[triple]Ref
+	iteMemo map[iteKey]Ref
 }
 
 // New creates a manager for functions over numVars variables.
@@ -81,35 +67,6 @@ func (m *Manager) NumVars() int { return m.numVars }
 // two terminals).
 func (m *Manager) Size() int { return len(m.nodes) }
 
-// SetMaxNodes caps the arena size. Once the manager holds max nodes, any
-// operation that would allocate another node panics with a *LimitError
-// (recoverable via Guard). max <= 0 removes the cap. The cap bounds
-// memory and time on functions whose BDDs blow up under the fixed
-// variable order — the CUDD-style resource limit the SAT/BDD don't-care
-// literature uses to keep complete computations tractable.
-func (m *Manager) SetMaxNodes(max int) {
-	if max < 0 {
-		max = 0
-	}
-	m.maxNodes = max
-}
-
-// Guard runs fn, converting a node-budget panic into a returned error.
-// Other panics propagate unchanged.
-func (m *Manager) Guard(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if le, ok := r.(*LimitError); ok {
-				err = le
-				return
-			}
-			panic(r)
-		}
-	}()
-	fn()
-	return nil
-}
-
 func (m *Manager) level(f Ref) int32 { return m.nodes[f].level }
 
 // mk returns the canonical node (level, lo, hi), applying the reduction
@@ -121,9 +78,6 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	k := triple{level, lo, hi}
 	if r, ok := m.unique[k]; ok {
 		return r
-	}
-	if m.maxNodes > 0 && len(m.nodes) >= m.maxNodes {
-		panic(&LimitError{Limit: m.maxNodes, Nodes: len(m.nodes)})
 	}
 	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
 	r := Ref(len(m.nodes) - 1)

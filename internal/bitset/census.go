@@ -3,20 +3,17 @@
 // Every spec-side paper metric — ranking weights, LC^f numerators, the
 // exact reliability bounds, border counts, C^f — is a function of the
 // same three per-minterm quantities: how many of a minterm's k 1-Hamming
-// neighbors lie in the on-set, the off-set, and the DC set. Before this
-// engine each metric re-derived its census with its own
-// ShiftNeighbor/popcount pass over the same bitsets; a Census computes
-// all three bit-sliced counters in a single pass over the input bits and
-// every consumer reduces to plane lookups and masked plane sums.
+// neighbors lie in the on-set, the off-set, and the DC set. A Census
+// computes all three bit-sliced counters in a single pass over the input
+// bits and every consumer reduces to plane lookups and masked plane sums.
 //
-// The reductions (all exact integer identities, so the fused results are
-// bit-identical to the per-metric kernels and the scalar oracles):
+// The reductions (all exact integer identities, so the results are
+// bit-identical to the scalar oracle in internal/metatest):
 //
 //	base pairs     = 2·Σ_{m∈on} offCnt[m]
 //	min/max pairs  = Σ_{m∈dc} min/max(onCnt[m], offCnt[m])
 //	border B1      = Σ_{m∈on} (k − onCnt[m])      (B0, BDC analogous)
 //	C^f numerator  = Σ_{m∈on} onCnt[m] + Σ_{m∈dc} dcCnt[m] + Σ_{m∈off} offCnt[m]
-//	error events   = Σ_{m∈v∖excl} (k − vCnt[m]) + Σ_{m∈care∖v} vCnt[m]
 //
 // The masked plane sums run cache-blocked (see popcount.go): the mask
 // block is walked once per counter plane while it is still resident,
@@ -50,9 +47,8 @@ type Census struct {
 	// cache hit serves them for free: the decoded on/off neighbor
 	// counts (the assignment oracles and DC pair bounds read every DC
 	// minterm, so per-query plane gathers were the hot path) and the
-	// two-step same-phase fold (the LC^f numerators, whose rebuild
-	// per call was the last neighbor-pass-shaped cost left in the
-	// fused lane). All three are charged to Bytes().
+	// two-step same-phase fold (the LC^f numerators). All three are
+	// charged to Bytes().
 	onVals, offVals []uint8
 	foldVals        []uint16
 }
@@ -280,23 +276,6 @@ func (c *Census) SamePhaseCounter() *Counter {
 		sp.planes[p] = s
 	}
 	return sp
-}
-
-// DiffEvents counts the (minterm, bit) events outside excl where the
-// census's on-set — read as a completely specified value vector v —
-// disagrees with its neighbor: exactly what
-// Set.NeighborDiffAndNotPopcountAll(excl) scans for, recovered here
-// from the census without another neighbor pass. A set minterm
-// disagrees with k−vCnt[m] neighbors, a clear one with vCnt[m].
-func (c *Census) DiffEvents(excl *Set) int {
-	c.on.mustMatch("bitset.Census.DiffEvents", excl)
-	set := c.on.Difference(excl)
-	clear := c.on.Union(excl)
-	for i := range clear.words {
-		clear.words[i] = ^clear.words[i]
-	}
-	clear.trim()
-	return c.k*set.Count() - maskedPlaneSum(c.onCnt, set) + maskedPlaneSum(c.onCnt, clear)
 }
 
 // Bytes reports the census's approximate resident size: the backing

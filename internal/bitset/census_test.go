@@ -77,7 +77,7 @@ func TestCensusBasePairs(t *testing.T) {
 		c := NewCensus(on, dc)
 		want := 0
 		for b := 0; b < k; b++ {
-			want += 2 * on.ShiftAndPopcount(c.Off(), b)
+			want += 2 * on.IntersectionCount(c.Off().ShiftXor(b))
 		}
 		if got := c.BasePairs(); got != want {
 			t.Fatalf("k=%d BasePairs=%d want %d", k, got, want)
@@ -149,26 +149,6 @@ func TestCensusSamePhase(t *testing.T) {
 	}
 }
 
-func TestCensusDiffEvents(t *testing.T) {
-	for _, k := range []int{1, 6, 8} {
-		n := 1 << uint(k)
-		rng := rand.New(rand.NewSource(int64(400 + k)))
-		val, excl := New(n), New(n)
-		for m := 0; m < n; m++ {
-			if rng.Intn(2) == 0 {
-				val.Set(m)
-			}
-			if rng.Intn(4) == 0 {
-				excl.Set(m)
-			}
-		}
-		c := NewCensus(val, New(n))
-		if got, want := c.DiffEvents(excl), val.NeighborDiffAndNotPopcountAll(excl); got != want {
-			t.Fatalf("k=%d DiffEvents=%d want %d", k, got, want)
-		}
-	}
-}
-
 // TestMaskedCounterSumBlocked drives the blocked reduction across the
 // block boundary (multiple popcountBlockWords tiles plus a ragged
 // tail) against a Get-per-minterm oracle.
@@ -178,7 +158,7 @@ func TestMaskedCounterSumBlocked(t *testing.T) {
 		t.Logf("note: n=2^%d fits one block of %d words; boundary exercised only on smaller block sizes", k, popcountBlockWords)
 	}
 	on, dc := randomPhases(k, 0.3, 77)
-	cnt := NeighborCount(on)
+	cnt := NewCensus(on, dc).OnCounter()
 	want := 0
 	dc.ForEach(func(m int) { want += cnt.Get(m) })
 	if got := MaskedCounterSum(cnt, dc); got != want {

@@ -5,15 +5,12 @@
 // neighbor m^2^i. Over a dense bitset that neighbor permutation is just
 // a shift of the whole vector: for 2^i < 64 it acts inside each word as
 // a pair of masked shifts, above that it swaps whole words. Composing
-// the shift with fused popcounts turns per-minterm loops into
-// 64-minterms-per-op passes, the same packed-simulation trick ABC uses
-// for bit-parallel truth-table evaluation.
-//
-// The kernels in this file never change results: the scalar
-// implementations in internal/{reliability,complexity,estimate,exact,
-// core} are kept under *Scalar names and remain the oracle (metatest
-// property 6 pins kernel ≡ scalar bit for bit). UseKernels is the
-// process-wide escape hatch.
+// the shift with fused popcounts (the error-rate scan) or with
+// bit-sliced counters (the neighbor census in census.go) turns
+// per-minterm loops into 64-minterms-per-op passes, the same
+// packed-simulation trick ABC uses for bit-parallel truth-table
+// evaluation. The scalar oracle the results are held to lives in
+// internal/metatest.
 package bitset
 
 import (
@@ -21,16 +18,6 @@ import (
 	"fmt"
 	"math/bits"
 )
-
-// UseKernels is the process-wide default for the word-parallel kernel
-// paths in the metric packages (reliability, complexity, estimate,
-// exact, core). It exists as an operational escape hatch: flipping it
-// to false routes every dispatching entry point through the scalar
-// oracle implementations, which compute bit-identical results ~8–30×
-// slower. Set it at process start (relsyn -kernels=false, relsynd
-// -kernels=false), before any concurrent work begins; it is a plain
-// bool and is not synchronized.
-var UseKernels = true
 
 // ErrSizeMismatch is the sentinel matched (via errors.Is) by the
 // *SizeMismatchError panics raised when two sets built for different
@@ -65,8 +52,8 @@ func NewSizeMismatch(op string, a, b int) *SizeMismatchError {
 }
 
 // checkShift validates the neighbor-permutation preconditions shared by
-// ShiftXor, ShiftNeighbor and the fused kernels: power-of-two capacity
-// and a bit index inside the input count.
+// ShiftXor, ShiftNeighbor, the fused kernels and the census:
+// power-of-two capacity and a bit index inside the input count.
 func (s *Set) checkShift(op string, bit int) {
 	if s.n == 0 || s.n&(s.n-1) != 0 {
 		panic(fmt.Sprintf("bitset: %s requires power-of-two capacity, got %d", op, s.n))
@@ -77,9 +64,8 @@ func (s *Set) checkShift(op string, bit int) {
 }
 
 // ShiftNeighbor returns a new set t with t[m] = s[m ^ 2^bit]: every
-// minterm mapped to its 1-Hamming neighbor along input `bit`. It is the
-// primitive the word-parallel kernels are built from; ShiftXor is the
-// historical name for the same permutation.
+// minterm mapped to its 1-Hamming neighbor along input `bit`. ShiftXor
+// is the historical name for the same permutation.
 func (s *Set) ShiftNeighbor(bit int) *Set {
 	s.checkShift("ShiftNeighbor", bit)
 	c := New(s.n)
@@ -115,101 +101,16 @@ func ShiftNeighborInto(dst, src *Set, bit int) {
 	dst.trim()
 }
 
-// AndPopcount returns |s & o| in one fused pass (no intermediate set).
-func (s *Set) AndPopcount(o *Set) int {
-	s.mustMatch("bitset.AndPopcount", o)
-	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(s.words[i] & w)
-	}
-	return c
-}
-
-// XorPopcount returns |s ^ o| — the Hamming distance between the two
-// sets — in one fused pass.
-func (s *Set) XorPopcount(o *Set) int {
-	s.mustMatch("bitset.XorPopcount", o)
-	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(s.words[i] ^ w)
-	}
-	return c
-}
-
-// AndNotPopcount returns |s &^ o| in one fused pass.
-func (s *Set) AndNotPopcount(o *Set) int {
-	s.mustMatch("bitset.AndNotPopcount", o)
-	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(s.words[i] &^ w)
-	}
-	return c
-}
-
-// ShiftAndPopcount returns |s & ShiftNeighbor(o, bit)| without
-// materializing the shifted set: the per-word shift is fused into the
-// popcount pass. This is the border-count / base-pair workhorse.
-func (s *Set) ShiftAndPopcount(o *Set, bit int) int {
-	o.checkShift("ShiftAndPopcount", bit)
-	s.mustMatch("bitset.ShiftAndPopcount", o)
-	c := 0
-	if bit < 6 {
-		sh := uint(1) << uint(bit)
-		mask := xorMasks[bit]
-		for i, w := range o.words {
-			c += bits.OnesCount64(s.words[i] & ((w&mask)<<sh | (w>>sh)&mask))
-		}
-	} else {
-		stride := 1 << uint(bit-6)
-		for i := range s.words {
-			c += bits.OnesCount64(s.words[i] & o.words[i^stride])
-		}
-	}
-	return c
-}
-
-// NeighborDiffPopcount returns |{m ∈ care : s[m] != s[m ^ 2^bit]}| —
-// the number of care minterms whose value changes when input `bit`
-// flips — in one fused pass. This is the error-rate workhorse:
-// summing it over all inputs counts every propagating (minterm, bit)
-// event without n·2^n phase lookups.
-func (s *Set) NeighborDiffPopcount(care *Set, bit int) int {
-	s.checkShift("NeighborDiffPopcount", bit)
-	s.mustMatch("bitset.NeighborDiffPopcount", care)
-	c := 0
-	if bit < 6 {
-		sh := uint(1) << uint(bit)
-		mask := xorMasks[bit]
-		cw := care.words[:len(s.words)] // bounds-check elimination
-		for i, w := range s.words {
-			c += bits.OnesCount64((w ^ ((w&mask)<<sh | (w>>sh)&mask)) & cw[i])
-		}
-	} else {
-		// The value difference w_i ^ w_{i^stride} is symmetric in the
-		// pair, so compute each XOR once and mask it against both care
-		// words (half the loads and XORs of the naive per-word loop).
-		// The block sub-slices let the compiler drop bounds checks.
-		stride := 1 << uint(bit-6)
-		cw, sw := care.words, s.words
-		for base := 0; base < len(sw); base += 2 * stride {
-			lo, hi := sw[base:base+stride], sw[base+stride:base+2*stride]
-			clo, chi := cw[base:base+stride], cw[base+stride:base+2*stride]
-			for i, w := range lo {
-				x := w ^ hi[i]
-				c += bits.OnesCount64(x&clo[i]) + bits.OnesCount64(x&chi[i])
-			}
-		}
-	}
-	return c
-}
-
-// NeighborDiffAndNotPopcount is NeighborDiffPopcount with the care set
-// expressed as its complement: it returns
-// |{m ∉ excl : s[m] != s[m ^ 2^bit]}|. The error-rate scan cares about
+// NeighborDiffAndNotPopcount returns |{m ∉ excl : s[m] != s[m ^ 2^bit]}|
+// — the number of minterms outside excl whose value changes when input
+// `bit` flips — in one fused pass. The error-rate scan cares about
 // everything outside the DC set, so taking the DC set directly avoids
-// materializing a complemented care set per call. Padding bits are
-// safe without trimming: the XOR of two trimmed words is trimmed, and
-// the neighbor permutation maps padding positions to padding positions.
+// materializing a complemented care set per call. For bits at or above
+// 6 the value difference w_i ^ w_{i^stride} is symmetric in the word
+// pair, so each XOR is computed once and masked against both exclusion
+// words. Padding bits are safe without trimming: the XOR of two trimmed
+// words is trimmed, and the neighbor permutation maps padding positions
+// to padding positions.
 func (s *Set) NeighborDiffAndNotPopcount(excl *Set, bit int) int {
 	s.checkShift("NeighborDiffAndNotPopcount", bit)
 	s.mustMatch("bitset.NeighborDiffAndNotPopcount", excl)
@@ -242,9 +143,7 @@ func (s *Set) NeighborDiffAndNotPopcount(excl *Set, bit int) int {
 // bits share one fully unrolled pass (each word and its exclusion mask
 // are loaded once and feed six shift+popcount lanes), and every
 // word-swap bit reuses the symmetric-pair halving of the per-bit
-// kernel. This is what the error-rate scan calls; the per-bit
-// NeighborDiffAndNotPopcount remains for callers that need the
-// per-input breakdown.
+// kernel. This is what the error-rate scan calls.
 func (s *Set) NeighborDiffAndNotPopcountAll(excl *Set) int {
 	s.checkShift("NeighborDiffAndNotPopcountAll", 0)
 	s.mustMatch("bitset.NeighborDiffAndNotPopcountAll", excl)
@@ -277,53 +176,10 @@ func (s *Set) NeighborDiffAndNotPopcountAll(excl *Set) int {
 	return c
 }
 
-// KernelScratch is a small arena of reusable sets for allocation-free
-// kernel loops: a scan that needs shifted or composed intermediates
-// grabs numbered slots instead of allocating 2^n-bit sets per input
-// bit. Slots are lazily allocated at the scratch's capacity and their
-// contents are unspecified between uses; a KernelScratch is not safe
-// for concurrent use.
-type KernelScratch struct {
-	n     int
-	slots []*Set
-}
-
-// NewKernelScratch returns a scratch arena for n-bit sets.
-func NewKernelScratch(n int) *KernelScratch {
-	if n < 0 {
-		panic("bitset: negative scratch capacity")
-	}
-	return &KernelScratch{n: n}
-}
-
-// Scratch returns slot i, allocating it on first use. The returned set
-// is owned by the scratch: it stays valid until the next call that
-// asks for the same slot, and must not escape the kernel loop.
-func (k *KernelScratch) Scratch(i int) *Set {
-	if i < 0 {
-		panic("bitset: negative scratch slot")
-	}
-	for len(k.slots) <= i {
-		k.slots = append(k.slots, nil)
-	}
-	if k.slots[i] == nil {
-		k.slots[i] = New(k.n)
-	}
-	return k.slots[i]
-}
-
-// ShiftNeighbor shifts src along input `bit` into scratch slot i and
-// returns the slot.
-func (k *KernelScratch) ShiftNeighbor(i int, src *Set, bit int) *Set {
-	dst := k.Scratch(i)
-	ShiftNeighborInto(dst, src, bit)
-	return dst
-}
-
 // Counter is a bit-sliced (vertical SWAR) counter: one small unsigned
 // counter per position of a 2^k minterm space, stored as bit planes so
 // that 64 counters are updated per word operation. It is how the
-// kernels recover *per-minterm* quantities (neighbor censuses, local
+// census recovers *per-minterm* quantities (neighbor counts, local
 // complexity numerators) that a popcount alone cannot: adding a 0/1
 // set into the counter is a ripple-carry across the planes.
 type Counter struct {
@@ -371,16 +227,6 @@ func (c *Counter) addWordAt(wi int, x uint64, level int) {
 	}
 }
 
-// Add increments every position m by s[m].
-func (c *Counter) Add(s *Set) {
-	if s.n != c.n {
-		panic(NewSizeMismatch("bitset.Counter.Add", c.n, s.n))
-	}
-	for wi, w := range s.words {
-		c.addWordAt(wi, w, 0)
-	}
-}
-
 // AddShifted increments every position m by s[m ^ 2^bit], fusing the
 // neighbor shift into the carry pass.
 func (c *Counter) AddShifted(s *Set, bit int) { c.AddShiftedAtLevel(s, bit, 0) }
@@ -410,41 +256,11 @@ func (c *Counter) AddShiftedAtLevel(s *Set, bit, level int) {
 	}
 }
 
-// ValuesInto decodes every counter position into dst (whose length
-// must be at least c.n) and returns dst[:c.n]. The decode is
-// plane-sliced per 64-position lane: each plane word is loaded once and
-// its set bits scattered with trailing-zero iteration, so the cost is
+// decodePlanes is the core of Values8/Values16: one trailing-zero
+// scatter pass per plane into a fresh zeroed array, so the cost is
 // proportional to the number of one-bits across planes (~the average
 // binary weight of the counts) instead of planes × positions with a
-// bounds-checked Get call per position. Streaming consumers that read
-// every position — the LC^f normalize, census reductions — are
-// Get-call-bound without it on n≥14 truth tables.
-func (c *Counter) ValuesInto(dst []int) []int {
-	if len(dst) < c.n {
-		panic(fmt.Sprintf("bitset: ValuesInto dst length %d < %d", len(dst), c.n))
-	}
-	dst = dst[:c.n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	for p := range c.planes {
-		words := c.planes[p].words
-		for wi, w := range words {
-			base := wi * wordBits
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				dst[base+b] |= 1 << uint(p)
-				w &= w - 1
-			}
-		}
-	}
-	return dst
-}
-
-// decodePlanes is the allocation-owning core of Values8/Values16: one
-// trailing-zero scatter pass per plane into a fresh zeroed array, same
-// shape as ValuesInto but at the narrowest element width the counter's
-// value bound permits.
+// bounds-checked Get call per position.
 func decodePlanes[T uint8 | uint16](n int, planes []*Set) []T {
 	dst := make([]T, n)
 	for p := range planes {
@@ -461,9 +277,8 @@ func decodePlanes[T uint8 | uint16](n int, planes []*Set) []T {
 	return dst
 }
 
-// Values8 decodes every counter position into a fresh byte array —
-// the compact form of ValuesInto for counters whose values fit eight
-// planes. Every neighbor census qualifies (counts are bounded by the
+// Values8 decodes every counter position into a fresh byte array, for
+// counters whose values fit eight planes. Every neighbor census qualifies (counts are bounded by the
 // input count); wider counters panic rather than truncate.
 func (c *Counter) Values8() []uint8 {
 	if len(c.planes) > 8 {
@@ -492,25 +307,4 @@ func (c *Counter) Get(m int) int {
 		v |= int(c.planes[p].words[wi]>>b&1) << p
 	}
 	return v
-}
-
-// NeighborCount returns, for every position m, how many of the k
-// 1-Hamming neighbors of m (k = log2(s.Len())) are set in s — the
-// word-parallel form of the per-minterm neighbor census that the
-// ranking weights and exact DC-pair bounds are built on.
-func NeighborCount(s *Set) *Counter {
-	s.checkShift("NeighborCount", 0)
-	k := bits.Len(uint(s.n - 1))
-	if s.n == 1 {
-		k = 0
-	}
-	max := k
-	if max < 1 {
-		max = 1
-	}
-	c := NewCounter(s.n, max)
-	for b := 0; b < k; b++ {
-		c.AddShifted(s, b)
-	}
-	return c
 }

@@ -80,26 +80,9 @@ func TestFusedPopcounts(t *testing.T) {
 		n := 1 << logn
 		a := randomSet(rng, n, 0.45)
 		b := randomSet(rng, n, 0.45)
-		if got, want := a.AndPopcount(b), a.Intersect(b).Count(); got != want {
-			t.Fatalf("AndPopcount=%d want %d", got, want)
-		}
-		sd := a.Clone()
-		sd.InPlaceSymDiff(b)
-		if got, want := a.XorPopcount(b), sd.Count(); got != want {
-			t.Fatalf("XorPopcount=%d want %d", got, want)
-		}
-		if got, want := a.AndNotPopcount(b), a.Difference(b).Count(); got != want {
-			t.Fatalf("AndNotPopcount=%d want %d", got, want)
-		}
 		for bit := 0; bit < logn; bit++ {
-			if got, want := a.ShiftAndPopcount(b, bit), a.Intersect(b.ShiftXor(bit)).Count(); got != want {
-				t.Fatalf("n=%d bit=%d: ShiftAndPopcount=%d want %d", n, bit, got, want)
-			}
 			diff := a.Clone()
 			diff.InPlaceSymDiff(a.ShiftXor(bit))
-			if got, want := a.NeighborDiffPopcount(b, bit), diff.Intersect(b).Count(); got != want {
-				t.Fatalf("n=%d bit=%d: NeighborDiffPopcount=%d want %d", n, bit, got, want)
-			}
 			if got, want := a.NeighborDiffAndNotPopcount(b, bit), diff.Difference(b).Count(); got != want {
 				t.Fatalf("n=%d bit=%d: NeighborDiffAndNotPopcount=%d want %d", n, bit, got, want)
 			}
@@ -120,10 +103,7 @@ func TestFusedPopcountsAllocFree(t *testing.T) {
 	b := randomSet(rng, 1<<10, 0.5)
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		sink += a.AndPopcount(b) + a.XorPopcount(b) + a.AndNotPopcount(b) +
-			a.ShiftAndPopcount(b, 3) + a.ShiftAndPopcount(b, 8) +
-			a.NeighborDiffPopcount(b, 3) + a.NeighborDiffPopcount(b, 8) +
-			a.NeighborDiffAndNotPopcount(b, 3) + a.NeighborDiffAndNotPopcount(b, 8) +
+		sink += a.NeighborDiffAndNotPopcount(b, 3) + a.NeighborDiffAndNotPopcount(b, 8) +
 			a.NeighborDiffAndNotPopcountAll(b)
 	})
 	if allocs != 0 {
@@ -134,11 +114,6 @@ func TestFusedPopcountsAllocFree(t *testing.T) {
 func TestSizeMismatchTyped(t *testing.T) {
 	a, b := New(64), New(128)
 	ops := map[string]func(){
-		"AndPopcount":                   func() { a.AndPopcount(b) },
-		"XorPopcount":                   func() { a.XorPopcount(b) },
-		"AndNotPopcount":                func() { a.AndNotPopcount(b) },
-		"ShiftAndPopcount":              func() { a.ShiftAndPopcount(b, 0) },
-		"NeighborDiffPopcount":          func() { a.NeighborDiffPopcount(b, 0) },
 		"NeighborDiffAndNotPopcount":    func() { a.NeighborDiffAndNotPopcount(b, 0) },
 		"NeighborDiffAndNotPopcountAll": func() { a.NeighborDiffAndNotPopcountAll(b) },
 		"InPlaceUnion":                  func() { a.InPlaceUnion(b) },
@@ -177,30 +152,6 @@ func TestSizeMismatchTyped(t *testing.T) {
 	}
 }
 
-func TestKernelScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	s := randomSet(rng, 1<<8, 0.5)
-	k := NewKernelScratch(1 << 8)
-	got := k.ShiftNeighbor(0, s, 5)
-	if !got.Equal(s.ShiftXor(5)) {
-		t.Fatal("scratch ShiftNeighbor mismatch")
-	}
-	// Reusing a slot overwrites in place with no allocation.
-	allocs := testing.AllocsPerRun(50, func() {
-		k.ShiftNeighbor(0, s, 3)
-	})
-	if allocs != 0 {
-		t.Fatalf("scratch reuse allocates %v per run, want 0", allocs)
-	}
-	if !k.Scratch(0).Equal(s.ShiftXor(3)) {
-		t.Fatal("scratch slot content mismatch after reuse")
-	}
-	// Distinct slots are distinct sets.
-	if k.Scratch(1) == k.Scratch(0) {
-		t.Fatal("slots alias")
-	}
-}
-
 func TestCounterAddAndGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	n := 1 << 7
@@ -208,9 +159,10 @@ func TestCounterAddAndGet(t *testing.T) {
 	ref := make([]int, n)
 	for round := 0; round < 5; round++ {
 		s := randomSet(rng, n, 0.5)
-		c.Add(s)
+		bit := rng.Intn(7)
+		c.AddShifted(s, bit)
 		for i := 0; i < n; i++ {
-			if s.Test(i) {
+			if s.Test(i ^ 1<<bit) {
 				ref[i]++
 			}
 		}
@@ -226,13 +178,13 @@ func TestCounterOverflowPanics(t *testing.T) {
 	c := NewCounter(64, 1)
 	s := New(64)
 	s.FillAll()
-	c.Add(s)
+	c.AddShifted(s, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected counter overflow panic")
 		}
 	}()
-	c.Add(s)
+	c.AddShifted(s, 0)
 }
 
 func TestCounterAddShiftedAtLevel(t *testing.T) {
@@ -253,26 +205,6 @@ func TestCounterAddShiftedAtLevel(t *testing.T) {
 		}
 		if c.Get(m) != want {
 			t.Fatalf("counter[%d]=%d want %d", m, c.Get(m), want)
-		}
-	}
-}
-
-func TestNeighborCountMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, logn := range []int{0, 1, 2, 4, 6, 7, 9} {
-		n := 1 << logn
-		s := randomSet(rng, n, 0.4)
-		c := NeighborCount(s)
-		for m := 0; m < n; m++ {
-			want := 0
-			for b := 0; b < logn; b++ {
-				if s.Test(m ^ (1 << b)) {
-					want++
-				}
-			}
-			if c.Get(m) != want {
-				t.Fatalf("n=%d m=%d: NeighborCount=%d want %d", n, m, c.Get(m), want)
-			}
 		}
 	}
 }
@@ -313,21 +245,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 			if !into.Equal(naive) {
 				t.Fatal("ShiftNeighborInto != naive")
 			}
-			if got, want := on.ShiftAndPopcount(dc, bit), on.Intersect(naiveShift(dc, bit)).Count(); got != want {
-				t.Fatalf("ShiftAndPopcount=%d want %d", got, want)
-			}
-			wantDiff, wantDiffNot := 0, 0
+			wantDiffNot := 0
 			for m := 0; m < n; m++ {
-				if on.Test(m) != on.Test(m^(1<<bit)) {
-					if dc.Test(m) {
-						wantDiff++
-					} else {
-						wantDiffNot++
-					}
+				if on.Test(m) != on.Test(m^(1<<bit)) && !dc.Test(m) {
+					wantDiffNot++
 				}
-			}
-			if got := on.NeighborDiffPopcount(dc, bit); got != wantDiff {
-				t.Fatalf("NeighborDiffPopcount=%d want %d", got, wantDiff)
 			}
 			if got := on.NeighborDiffAndNotPopcount(dc, bit); got != wantDiffNot {
 				t.Fatalf("NeighborDiffAndNotPopcount=%d want %d", got, wantDiffNot)
@@ -348,30 +270,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 
-		wantAnd, wantXor, wantAndNot := 0, 0, 0
-		for m := 0; m < n; m++ {
-			a, b := on.Test(m), dc.Test(m)
-			if a && b {
-				wantAnd++
-			}
-			if a != b {
-				wantXor++
-			}
-			if a && !b {
-				wantAndNot++
-			}
-		}
-		if got := on.AndPopcount(dc); got != wantAnd {
-			t.Fatalf("AndPopcount=%d want %d", got, wantAnd)
-		}
-		if got := on.XorPopcount(dc); got != wantXor {
-			t.Fatalf("XorPopcount=%d want %d", got, wantXor)
-		}
-		if got := on.AndNotPopcount(dc); got != wantAndNot {
-			t.Fatalf("AndNotPopcount=%d want %d", got, wantAndNot)
-		}
-
-		c := NeighborCount(on)
+		cen := NewCensus(on, dc.Difference(on))
 		for m := 0; m < n; m++ {
 			want := 0
 			for b := 0; b < logn; b++ {
@@ -379,8 +278,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 					want++
 				}
 			}
-			if c.Get(m) != want {
-				t.Fatalf("NeighborCount[%d]=%d want %d", m, c.Get(m), want)
+			if cen.OnAt(m) != want {
+				t.Fatalf("census on-count[%d]=%d want %d", m, cen.OnAt(m), want)
 			}
 		}
 	})

@@ -1,14 +1,13 @@
 // Package census is the one-pass fused analysis engine's sharing layer:
 // it computes the per-output neighbor censuses of a function
 // (bitset.Census) once, caches them content-addressed, and serves them
-// to every analysis that used to run its own ShiftNeighbor/popcount
-// pass — ranking weights, LC^f, the exact reliability bounds, border
-// counts and C^f.
+// to every spec-side analysis — ranking weights, LC^f, the exact
+// reliability bounds, border counts and C^f.
 //
 // Cache-key contract: a census depends only on the specification's
 // truth tables, so the cache is keyed on the spec content hash ALONE
-// (pla.HashFunction upstream). Execution knobs — parallelism, the
-// kernels ladder, assignment fractions/thresholds — must never
+// (pla.HashFunction upstream). Execution knobs — parallelism,
+// assignment fractions/thresholds — must never
 // fragment it; the key-purity tests in this package and in
 // internal/pipeline pin that. The same property makes the census
 // shareable across shards: ring placement already groups every
@@ -51,13 +50,19 @@ func Compute(ctx context.Context, f *tt.Function, parallelism int) (*FunctionCen
 	}
 	fc := &FunctionCensus{NumIn: f.NumIn, Outs: make([]*bitset.Census, len(f.Outs))}
 	err := par.Do(ctx, parallelism, len(f.Outs), func(o int) error {
-		fc.Outs[o] = bitset.NewCensus(f.Outs[o].On, f.Outs[o].DC)
+		fc.Outs[o] = Output(f, o)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return fc, nil
+}
+
+// Output builds the census of output o alone, for a caller that was
+// handed no precomputed one.
+func Output(f *tt.Function, o int) *bitset.Census {
+	return bitset.NewCensus(f.Outs[o].On, f.Outs[o].DC)
 }
 
 // Out returns output o's census.
@@ -110,8 +115,8 @@ const DefaultMaxEntries = 4096
 // Reconfigure (SetDefault) before serving traffic.
 var Default = NewEngine(DefaultMaxEntries, DefaultMaxBytes)
 
-// SetDefault replaces the process-wide engine; nil disables fused
-// caching entirely (jobs still compute per-call censuses).
+// SetDefault replaces the process-wide engine; nil disables census
+// caching entirely (jobs then compute their census per job).
 func SetDefault(e *Engine) { Default = e }
 
 // NewEngine returns an engine whose cache holds at most maxEntries

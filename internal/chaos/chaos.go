@@ -1,7 +1,6 @@
-// Package chaos is the deterministic fault-injection harness for the
-// relsynd durability stack. Where internal/faultinject fires faults at
-// pipeline stage boundaries, chaos targets the serving seams around the
-// pipeline:
+// Package chaos is the deterministic fault-injection harness for relsynd:
+// it fires faults at the pipeline's stage boundaries (stage.go) and at
+// the serving seams around the pipeline:
 //
 //   - store: torn writes, short writes, fsync errors, and open/rename
 //     failures injected through the internal/store FS seam — proving
@@ -15,9 +14,10 @@
 //     middleware — proving the worker pool converts panics into failed
 //     jobs rather than crashing the process.
 //
-// Like faultinject, everything is counter-deterministic: a Trigger fires
-// on exact call ordinals, never on randomness or time, so chaos tests
-// are reproducible and race-detector friendly.
+// Everything is counter-deterministic: a Trigger fires on exact call
+// ordinals and a Harness on an exact visit of its point, never on
+// randomness or time, so chaos tests are reproducible and
+// race-detector friendly.
 package chaos
 
 import (

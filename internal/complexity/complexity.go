@@ -20,9 +20,9 @@ package complexity
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"relsyn/internal/bitset"
+	"relsyn/internal/census"
 	"relsyn/internal/par"
 	"relsyn/internal/tt"
 )
@@ -37,118 +37,15 @@ func checkOutputs(f *tt.Function) error {
 	return nil
 }
 
-// SamePhaseNeighbors returns, for every minterm m, the number of m's n
-// 1-Hamming neighbors that share m's phase in output o. This is the O(n·2^n)
-// scalar kernel shared by FactorScalar and Local, and the oracle the
-// word-parallel census (samePhaseCounter) is tested against.
-func SamePhaseNeighbors(f *tt.Function, o int) []int {
-	n := f.NumIn
-	size := f.Size()
-	out := f.Outs[o]
-	on, dc := out.On, out.DC
-
-	same := make([]int, size)
-	for b := 0; b < n; b++ {
-		onSh := on.ShiftXor(b)
-		dcSh := dc.ShiftXor(b)
-		// A pair (m, m^2^b) shares phase iff both on, both dc, or both off.
-		onW, dcW := on.Words(), dc.Words()
-		onShW, dcShW := onSh.Words(), dcSh.Words()
-		for wi := range onW {
-			bothOn := onW[wi] & onShW[wi]
-			bothDC := dcW[wi] & dcShW[wi]
-			bothOff := ^(onW[wi] | dcW[wi]) & ^(onShW[wi] | dcShW[wi])
-			match := bothOn | bothDC | bothOff
-			base := wi * 64
-			for match != 0 {
-				idx := base + bits.TrailingZeros64(match)
-				if idx < size {
-					same[idx]++
-				}
-				match &= match - 1
-			}
-		}
-	}
-	return same
-}
-
-// samePhaseCounter is the word-parallel form of SamePhaseNeighbors: a
-// bit-sliced counter holding, per minterm, the same-phase neighbor
-// census. Per input bit it builds the match set
-//
-//	match_b = (on & sh_b(on)) | (dc & sh_b(dc)) | (off & sh_b(off))
-//
-// with three allocation-free neighbor shifts and one word pass, then
-// ripple-adds it into the counter — 64 minterms per word op instead of
-// a TrailingZeros walk over every set match bit.
-func samePhaseCounter(f *tt.Function, o int) *bitset.Counter {
-	n, size := f.NumIn, f.Size()
-	out := f.Outs[o]
-	on, dc := out.On, out.DC
-	off := f.OffSet(o)
-	maxVal := n
-	if maxVal < 1 {
-		maxVal = 1
-	}
-	c := bitset.NewCounter(size, maxVal)
-	scratch := bitset.NewKernelScratch(size)
-	match := scratch.Scratch(3)
-	for b := 0; b < n; b++ {
-		onSh := scratch.ShiftNeighbor(0, on, b)
-		dcSh := scratch.ShiftNeighbor(1, dc, b)
-		offSh := scratch.ShiftNeighbor(2, off, b)
-		mw := match.Words()
-		onW, dcW, offW := on.Words(), dc.Words(), off.Words()
-		onShW, dcShW, offShW := onSh.Words(), dcSh.Words(), offSh.Words()
-		for wi := range mw {
-			mw[wi] = onW[wi]&onShW[wi] | dcW[wi]&dcShW[wi] | offW[wi]&offShW[wi]
-		}
-		match.Trim()
-		c.Add(match)
-	}
-	return c
-}
-
-// Factor returns C^f for output o. It dispatches between the
-// word-parallel kernel and the scalar oracle on bitset.UseKernels; the
-// integer pair totals are identical either way, so the floats are too.
+// Factor returns C^f for output o from a fused neighbor census of that
+// output built for the call.
 func Factor(f *tt.Function, o int) float64 {
-	if bitset.UseKernels {
-		return FactorKernel(f, o)
-	}
-	return FactorScalar(f, o)
-}
-
-// FactorScalar is the pre-kernel implementation and the testing oracle.
-func FactorScalar(f *tt.Function, o int) float64 {
-	same := SamePhaseNeighbors(f, o)
-	total := 0
-	for _, s := range same {
-		total += s
-	}
-	return float64(total) / float64(f.NumIn*f.Size())
-}
-
-// FactorKernel computes the same-phase pair total as three fused
-// shift+popcount passes per input bit — no per-minterm census at all.
-func FactorKernel(f *tt.Function, o int) float64 {
-	out := f.Outs[o]
-	on, dc := out.On, out.DC
-	off := f.OffSet(o)
-	total := 0
-	for b := 0; b < f.NumIn; b++ {
-		total += on.ShiftAndPopcount(on, b) +
-			dc.ShiftAndPopcount(dc, b) +
-			off.ShiftAndPopcount(off, b)
-	}
-	return float64(total) / float64(f.NumIn*f.Size())
+	return FactorCensus(census.Output(f, o))
 }
 
 // FactorCensus is Factor served from a fused neighbor census
 // (internal/census): the same-phase pair total is three masked plane
-// sums over censuses that ranking, bounds and borders already share,
-// instead of 3n fused shift passes of its own. Identical integer
-// totals, identical float.
+// sums over the census that ranking, bounds and borders share.
 func FactorCensus(c *bitset.Census) float64 {
 	return float64(c.SamePhasePairs()) / float64(c.K()*c.Len())
 }
@@ -206,8 +103,7 @@ func ExpectedMean(f *tt.Function) (float64, error) {
 
 // Local returns LC^f for minterm m of output o.
 func Local(f *tt.Function, o, m int) float64 {
-	same := SamePhaseNeighbors(f, o)
-	return localFrom(f, same, m)
+	return float64(census.Output(f, o).SamePhaseFold()[m]) / float64(f.NumIn*f.NumIn)
 }
 
 // LocalAll returns LC^f for every minterm of output o in one pass —
@@ -227,36 +123,18 @@ const localAllChunk = 1024
 // parallelism cap (0 = GOMAXPROCS, 1 = sequential). The minterm space is
 // split into contiguous chunks and each worker writes only its own
 // index range, so the result is bit-identical at every parallelism
-// level. It dispatches between the word-parallel two-level census fold
-// and the scalar oracle on bitset.UseKernels; both sum identical
-// integers per minterm, so the floats are identical too.
+// level.
 func LocalAllCtx(ctx context.Context, f *tt.Function, o, parallelism int) ([]float64, error) {
-	if bitset.UseKernels {
-		return LocalAllKernelCtx(ctx, f, o, parallelism)
-	}
-	return LocalAllScalarCtx(ctx, f, o, parallelism)
+	return LocalAllCensusCtx(ctx, f, o, nil, parallelism)
 }
 
-// LocalAllKernelCtx is LocalAllCtx pinned to the word-parallel census
-// fold, for callers that select the path per call (core.Options.Kernels)
-// instead of through the process-wide switch. Zero-input functions fall
-// back to the scalar path (the kernel fold needs at least one plane).
-func LocalAllKernelCtx(ctx context.Context, f *tt.Function, o, parallelism int) ([]float64, error) {
-	if f.NumIn == 0 {
-		return LocalAllScalarCtx(ctx, f, o, parallelism)
-	}
-	return localAllKernel(ctx, f, o, parallelism)
-}
-
-// LocalAllCensusCtx is LocalAllKernelCtx served from a fused neighbor
+// LocalAllCensusCtx is LocalAllCtx served from a fused neighbor
 // census: the census carries the two-step same-phase fold precomputed
 // (bitset.Census.SamePhaseFold), so all that remains per call is the
-// normalize. The fold sums the exact integers localAllKernel folds for
-// itself — identical numerators, identical floats. Zero-input
-// functions fall back to the scalar path, as does a nil census.
+// normalize. A nil census builds output o's census for the call.
 func LocalAllCensusCtx(ctx context.Context, f *tt.Function, o int, c *bitset.Census, parallelism int) ([]float64, error) {
-	if f.NumIn == 0 || c == nil {
-		return LocalAllKernelCtx(ctx, f, o, parallelism)
+	if c == nil {
+		c = census.Output(f, o)
 	}
 	size := f.Size()
 	vals := c.SamePhaseFold()
@@ -272,69 +150,4 @@ func LocalAllCensusCtx(ctx context.Context, f *tt.Function, o int, c *bitset.Cen
 		return nil, err
 	}
 	return out, nil
-}
-
-// LocalAllScalarCtx is LocalAllCtx pinned to the scalar oracle, for
-// differential tests that cross-check the kernel path.
-func LocalAllScalarCtx(ctx context.Context, f *tt.Function, o, parallelism int) ([]float64, error) {
-	same := SamePhaseNeighbors(f, o)
-	out := make([]float64, f.Size())
-	err := par.DoRange(ctx, parallelism, f.Size(), localAllChunk, func(lo, hi int) error {
-		for m := lo; m < hi; m++ {
-			out[m] = localFrom(f, same, m)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// localAllKernel computes every LC^f numerator word-parallel: the
-// same-phase census counter C is folded one more neighbor step into
-//
-//	L[m] = Σ_b C[m ^ 2^b]
-//
-// by ripple-adding each bit plane of C at its own weight
-// (AddShiftedAtLevel), so the n² two-step pair count for all 2^n
-// minterms costs n·log(n) plane passes instead of n·2^n array lookups.
-func localAllKernel(ctx context.Context, f *tt.Function, o, parallelism int) ([]float64, error) {
-	return localAllFold(ctx, f.NumIn, f.Size(), samePhaseCounter(f, o), parallelism)
-}
-
-// localAllFold is the shared second step of the kernel and census LC^f
-// paths: fold a same-phase counter one neighbor step and normalize.
-func localAllFold(ctx context.Context, n, size int, census *bitset.Counter, parallelism int) ([]float64, error) {
-	fold := bitset.NewCounter(size, n*n)
-	for b := 0; b < n; b++ {
-		for p := 0; p < census.NumPlanes(); p++ {
-			fold.AddShiftedAtLevel(census.Plane(p), b, p)
-		}
-	}
-	out := make([]float64, size)
-	norm := float64(n * n)
-	// One streaming decode instead of a bounds-checked Get per minterm;
-	// the division stays (no reciprocal multiply) so the floats remain
-	// bit-identical to the scalar oracle at every n.
-	vals := fold.ValuesInto(make([]int, size))
-	err := par.DoRange(ctx, parallelism, size, localAllChunk, func(lo, hi int) error {
-		for m := lo; m < hi; m++ {
-			out[m] = float64(vals[m]) / norm
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func localFrom(f *tt.Function, same []int, m int) float64 {
-	n := f.NumIn
-	total := 0
-	for b := 0; b < n; b++ {
-		total += same[m^(1<<uint(b))]
-	}
-	return float64(total) / float64(n*n)
 }

@@ -25,22 +25,10 @@ import (
 	"math"
 
 	"relsyn/internal/bitset"
+	"relsyn/internal/census"
 	"relsyn/internal/complexity"
 	"relsyn/internal/par"
 	"relsyn/internal/tt"
-)
-
-// KernelMode selects between the word-parallel bitset kernels and the
-// scalar oracle implementations for one assignment pass.
-type KernelMode int
-
-const (
-	// KernelsDefault follows the process-wide bitset.UseKernels switch.
-	KernelsDefault KernelMode = iota
-	// KernelsOn forces the word-parallel kernel paths for this call.
-	KernelsOn
-	// KernelsOff forces the scalar oracle paths for this call.
-	KernelsOff
 )
 
 // Assignment records one DC minterm decision.
@@ -88,12 +76,6 @@ type Options struct {
 	// context-derived check here for cooperative cancellation.
 	Interrupt func() error
 
-	// MaxBDDNodes caps the per-output BDD manager arena in the *BDD
-	// variants (0 = unlimited). Exhaustion aborts the pass with a
-	// *bdd.LimitError; callers may then fall back to the dense
-	// truth-table path, which computes the identical result.
-	MaxBDDNodes int
-
 	// Parallelism caps the worker count for the per-output candidate
 	// selection fan-out (0 = GOMAXPROCS, 1 = sequential). It never
 	// changes the computed assignment: selections land in
@@ -101,46 +83,22 @@ type Options struct {
 	// order, so it is deliberately NOT part of Canonical().
 	Parallelism int
 
-	// Kernels selects the word-parallel bitset kernels or the scalar
-	// oracles for the neighbor censuses and LC^f scans of this pass
-	// (default: follow the process-wide bitset.UseKernels switch). Both
-	// paths compute bit-identical assignments — metatest property 6
-	// pins the equivalence — so, like Parallelism, Kernels is an
-	// operational knob and deliberately NOT part of Canonical().
-	Kernels KernelMode
-
 	// Census, when non-nil, supplies precomputed fused neighbor
-	// censuses (internal/bitset.Census), indexed by output. Outputs
-	// with a census skip their own neighbor-count and same-phase
-	// passes and read the shared counters instead; nil or missing
-	// entries fall back to the Kernels-selected path. The census is a
-	// spec-time snapshot of the same counts both other paths compute —
-	// metatest property 7 pins the fused/unfused equivalence
-	// bit-identically — so, like Parallelism and Kernels, Census is an
-	// operational knob and deliberately NOT part of Canonical().
+	// censuses (internal/bitset.Census), indexed by output. An output
+	// with no supplied census gets one built for the pass. The census
+	// is a spec-time snapshot of the counts every consumer reads, so,
+	// like Parallelism, Census is an operational knob and deliberately
+	// NOT part of Canonical().
 	Census []*bitset.Census
 }
 
-// censusFor returns the fused census for output o when one was supplied
-// and its minterm space matches f, else nil.
+// censusFor returns the fused census of output o: the supplied one when
+// its minterm space matches f, else one built for the call.
 func (o Options) censusFor(f *tt.Function, idx int) *bitset.Census {
 	if idx < len(o.Census) && o.Census[idx] != nil && o.Census[idx].Len() == f.Size() {
 		return o.Census[idx]
 	}
-	return nil
-}
-
-// kernelsEnabled resolves the tri-state Kernels knob against the
-// process-wide default.
-func (o Options) kernelsEnabled() bool {
-	switch o.Kernels {
-	case KernelsOn:
-		return true
-	case KernelsOff:
-		return false
-	default:
-		return bitset.UseKernels
-	}
+	return census.Output(f, idx)
 }
 
 // check polls the Interrupt hook.
@@ -251,16 +209,17 @@ func LCF(f *tt.Function, threshold float64, opt Options) (*Result, error) {
 		if err := opt.check(); err != nil {
 			return err
 		}
-		// The LC^f kernel itself also fans out over minterm chunks, so a
+		if !f.Outs[o].DC.Any() {
+			return nil
+		}
+		// The LC^f normalize also fans out over minterm chunks, so a
 		// single-output function still uses the whole parallelism budget.
-		// The kernel/scalar choice is pinned per call from opt rather
-		// than read from the process-wide switch mid-pass.
-		local, err := localAll(f, o, opt)
+		c := opt.censusFor(f, o)
+		local, err := complexity.LocalAllCensusCtx(context.Background(), f, o, c, opt.Parallelism)
 		if err != nil {
 			return err
 		}
-		no := newNeighborOracle(f, o, opt)
-		no.decodeCounts()
+		no := newNeighborOracle(o, c)
 		var sel []Assignment
 		f.Outs[o].DC.ForEach(func(m int) {
 			if local[m] >= threshold {
@@ -282,27 +241,25 @@ func LCF(f *tt.Function, threshold float64, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// localAll computes LC^f for every minterm of output o: from the fused
-// census when one was supplied, else pinned to the kernel or scalar
-// path by opt (never the process-wide switch mid-pass).
-func localAll(f *tt.Function, o int, opt Options) ([]float64, error) {
-	if c := opt.censusFor(f, o); c != nil {
-		return complexity.LocalAllCensusCtx(context.Background(), f, o, c, opt.Parallelism)
-	}
-	if opt.kernelsEnabled() {
-		return complexity.LocalAllKernelCtx(context.Background(), f, o, opt.Parallelism)
-	}
-	return complexity.LocalAllScalarCtx(context.Background(), f, o, opt.Parallelism)
-}
-
 // Complete binds every DC minterm to its majority neighbor phase — the
 // "Complete" column of paper Table 2 (full reliability-driven assignment,
 // maximal error masking, typically large area overhead). Ties are bound
 // to the off-set so that the result is completely specified.
 func Complete(f *tt.Function) *Result {
+	return CompleteCensus(f, nil)
+}
+
+// CompleteCensus is Complete reading the neighbor counts from
+// precomputed fused censuses, indexed by output; a nil slice or entry
+// builds that output's census for the call.
+func CompleteCensus(f *tt.Function, cs []*bitset.Census) *Result {
+	opt := Options{Census: cs}
 	res := newResult(f)
 	for o := range f.Outs {
-		no := newNeighborOracle(f, o, Options{})
+		if !f.Outs[o].DC.Any() {
+			continue
+		}
+		no := newNeighborOracle(o, opt.censusFor(f, o))
 		var sel []Assignment
 		f.Outs[o].DC.ForEach(func(m int) {
 			a, ok := no.decide(m, Options{AssignTies: true})
@@ -340,62 +297,22 @@ func RankableCounts(f *tt.Function, opt Options) []int {
 }
 
 // neighborOracle answers per-minterm on/off neighbor-count queries for
-// one output. On the kernel path the counts come from two bit-sliced
-// neighbor-census counters built in n word-parallel passes and read at
-// O(log n) per minterm; on the scalar path every query walks the n
-// neighbors with phase lookups. Both return identical integers.
+// one output from the decoded arrays of its fused census.
 type neighborOracle struct {
-	f              *tt.Function
 	o              int
-	onCnt, offCnt  *bitset.Counter // nil → scalar lookups
-	onVals, offVal []uint8         // decoded counters; a census supplies them prebuilt
+	onVals, offVal []uint8
 }
 
-// newNeighborOracle builds the oracle. A supplied fused census answers
-// queries directly from its precomputed decode arrays; otherwise the
-// kernel path precomputes the two censuses when the output has any DC
-// minterm to decide (the censuses cost n passes; skip them when
-// nothing asks).
-func newNeighborOracle(f *tt.Function, o int, opt Options) *neighborOracle {
-	no := &neighborOracle{f: f, o: o}
-	if c := opt.censusFor(f, o); c != nil {
-		no.onVals, no.offVal = c.OnValues(), c.OffValues()
-		return no
-	}
-	if opt.kernelsEnabled() && f.Outs[o].DC.Any() {
-		no.onCnt = bitset.NeighborCount(f.Outs[o].On)
-		no.offCnt = bitset.NeighborCount(f.OffSet(o))
-	}
-	return no
-}
-
-func (no *neighborOracle) counts(m int) (on, off int) {
-	if no.onVals != nil {
-		return int(no.onVals[m]), int(no.offVal[m])
-	}
-	if no.onCnt != nil {
-		return no.onCnt.Get(m), no.offCnt.Get(m)
-	}
-	return no.f.OnNeighbors(no.o, m), no.f.OffNeighbors(no.o, m)
-}
-
-// decodeCounts flattens the oracle's counters into plain arrays. The
-// assignment passes query every DC minterm, so two streaming decodes
-// beat per-minterm bit-gathered Get pairs; one-shot callers that probe
-// a few minterms skip this and pay Get instead. The census path is
-// already decoded at construction.
-func (no *neighborOracle) decodeCounts() {
-	if no.onCnt == nil || no.onVals != nil {
-		return
-	}
-	no.onVals = no.onCnt.Values8()
-	no.offVal = no.offCnt.Values8()
+func newNeighborOracle(o int, c *bitset.Census) *neighborOracle {
+	return &neighborOracle{o: o, onVals: c.OnValues(), offVal: c.OffValues()}
 }
 
 // rankCandidates lists output o's DC minterms eligible for ranking.
 func rankCandidates(f *tt.Function, o int, opt Options) []Assignment {
-	no := newNeighborOracle(f, o, opt)
-	no.decodeCounts()
+	if !f.Outs[o].DC.Any() {
+		return nil
+	}
+	no := newNeighborOracle(o, opt.censusFor(f, o))
 	cands := make([]Assignment, 0, f.Outs[o].DC.Count())
 	f.Outs[o].DC.ForEach(func(m int) {
 		if a, ok := no.decide(m, opt); ok {
@@ -409,7 +326,7 @@ func rankCandidates(f *tt.Function, o int, opt Options) []Assignment {
 // oracle's output. It returns ok=false for a tie unless opt.AssignTies
 // is set.
 func (no *neighborOracle) decide(m int, opt Options) (Assignment, bool) {
-	on, off := no.counts(m)
+	on, off := int(no.onVals[m]), int(no.offVal[m])
 	w := on - off
 	if w < 0 {
 		w = -w

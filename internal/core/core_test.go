@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"relsyn/internal/bitset"
 	"relsyn/internal/reliability"
 	"relsyn/internal/tt"
 )
@@ -389,19 +390,19 @@ func TestOptionsCanonical(t *testing.T) {
 	loaded := Options{
 		AssignTies:  true,
 		Interrupt:   func() error { return nil },
-		MaxBDDNodes: 1234,
 		Parallelism: 8,
+		Census:      make([]*bitset.Census, 2),
 	}
 	c := loaded.Canonical()
 	if !c.AssignTies {
 		t.Fatal("Canonical dropped AssignTies")
 	}
-	if c.Interrupt != nil || c.MaxBDDNodes != 0 || c.Parallelism != 0 {
+	if c.Interrupt != nil || c.Parallelism != 0 || c.Census != nil {
 		t.Fatalf("Canonical kept operational knobs: %+v", c)
 	}
-	c2 := Options{MaxBDDNodes: 7}.Canonical()
-	if c2.AssignTies || c2.Interrupt != nil || c2.MaxBDDNodes != 0 {
-		t.Fatalf("Canonical of budget-only options not zero: %+v", c2)
+	c2 := Options{Parallelism: 7}.Canonical()
+	if c2.AssignTies || c2.Interrupt != nil || c2.Parallelism != 0 {
+		t.Fatalf("Canonical of operational-only options not zero: %+v", c2)
 	}
 }
 

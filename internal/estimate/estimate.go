@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"relsyn/internal/bitset"
+	"relsyn/internal/census"
 	"relsyn/internal/par"
 	"relsyn/internal/reliability"
 	"relsyn/internal/tt"
@@ -68,40 +69,27 @@ func meanAbsGaussian(mu, variance float64) float64 {
 		mu*math.Erf(mu/(sigma*math.Sqrt2))
 }
 
-// BorderBased computes the Poisson border-count estimate for output o.
-// The border measurement inherits the kernel/scalar dispatch of
-// reliability.CountBorders (the analytical model on top is pure float
-// arithmetic either way).
+// BorderBased computes the Poisson border-count estimate for output o,
+// measuring the border counts on a fused neighbor census of that output
+// built for the call.
 func BorderBased(f *tt.Function, o int) Bounds {
-	return borderBasedFrom(f, o, reliability.CountBorders(f, o))
+	return BorderBasedCensus(f, o, nil)
 }
 
 // BorderBasedCensus is BorderBased with the border counts served from
-// a fused neighbor census (three masked plane sums) instead of a
-// dedicated shift+popcount pass. The integer border counts are
-// identical, so the estimate floats are too. A nil census falls back
-// to the dispatching path.
+// a precomputed fused neighbor census (three masked plane sums). A nil
+// census builds output o's census for the call.
 func BorderBasedCensus(f *tt.Function, o int, c *bitset.Census) Bounds {
 	if c == nil {
-		return BorderBased(f, o)
+		c = census.Output(f, o)
 	}
-	return borderBasedFrom(f, o, reliability.CountBordersCensus(c))
+	return BorderModel(f, o, reliability.CountBordersCensus(c))
 }
 
-// BorderBasedScalar is BorderBased pinned to the scalar border-count
-// oracle, for differential tests that cross-check the kernel path.
-func BorderBasedScalar(f *tt.Function, o int) Bounds {
-	return borderBasedFrom(f, o, reliability.CountBordersScalar(f, o))
-}
-
-// BorderBasedKernel is BorderBased pinned to the word-parallel
-// border-count kernel.
-func BorderBasedKernel(f *tt.Function, o int) Bounds {
-	return borderBasedFrom(f, o, reliability.CountBordersKernel(f, o))
-}
-
-// borderBasedFrom evaluates the Poisson model on measured border counts.
-func borderBasedFrom(f *tt.Function, o int, b reliability.Borders) Bounds {
+// BorderModel evaluates the Poisson model on measured border counts b
+// of output o. It is pure float arithmetic on the three integers, so
+// any two measurements of the same borders give the identical estimate.
+func BorderModel(f *tt.Function, o int, b reliability.Borders) Bounds {
 	n := float64(f.NumIn)
 	size := float64(f.Size())
 	f0, f1, fdc := f.SignalProbabilities(o)
@@ -191,8 +179,8 @@ func BorderBasedMeanCtx(ctx context.Context, f *tt.Function, parallelism int) (B
 }
 
 // BorderBasedMeanCensusCtx is BorderBasedMeanCtx with per-output border
-// counts served from fused censuses where available (nil or missing
-// entries fall back to the dispatching measurement path).
+// counts served from fused censuses where available (a nil slice or nil
+// entry builds that output's census for the call).
 func BorderBasedMeanCensusCtx(ctx context.Context, f *tt.Function, cs []*bitset.Census, parallelism int) (Bounds, error) {
 	return meanOver(ctx, f, parallelism, func(f *tt.Function, o int) Bounds {
 		if o < len(cs) {

@@ -83,20 +83,20 @@ type mergeResult struct {
 // mask group as a dense 2^n-bit set, which is the winning trade for the
 // small functions exact minimization targets (n ≲ 10) but would cost
 // 2^n bits per live mask on adversarially large inputs. Above the bound
-// PrimesCtx silently uses the scalar merge.
+// PrimesCtx uses the scalar merge.
 const kernelMaxInputs = 16
 
 // PrimesCtx is Primes with cooperative cancellation and the parallelism
-// cap taken from lim.Parallelism. It dispatches between the
-// word-parallel mask-group merge and the scalar popcount-group merge on
-// bitset.UseKernels; both produce the identical sorted prime list.
+// cap taken from lim.Parallelism. It picks the word-parallel mask-group
+// merge up to kernelMaxInputs inputs and the scalar popcount-group
+// merge above; both produce the identical sorted prime list.
 func PrimesCtx(ctx context.Context, f *tt.Function, o int, lim Limits) ([]cube.Cube, error) {
 	lim.defaults()
 	n := f.NumIn
 	if n > 20 {
 		return nil, fmt.Errorf("exact: %d inputs too large", n)
 	}
-	if bitset.UseKernels && n <= kernelMaxInputs {
+	if n <= kernelMaxInputs {
 		return primesKernel(ctx, f, o, lim)
 	}
 	return primesScalar(ctx, f, o, lim)

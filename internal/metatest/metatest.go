@@ -22,23 +22,17 @@
 //     results (exact float equality, identical assignments, identical
 //     netlist metrics) at every worker count. Parallelism is an
 //     execution knob, never an answer knob.
-//  6. Kernel ≡ scalar — every word-parallel bitset kernel
-//     (internal/bitset SWAR paths behind exact counts, error rates,
-//     border counts, C^f/LC^f, and the assignment passes) reproduces
-//     its scalar oracle bit for bit: identical integer counts, exact
-//     float equality, identical assignments including ranking weights.
-//     Like parallelism, the kernel switch is an execution knob, never
-//     an answer knob.
-//  7. Fused ≡ unfused — the one-pass fused neighbor census
-//     (internal/census over bitset.Census) serves every quantity the
-//     independent per-metric scans compute — exact pair counts and
-//     bounds, border counts, C^f and the LC^f fold, the Poisson border
-//     estimate, error rates, and both assignment passes — bit for bit
-//     against the same scalar oracle property 6 pins the kernels to:
-//     identical integers, exact float equality (==), identical
-//     assignments. The census is a third lane over the same answers,
-//     never a different answer.
-//  8. Windowed ⊆ exhaustive don't-cares — for every node of a
+//  6. Census ≡ scalar oracle — the one-pass fused neighbor census
+//     (bitset.Census, shared through internal/census) serves every
+//     spec-side quantity — exact pair counts and bounds, border counts,
+//     C^f and the LC^f fold, the Poisson border estimate, and the
+//     ranking, LC^f and complete assignment passes — bit for bit
+//     against the scalar oracle in oracle.go, which shares no code
+//     with it: identical integers, exact float equality (==),
+//     identical assignments including ranking weights. ErrorRate's
+//     fused popcount, the one analysis kernel outside the census (it
+//     measures the implementation), is held to the same oracle.
+//  7. Windowed ⊆ exhaustive don't-cares — for every node of a
 //     k-feasible network, the per-node spec computed by the windowed
 //     SAT engine (internal/network LocalSpecWindowedSAT) at any window
 //     depth marks a subset of the don't-cares the exhaustive
@@ -57,6 +51,7 @@ import (
 	"context"
 	"fmt"
 
+	"relsyn/internal/bitset"
 	"relsyn/internal/census"
 	"relsyn/internal/complexity"
 	"relsyn/internal/core"
@@ -326,13 +321,10 @@ func CheckParallelEquivalence(spec *tt.Function, ref *ParallelReference, p int) 
 	return nil
 }
 
-// KernelReference bundles the scalar-oracle results of every quantity
-// the word-parallel kernels reimplement, so one baseline can be reused
-// across worker counts when checking property 6. All scalar results are
-// computed sequentially (parallelism 1, Kernels forced off), never
-// through the process-wide bitset.UseKernels switch — the check is
-// race-free and independent of how the test binary was launched.
-type KernelReference struct {
+// OracleReference bundles the scalar-oracle results (oracle.go) of
+// every quantity property 6 checks, so one baseline can be reused
+// across worker counts.
+type OracleReference struct {
 	Counts    []reliability.Counts  // exact pair counts per output
 	BoundsLo  []float64             // exact min error rate per output
 	BoundsHi  []float64             // exact max error rate per output
@@ -344,18 +336,18 @@ type KernelReference struct {
 	SelfRate  []float64             // impl self error rate per output
 	Rank      *core.Result          // ranking at parEquivFraction
 	LCF       *core.Result          // LC^f assignment at parEquivThreshold
+	Complete  *core.Result          // complete assignment
 	Impl      *tt.Function          // synthesized implementation measured above
 }
 
-// KernelBaseline computes the scalar reference for property 6 on spec.
-func KernelBaseline(spec *tt.Function) (*KernelReference, error) {
+// OracleBaseline computes the scalar reference for property 6 on spec.
+func OracleBaseline(spec *tt.Function) (*OracleReference, error) {
 	impl, err := Synthesize(spec)
 	if err != nil {
 		return nil, err
 	}
-	ctx := context.Background()
 	nOut := spec.NumOut()
-	ref := &KernelReference{
+	ref := &OracleReference{
 		Counts:    make([]reliability.Counts, nOut),
 		BoundsLo:  make([]float64, nOut),
 		BoundsHi:  make([]float64, nOut),
@@ -365,30 +357,20 @@ func KernelBaseline(spec *tt.Function) (*KernelReference, error) {
 		Local:     make([][]float64, nOut),
 		ErrorRate: make([]float64, nOut),
 		SelfRate:  make([]float64, nOut),
+		Rank:      RankingScalar(spec, parEquivFraction, false),
+		LCF:       LCFScalar(spec, parEquivThreshold, false),
+		Complete:  CompleteScalar(spec),
 		Impl:      impl,
 	}
 	for o := 0; o < nOut; o++ {
-		ref.Counts[o] = reliability.ExactCountsScalar(spec, o)
-		ref.BoundsLo[o], ref.BoundsHi[o] = reliability.BoundsScalar(spec, o)
-		ref.Borders[o] = reliability.CountBordersScalar(spec, o)
-		ref.Factor[o] = complexity.FactorScalar(spec, o)
-		ref.Border[o] = estimate.BorderBasedScalar(spec, o)
-		if ref.Local[o], err = complexity.LocalAllScalarCtx(ctx, spec, o, 1); err != nil {
-			return nil, err
-		}
-		if ref.ErrorRate[o], err = reliability.ErrorRateScalar(spec, impl, o); err != nil {
-			return nil, err
-		}
-		if ref.SelfRate[o], err = reliability.SelfErrorRateScalar(impl, o); err != nil {
-			return nil, err
-		}
-	}
-	scalarOpt := core.Options{Kernels: core.KernelsOff, Parallelism: 1}
-	if ref.Rank, err = core.Ranking(spec, parEquivFraction, scalarOpt); err != nil {
-		return nil, err
-	}
-	if ref.LCF, err = core.LCF(spec, parEquivThreshold, scalarOpt); err != nil {
-		return nil, err
+		ref.Counts[o] = ExactCountsScalar(spec, o)
+		ref.BoundsLo[o], ref.BoundsHi[o] = BoundsScalar(spec, o)
+		ref.Borders[o] = CountBordersScalar(spec, o)
+		ref.Factor[o] = FactorScalar(spec, o)
+		ref.Border[o] = BorderBasedScalar(spec, o)
+		ref.Local[o] = LocalAllScalar(spec, o)
+		ref.ErrorRate[o] = ErrorRateScalar(spec, impl, o)
+		ref.SelfRate[o] = ErrorRateScalar(impl, impl, o)
 	}
 	return ref, nil
 }
@@ -397,181 +379,147 @@ func KernelBaseline(spec *tt.Function) (*KernelReference, error) {
 // including the ranking weights recorded at decision time.
 func sameAssignments(what string, got, want *core.Result) error {
 	if !got.Func.Equal(want.Func) {
-		return fmt.Errorf("%s: kernel path bound different minterms", what)
+		return fmt.Errorf("%s: bound different minterms than the oracle", what)
+	}
+	if got.TotalDCs != want.TotalDCs {
+		return fmt.Errorf("%s: counted %d DCs, oracle %d", what, got.TotalDCs, want.TotalDCs)
 	}
 	if len(got.Assigned) != len(want.Assigned) {
-		return fmt.Errorf("%s: kernel assigned %d minterms, scalar %d",
+		return fmt.Errorf("%s: assigned %d minterms, oracle %d",
 			what, len(got.Assigned), len(want.Assigned))
 	}
 	for i := range got.Assigned {
 		if got.Assigned[i] != want.Assigned[i] {
-			return fmt.Errorf("%s: assignment %d diverged: kernel %+v, scalar %+v",
+			return fmt.Errorf("%s: assignment %d diverged: got %+v, oracle %+v",
 				what, i, got.Assigned[i], want.Assigned[i])
 		}
 	}
 	return nil
 }
 
-// CheckKernelEquivalence verifies property 6 on spec at worker count p:
-// every word-parallel kernel reproduces the scalar reference ref bit
-// for bit. All float comparisons are exact (==): both paths accumulate
-// the same integer event counts before the single final division, so
-// there is no rounding to absorb. The per-output scans themselves run
-// through internal/par at parallelism p, so under -race this check also
-// proves the kernels (and their shared scratch) are safe to fan out.
-func CheckKernelEquivalence(spec *tt.Function, ref *KernelReference, p int) error {
-	ctx := context.Background()
-	err := par.Do(ctx, p, spec.NumOut(), func(o int) error {
-		if c := reliability.ExactCountsKernel(spec, o); c != ref.Counts[o] {
-			return fmt.Errorf("output %d: ExactCounts kernel %+v, scalar %+v", o, c, ref.Counts[o])
-		}
-		lo, hi := reliability.BoundsKernel(spec, o)
-		if lo != ref.BoundsLo[o] || hi != ref.BoundsHi[o] {
-			return fmt.Errorf("output %d: Bounds kernel [%v, %v], scalar [%v, %v]",
-				o, lo, hi, ref.BoundsLo[o], ref.BoundsHi[o])
-		}
-		if b := reliability.CountBordersKernel(spec, o); b != ref.Borders[o] {
-			return fmt.Errorf("output %d: CountBorders kernel %+v, scalar %+v", o, b, ref.Borders[o])
-		}
-		if cf := complexity.FactorKernel(spec, o); cf != ref.Factor[o] {
-			return fmt.Errorf("output %d: Factor kernel %v, scalar %v", o, cf, ref.Factor[o])
-		}
-		if eb := estimate.BorderBasedKernel(spec, o); eb != ref.Border[o] {
-			return fmt.Errorf("output %d: BorderBased kernel %+v, scalar %+v", o, eb, ref.Border[o])
-		}
-		local, err := complexity.LocalAllKernelCtx(ctx, spec, o, 1)
-		if err != nil {
-			return err
-		}
-		if len(local) != len(ref.Local[o]) {
-			return fmt.Errorf("output %d: LocalAll kernel length %d, scalar %d",
-				o, len(local), len(ref.Local[o]))
-		}
-		for m := range local {
-			if local[m] != ref.Local[o][m] {
-				return fmt.Errorf("output %d minterm %d: LC^f kernel %v, scalar %v",
-					o, m, local[m], ref.Local[o][m])
-			}
-		}
-		er, err := reliability.ErrorRateKernel(spec, ref.Impl, o)
-		if err != nil {
-			return err
-		}
-		if er != ref.ErrorRate[o] {
-			return fmt.Errorf("output %d: ErrorRate kernel %v, scalar %v", o, er, ref.ErrorRate[o])
-		}
-		sr, err := reliability.SelfErrorRateKernel(ref.Impl, o)
-		if err != nil {
-			return err
-		}
-		if sr != ref.SelfRate[o] {
-			return fmt.Errorf("output %d: SelfErrorRate kernel %v, scalar %v", o, sr, ref.SelfRate[o])
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	kernelOpt := core.Options{Kernels: core.KernelsOn, Parallelism: p}
-	rank, err := core.Ranking(spec, parEquivFraction, kernelOpt)
-	if err != nil {
-		return err
-	}
-	if err := sameAssignments(fmt.Sprintf("Ranking(p=%d)", p), rank, ref.Rank); err != nil {
-		return err
-	}
-	lcf, err := core.LCF(spec, parEquivThreshold, kernelOpt)
-	if err != nil {
-		return err
-	}
-	return sameAssignments(fmt.Sprintf("LCF(p=%d)", p), lcf, ref.LCF)
-}
-
-// CheckCensusEquivalence verifies property 7 on spec at worker count p:
-// the fused neighbor census — one shared pass over the spec (and one
-// over the reference implementation, for the error rate) — reproduces
-// the scalar reference ref bit for bit through every consumer: exact
-// pair counts, bounds, border counts, C^f, the LC^f fold, the Poisson
-// border estimate, the error rate, and the ranking/LC^f assignment
-// passes including recorded weights. All float comparisons are exact
-// (==): the census carries the same integer event counts the scalar
-// scans accumulate, divided once at the end. Together with property 6
-// (kernel ≡ scalar) this pins fused ≡ unfused — both lanes must equal
-// the same oracle exactly. The censuses are computed fresh per call,
+// CheckCensusEquivalence verifies property 6 on spec at worker count p:
+// the fused neighbor census reproduces the scalar reference ref bit for
+// bit through every consumer — exact pair counts, bounds, border
+// counts, C^f, the LC^f fold, the Poisson border estimate, and the
+// ranking, LC^f and complete assignment passes including recorded
+// weights. Each metric is checked twice: served from a census computed
+// here (as RunJob serves it) and through its census-less entry point,
+// which builds its own. All float comparisons are exact (==): the
+// census carries the same integer event counts the oracle accumulates,
+// divided once at the end. The censuses are computed fresh per call,
 // never through the process-global census engine, so the sweep is
 // deterministic and race-free under t.Parallel.
-func CheckCensusEquivalence(spec *tt.Function, ref *KernelReference, p int) error {
+func CheckCensusEquivalence(spec *tt.Function, ref *OracleReference, p int) error {
 	ctx := context.Background()
 	fc, err := census.Compute(ctx, spec, p)
 	if err != nil {
 		return err
 	}
-	implFC, err := census.Compute(ctx, ref.Impl, p)
-	if err != nil {
-		return err
-	}
 	err = par.Do(ctx, p, spec.NumOut(), func(o int) error {
 		c := fc.Outs[o]
-		if got := reliability.ExactCountsCensus(c); got != ref.Counts[o] {
-			return fmt.Errorf("output %d: ExactCounts census %+v, scalar %+v", o, got, ref.Counts[o])
-		}
-		lo, hi := reliability.BoundsCensus(c)
-		if lo != ref.BoundsLo[o] || hi != ref.BoundsHi[o] {
-			return fmt.Errorf("output %d: Bounds census [%v, %v], scalar [%v, %v]",
-				o, lo, hi, ref.BoundsLo[o], ref.BoundsHi[o])
-		}
-		if b := reliability.CountBordersCensus(c); b != ref.Borders[o] {
-			return fmt.Errorf("output %d: CountBorders census %+v, scalar %+v", o, b, ref.Borders[o])
-		}
-		if cf := complexity.FactorCensus(c); cf != ref.Factor[o] {
-			return fmt.Errorf("output %d: Factor census %v, scalar %v", o, cf, ref.Factor[o])
-		}
-		if eb := estimate.BorderBasedCensus(spec, o, c); eb != ref.Border[o] {
-			return fmt.Errorf("output %d: BorderBased census %+v, scalar %+v", o, eb, ref.Border[o])
-		}
-		local, err := complexity.LocalAllCensusCtx(ctx, spec, o, c, 1)
-		if err != nil {
-			return err
-		}
-		if len(local) != len(ref.Local[o]) {
-			return fmt.Errorf("output %d: LocalAll census length %d, scalar %d",
-				o, len(local), len(ref.Local[o]))
-		}
-		for m := range local {
-			if local[m] != ref.Local[o][m] {
-				return fmt.Errorf("output %d minterm %d: LC^f census %v, scalar %v",
-					o, m, local[m], ref.Local[o][m])
+		for _, got := range []reliability.Counts{reliability.ExactCountsCensus(c), reliability.ExactCounts(spec, o)} {
+			if got != ref.Counts[o] {
+				return fmt.Errorf("output %d: ExactCounts %+v, oracle %+v", o, got, ref.Counts[o])
 			}
 		}
-		er, err := reliability.ErrorRateCensus(spec, o, implFC.Outs[o])
-		if err != nil {
-			return err
+		lo, hi := reliability.BoundsCensus(c)
+		lo2, hi2 := reliability.Bounds(spec, o)
+		if lo != ref.BoundsLo[o] || hi != ref.BoundsHi[o] || lo2 != lo || hi2 != hi {
+			return fmt.Errorf("output %d: Bounds census [%v, %v], per call [%v, %v], oracle [%v, %v]",
+				o, lo, hi, lo2, hi2, ref.BoundsLo[o], ref.BoundsHi[o])
 		}
-		if er != ref.ErrorRate[o] {
-			return fmt.Errorf("output %d: ErrorRate census %v, scalar %v", o, er, ref.ErrorRate[o])
+		for _, b := range []reliability.Borders{reliability.CountBordersCensus(c), reliability.CountBorders(spec, o)} {
+			if b != ref.Borders[o] {
+				return fmt.Errorf("output %d: CountBorders %+v, oracle %+v", o, b, ref.Borders[o])
+			}
+		}
+		for _, cf := range []float64{complexity.FactorCensus(c), complexity.Factor(spec, o)} {
+			if cf != ref.Factor[o] {
+				return fmt.Errorf("output %d: Factor %v, oracle %v", o, cf, ref.Factor[o])
+			}
+		}
+		for _, eb := range []estimate.Bounds{estimate.BorderBasedCensus(spec, o, c), estimate.BorderBased(spec, o)} {
+			if eb != ref.Border[o] {
+				return fmt.Errorf("output %d: BorderBased %+v, oracle %+v", o, eb, ref.Border[o])
+			}
+		}
+		for _, cs := range []*bitset.Census{c, nil} {
+			local, err := complexity.LocalAllCensusCtx(ctx, spec, o, cs, 1)
+			if err != nil {
+				return err
+			}
+			if len(local) != len(ref.Local[o]) {
+				return fmt.Errorf("output %d: LocalAll length %d, oracle %d",
+					o, len(local), len(ref.Local[o]))
+			}
+			for m := range local {
+				if local[m] != ref.Local[o][m] {
+					return fmt.Errorf("output %d minterm %d: LC^f %v, oracle %v",
+						o, m, local[m], ref.Local[o][m])
+				}
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	censusOpt := core.Options{Census: fc.Outs, Parallelism: p}
-	rank, err := core.Ranking(spec, parEquivFraction, censusOpt)
-	if err != nil {
-		return err
+	for _, cs := range [][]*bitset.Census{fc.Outs, nil} {
+		lane := "census"
+		if cs == nil {
+			lane = "per call"
+		}
+		opt := core.Options{Census: cs, Parallelism: p}
+		rank, err := core.Ranking(spec, parEquivFraction, opt)
+		if err != nil {
+			return err
+		}
+		if err := sameAssignments(fmt.Sprintf("Ranking(%s, p=%d)", lane, p), rank, ref.Rank); err != nil {
+			return err
+		}
+		lcf, err := core.LCF(spec, parEquivThreshold, opt)
+		if err != nil {
+			return err
+		}
+		if err := sameAssignments(fmt.Sprintf("LCF(%s, p=%d)", lane, p), lcf, ref.LCF); err != nil {
+			return err
+		}
+		if err := sameAssignments("Complete("+lane+")", core.CompleteCensus(spec, cs), ref.Complete); err != nil {
+			return err
+		}
 	}
-	if err := sameAssignments(fmt.Sprintf("Ranking(census, p=%d)", p), rank, ref.Rank); err != nil {
-		return err
-	}
-	lcf, err := core.LCF(spec, parEquivThreshold, censusOpt)
-	if err != nil {
-		return err
-	}
-	return sameAssignments(fmt.Sprintf("LCF(census, p=%d)", p), lcf, ref.LCF)
+	return nil
+}
+
+// CheckKernelEquivalence verifies the other half of property 6 on spec
+// at worker count p: ErrorRate's fused-popcount kernel, the one
+// analysis body with no census (it measures the implementation),
+// reproduces the scalar reference ref bit for bit, against the spec's
+// care set and against the implementation's own. The per-output scans
+// run through internal/par at parallelism p, so under -race this also
+// proves the kernel is safe to fan out.
+func CheckKernelEquivalence(spec *tt.Function, ref *OracleReference, p int) error {
+	return par.Do(context.Background(), p, spec.NumOut(), func(o int) error {
+		er, err := reliability.ErrorRate(spec, ref.Impl, o)
+		if err != nil {
+			return err
+		}
+		if er != ref.ErrorRate[o] {
+			return fmt.Errorf("output %d: ErrorRate %v, oracle %v", o, er, ref.ErrorRate[o])
+		}
+		sr, err := reliability.SelfErrorRate(ref.Impl, o)
+		if err != nil {
+			return err
+		}
+		if sr != ref.SelfRate[o] {
+			return fmt.Errorf("output %d: SelfErrorRate %v, oracle %v", o, sr, ref.SelfRate[o])
+		}
+		return nil
+	})
 }
 
 // BuildNetwork lowers spec into a k-feasible multi-level network via the
-// conventional synthesis flow — the network form properties 8+ range
+// conventional synthesis flow — the network form property 7 ranges
 // over.
 func BuildNetwork(spec *tt.Function, k int) (*network.Network, error) {
 	res, err := synth.Synthesize(spec, synth.Options{})
@@ -581,7 +529,7 @@ func BuildNetwork(spec *tt.Function, k int) (*network.Network, error) {
 	return network.FromAIG(res.Graph, k)
 }
 
-// CheckWindowedDCSubset verifies property 8 on nw at window depths opt:
+// CheckWindowedDCSubset verifies property 7 on nw at window depths opt:
 // for every checked node, the windowed SAT spec (a) agrees with the
 // exhaustive whole-network simulation spec on every minterm the window
 // marks as care, (b) marks don't-care only where the exhaustive spec

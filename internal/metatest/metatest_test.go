@@ -133,16 +133,12 @@ func TestParallelEquivalenceAcrossSuite(t *testing.T) {
 	}
 }
 
-// Property 6: kernel ≡ scalar. Every word-parallel bitset kernel —
-// exact pair counts and bounds, error rates (impl-vs-spec and self),
-// border counts and the Poisson estimate on top, C^f and the LC^f
-// census, and the ranking/LC^f assignment passes including recorded
-// weights — must reproduce its scalar oracle bit for bit on every
-// benchmark, with the kernel scans fanned out at worker counts 1 and 8.
-// Both paths are pinned per call (exported *Scalar/*Kernel entry points
-// and core.Options.Kernels), never by toggling the process-wide
-// bitset.UseKernels switch, so the sweep is race-free under t.Parallel
-// and part of the -race CI gate.
+// Property 6: census ≡ scalar oracle, kernel half. ErrorRate's fused
+// popcount — the one analysis kernel outside the census, since it
+// measures the implementation — must reproduce the oracle's error rate
+// (impl against the spec's care set, and impl against its own) bit for
+// bit on every benchmark, with the scans fanned out at worker counts 1
+// and 8. Part of the -race CI gate.
 func TestKernelEquivalenceAcrossSuite(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -151,9 +147,9 @@ func TestKernelEquivalenceAcrossSuite(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			spec := loadBench(t, name)
-			ref, err := KernelBaseline(spec)
+			ref, err := OracleBaseline(spec)
 			if err != nil {
-				t.Fatalf("scalar baseline: %v", err)
+				t.Fatalf("oracle baseline: %v", err)
 			}
 			for _, p := range []int{1, 8} {
 				t.Run(fmt.Sprintf("j=%d", p), func(t *testing.T) {
@@ -166,15 +162,15 @@ func TestKernelEquivalenceAcrossSuite(t *testing.T) {
 	}
 }
 
-// Property 7: fused ≡ unfused. The one-pass fused neighbor census must
-// serve every analysis quantity — exact pair counts and bounds, border
-// counts, C^f and the LC^f fold, the Poisson border estimate, the error
-// rate, and both assignment passes — bit for bit against the same
-// scalar oracle the kernel lane is pinned to in property 6, with the
-// census consumers fanned out at worker counts 1 and 8, on every
-// benchmark. Censuses are computed fresh per check (never through the
-// process-global engine), so the sweep is race-free under t.Parallel
-// and part of the -race CI gate.
+// Property 6: census ≡ scalar oracle. The fused neighbor census must
+// serve every spec-side quantity — exact pair counts and bounds, border
+// counts, C^f and the LC^f fold, the Poisson border estimate, and the
+// ranking, LC^f and complete passes — bit for bit against the scalar
+// oracle, both from a precomputed census and through the census-less
+// entry points, with the consumers fanned out at worker counts 1 and 8,
+// on every benchmark. Censuses are computed fresh per check (never
+// through the process-global engine), so the sweep is race-free under
+// t.Parallel and part of the -race CI gate.
 func TestCensusEquivalenceAcrossSuite(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -183,9 +179,9 @@ func TestCensusEquivalenceAcrossSuite(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			spec := loadBench(t, name)
-			ref, err := KernelBaseline(spec)
+			ref, err := OracleBaseline(spec)
 			if err != nil {
-				t.Fatalf("scalar baseline: %v", err)
+				t.Fatalf("oracle baseline: %v", err)
 			}
 			for _, p := range []int{1, 8} {
 				t.Run(fmt.Sprintf("j=%d", p), func(t *testing.T) {
@@ -198,7 +194,7 @@ func TestCensusEquivalenceAcrossSuite(t *testing.T) {
 	}
 }
 
-// Property 8: windowed ⊆ exhaustive don't-cares. On every benchmark,
+// Property 7: windowed ⊆ exhaustive don't-cares. On every benchmark,
 // lowered to a k-feasible network, the windowed SAT extraction at a
 // deliberately shallow window (TFI 2, TFO 1 — small enough that real
 // circuits overflow it) marks a subset of the exhaustive DCs with no

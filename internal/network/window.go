@@ -29,7 +29,7 @@
 // closes over every node that can reach or feed the pivot's cone, its
 // inputs collapse to the primary inputs, and its outputs to the
 // PO-driving members — the windowed extraction then equals the complete
-// one exactly (metamorphic property 8 enforces both directions).
+// one exactly (metamorphic property 7 enforces both directions).
 package network
 
 import "sort"

@@ -7,7 +7,7 @@
 // context lookup and nothing else when tracing is off.
 //
 // Span names follow `<subsystem>/<detail>` (DESIGN §8), e.g.
-// "pipeline/run", "stage/assign/bdd", "http/v1/synth". Attributes carry
+// "pipeline/run", "stage/assign/dense", "http/v1/synth". Attributes carry
 // bounded diagnostic detail: budget settings, degradation reasons,
 // ladder rungs.
 package obs
@@ -147,8 +147,9 @@ func (s *Span) Children() []*Span {
 // Render writes the span tree as an indented listing:
 //
 //	pipeline/run                                12.8ms method=rank
-//	  stage/assign/bdd                           3.1ms reason=budget
 //	  stage/assign/dense                         1.9ms
+//	  stage/synth/resyn                          3.1ms reason=budget
+//	  stage/synth/sop                            6.4ms
 //
 // Durations are formatted with time.Duration rounding to keep lines
 // readable; attributes print in sorted-key order. Nil-safe.

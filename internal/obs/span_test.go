@@ -35,12 +35,12 @@ func TestSpanNoopWithoutTrace(t *testing.T) {
 
 func TestSpanTreeNesting(t *testing.T) {
 	ctx, root := WithTrace(context.Background(), "pipeline/run")
-	aCtx, a := StartSpan(ctx, "stage/assign/bdd")
-	_, a1 := StartSpan(aCtx, "stage/assign/bdd/rank")
+	aCtx, a := StartSpan(ctx, "stage/synth/resyn")
+	_, a1 := StartSpan(aCtx, "stage/synth/resyn/refactor")
 	a1.End()
 	a.SetAttr("reason", "budget")
 	a.End()
-	_, b := StartSpan(ctx, "stage/assign/dense")
+	_, b := StartSpan(ctx, "stage/synth/sop")
 	b.End()
 	root.SetAttr("method", "rank")
 	root.End()
@@ -49,15 +49,15 @@ func TestSpanTreeNesting(t *testing.T) {
 	if len(kids) != 2 {
 		t.Fatalf("root children = %d, want 2", len(kids))
 	}
-	if kids[0].Name() != "stage/assign/bdd" || kids[1].Name() != "stage/assign/dense" {
+	if kids[0].Name() != "stage/synth/resyn" || kids[1].Name() != "stage/synth/sop" {
 		t.Fatalf("children order wrong: %q, %q", kids[0].Name(), kids[1].Name())
 	}
 	grand := kids[0].Children()
-	if len(grand) != 1 || grand[0].Name() != "stage/assign/bdd/rank" {
+	if len(grand) != 1 || grand[0].Name() != "stage/synth/resyn/refactor" {
 		t.Fatalf("grandchildren wrong: %+v", grand)
 	}
 	if len(kids[1].Children()) != 0 {
-		t.Fatal("dense rung must have no children")
+		t.Fatal("sop rung must have no children")
 	}
 	attrs := kids[0].Attrs()
 	if len(attrs) != 1 || attrs[0] != L("reason", "budget") {

@@ -42,10 +42,10 @@ func FuzzSynthesize(f *testing.F) {
 			opt.Assign.Method = pipeline.MethodNone
 		case 1:
 			opt.Assign = pipeline.AssignSpec{
-				Method: pipeline.MethodRanking, Fraction: 0.5, UseBDD: true}
+				Method: pipeline.MethodRanking, Fraction: 0.5}
 		case 2:
 			opt.Assign = pipeline.AssignSpec{
-				Method: pipeline.MethodLCF, Threshold: 0.55, UseBDD: true}
+				Method: pipeline.MethodLCF, Threshold: 0.55}
 		case 3:
 			opt.Assign.Method = pipeline.MethodComplete
 		}

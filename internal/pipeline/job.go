@@ -38,8 +38,6 @@ type JobOptions struct {
 	Fraction float64 `json:"fraction,omitempty"`
 	// Threshold is the LC^f threshold in (0,1) (method "lcf").
 	Threshold float64 `json:"threshold,omitempty"`
-	// UseBDD prefers the BDD assignment path (falls back to dense).
-	UseBDD bool `json:"use_bdd,omitempty"`
 	// AssignTies forwards core.Options.AssignTies.
 	AssignTies bool `json:"assign_ties,omitempty"`
 	// Objective is "delay", "power", or "area".
@@ -53,8 +51,6 @@ type JobOptions struct {
 
 	// TimeoutMs is the wall-clock budget in milliseconds (0 = none).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// MaxBDDNodes caps each BDD manager arena (0 = unlimited).
-	MaxBDDNodes int `json:"max_bdd_nodes,omitempty"`
 	// MaxConflicts caps the per-node SAT conflict budget of network
 	// (resyn) jobs (0 = default). Dense jobs run no SAT and ignore it.
 	MaxConflicts int64 `json:"max_conflicts,omitempty"`
@@ -67,23 +63,12 @@ type JobOptions struct {
 	// Parallelism share one cache entry.
 	Parallelism int `json:"parallelism,omitempty"`
 
-	// Kernels selects the analysis execution path: "" (process
-	// default), "on" (word-parallel kernels), "off" (scalar oracles),
-	// "fused" (kernels fed from the shared one-pass neighbor census,
-	// cached per spec hash in internal/census), or "unfused" (kernels
-	// with per-metric neighbor passes, the census engine bypassed).
-	// Purely operational like Parallelism: every path computes
-	// bit-identical results — metatest properties 6 and 7 pin the
-	// equivalences — so Key() strips it and two jobs differing only in
-	// Kernels share one cache entry.
-	Kernels string `json:"kernels,omitempty"`
-
 	// DCMode selects the internal don't-care extraction engine for
 	// network (BLIF-input) jobs: "" (auto: exhaustive when the network
 	// is small enough, windowed-SAT otherwise), "exhaustive" (complete
 	// DCs by bit-parallel simulation, NumPI <= 16), or "windowed-sat"
 	// (per-node TFI/TFO windows + SAT enumeration, any size). Unlike
-	// Parallelism/Kernels this changes the computed DC sets — windowed
+	// Parallelism this changes the computed DC sets — windowed
 	// DCs are a subset of complete DCs — so it participates in Key().
 	DCMode string `json:"dc_mode,omitempty"`
 	// WindowTFI/WindowTFO bound the extraction window depths for
@@ -92,6 +77,16 @@ type JobOptions struct {
 	// participate in Key().
 	WindowTFI int `json:"window_tfi,omitempty"`
 	WindowTFO int `json:"window_tfo,omitempty"`
+
+	// The request fields "kernels", "use_bdd" and "max_bdd_nodes"
+	// selected analysis paths and a BDD assignment rung that no longer
+	// exist. Requests carrying them are accepted and the values ignored
+	// until the next release: Normalize clears them, so they never reach
+	// Key() and a job carrying them computes and caches exactly like one
+	// without them.
+	RetiredKernels     any `json:"kernels,omitempty"`
+	RetiredUseBDD      any `json:"use_bdd,omitempty"`
+	RetiredMaxBDDNodes any `json:"max_bdd_nodes,omitempty"`
 }
 
 // Job option string values.
@@ -111,11 +106,11 @@ const (
 // Normalize returns o with defaults filled and method-irrelevant knobs
 // cleared: Method/Objective/Flow lower-cased with defaults "none",
 // "power", "sop"; Fraction is kept only for "rank", Threshold only for
-// "lcf"; UseBDD only where a BDD path exists (rank/lcf); AssignTies is
-// cleared for "none" (no assignment runs) and for "complete" (which
-// always binds ties), mirroring core.Options.Canonical. Two requests
-// that normalize equal compute identical results, so Key() — and every
-// cache keyed on it — must only ever see normalized options.
+// "lcf"; AssignTies is cleared for "none" (no assignment runs) and for
+// "complete" (which always binds ties), mirroring core.Options.Canonical;
+// the retired request fields are cleared. Two requests that normalize
+// equal compute identical results, so Key() — and every cache keyed on
+// it — must only ever see normalized options.
 func (o JobOptions) Normalize() JobOptions {
 	n := o
 	n.Method = strings.ToLower(strings.TrimSpace(n.Method))
@@ -136,18 +131,12 @@ func (o JobOptions) Normalize() JobOptions {
 	if n.Method != JobMethodLCF {
 		n.Threshold = 0
 	}
-	if n.Method != JobMethodRank && n.Method != JobMethodLCF {
-		n.UseBDD = false
-	}
 	if n.Method == JobMethodNone || n.Method == JobMethodComplete {
 		// core.Options.Canonical(): ties handling is the only semantic
 		// assignment knob, and it is inert for these methods.
 		n.AssignTies = core.Options{}.Canonical().AssignTies
 	}
-	n.Kernels = strings.ToLower(strings.TrimSpace(n.Kernels))
-	if n.Kernels == "default" {
-		n.Kernels = ""
-	}
+	n.RetiredKernels, n.RetiredUseBDD, n.RetiredMaxBDDNodes = nil, nil, nil
 	n.DCMode = strings.ToLower(strings.TrimSpace(n.DCMode))
 	if n.DCMode == "auto" {
 		n.DCMode = ""
@@ -191,16 +180,11 @@ func (o JobOptions) Validate() error {
 	default:
 		return fmt.Errorf("pipeline: unknown job flow %q", o.Flow)
 	}
-	if o.TimeoutMs < 0 || o.MaxBDDNodes < 0 || o.MaxConflicts < 0 || o.MaxAIGNodes < 0 {
+	if o.TimeoutMs < 0 || o.MaxConflicts < 0 || o.MaxAIGNodes < 0 {
 		return fmt.Errorf("pipeline: job budgets must be non-negative")
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("pipeline: job parallelism must be non-negative")
-	}
-	switch o.Kernels {
-	case "", "on", "off", "fused", "unfused":
-	default:
-		return fmt.Errorf("pipeline: job kernels %q must be \"\", \"on\", \"off\", \"fused\" or \"unfused\"", o.Kernels)
 	}
 	switch o.DCMode {
 	case "", JobDCExhaustive, JobDCWindowedSAT:
@@ -212,55 +196,22 @@ func (o JobOptions) Validate() error {
 
 // Key returns a stable digest of the normalized options, suitable for
 // combining with a spec content hash into a result-cache key.
-// Parallelism and Kernels are zeroed before hashing: neither can affect
-// the computed result (the parallel and kernel paths are bit-identical
-// to the sequential scalar path), so hashing them would needlessly
-// split identical work across cache entries and defeat request
-// coalescing. DCMode, WindowTFI, and WindowTFO are NOT stripped: the
-// extraction engine and window depths change which don't-cares the job
-// sees, and therefore the answer — two jobs differing in them must
-// never share a cache entry.
+// Parallelism is zeroed before hashing: it cannot affect the computed
+// result (the parallel paths are bit-identical to the sequential one),
+// so hashing it would needlessly split identical work across cache
+// entries and defeat request coalescing. DCMode, WindowTFI, and
+// WindowTFO are NOT stripped: the extraction engine and window depths
+// change which don't-cares the job sees, and therefore the answer —
+// two jobs differing in them must never share a cache entry.
 func (o JobOptions) Key() string {
 	n := o.Normalize()
 	n.Parallelism = 0
-	n.Kernels = ""
 	b, err := json.Marshal(n)
 	if err != nil { // unreachable: plain struct of scalars
 		panic(fmt.Sprintf("pipeline: marshal job options: %v", err))
 	}
 	sum := sha256.Sum256(append([]byte("relsyn/job/v1\n"), b...))
 	return hex.EncodeToString(sum[:])
-}
-
-// kernelMode lowers the wire-format kernels knob onto core.KernelMode.
-// "fused" and "unfused" both run the word-parallel kernels; whether the
-// shared census feeds them is decided separately (censusEnabled).
-func kernelMode(s string) core.KernelMode {
-	switch s {
-	case "on", "fused", "unfused":
-		return core.KernelsOn
-	case "off":
-		return core.KernelsOff
-	default:
-		return core.KernelsDefault
-	}
-}
-
-// CensusEnabled reports whether the job's analysis should be served
-// from the shared neighbor-census engine. The census is the default on
-// every kernel path — "unfused" and "off" opt out (per-metric passes
-// and scalar oracles respectively), and the process default follows
-// the bitset.UseKernels switch. The server's census peer-fill gate
-// shares this predicate.
-func (o JobOptions) CensusEnabled() bool {
-	switch o.Normalize().Kernels {
-	case "fused", "on":
-		return true
-	case "unfused", "off":
-		return false
-	default:
-		return bitset.UseKernels
-	}
 }
 
 // Options lowers the job options onto the runner's Options. The receiver
@@ -274,10 +225,8 @@ func (o JobOptions) Options() (Options, error) {
 		Strict:      n.Strict,
 		SkipVerify:  n.SkipVerify,
 		Parallelism: n.Parallelism,
-		Kernels:     kernelMode(n.Kernels),
 		Budget: Budget{
 			Timeout:      time.Duration(n.TimeoutMs) * time.Millisecond,
-			MaxBDDNodes:  n.MaxBDDNodes,
 			MaxConflicts: n.MaxConflicts,
 			MaxAIGNodes:  n.MaxAIGNodes,
 		},
@@ -287,10 +236,10 @@ func (o JobOptions) Options() (Options, error) {
 		opt.Assign.Method = MethodNone
 	case JobMethodRank:
 		opt.Assign = AssignSpec{Method: MethodRanking, Fraction: n.Fraction,
-			UseBDD: n.UseBDD, AssignTies: n.AssignTies}
+			AssignTies: n.AssignTies}
 	case JobMethodLCF:
 		opt.Assign = AssignSpec{Method: MethodLCF, Threshold: n.Threshold,
-			UseBDD: n.UseBDD, AssignTies: n.AssignTies}
+			AssignTies: n.AssignTies}
 	case JobMethodComplete:
 		opt.Assign.Method = MethodComplete
 	}
@@ -387,15 +336,29 @@ func RunJob(ctx context.Context, f *tt.Function, jo JobOptions) (*JobResult, err
 	if err != nil {
 		return nil, err
 	}
-	n := jo.Normalize()
-	// Fused analysis path: fetch (or compute and cache) the shared
-	// neighbor census, keyed on the spec content hash alone, and thread
-	// it through the assignment oracles and the reliability reports. A
-	// census failure is never fatal — the per-metric kernel passes
-	// compute the identical results without it.
+	return runJob(ctx, f, jo.Normalize(), opt)
+}
+
+// runJob is RunJob on the normalized options n and their lowering opt,
+// which tests extend with an Inject hook.
+func runJob(ctx context.Context, f *tt.Function, n JobOptions, opt Options) (*JobResult, error) {
+	// Every spec-side metric reads one fused neighbor census per output:
+	// fetched from (or computed into) the shared engine, keyed on the
+	// spec content hash alone, or computed for this job when no engine
+	// is configured. It feeds the assignment oracles and the bounds
+	// report. A census that fails to build (a cancelled context) leaves
+	// cs nil; each consumer then builds its own, and Run reports the
+	// cancellation.
 	var cs []*bitset.Census
-	if eng := census.Default; eng != nil && n.CensusEnabled() && f != nil && f.Validate() == nil {
-		if fc, cerr := eng.For(ctx, pla.HashFunction(f), f, n.Parallelism); cerr == nil {
+	if f != nil && f.Validate() == nil {
+		var fc *census.FunctionCensus
+		var cerr error
+		if eng := census.Default; eng != nil {
+			fc, cerr = eng.For(ctx, pla.HashFunction(f), f, n.Parallelism)
+		} else {
+			fc, cerr = census.Compute(ctx, f, n.Parallelism)
+		}
+		if cerr == nil {
 			cs = fc.Outs
 		}
 	}

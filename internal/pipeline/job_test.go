@@ -1,12 +1,15 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"relsyn/internal/benchmarks"
 	"relsyn/internal/census"
 	"relsyn/internal/tt"
 )
@@ -36,11 +39,11 @@ func TestJobOptionsNormalizeDefaults(t *testing.T) {
 	}
 	// Irrelevant knobs are cleared per method.
 	n = JobOptions{Method: "Complete", Fraction: 0.7, Threshold: 0.5,
-		UseBDD: true, AssignTies: true}.Normalize()
+		RetiredUseBDD: true, AssignTies: true}.Normalize()
 	if n.Method != JobMethodComplete {
 		t.Fatalf("method not lower-cased: %q", n.Method)
 	}
-	if n.Fraction != 0 || n.Threshold != 0 || n.UseBDD || n.AssignTies {
+	if n.Fraction != 0 || n.Threshold != 0 || n.RetiredUseBDD != nil || n.AssignTies {
 		t.Fatalf("complete-method normalization kept inert knobs: %+v", n)
 	}
 	n = JobOptions{Method: "rank", Fraction: 0.7, Threshold: 0.5}.Normalize()
@@ -61,12 +64,10 @@ func TestJobOptionsKey(t *testing.T) {
 		// bit-identical results, so it must never fragment the cache.
 		{Method: "lcf", Threshold: 0.55, Parallelism: 1},
 		{Method: "lcf", Threshold: 0.55, Parallelism: 8},
-		// Kernels is likewise operational: kernel and scalar paths are
-		// bit-identical (metatest property 6), so it must never
-		// fragment the cache either.
-		{Method: "lcf", Threshold: 0.55, Kernels: "on"},
-		{Method: "lcf", Threshold: 0.55, Kernels: "OFF"},
-		{Method: "lcf", Threshold: 0.55, Kernels: "default"},
+		// The retired request fields are accepted and ignored.
+		{Method: "lcf", Threshold: 0.55, RetiredKernels: "off"},
+		{Method: "lcf", Threshold: 0.55, RetiredUseBDD: true},
+		{Method: "lcf", Threshold: 0.55, RetiredMaxBDDNodes: 4},
 	}
 	for i, o := range same {
 		if o.Key() != base.Key() {
@@ -75,7 +76,6 @@ func TestJobOptionsKey(t *testing.T) {
 	}
 	different := []JobOptions{
 		{Method: "lcf", Threshold: 0.56},
-		{Method: "lcf", Threshold: 0.55, UseBDD: true},
 		{Method: "lcf", Threshold: 0.55, AssignTies: true},
 		{Method: "rank", Fraction: 0.55},
 		{Method: "lcf", Threshold: 0.55, Objective: "area"},
@@ -83,7 +83,7 @@ func TestJobOptionsKey(t *testing.T) {
 		{Method: "lcf", Threshold: 0.55, SkipVerify: true},
 		{Method: "lcf", Threshold: 0.55, Strict: true},
 		{Method: "lcf", Threshold: 0.55, TimeoutMs: 1000},
-		{Method: "lcf", Threshold: 0.55, MaxBDDNodes: 64},
+		{Method: "lcf", Threshold: 0.55, MaxAIGNodes: 64},
 		{},
 	}
 	seen := map[string]int{base.Key(): -1}
@@ -106,9 +106,9 @@ func TestJobOptionsValidate(t *testing.T) {
 		{Objective: "speed"},
 		{Flow: "fast"},
 		{TimeoutMs: -1},
-		{MaxBDDNodes: -2},
+		{MaxAIGNodes: -2},
+		{MaxConflicts: -1},
 		{Parallelism: -1},
-		{Kernels: "fast"},
 	}
 	for i, o := range bad {
 		if err := o.Normalize().Validate(); err == nil {
@@ -165,40 +165,57 @@ func TestRunJobLCF(t *testing.T) {
 	}
 }
 
-// A strict run with an exhausted BDD budget fails with a budget
+// A strict run with an exhausted AIG budget fails with a budget
 // StageError, and the partial JobResult still reports the attempt.
 func TestRunJobStrictBudgetFailure(t *testing.T) {
 	f := jobTestFunction()
 	res, err := RunJob(context.Background(), f, JobOptions{
-		Method: "lcf", Threshold: 0.55, UseBDD: true, MaxBDDNodes: 4, Strict: true,
+		Method: "lcf", Threshold: 0.55, MaxAIGNodes: 1, Strict: true,
 	})
 	if err == nil {
-		t.Fatal("strict run with tiny BDD budget succeeded")
+		t.Fatal("strict run with a 1-node AIG budget succeeded")
 	}
 	var se *StageError
-	if !errors.As(err, &se) || se.Reason != ReasonBudget {
-		t.Fatalf("error not a budget StageError: %v", err)
+	if !errors.As(err, &se) || se.Reason != ReasonBudget || se.Attempt != "synth/sop" {
+		t.Fatalf("error not a synth/sop budget StageError: %v", err)
 	}
 	if res == nil || len(res.Stages) == 0 {
 		t.Fatalf("partial result missing stage reports: %+v", res)
 	}
 }
 
-// The same budget without Strict degrades to the dense path and succeeds,
-// and the fallback is visible in the serialized result.
+// A budget exhausted on the resyn flow degrades to the sop flow and
+// succeeds, and the fallback is visible in the serialized result.
 func TestRunJobDegrades(t *testing.T) {
 	f := jobTestFunction()
-	res, err := RunJob(context.Background(), f, JobOptions{
-		Method: "lcf", Threshold: 0.55, UseBDD: true, MaxBDDNodes: 4,
-	})
+	jo := JobOptions{Method: "lcf", Threshold: 0.55, Flow: "resyn"}
+	opt, err := jo.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || len(res.Fallbacks) == 0 {
+	opt.Inject = func(point string) error {
+		if point == "synth/resyn" {
+			return fmt.Errorf("resyn over budget: %w", ErrBudget)
+		}
+		return nil
+	}
+	res, err := runJob(context.Background(), f, jo.Normalize(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || len(res.Fallbacks) == 0 || !res.Verified {
 		t.Fatalf("degradation not reported: %+v", res)
 	}
-	fb := res.Fallbacks[0]
-	if fb.Stage != "assign" || fb.To != "assign/dense" || fb.Reason != "budget" {
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back JobResult
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	fb := back.Fallbacks[0]
+	if fb.Stage != "synth" || fb.From != "synth/resyn" || fb.To != "synth/sop" || fb.Reason != "budget" {
 		t.Fatalf("fallback wrong: %+v", fb)
 	}
 }
@@ -213,34 +230,94 @@ func TestRunJobNilAndInvalid(t *testing.T) {
 	}
 }
 
-// The fused-census knobs are execution knobs: "fused" and "unfused"
-// must validate, lower onto the kernel path, and never fragment the
-// result-cache key (the census cache itself is keyed on the spec hash
-// alone; internal/census pins that half of the contract).
+// The request fields "kernels", "use_bdd" and "max_bdd_nodes" are
+// retired: a body carrying them must still decode, validate, and hash
+// to the key of the same body without them.
 func TestJobOptionsFusedKnobKeyPurity(t *testing.T) {
 	base := JobOptions{Method: "lcf", Threshold: 0.55}
-	for _, k := range []string{"", "on", "off", "fused", "unfused", "FUSED", " Unfused "} {
-		o := JobOptions{Method: "lcf", Threshold: 0.55, Kernels: k, Parallelism: 4}
+	for _, retired := range []string{
+		`"kernels": ""`, `"kernels": "on"`, `"kernels": "off"`, `"kernels": "fused"`,
+		`"kernels": "unfused"`, `"kernels": " Unfused "`, `"use_bdd": true`,
+		`"use_bdd": false`, `"max_bdd_nodes": 4`,
+		`"kernels": "off", "use_bdd": true, "max_bdd_nodes": 4`,
+	} {
+		var o JobOptions
+		body := `{"method": "lcf", "threshold": 0.55, "parallelism": 4, ` + retired + `}`
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&o); err != nil {
+			t.Fatalf("%s: %v", retired, err)
+		}
 		if err := o.Normalize().Validate(); err != nil {
-			t.Fatalf("kernels=%q rejected: %v", k, err)
+			t.Fatalf("%s rejected: %v", retired, err)
 		}
 		if o.Key() != base.Key() {
-			t.Fatalf("kernels=%q fragmented the result-cache key", k)
+			t.Fatalf("%s fragmented the result-cache key", retired)
 		}
 	}
-	if !(JobOptions{Kernels: "fused"}).CensusEnabled() {
-		t.Fatal("kernels=fused did not enable the census engine")
+}
+
+// Key() must stay byte-identical across releases for the options the
+// service sees most, so result-cache entries a WAL has already
+// recovered stay reachable. The digests were recorded before the
+// kernels, use_bdd and max_bdd_nodes fields were retired.
+func TestJobOptionsKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		opts JobOptions
+		key  string
+	}{
+		{JobOptions{}, "d6d16f675c2f6aad316210af33290ce192df72a11e73c4fadb3e4c0c5594e82e"},
+		{JobOptions{Method: JobMethodNone}, "d6d16f675c2f6aad316210af33290ce192df72a11e73c4fadb3e4c0c5594e82e"},
+		{JobOptions{Method: JobMethodRank, Fraction: 0.5}, "ee4a70eb94e93c93d0e77d0ea09a6651589db4020fc9c9aaf623e51b81dffbc1"},
+		{JobOptions{Method: JobMethodLCF, Threshold: 0.55}, "5d4e99ab7d76a04ef02fd3a1f5b9b20fedc35f7363ef0eacca1a08dca8ee5cd9"},
+	} {
+		if got := c.opts.Key(); got != c.key {
+			t.Errorf("%+v: Key() = %s, want %s", c.opts, got, c.key)
+		}
 	}
-	if (JobOptions{Kernels: "unfused"}).CensusEnabled() {
-		t.Fatal("kernels=unfused still enabled the census engine")
+}
+
+// RunJob serves the same answer whether the census comes from the
+// shared engine or, with the engine disabled, is computed per job.
+func TestRunJobWithoutCensusEngine(t *testing.T) {
+	f, err := benchmarks.Load("bench")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if (JobOptions{Kernels: "off"}).CensusEnabled() {
-		t.Fatal("kernels=off still enabled the census engine")
+	run := func(jo JobOptions) []byte {
+		t.Helper()
+		res, err := RunJob(context.Background(), f, jo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.ElapsedMs = 0
+		for i := range res.Stages {
+			res.Stages[i].TookMs = 0
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	old := census.Default
+	defer census.SetDefault(old)
+	for _, jo := range []JobOptions{
+		{Method: JobMethodRank, Fraction: 0.5},
+		{Method: JobMethodLCF, Threshold: 0.55},
+		{Method: JobMethodComplete},
+	} {
+		census.SetDefault(census.NewEngine(16, 1<<22))
+		withEngine := run(jo)
+		census.SetDefault(nil)
+		if without := run(jo); !bytes.Equal(without, withEngine) {
+			t.Errorf("%s: without the census engine\n%s\nwith it\n%s", jo.Method, without, withEngine)
+		}
 	}
 }
 
 // One spec run under different option mixes (fractions, thresholds,
-// parallelism, fused knob spelled differently) must share a single
+// parallelism) must share a single
 // census-cache entry: the census key is the spec hash alone, so the
 // first job computes and every later job hits.
 func TestRunJobSharesCensusAcrossOptionKnobs(t *testing.T) {
@@ -251,9 +328,9 @@ func TestRunJobSharesCensusAcrossOptionKnobs(t *testing.T) {
 
 	f := jobTestFunction()
 	jobs := []JobOptions{
-		{Method: "rank", Fraction: 0.3, Kernels: "fused", SkipVerify: true},
-		{Method: "rank", Fraction: 0.9, Kernels: "fused", SkipVerify: true, Parallelism: 4},
-		{Method: "lcf", Threshold: 0.55, Kernels: "on", SkipVerify: true, Parallelism: 2},
+		{Method: "rank", Fraction: 0.3, SkipVerify: true},
+		{Method: "rank", Fraction: 0.9, SkipVerify: true, Parallelism: 4},
+		{Method: "lcf", Threshold: 0.55, SkipVerify: true, Parallelism: 2},
 	}
 	for i, jo := range jobs {
 		if _, err := RunJob(context.Background(), f, jo); err != nil {

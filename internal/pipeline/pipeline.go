@@ -9,24 +9,24 @@
 //  1. No panics escape. Each stage attempt runs under panic recovery;
 //     library panics surface as typed *StageError values.
 //
-//  2. Bounded effort. The Budget caps wall-clock time (deadline), BDD
-//     manager nodes, SAT conflicts (network jobs), and AIG nodes; every
-//     long-running loop in the stack polls a context-derived interrupt,
-//     so cancelled runs return promptly.
+//  2. Bounded effort. The Budget caps wall-clock time (deadline), SAT
+//     conflicts (network jobs), and AIG nodes; every long-running loop
+//     in the stack polls a context-derived interrupt, so cancelled runs
+//     return promptly.
 //
 //  3. Degrade, don't die. When an attempt fails on a budget, a panic, or
 //     an internal error, the runner walks an explicit degradation ladder
 //     instead of failing the job:
 //
-//     assign: BDD set representation  -> dense truth-table path
-//     synth:  resyn flow              -> sop flow
+//     synth: resyn flow -> sop flow
 //
-//     Verification has one rung, verify/netlist: it simulates the mapped
-//     netlist over every input vector, so a failure there is a wrong
-//     circuit, never a budget to degrade around. Every fallback taken is
-//     recorded in Result.Fallbacks. Options.Strict disables the ladder:
-//     the first failure is returned as-is. A cancelled context never
-//     degrades — the caller asked to stop.
+//     Assignment has one rung, assign/dense, which reads the shared
+//     neighbor census. Verification has one rung, verify/netlist: it
+//     simulates the mapped netlist over every input vector, so a failure
+//     there is a wrong circuit, never a budget to degrade around. Every
+//     fallback taken is recorded in Result.Fallbacks. Options.Strict
+//     disables the ladder: the first failure is returned as-is. A
+//     cancelled context never degrades — the caller asked to stop.
 //
 // The paper's own framing motivates this: LCF assignment is a knob that
 // trades reliability for cost under a budget, and the SAT-based complete
@@ -43,7 +43,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"relsyn/internal/bdd"
 	"relsyn/internal/bitset"
 	"relsyn/internal/core"
 	"relsyn/internal/faultsim"
@@ -86,8 +85,8 @@ type Reason string
 const (
 	// ReasonPanic: a library panic was recovered at the stage boundary.
 	ReasonPanic Reason = "panic"
-	// ReasonBudget: a resource budget (BDD nodes, SAT conflicts, AIG
-	// nodes, or an injected budget) was exhausted.
+	// ReasonBudget: a resource budget (SAT conflicts, AIG nodes, or an
+	// injected budget) was exhausted.
 	ReasonBudget Reason = "budget"
 	// ReasonCancel: the context was cancelled or its deadline passed.
 	ReasonCancel Reason = "cancel"
@@ -98,8 +97,8 @@ const (
 
 // ErrBudget is a generic budget-exhaustion sentinel. The fault-injection
 // harness returns errors wrapping it; libraries use their own typed
-// budget errors (bdd.LimitError, synth.ErrAIGBudget, sat.ErrBudget),
-// which the runner classifies identically.
+// budget errors (synth.ErrAIGBudget, sat.ErrBudget), which the runner
+// classifies identically.
 var ErrBudget = errors.New("pipeline: budget exhausted")
 
 // StageError is the typed failure the pipeline returns instead of
@@ -151,9 +150,6 @@ type Budget struct {
 	// Timeout is the wall-clock deadline for the whole run (0 = none).
 	// It layers onto any deadline already carried by the context.
 	Timeout time.Duration
-	// MaxBDDNodes caps each BDD manager arena used by the BDD assignment
-	// path (0 = unlimited).
-	MaxBDDNodes int
 	// MaxConflicts caps the per-node SAT conflict budget of network
 	// (resyn) jobs' windowed don't-care extraction (0 =
 	// sat.DefaultMaxConflicts). Dense jobs verify by simulation and run
@@ -179,10 +175,6 @@ type AssignSpec struct {
 	Method    AssignMethod // default MethodNone
 	Fraction  float64      // MethodRanking: fraction of ranked DCs in [0,1]
 	Threshold float64      // MethodLCF: LC^f threshold in (0,1)
-	// UseBDD prefers the BDD set-representation path; on BDD node-budget
-	// exhaustion (or a panic) the runner falls back to the dense
-	// truth-table path, which computes the identical result.
-	UseBDD bool
 	// AssignTies forwards core.Options.AssignTies.
 	AssignTies bool
 }
@@ -203,9 +195,9 @@ type Options struct {
 	// stage's own care-set consistency check still runs).
 	SkipVerify bool
 	// Inject, when non-nil, is called at every stage-boundary attempt
-	// with the attempt name ("assign/bdd", "synth/sop", ...). It may
+	// with the attempt name ("assign/dense", "synth/sop", ...). It may
 	// panic or return an error (e.g. wrapping ErrBudget) to simulate
-	// faults; see internal/faultinject. Production callers leave it nil.
+	// faults; see internal/chaos. Production callers leave it nil.
 	Inject func(point string) error
 	// Metrics receives the runner's counters and latency histograms
 	// (stage attempts/failures/durations, fallbacks, run outcomes).
@@ -219,18 +211,11 @@ type Options struct {
 	// operational knob and MUST stay out of cache keys (JobOptions.Key
 	// strips it).
 	Parallelism int
-	// Kernels selects the word-parallel bitset kernels or the scalar
-	// oracle implementations for the assignment stage's neighbor and
-	// LC^f scans (default: follow the process-wide bitset.UseKernels
-	// switch). Like Parallelism it never changes results — metatest
-	// property 6 pins kernel ≡ scalar — so JobOptions.Key strips it.
-	Kernels core.KernelMode
 	// Census, when non-nil, supplies the shared per-output neighbor
-	// censuses (internal/bitset.Census) for the assignment stage's
-	// oracles; RunJob fills it from the internal/census engine. Like
-	// Parallelism and Kernels it never changes results — metatest
-	// property 7 pins fused ≡ unfused bit-identically — so it stays
-	// out of cache keys.
+	// censuses (internal/bitset.Census) the assignment stage reads;
+	// RunJob always fills it. Outputs without one get a census built
+	// for the pass. Like Parallelism it never changes results — the
+	// census is a snapshot of the spec — so it stays out of cache keys.
 	Census []*bitset.Census
 }
 
@@ -418,14 +403,12 @@ func (r *runner) attempt(stage Stage, name string, fn func() error) (serr *Stage
 // classify maps an error to a StageError with the right Reason.
 func (r *runner) classify(stage Stage, name string, err error) *StageError {
 	reason := ReasonError
-	var limit *bdd.LimitError
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		reason = ReasonCancel
 	case errors.Is(err, ErrBudget),
 		errors.Is(err, synth.ErrAIGBudget),
-		errors.Is(err, sat.ErrBudget),
-		errors.As(err, &limit):
+		errors.Is(err, sat.ErrBudget):
 		reason = ReasonBudget
 	}
 	return &StageError{Stage: stage, Attempt: name, Reason: reason, Err: err}
@@ -484,12 +467,10 @@ func (r *runner) runAssign(f *tt.Function) *StageError {
 	copt := core.Options{
 		AssignTies:  a.AssignTies,
 		Interrupt:   r.interrupt,
-		MaxBDDNodes: r.opt.Budget.MaxBDDNodes,
 		Parallelism: r.opt.Parallelism,
-		Kernels:     r.opt.Kernels,
 		Census:      r.opt.Census,
 	}
-	dense := func() error {
+	return r.attempt(StageAssign, "assign/dense", func() error {
 		var err error
 		switch a.Method {
 		case MethodRanking:
@@ -497,29 +478,10 @@ func (r *runner) runAssign(f *tt.Function) *StageError {
 		case MethodLCF:
 			r.res.Assign, err = core.LCF(f, a.Threshold, copt)
 		case MethodComplete:
-			r.res.Assign = core.Complete(f)
+			r.res.Assign = core.CompleteCensus(f, r.opt.Census)
 		}
 		return err
-	}
-	if a.UseBDD && a.Method != MethodComplete {
-		serr := r.attempt(StageAssign, "assign/bdd", func() error {
-			var err error
-			switch a.Method {
-			case MethodRanking:
-				r.res.Assign, err = core.RankingBDD(f, a.Fraction, copt)
-			case MethodLCF:
-				r.res.Assign, err = core.LCFBDD(f, a.Threshold, copt)
-			}
-			return err
-		})
-		if serr == nil {
-			return nil
-		}
-		if serr = r.degrade(serr, "assign/dense"); serr != nil {
-			return serr
-		}
-	}
-	return r.attempt(StageAssign, "assign/dense", dense)
+	})
 }
 
 // --- synth stage ---

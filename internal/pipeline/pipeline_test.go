@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"relsyn/internal/benchmarks"
-	"relsyn/internal/faultinject"
+	"relsyn/internal/chaos"
 	"relsyn/internal/network"
 	"relsyn/internal/pipeline"
 	"relsyn/internal/pla"
@@ -31,7 +31,7 @@ func load(t *testing.T, name string) *tt.Function {
 
 func baseOptions() pipeline.Options {
 	return pipeline.Options{
-		Assign: pipeline.AssignSpec{Method: pipeline.MethodLCF, Threshold: 0.55, UseBDD: true},
+		Assign: pipeline.AssignSpec{Method: pipeline.MethodLCF, Threshold: 0.55},
 		Synth:  synth.Options{Flow: synth.FlowResyn},
 	}
 }
@@ -115,18 +115,18 @@ var sweepTopology = map[string]struct {
 	degradable bool
 	forcer     string // point to pre-exhaust so execution reaches this rung
 }{
-	"assign/bdd":     {degradable: true},
-	"assign/dense":   {degradable: false, forcer: "assign/bdd"},
+	"assign/dense":   {degradable: false},
 	"synth/resyn":    {degradable: true},
 	"synth/sop":      {degradable: false, forcer: "synth/resyn"},
 	"verify/netlist": {degradable: false},
 }
 
-// retiredPoints are the rungs verify/netlist replaced: SAT CEC against a
-// rebuilt reference, then exhaustive CEC. The dense pipeline must never
-// reach them, so a fault armed there never fires and the run verifies by
-// simulation, undegraded.
-var retiredPoints = []string{"verify/sat", "verify/exhaustive"}
+// retiredPoints are rungs the pipeline no longer has: the BDD
+// assignment rung the census-backed assign/dense replaced, and the SAT
+// and exhaustive CEC rungs verify/netlist replaced. The pipeline must
+// never reach them, so a fault armed there never fires and the run
+// assigns on assign/dense and verifies by simulation, undegraded.
+var retiredPoints = []string{"assign/bdd", "verify/sat", "verify/exhaustive"}
 
 // TestInjectionSweep crosses every stage-boundary injection point with
 // every fault kind on the benchmark suite and asserts the pipeline's core
@@ -136,19 +136,19 @@ var retiredPoints = []string{"verify/sat", "verify/exhaustive"}
 func TestInjectionSweep(t *testing.T) {
 	for _, bench := range sweepBenchmarks(t) {
 		spec := load(t, bench)
-		for _, c := range faultinject.Plan() {
+		for _, c := range chaos.Plan() {
 			c := c
 			t.Run(bench+"/"+c.String(), func(t *testing.T) {
 				topo, ok := sweepTopology[c.Point]
 				if !ok {
 					t.Fatalf("unknown injection point %q", c.Point)
 				}
-				h := faultinject.New(c.Point, c.Kind)
+				h := chaos.New(c.Point, c.Kind)
 				ctx := h.Bind(context.Background())
 				hook := h.Hook
 				if topo.forcer != "" {
-					forcer := faultinject.New(topo.forcer, faultinject.Budget)
-					hook = faultinject.Chain(forcer.Hook, h.Hook)
+					forcer := chaos.New(topo.forcer, chaos.Budget)
+					hook = chaos.Chain(forcer.Hook, h.Hook)
 				}
 				opt := baseOptions()
 				opt.Inject = hook
@@ -157,12 +157,12 @@ func TestInjectionSweep(t *testing.T) {
 					t.Fatalf("injection at %s never fired", c.Point)
 				}
 
-				if c.Kind == faultinject.Cancel {
+				if c.Kind == chaos.Cancel {
 					assertStageError(t, err, c.Point, pipeline.ReasonCancel)
 					return
 				}
 				wantReason := pipeline.ReasonPanic
-				if c.Kind == faultinject.Budget {
+				if c.Kind == chaos.Budget {
 					wantReason = pipeline.ReasonBudget
 				}
 				if topo.degradable {
@@ -182,10 +182,10 @@ func TestInjectionSweep(t *testing.T) {
 			})
 		}
 		for _, point := range retiredPoints {
-			for _, kind := range faultinject.Kinds() {
-				c := faultinject.Case{Point: point, Kind: kind}
+			for _, kind := range chaos.Kinds() {
+				c := chaos.Case{Point: point, Kind: kind}
 				t.Run(bench+"/"+c.String(), func(t *testing.T) {
-					h := faultinject.New(c.Point, c.Kind)
+					h := chaos.New(c.Point, c.Kind)
 					opt := baseOptions()
 					opt.Inject = h.Hook
 					res, err := pipeline.Run(h.Bind(context.Background()), spec, opt)
@@ -198,6 +198,10 @@ func TestInjectionSweep(t *testing.T) {
 					if !res.Verified || res.VerifyMethod != "netlist" || res.Degraded() {
 						t.Fatalf("verified=%v method=%q fallbacks=%v",
 							res.Verified, res.VerifyMethod, res.Fallbacks)
+					}
+					if got := res.Stages[0].Attempts; res.Stages[0].Stage != pipeline.StageAssign ||
+						len(got) != 1 || got[0] != "assign/dense" {
+						t.Fatalf("assign stage ran %v, want [assign/dense]", got)
 					}
 					checkConsistent(t, spec, res)
 				})
@@ -241,7 +245,7 @@ func assertStageError(t *testing.T, err error, attempt string, reason pipeline.R
 // first recoverable failure into a terminal StageError.
 func TestStrictDisablesDegradation(t *testing.T) {
 	spec := load(t, "bench")
-	h := faultinject.New("synth/resyn", faultinject.Panic)
+	h := chaos.New("synth/resyn", chaos.Panic)
 	opt := baseOptions()
 	opt.Strict = true
 	opt.Inject = h.Hook
@@ -249,7 +253,7 @@ func TestStrictDisablesDegradation(t *testing.T) {
 	assertStageError(t, err, "synth/resyn", pipeline.ReasonPanic)
 
 	// The same fault degrades to synth/sop without Strict.
-	h2 := faultinject.New("synth/resyn", faultinject.Panic)
+	h2 := chaos.New("synth/resyn", chaos.Panic)
 	opt.Strict = false
 	opt.Inject = h2.Hook
 	res, err := pipeline.Run(context.Background(), spec, opt)
@@ -259,39 +263,6 @@ func TestStrictDisablesDegradation(t *testing.T) {
 	if !hasFallbackFrom(res, "synth/resyn") || !res.Verified {
 		t.Fatalf("non-strict run should degrade and verify: %+v", res.Fallbacks)
 	}
-}
-
-// TestBDDBudgetFallsBackToDense drives the assign stage into a real (not
-// injected) BDD node-budget exhaustion and checks both the fallback and
-// that the degraded result is bit-identical to the dense path's.
-func TestBDDBudgetFallsBackToDense(t *testing.T) {
-	spec := load(t, "bench")
-	opt := baseOptions()
-	opt.Budget.MaxBDDNodes = 8 // far below any useful set representation
-	res, err := pipeline.Run(context.Background(), spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasFallbackFrom(res, "assign/bdd") {
-		t.Fatalf("tiny BDD budget did not trigger fallback: %v", res.Fallbacks)
-	}
-	if res.Fallbacks[0].Cause.Reason != pipeline.ReasonBudget {
-		t.Fatalf("fallback cause = %s, want budget", res.Fallbacks[0].Cause.Reason)
-	}
-
-	opt2 := baseOptions()
-	opt2.Assign.UseBDD = false
-	want, err := pipeline.Run(context.Background(), spec, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Assign.Func.Equal(want.Assign.Func) {
-		t.Fatal("degraded BDD run disagrees with dense run")
-	}
-	// Strict mode surfaces the same exhaustion as a typed error.
-	opt.Strict = true
-	_, err = pipeline.Run(context.Background(), spec, opt)
-	assertStageError(t, err, "assign/bdd", pipeline.ReasonBudget)
 }
 
 // TestAIGBudget checks that a too-small AIG cap surfaces as a retryable
@@ -456,7 +427,7 @@ func TestMethodsAndFlows(t *testing.T) {
 	methods := []pipeline.AssignSpec{
 		{Method: pipeline.MethodNone},
 		{Method: pipeline.MethodRanking, Fraction: 0.5},
-		{Method: pipeline.MethodRanking, Fraction: 0.5, UseBDD: true},
+		{Method: pipeline.MethodRanking, Fraction: 0.5, AssignTies: true},
 		{Method: pipeline.MethodLCF, Threshold: 0.55},
 		{Method: pipeline.MethodComplete},
 	}
@@ -478,7 +449,7 @@ func TestMethodsAndFlows(t *testing.T) {
 }
 
 // TestDegradedResultStillImprovesReliability sanity-checks that even a
-// degraded pipeline (BDD and resyn rungs knocked out) still delivers the
+// degraded pipeline (resyn rung knocked out) still delivers the
 // paper's reliability win over conventional synthesis.
 func TestDegradedResultStillImprovesReliability(t *testing.T) {
 	spec := load(t, "bench")
@@ -488,11 +459,10 @@ func TestDegradedResultStillImprovesReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hBDD := faultinject.New("assign/bdd", faultinject.Panic)
-	hResyn := faultinject.New("synth/resyn", faultinject.Budget)
+	hResyn := chaos.New("synth/resyn", chaos.Budget)
 	opt := baseOptions()
 	opt.Assign = pipeline.AssignSpec{Method: pipeline.MethodComplete}
-	opt.Inject = faultinject.Chain(hBDD.Hook, hResyn.Hook)
+	opt.Inject = hResyn.Hook
 	rel, err := pipeline.Run(context.Background(), spec, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"relsyn/internal/bitset"
+	"relsyn/internal/census"
 	"relsyn/internal/par"
 	"relsyn/internal/tt"
 )
@@ -62,72 +63,15 @@ func (c Counts) NormMax(n, size int) float64 {
 	return float64(c.BasePairs+c.MaxDCPairs) / float64(n*size)
 }
 
-// ExactCounts computes the base/min-dc/max-dc pair counts for output o.
-// It dispatches between the word-parallel kernel path and the scalar
-// oracle on bitset.UseKernels; both produce identical integer counts
-// (metatest property 6 pins the equivalence).
+// ExactCounts computes the base/min-dc/max-dc pair counts for output o
+// from a fused neighbor census of that output built for the call.
 func ExactCounts(f *tt.Function, o int) Counts {
-	if bitset.UseKernels {
-		return ExactCountsKernel(f, o)
-	}
-	return ExactCountsScalar(f, o)
-}
-
-// ExactCountsScalar is the pre-kernel implementation and the testing
-// oracle: base pairs by per-bit set intersection, DC pair bounds by a
-// per-minterm neighbor walk (n phase lookups per DC minterm).
-func ExactCountsScalar(f *tt.Function, o int) Counts {
-	var c Counts
-	out := f.Outs[o]
-	off := f.OffSet(o)
-	n := f.NumIn
-	// Base: ordered on-off neighbor pairs, counted in both directions.
-	for b := 0; b < n; b++ {
-		offSh := off.ShiftXor(b)
-		c.BasePairs += 2 * out.On.IntersectionCount(offSh)
-	}
-	out.DC.ForEach(func(m int) {
-		on := f.OnNeighbors(o, m)
-		offN := f.OffNeighbors(o, m)
-		c.MinDCPairs += min(on, offN)
-		c.MaxDCPairs += max(on, offN)
-	})
-	return c
-}
-
-// ExactCountsKernel is the word-parallel path: base pairs are n fused
-// shift+popcount passes (no intermediate sets), and the per-DC-minterm
-// neighbor min/max comes from two bit-sliced neighbor-census counters
-// read at O(log n) per DC minterm instead of n phase lookups each.
-// Exported (like its Scalar sibling) so differential tests can pin both
-// paths without flipping the process-wide switch.
-func ExactCountsKernel(f *tt.Function, o int) Counts {
-	var c Counts
-	out := f.Outs[o]
-	off := f.OffSet(o)
-	n := f.NumIn
-	for b := 0; b < n; b++ {
-		c.BasePairs += 2 * out.On.ShiftAndPopcount(off, b)
-	}
-	if out.DC.Any() {
-		onCnt := bitset.NeighborCount(out.On)
-		offCnt := bitset.NeighborCount(off)
-		out.DC.ForEach(func(m int) {
-			on := onCnt.Get(m)
-			offN := offCnt.Get(m)
-			c.MinDCPairs += min(on, offN)
-			c.MaxDCPairs += max(on, offN)
-		})
-	}
-	return c
+	return ExactCountsCensus(census.Output(f, o))
 }
 
 // ExactCountsCensus recovers the pair counts from a fused neighbor
-// census (internal/census) instead of running the per-metric scans:
-// base pairs are one masked plane sum, and the DC min/max read the
-// same census the ranking oracle shares. Bit-identical to both the
-// kernel and scalar paths — the counts are exact integer identities of
-// the same censuses (metatest property 7 pins it).
+// census: base pairs are one masked plane sum, and the DC min/max read
+// the same census the ranking oracle shares.
 func ExactCountsCensus(c *bitset.Census) Counts {
 	minDC, maxDC := c.DCPairBounds()
 	return Counts{BasePairs: c.BasePairs(), MinDCPairs: minDC, MaxDCPairs: maxDC}
@@ -136,8 +80,7 @@ func ExactCountsCensus(c *bitset.Census) Counts {
 // Bounds returns the exact minimum and maximum achievable error rates for
 // output o over all possible DC assignments.
 func Bounds(f *tt.Function, o int) (lo, hi float64) {
-	c := ExactCounts(f, o)
-	return c.NormMin(f.NumIn, f.Size()), c.NormMax(f.NumIn, f.Size())
+	return BoundsCensus(census.Output(f, o))
 }
 
 // BoundsCensus is Bounds served from a fused census; the census
@@ -145,19 +88,6 @@ func Bounds(f *tt.Function, o int) (lo, hi float64) {
 func BoundsCensus(c *bitset.Census) (lo, hi float64) {
 	counts := ExactCountsCensus(c)
 	return counts.NormMin(c.K(), c.Len()), counts.NormMax(c.K(), c.Len())
-}
-
-// BoundsScalar is Bounds pinned to the scalar oracle, for differential
-// tests that cross-check the kernel path.
-func BoundsScalar(f *tt.Function, o int) (lo, hi float64) {
-	c := ExactCountsScalar(f, o)
-	return c.NormMin(f.NumIn, f.Size()), c.NormMax(f.NumIn, f.Size())
-}
-
-// BoundsKernel is Bounds pinned to the word-parallel kernel path.
-func BoundsKernel(f *tt.Function, o int) (lo, hi float64) {
-	c := ExactCountsKernel(f, o)
-	return c.NormMin(f.NumIn, f.Size()), c.NormMax(f.NumIn, f.Size())
 }
 
 // BoundsMean returns Bounds averaged over all outputs, computed with
@@ -176,8 +106,8 @@ func BoundsMeanCtx(ctx context.Context, f *tt.Function, parallelism int) (lo, hi
 }
 
 // BoundsMeanCensusCtx is BoundsMeanCtx consuming precomputed fused
-// censuses where available: cs is indexed by output (nil slice or nil
-// entries fall back to the per-call dispatch). The pipeline passes the
+// censuses where available: cs is indexed by output (a nil slice or nil
+// entry builds that output's census for the call). The pipeline passes the
 // cached FunctionCensus.Outs here so the bounds report rides the same
 // census as the assignment stage.
 func BoundsMeanCensusCtx(ctx context.Context, f *tt.Function, cs []*bitset.Census, parallelism int) (lo, hi float64, err error) {
@@ -232,76 +162,10 @@ func ErrorRate(spec, impl *tt.Function, o int) (float64, error) {
 	if err := checkPair(spec, impl, o); err != nil {
 		return 0, err
 	}
-	if bitset.UseKernels {
-		return errorRateKernel(spec, impl, o), nil
-	}
-	return errorRateScalar(spec, impl, o), nil
-}
-
-// ErrorRateScalar is ErrorRate pinned to the scalar oracle, for
-// differential tests that cross-check the kernel path.
-func ErrorRateScalar(spec, impl *tt.Function, o int) (float64, error) {
-	if err := checkPair(spec, impl, o); err != nil {
-		return 0, err
-	}
-	return errorRateScalar(spec, impl, o), nil
-}
-
-// ErrorRateKernel is ErrorRate pinned to the word-parallel kernel path.
-func ErrorRateKernel(spec, impl *tt.Function, o int) (float64, error) {
-	if err := checkPair(spec, impl, o); err != nil {
-		return 0, err
-	}
-	return errorRateKernel(spec, impl, o), nil
-}
-
-// errorRateScalar is the pre-kernel implementation: per input bit it
-// materializes the shifted value vector, the symmetric difference, and
-// intersects with the care set (three 2^n-bit temporaries per bit).
-func errorRateScalar(spec, impl *tt.Function, o int) float64 {
-	n := spec.NumIn
-	care := spec.Outs[o].DC.Complement()
-	val := implValue(impl, o)
-	errs := 0
-	for b := 0; b < n; b++ {
-		valSh := val.ShiftXor(b)
-		diff := val.Clone()
-		diff.InPlaceSymDiff(valSh) // minterms whose value differs from the b-neighbor
-		errs += diff.IntersectionCount(care)
-	}
-	return float64(errs) / float64(n*spec.Size())
-}
-
-// errorRateKernel fuses the shift, the value comparison and the care
-// masking into one popcount pass per input bit: n passes total and no
-// allocations at all — the care set is expressed as the complement of
-// the DC set directly inside the fused pass.
-func errorRateKernel(spec, impl *tt.Function, o int) float64 {
-	n := spec.NumIn
-	dc := spec.Outs[o].DC
-	val := impl.Outs[o].On // read-only: no clone needed on the kernel path
-	errs := val.NeighborDiffAndNotPopcountAll(dc)
-	return float64(errs) / float64(n*spec.Size())
-}
-
-// ErrorRateCensus is ErrorRate served from a fused census of the
-// *implementation*: implCensus's on-set is read as impl's value vector
-// (matching implValue's DC-at-0 convention only when impl is
-// completely specified, the case the census engine computes for), and
-// the spec contributes its DC set as the exclusion mask. The error
-// events come out of the census's plane sums instead of another
-// neighbor scan, and the integer count — hence the quotient — is
-// bit-identical to both kernel and scalar paths.
-func ErrorRateCensus(spec *tt.Function, o int, implCensus *bitset.Census) (float64, error) {
-	if o < 0 || o >= spec.NumOut() {
-		return 0, fmt.Errorf("reliability: output %d outside [0,%d)", o, spec.NumOut())
-	}
-	if implCensus.Len() != spec.Size() {
-		return 0, fmt.Errorf("reliability: census over %d minterms, spec has %d", implCensus.Len(), spec.Size())
-	}
-	n := spec.NumIn
-	errs := implCensus.DiffEvents(spec.Outs[o].DC)
-	return float64(errs) / float64(n*spec.Size()), nil
+	// One fused pass per input bit: the shift, the value comparison and
+	// the care masking (the complement of the DC set) never materialize.
+	errs := impl.Outs[o].On.NeighborDiffAndNotPopcountAll(spec.Outs[o].DC)
+	return float64(errs) / float64(spec.NumIn*spec.Size()), nil
 }
 
 // implValue returns impl's output-o value vector. DC minterms of impl are
@@ -353,16 +217,6 @@ func ErrorRateMeanCtx(ctx context.Context, spec, impl *tt.Function, parallelism 
 // process).
 func SelfErrorRate(f *tt.Function, o int) (float64, error) {
 	return ErrorRate(f, f, o)
-}
-
-// SelfErrorRateScalar is SelfErrorRate pinned to the scalar oracle.
-func SelfErrorRateScalar(f *tt.Function, o int) (float64, error) {
-	return ErrorRateScalar(f, f, o)
-}
-
-// SelfErrorRateKernel is SelfErrorRate pinned to the kernel path.
-func SelfErrorRateKernel(f *tt.Function, o int) (float64, error) {
-	return ErrorRateKernel(f, f, o)
 }
 
 // multiCancelStride is how many k-subsets ErrorRateMulti enumerates
@@ -476,52 +330,15 @@ type Borders struct {
 	BDC int // first ∈ DC-set
 }
 
-// CountBorders computes the three border counts for output o. It
-// dispatches between the word-parallel kernel and the scalar oracle on
-// bitset.UseKernels; the integer counts are identical either way.
+// CountBorders computes the three border counts for output o from a
+// fused neighbor census of that output built for the call.
 func CountBorders(f *tt.Function, o int) Borders {
-	if bitset.UseKernels {
-		return CountBordersKernel(f, o)
-	}
-	return CountBordersScalar(f, o)
-}
-
-// CountBordersScalar is the pre-kernel implementation and the testing
-// oracle: it materializes three shifted sets per input bit.
-func CountBordersScalar(f *tt.Function, o int) Borders {
-	out := f.Outs[o]
-	off := f.OffSet(o)
-	var b Borders
-	for bit := 0; bit < f.NumIn; bit++ {
-		onSh := out.On.ShiftXor(bit)
-		dcSh := out.DC.ShiftXor(bit)
-		offSh := off.ShiftXor(bit)
-		// (x ∈ on, neighbor ∉ on): neighbor in off or dc.
-		b.B1 += out.On.IntersectionCount(offSh) + out.On.IntersectionCount(dcSh)
-		b.B0 += off.IntersectionCount(onSh) + off.IntersectionCount(dcSh)
-		b.BDC += out.DC.IntersectionCount(onSh) + out.DC.IntersectionCount(offSh)
-	}
-	return b
-}
-
-// CountBordersKernel is the word-parallel path: six fused shift+popcount
-// passes per input bit, no shifted temporaries.
-func CountBordersKernel(f *tt.Function, o int) Borders {
-	out := f.Outs[o]
-	off := f.OffSet(o)
-	var b Borders
-	for bit := 0; bit < f.NumIn; bit++ {
-		b.B1 += out.On.ShiftAndPopcount(off, bit) + out.On.ShiftAndPopcount(out.DC, bit)
-		b.B0 += off.ShiftAndPopcount(out.On, bit) + off.ShiftAndPopcount(out.DC, bit)
-		b.BDC += out.DC.ShiftAndPopcount(out.On, bit) + out.DC.ShiftAndPopcount(off, bit)
-	}
-	return b
+	return CountBordersCensus(census.Output(f, o))
 }
 
 // CountBordersCensus recovers the border counts from a fused census:
 // a minterm's out-of-region neighbor count is its input count minus its
-// same-region census, so each border is one masked plane sum instead of
-// 2n fused shift passes.
+// same-region census, so each border is one masked plane sum.
 func CountBordersCensus(c *bitset.Census) Borders {
 	b0, b1, bdc := c.Borders()
 	return Borders{B0: b0, B1: b1, BDC: bdc}

@@ -644,12 +644,12 @@ func (s *Server) completeJob(js *jobState, res *pipeline.JobResult) {
 }
 
 // prefillCensus primes the process-wide census engine from the spec's
-// ring owner before a local compute. Gated on the job actually wanting
-// the fused path, the engine not already holding the census, and the
-// peer payload passing the Matches guard against the job's own spec.
+// ring owner before a local compute. Gated on an engine being
+// configured and not already holding the census, and on the peer
+// payload passing the Matches guard against the job's own spec.
 func (s *Server) prefillCensus(w *work) {
 	eng := census.Default
-	if eng == nil || w.fn == nil || !w.opts.CensusEnabled() {
+	if eng == nil || w.fn == nil {
 		return
 	}
 	specHash := specHashOf(w.state.key)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -393,7 +394,7 @@ func TestServerFailedJobNotCached(t *testing.T) {
 	req := SynthRequest{
 		PLA: specPLA(1),
 		Options: pipeline.JobOptions{Method: "lcf", Threshold: 0.55,
-			UseBDD: true, MaxBDDNodes: 4, Strict: true},
+			MaxAIGNodes: 1, Strict: true},
 	}
 	for i := 0; i < 2; i++ {
 		resp, data := postJSON(t, ts.URL+"/v1/synth", req)
@@ -411,6 +412,51 @@ func TestServerFailedJobNotCached(t *testing.T) {
 	st := serverStats(t, ts.URL)
 	if st.Failed != 2 || st.Cache.Len != 0 {
 		t.Fatalf("failures must not be cached: %+v", st)
+	}
+}
+
+// The retired option names "kernels", "use_bdd" and "max_bdd_nodes"
+// are accepted and ignored: a body carrying them gets 200 and the same
+// result bytes as the same body without them, each computed on a fresh
+// server so neither answer is a cache hit of the other.
+func TestServerAcceptsRetiredOptions(t *testing.T) {
+	timings := regexp.MustCompile(`"(took_ms|elapsed_ms)": *[0-9.eE+-]+`)
+	result := func(options string) []byte {
+		t.Helper()
+		_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
+		pla, _ := json.Marshal(specPLA(3))
+		body := `{"pla": ` + string(pla) + `, "options": {` + options + `}}`
+		resp, err := http.Post(ts.URL+"/v1/synth", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", options, resp.StatusCode, data)
+		}
+		var sr struct {
+			Status string          `json:"status"`
+			Cached bool            `json:"cached"`
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Status != StatusDone || sr.Cached {
+			t.Fatalf("%s: status %q cached %v", options, sr.Status, sr.Cached)
+		}
+		return timings.ReplaceAll(sr.Result, []byte(`"$1":0`))
+	}
+	for _, method := range []string{`"method": "rank", "fraction": 0.5`, `"method": "lcf", "threshold": 0.55`} {
+		plain := result(method)
+		retired := result(method + `, "kernels": "off", "use_bdd": true, "max_bdd_nodes": 4`)
+		if !bytes.Equal(plain, retired) {
+			t.Fatalf("retired options changed the result:\n%s\n%s", plain, retired)
+		}
 	}
 }
 

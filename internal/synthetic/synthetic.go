@@ -12,7 +12,7 @@ import (
 	"math"
 	"math/rand"
 
-	"relsyn/internal/complexity"
+	"relsyn/internal/census"
 	"relsyn/internal/tt"
 )
 
@@ -293,12 +293,7 @@ func parity(x int) bool {
 
 // samePairs counts ordered same-phase neighbor pairs for output o.
 func samePairs(f *tt.Function, o int) int {
-	same := complexity.SamePhaseNeighbors(f, o)
-	total := 0
-	for _, s := range same {
-		total += s
-	}
-	return total
+	return census.Output(f, o).SamePhasePairs()
 }
 
 // flipDelta returns the change in ordered same-phase pair count if

@@ -37,7 +37,6 @@ import (
 
 	"relsyn/internal/aig"
 	"relsyn/internal/benchmarks"
-	"relsyn/internal/bitset"
 	"relsyn/internal/blif"
 	"relsyn/internal/cec"
 	"relsyn/internal/complexity"
@@ -71,18 +70,6 @@ const (
 
 // NewFunction returns an all-zero function with n inputs and m outputs.
 func NewFunction(n, m int) *Function { return tt.New(n, m) }
-
-// SetKernels flips the process-wide switch between the word-parallel
-// bitset kernels (the default) and the scalar oracle implementations of
-// the analysis scans. Both paths compute bit-identical results — the
-// switch only trades speed — and it must be set at process start,
-// before any concurrent work begins (it is a plain, unsynchronized
-// bool). Per-call control is available through AssignOptions.Kernels
-// and JobOptions.Kernels without touching the global.
-func SetKernels(enabled bool) { bitset.UseKernels = enabled }
-
-// KernelsEnabled reports the process-wide kernel switch.
-func KernelsEnabled() bool { return bitset.UseKernels }
 
 // ErrZeroOutputs is the typed sentinel wrapped by every per-output mean
 // helper (ComplexityFactor, ExactBounds, SignalEstimate, ...) when given
@@ -140,19 +127,6 @@ func LCFAssign(f *Function, threshold float64) (*AssignResult, error) {
 // CompleteAssign binds every DC minterm for reliability (the paper's
 // "Complete" column — maximal masking, typically large overhead).
 func CompleteAssign(f *Function) *AssignResult { return core.Complete(f) }
-
-// RankingAssignBDD is RankingAssign computed over BDD set
-// representations (the paper's CUDD-based implementation); results are
-// bit-identical to RankingAssign.
-func RankingAssignBDD(f *Function, fraction float64) (*AssignResult, error) {
-	return core.RankingBDD(f, fraction, core.Options{})
-}
-
-// LCFAssignBDD is LCFAssign computed over BDD set representations;
-// results are bit-identical to LCFAssign.
-func LCFAssignBDD(f *Function, threshold float64) (*AssignResult, error) {
-	return core.LCFBDD(f, threshold, core.Options{})
-}
 
 // ComplexityFactor returns the mean normalized complexity factor C^f
 // across outputs (paper §2.2). Zero-output functions are rejected with
@@ -315,8 +289,8 @@ type PipelineOptions = pipeline.Options
 // pipeline.Result.
 type PipelineResult = pipeline.Result
 
-// PipelineBudget bounds a pipeline run's resources (wall clock, BDD
-// nodes, SAT conflicts of network jobs, AIG nodes); see pipeline.Budget.
+// PipelineBudget bounds a pipeline run's resources (wall clock, SAT
+// conflicts of network jobs, AIG nodes); see pipeline.Budget.
 type PipelineBudget = pipeline.Budget
 
 // PipelineAssign configures the pipeline's assignment stage.
@@ -341,7 +315,7 @@ const (
 // exhaustive simulation of the mapped netlist) on f as a fault-tolerant
 // staged job: panics become typed *StageError values, resource budgets
 // bound the effort, and budget exhaustion degrades along an explicit
-// ladder (BDD assignment → dense; resyn flow → sop) instead of failing.
+// ladder (resyn flow → sop) instead of failing.
 // See internal/pipeline.
 func RunPipeline(ctx context.Context, f *Function, opt PipelineOptions) (*PipelineResult, error) {
 	return pipeline.Run(ctx, f, opt)

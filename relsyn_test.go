@@ -188,29 +188,6 @@ func TestFacadeExtensions(t *testing.T) {
 	if back.NumPI != spec.NumIn {
 		t.Fatal("BLIF round trip lost inputs")
 	}
-	// BDD variants agree with the dense ones.
-	a, err := relsyn.RankingAssign(spec, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := relsyn.RankingAssignBDD(spec, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Func.Equal(b.Func) {
-		t.Fatal("BDD ranking facade diverges")
-	}
-	l1, err := relsyn.LCFAssign(spec, 0.55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := relsyn.LCFAssignBDD(spec, 0.55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l1.Func.Equal(l2.Func) {
-		t.Fatal("BDD LCF facade diverges")
-	}
 	// SAT-based equivalence checking through the facade.
 	res2, err := relsyn.Synthesize(spec, relsyn.SynthOptions{Flow: relsyn.FlowResyn})
 	if err != nil {
