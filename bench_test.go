@@ -18,12 +18,16 @@ import (
 	"testing"
 
 	"relsyn/client"
+	"relsyn/internal/benchmarks"
 	"relsyn/internal/census"
 	"relsyn/internal/cluster"
 	"relsyn/internal/complexity"
 	"relsyn/internal/core"
+	"relsyn/internal/cube"
+	"relsyn/internal/espresso"
 	"relsyn/internal/estimate"
 	"relsyn/internal/experiments"
+	"relsyn/internal/factor"
 	"relsyn/internal/fleet"
 	"relsyn/internal/metatest"
 	"relsyn/internal/obs"
@@ -383,6 +387,65 @@ func BenchmarkCensusCompute(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchPaperSuite returns the ten paper-suite specs: the Table 1
+// stand-ins without random1 and random2.
+func benchPaperSuite(b *testing.B) []*tt.Function {
+	b.Helper()
+	var fns []*tt.Function
+	for _, s := range benchmarks.Specs() {
+		if s.Name == "random1" || s.Name == "random2" {
+			continue
+		}
+		f, err := benchmarks.Load(s.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fns = append(fns, f)
+	}
+	return fns
+}
+
+// BenchmarkEspressoSuite times the two-level minimization layer of one
+// paper-suite pass: every output of the ten specs minimized against its
+// own don't-cares, sequentially. It reports absolute ns/op and
+// allocs/op; there is no second lane to divide by.
+func BenchmarkEspressoSuite(b *testing.B) {
+	fns := benchPaperSuite(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range fns {
+			for o := range f.Outs {
+				if _, err := espresso.MinimizeSets(f.NumIn, f.Outs[o].On, f.Outs[o].DC, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFactorSuite times the factoring layer of the same pass:
+// GoodFactor on every cover BenchmarkEspressoSuite produces.
+func BenchmarkFactorSuite(b *testing.B) {
+	var covs []*cube.Cover
+	for _, f := range benchPaperSuite(b) {
+		for o := range f.Outs {
+			cov, err := espresso.MinimizeSets(f.NumIn, f.Outs[o].On, f.Outs[o].DC, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			covs = append(covs, cov)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cov := range covs {
+			factor.GoodFactor(cov)
+		}
 	}
 }
 

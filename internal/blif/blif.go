@@ -13,7 +13,6 @@ import (
 
 	"relsyn/internal/bitset"
 	"relsyn/internal/cube"
-	"relsyn/internal/espresso"
 	"relsyn/internal/network"
 )
 
@@ -66,7 +65,7 @@ func WriteNetwork(w io.Writer, nw *network.Network, model string) error {
 		}
 		names = append(names, sigName(nw.NumPI+ni))
 		fmt.Fprintf(bw, ".names %s\n", strings.Join(names, " "))
-		cov := espresso.Minimize(nd.OnCover(), nil)
+		cov := nd.MinCover()
 		if nd.NumIn() == 0 {
 			// A zero-input node (a parsed constant): the cover's universe
 			// cube stringifies empty, so spell the constant-1 row directly.

@@ -2,7 +2,7 @@ package cube
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -43,11 +43,8 @@ func (cv *Cover) Add(c Cube) {
 
 // Clone returns a deep copy of the cover.
 func (cv *Cover) Clone() *Cover {
-	out := NewCover(cv.n)
-	out.Cubes = make([]Cube, len(cv.Cubes))
-	for i, c := range cv.Cubes {
-		out.Cubes[i] = c.Clone()
-	}
+	out := &Cover{n: cv.n, Cubes: make([]Cube, len(cv.Cubes))}
+	copy(out.Cubes, cv.Cubes)
 	return out
 }
 
@@ -108,16 +105,16 @@ func (cv *Cover) RemoveContainedPoll(poll func() error) error {
 	return nil
 }
 
-// Sort orders cubes by descending minterm count, then lexicographically,
-// giving deterministic output for serialization and tests.
+// Sort orders cubes by descending minterm count, then in Compare order
+// (lexicographic on the String form), giving deterministic output for
+// serialization and tests.
 func (cv *Cover) Sort() {
-	sort.SliceStable(cv.Cubes, func(i, j int) bool {
-		a, b := cv.Cubes[i], cv.Cubes[j]
-		am, bm := a.MintermCount(), b.MintermCount()
-		if am != bm {
-			return am > bm
+	slices.SortStableFunc(cv.Cubes, func(a, b Cube) int {
+		// Fewer literals means more minterms.
+		if la, lb := a.NumLiterals(), b.NumLiterals(); la != lb {
+			return la - lb
 		}
-		return a.String() < b.String()
+		return Compare(a, b)
 	})
 }
 

@@ -2,7 +2,8 @@
 // cube notation, the interchange representation between .pla files, the
 // espresso-style two-level minimizer, and dense truth tables.
 //
-// Each input variable occupies two bits in a packed word array:
+// Each input variable occupies two bits of one inline word (at most
+// MaxVars variables):
 // bit0 set means the cube admits the variable at 0, bit1 set means it
 // admits the variable at 1. The four states are therefore
 //
@@ -46,32 +47,68 @@ func (l Literal) Char() byte {
 	}
 }
 
-const varsPerWord = 32
+// MaxVars is the widest cube the package represents: every variable's
+// two bits fit one inline word, so a Cube is a comparable value that
+// copies without allocating and serves directly as a map key.
+const MaxVars = 32
 
-// Cube is a product term over n input variables.
+// Cube is a product term over n ≤ MaxVars input variables. Variable i
+// occupies bits 2i and 2i+1 of w; the bits above 2n are always zero, so
+// == on cubes is literal-for-literal equality.
 type Cube struct {
-	n     int
-	words []uint64
+	n int
+	w uint64
 }
 
-// New returns the full cube (every variable unconstrained) over n variables.
+// evenMask selects bit0 of every variable pair.
+const evenMask = 0x5555555555555555
+
+// pairMask returns the bits of the first n variable pairs.
+func pairMask(n int) uint64 {
+	if n >= MaxVars {
+		return ^uint64(0)
+	}
+	return 1<<uint(2*n) - 1
+}
+
+// varMask returns the bits of the first n variables of a minterm.
+func varMask(n int) uint32 {
+	if n >= MaxVars {
+		return ^uint32(0)
+	}
+	return 1<<uint(n) - 1
+}
+
+// compact gathers the even bits of x (one per variable pair) into the
+// low 32 bits, variable i landing at bit i.
+func compact(x uint64) uint32 {
+	x &= evenMask
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	x = (x | x>>16) & 0x00000000ffffffff
+	return uint32(x)
+}
+
+// spread is the inverse of compact: bit i of m lands at bit 2i.
+func spread(m uint32) uint64 {
+	x := uint64(m)
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x<<2) & 0x3333333333333333
+	x = (x | x<<1) & evenMask
+	return x
+}
+
+// New returns the full cube (every variable unconstrained) over n
+// variables. It panics unless 0 ≤ n ≤ MaxVars.
 func New(n int) Cube {
-	if n < 0 {
-		panic("cube: negative variable count")
+	if n < 0 || n > MaxVars {
+		panic(fmt.Sprintf("cube: variable count %d outside [0,%d]", n, MaxVars))
 	}
-	nw := (n + varsPerWord - 1) / varsPerWord
-	c := Cube{n: n, words: make([]uint64, nw)}
-	for i := range c.words {
-		c.words[i] = ^uint64(0)
-	}
-	c.trim()
-	return c
-}
-
-func (c *Cube) trim() {
-	if rem := c.n % varsPerWord; rem != 0 && len(c.words) > 0 {
-		c.words[len(c.words)-1] &= (1 << uint(2*rem)) - 1
-	}
+	return Cube{n: n, w: pairMask(n)}
 }
 
 // NumVars returns the number of input variables.
@@ -82,27 +119,17 @@ func (c Cube) Val(i int) Literal {
 	if i < 0 || i >= c.n {
 		panic(fmt.Sprintf("cube: var %d out of range [0,%d)", i, c.n))
 	}
-	return Literal(c.words[i/varsPerWord] >> (2 * (uint(i) % varsPerWord)) & 3)
+	return Literal(c.w >> (2 * uint(i)) & 3)
 }
 
-// SetVal sets the literal state of variable i, returning the modified cube.
-// Cube uses value semantics internally, so SetVal copies on write.
+// SetVal returns c with variable i set to l; the receiver is unchanged.
 func (c Cube) SetVal(i int, l Literal) Cube {
 	if i < 0 || i >= c.n {
 		panic(fmt.Sprintf("cube: var %d out of range [0,%d)", i, c.n))
 	}
-	w := make([]uint64, len(c.words))
-	copy(w, c.words)
-	sh := 2 * (uint(i) % varsPerWord)
-	w[i/varsPerWord] = w[i/varsPerWord]&^(3<<sh) | uint64(l)<<sh
-	return Cube{n: c.n, words: w}
-}
-
-// Clone returns an independent copy of the cube.
-func (c Cube) Clone() Cube {
-	w := make([]uint64, len(c.words))
-	copy(w, c.words)
-	return Cube{n: c.n, words: w}
+	sh := 2 * uint(i)
+	c.w = c.w&^(3<<sh) | uint64(l&3)<<sh
+	return c
 }
 
 func (c Cube) mustMatch(o Cube) {
@@ -111,44 +138,30 @@ func (c Cube) mustMatch(o Cube) {
 	}
 }
 
-// Equal reports whether the two cubes are identical.
-func (c Cube) Equal(o Cube) bool {
-	if c.n != o.n {
-		return false
-	}
-	for i, w := range c.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
+// Masks returns the variables c binds to One and to Zero, with variable
+// i at bit i. A variable in neither mask is Full (or, if both pair bits
+// are clear, Empty).
+func (c Cube) Masks() (ones, zeros uint32) {
+	return compact(c.w >> 1 &^ c.w), compact(c.w &^ (c.w >> 1))
 }
 
-// evenMask selects bit0 of every variable pair, oddMask bit1.
-const (
-	evenMask = 0x5555555555555555
-	oddMask  = 0xaaaaaaaaaaaaaaaa
-)
+// FreeMask returns the Full variables of c, with variable i at bit i.
+func (c Cube) FreeMask() uint32 { return compact(c.w & (c.w >> 1)) }
+
+// boundPairs returns both bits of every variable pair that is not Full.
+func (c Cube) boundPairs() uint64 {
+	notFull := ^(c.w & (c.w >> 1)) & evenMask & pairMask(c.n)
+	return notFull | notFull<<1
+}
 
 // Distance returns the number of variables in which c and o conflict
 // (their literal intersection is empty). Distance 0 means the cubes
 // intersect; distance 1 is the consensus condition.
 func (c Cube) Distance(o Cube) int {
 	c.mustMatch(o)
-	d := 0
-	for i, w := range c.words {
-		x := w & o.words[i]
-		// A variable pair is 00 in x iff both its bits are clear.
-		pairEmpty := ^(x | x>>1) & evenMask
-		if i == len(c.words)-1 {
-			// Mask out the unused trailing variable slots.
-			if rem := c.n % varsPerWord; rem != 0 {
-				pairEmpty &= (1 << uint(2*rem)) - 1
-			}
-		}
-		d += bits.OnesCount64(pairEmpty)
-	}
-	return d
+	x := c.w & o.w
+	// A variable pair is 00 in x iff both its bits are clear.
+	return bits.OnesCount64(^(x | x>>1) & evenMask & pairMask(c.n))
 }
 
 // Intersects reports whether the two cubes share at least one minterm.
@@ -157,108 +170,71 @@ func (c Cube) Intersects(o Cube) bool { return c.Distance(o) == 0 }
 // Intersect returns the cube covering exactly the common minterms,
 // and whether that intersection is non-empty.
 func (c Cube) Intersect(o Cube) (Cube, bool) {
-	c.mustMatch(o)
-	w := make([]uint64, len(c.words))
-	for i := range w {
-		w[i] = c.words[i] & o.words[i]
+	if c.Distance(o) != 0 {
+		return Cube{}, false
 	}
-	r := Cube{n: c.n, words: w}
-	for i := 0; i < c.n; i++ {
-		if r.Val(i) == Empty {
-			return Cube{}, false
-		}
-	}
-	return r, true
+	return Cube{n: c.n, w: c.w & o.w}, true
 }
 
 // Contains reports whether c covers every minterm of o (c ⊇ o).
 func (c Cube) Contains(o Cube) bool {
 	c.mustMatch(o)
-	for i, w := range o.words {
-		if w&^c.words[i] != 0 {
-			return false
-		}
-	}
-	return true
+	return o.w&^c.w == 0
 }
 
 // ContainsMinterm reports whether minterm m (binary encoding, variable 0
 // the least significant bit) lies inside the cube.
 func (c Cube) ContainsMinterm(m uint) bool {
-	for i := 0; i < c.n; i++ {
-		bit := Literal(One)
-		if m>>uint(i)&1 == 0 {
-			bit = Zero
-		}
-		if c.Val(i)&bit == 0 {
-			return false
-		}
-	}
-	return true
+	return FromMinterm(c.n, m).w&^c.w == 0
 }
 
 // Supercube returns the smallest cube containing both c and o.
 func (c Cube) Supercube(o Cube) Cube {
 	c.mustMatch(o)
-	w := make([]uint64, len(c.words))
-	for i := range w {
-		w[i] = c.words[i] | o.words[i]
-	}
-	return Cube{n: c.n, words: w}
+	return Cube{n: c.n, w: c.w | o.w}
 }
 
 // Consensus returns the consensus cube of c and o and whether it exists.
 // The consensus exists iff Distance(c, o) == 1; it is the supercube in the
 // conflicting variable and the intersection elsewhere.
 func (c Cube) Consensus(o Cube) (Cube, bool) {
-	c.mustMatch(o)
 	if c.Distance(o) != 1 {
 		return Cube{}, false
 	}
-	r := New(c.n)
-	for i := 0; i < c.n; i++ {
-		a, b := c.Val(i), o.Val(i)
-		if a&b == Empty {
-			r = r.SetVal(i, a|b)
-		} else {
-			r = r.SetVal(i, a&b)
-		}
-	}
-	return r, true
+	x := c.w & o.w
+	conflict := ^(x | x>>1) & evenMask & pairMask(c.n)
+	conflict |= conflict << 1
+	return Cube{n: c.n, w: x | (c.w|o.w)&conflict}, true
 }
 
 // Cofactor returns the Shannon cofactor of c with respect to cube p
 // (espresso definition): empty if the cubes conflict, otherwise c with
 // every variable that p binds raised to Full.
 func (c Cube) Cofactor(p Cube) (Cube, bool) {
-	c.mustMatch(p)
 	if c.Distance(p) != 0 {
 		return Cube{}, false
 	}
-	w := make([]uint64, len(c.words))
-	for i := range w {
-		// Raise to Full wherever p is not Full: result = c | ^p (within pairs).
-		w[i] = c.words[i] | ^p.words[i]
-	}
-	r := Cube{n: c.n, words: w}
-	r.trim()
-	return r, true
+	// Raise to Full wherever p is not Full: result = c | ^p (within pairs).
+	return Cube{n: c.n, w: (c.w | ^p.w) & pairMask(c.n)}, true
+}
+
+// DivisibleBy reports whether c carries every literal of d — the
+// algebraic condition for c = (c/d)·d.
+func (c Cube) DivisibleBy(d Cube) bool {
+	c.mustMatch(d)
+	return (c.w^d.w)&d.boundPairs() == 0
+}
+
+// Quotient returns c with every variable d binds raised to Full: the
+// algebraic quotient c/d when c.DivisibleBy(d).
+func (c Cube) Quotient(d Cube) Cube {
+	c.mustMatch(d)
+	return Cube{n: c.n, w: c.w | d.boundPairs()}
 }
 
 // NumLiterals returns the number of bound variables (not Full).
 func (c Cube) NumLiterals() int {
-	lit := 0
-	for i, w := range c.words {
-		// A pair is Full iff both bits set; count pairs that are not 11.
-		notFull := ^(w & (w >> 1)) & evenMask
-		if i == len(c.words)-1 {
-			if rem := c.n % varsPerWord; rem != 0 {
-				notFull &= (1 << uint(2*rem)) - 1
-			}
-		}
-		lit += bits.OnesCount64(notFull)
-	}
-	return lit
+	return bits.OnesCount64(c.boundPairs() & evenMask)
 }
 
 // MintermCount returns the number of minterms the cube covers: 2^(free vars).
@@ -270,48 +246,82 @@ func (c Cube) MintermCount() uint64 {
 // Minterms calls fn for every minterm covered by the cube, in ascending
 // binary order.
 func (c Cube) Minterms(fn func(m uint)) {
-	freeVars := make([]int, 0, c.n)
-	var base uint
-	for i := 0; i < c.n; i++ {
-		switch c.Val(i) {
-		case One:
-			base |= 1 << uint(i)
-		case Full:
-			freeVars = append(freeVars, i)
-		case Empty:
+	ones, zeros := c.Masks()
+	free := c.FreeMask()
+	if ones|zeros|free != varMask(c.n) {
+		return // an Empty variable: no minterms
+	}
+	// Subsets of free in ascending order: s ← (s − free) & free.
+	for s := uint32(0); ; {
+		fn(uint(ones | s))
+		if s = (s - free) & free; s == 0 {
 			return
 		}
 	}
-	total := uint(1) << uint(len(freeVars))
-	for k := uint(0); k < total; k++ {
-		m := base
-		for j, v := range freeVars {
-			if k>>uint(j)&1 == 1 {
-				m |= 1 << uint(v)
-			}
-		}
-		fn(m)
-	}
 }
 
-// FromMinterm returns the cube covering exactly minterm m.
+// FromMinterm returns the cube covering exactly minterm m (bits of m at
+// or above n are ignored).
 func FromMinterm(n int, m uint) Cube {
 	c := New(n)
-	for i := 0; i < n; i++ {
-		l := Zero
-		if m>>uint(i)&1 == 1 {
-			l = One
-		}
-		sh := 2 * (uint(i) % varsPerWord)
-		c.words[i/varsPerWord] = c.words[i/varsPerWord]&^(3<<sh) | uint64(l)<<sh
-	}
+	v := uint32(m) & varMask(n)
+	c.w = spread(v)<<1 | spread(^v&varMask(n))
 	return c
+}
+
+// Compare orders cubes exactly as their String forms compare: variable 0
+// first, '-' < '0' < '1' per variable, and a cube that is a prefix of a
+// wider one first. It returns -1, 0 or +1.
+func Compare(a, b Cube) int {
+	if a.n != b.n {
+		return compareWidths(a, b)
+	}
+	// Equal widths: the unused high pairs rank alike and cancel.
+	return compareRanks(a.rank(), b.rank())
+}
+
+// compareWidths is Compare for cubes of different widths: the common
+// prefix decides, and failing that the narrower cube is first.
+func compareWidths(a, b Cube) int {
+	m := pairMask(min(a.n, b.n))
+	if r := compareRanks(a.rank()&m, b.rank()&m); r != 0 {
+		return r
+	}
+	if a.n < b.n {
+		return -1
+	}
+	return 1
+}
+
+// compareRanks compares two rank words at their lowest differing pair.
+func compareRanks(ra, rb uint64) int {
+	d := ra ^ rb
+	if d == 0 {
+		return 0
+	}
+	sh := uint(bits.TrailingZeros64(d)) &^ 1
+	if ra>>sh&3 < rb>>sh&3 {
+		return -1
+	}
+	return 1
+}
+
+// rank re-codes every variable pair by the byte order of its String
+// character: Full ('-') 0, Zero ('0') 1, One ('1') 2, Empty ('?') 3.
+// Pairs whose two bits agree (Full, Empty) swap; Zero and One stay.
+// The unused pairs above n (00) rank as Empty.
+func (c Cube) rank() uint64 {
+	same := ^(c.w ^ c.w>>1) & evenMask
+	return c.w ^ (same | same<<1)
 }
 
 // Parse builds a cube from a .pla-style literal string such as "01-1".
 // Character i binds variable i; accepted characters are '0', '1', '-', '2'
 // and 'x'/'X' (the latter three all meaning unconstrained).
 func Parse(s string) (Cube, error) {
+	if len(s) > MaxVars {
+		return Cube{}, fmt.Errorf("cube: %d variables exceed the %d-variable limit", len(s), MaxVars)
+	}
 	c := New(len(s))
 	for i := 0; i < len(s); i++ {
 		switch s[i] {

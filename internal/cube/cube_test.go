@@ -2,6 +2,7 @@ package cube
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -31,22 +32,40 @@ func TestParseAndString(t *testing.T) {
 }
 
 func TestValSetVal(t *testing.T) {
-	c := New(40) // spans two words
-	for i := 0; i < 40; i++ {
+	c := New(MaxVars) // every slot of the word in use
+	for i := 0; i < MaxVars; i++ {
 		if c.Val(i) != Full {
 			t.Fatalf("new cube var %d = %v, want Full", i, c.Val(i))
 		}
 	}
-	c2 := c.SetVal(0, Zero).SetVal(33, One).SetVal(39, Zero)
-	if c2.Val(0) != Zero || c2.Val(33) != One || c2.Val(39) != Zero {
+	c2 := c.SetVal(0, Zero).SetVal(30, One).SetVal(31, Zero)
+	if c2.Val(0) != Zero || c2.Val(30) != One || c2.Val(31) != Zero {
 		t.Fatal("SetVal values not read back")
 	}
-	if c.Val(0) != Full {
+	if c.Val(0) != Full || c.Val(31) != Full {
 		t.Fatal("SetVal mutated the receiver (should copy on write)")
 	}
-	if c2.Val(1) != Full || c2.Val(34) != Full {
+	if c2.Val(1) != Full || c2.Val(29) != Full {
 		t.Fatal("SetVal disturbed neighboring variables")
 	}
+	if c2.String() != "0"+strings.Repeat("-", 29)+"10" {
+		t.Fatalf("top-slot cube renders %q", c2.String())
+	}
+}
+
+func TestWidthAboveMaxVarsRejected(t *testing.T) {
+	if _, err := Parse(strings.Repeat("1", MaxVars+1)); err == nil {
+		t.Fatal("Parse accepted a cube wider than MaxVars")
+	}
+	if c, err := Parse(strings.Repeat("1", MaxVars)); err != nil || c.NumLiterals() != MaxVars {
+		t.Fatalf("Parse at MaxVars: %v, %d literals", err, c.NumLiterals())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New(MaxVars+1) did not panic")
+		}
+	}()
+	New(MaxVars + 1)
 }
 
 func TestDistance(t *testing.T) {
@@ -73,11 +92,15 @@ func TestDistance(t *testing.T) {
 }
 
 func TestDistanceWideCube(t *testing.T) {
-	// 70 variables spans three words; place conflicts in each word.
-	a := New(70).SetVal(0, Zero).SetVal(35, One).SetVal(69, Zero)
-	b := New(70).SetVal(0, One).SetVal(35, Zero).SetVal(69, One)
+	// The widest cube: conflicts at the lowest, a middle and the top
+	// slot of its word.
+	a := New(MaxVars).SetVal(0, Zero).SetVal(17, One).SetVal(31, Zero)
+	b := New(MaxVars).SetVal(0, One).SetVal(17, Zero).SetVal(31, One)
 	if got := a.Distance(b); got != 3 {
-		t.Fatalf("wide Distance = %d, want 3", got)
+		t.Fatalf("top-slot Distance = %d, want 3", got)
+	}
+	if got := a.Distance(a.SetVal(31, One)); got != 1 {
+		t.Fatalf("Distance in var 31 alone = %d, want 1", got)
 	}
 }
 
@@ -277,7 +300,7 @@ func TestContainsMatchesMinterms(t *testing.T) {
 func TestSupercubeContainsOperands(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
+		n := 1 + rng.Intn(MaxVars)
 		a, b := randomCube(rng, n), randomCube(rng, n)
 		s := a.Supercube(b)
 		return s.Contains(a) && s.Contains(b)
@@ -364,7 +387,7 @@ func TestCoverRemoveContainedMatchesSnapshot(t *testing.T) {
 			t.Fatalf("trial %d: kept %d cubes, snapshot %d\n%s", trial, len(cv.Cubes), len(want), in)
 		}
 		for i := range want {
-			if !cv.Cubes[i].Equal(want[i]) {
+			if cv.Cubes[i] != want[i] {
 				t.Fatalf("trial %d: cube %d is %s, snapshot %s\n%s", trial, i, cv.Cubes[i], want[i], in)
 			}
 		}
@@ -405,4 +428,105 @@ func TestCoverAddWrongWidthPanics(t *testing.T) {
 		}
 	}()
 	cv.Add(New(4))
+}
+
+// Property: Compare orders cubes exactly as their String forms compare,
+// at every width the package represents, including unequal widths.
+func TestCompareMatchesStringOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(MaxVars + 1)
+		a := randomCube(rng, n)
+		var b Cube
+		switch rng.Intn(4) {
+		case 0:
+			b = a // equal
+		case 1: // differ in one variable
+			b = a
+			if n > 0 {
+				v := rng.Intn(n)
+				b = b.SetVal(v, Literal(1+rng.Intn(3)))
+			}
+		case 2:
+			b = randomCube(rng, rng.Intn(MaxVars+1))
+		default:
+			b = randomCube(rng, n)
+		}
+		if rng.Intn(8) == 0 && n > 0 { // an Empty variable renders '?'
+			a = a.SetVal(rng.Intn(n), Empty)
+		}
+		if got, want := Compare(a, b), strings.Compare(a.String(), b.String()); got != want {
+			t.Fatalf("Compare(%q, %q) = %d, want %d", a, b, got, want)
+		}
+		if got, want := Compare(b, a), strings.Compare(b.String(), a.String()); got != want {
+			t.Fatalf("Compare(%q, %q) = %d, want %d", b, a, got, want)
+		}
+	}
+}
+
+// Property: Masks, FreeMask, Minterms and FromMinterm agree with the
+// per-variable view.
+func TestMasksAndMintermsMatchVal(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(11)
+		c := randomCube(rng, n)
+		ones, zeros := c.Masks()
+		free := c.FreeMask()
+		for v := 0; v < n; v++ {
+			bit := uint32(1) << uint(v)
+			if (ones&bit != 0) != (c.Val(v) == One) || (zeros&bit != 0) != (c.Val(v) == Zero) ||
+				(free&bit != 0) != (c.Val(v) == Full) {
+				t.Fatalf("%s: masks disagree at var %d", c, v)
+			}
+		}
+		var got []uint
+		c.Minterms(func(m uint) { got = append(got, m) })
+		var want []uint
+		for m := uint(0); m < 1<<uint(n); m++ {
+			if c.ContainsMinterm(m) {
+				want = append(want, m)
+				if !c.Contains(FromMinterm(n, m)) {
+					t.Fatalf("%s does not contain FromMinterm(%d)", c, m)
+				}
+			}
+		}
+		if len(got) != len(want) || uint64(len(got)) != c.MintermCount() {
+			t.Fatalf("%s: Minterms gave %d, want %d", c, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: Minterms order %v, want %v", c, got, want)
+			}
+		}
+	}
+}
+
+// Property: DivisibleBy and Quotient match their per-variable definitions.
+func TestDivisibleByAndQuotient(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(MaxVars)
+		c, d := randomCube(rng, n), randomCube(rng, n)
+		if rng.Intn(2) == 0 { // make divisibility likely
+			for v := 0; v < n; v++ {
+				if d.Val(v) != Full && rng.Intn(3) > 0 {
+					c = c.SetVal(v, d.Val(v))
+				}
+			}
+		}
+		div, q := true, c
+		for v := 0; v < n; v++ {
+			if d.Val(v) != Full {
+				if c.Val(v) != d.Val(v) {
+					div = false
+				}
+				q = q.SetVal(v, Full)
+			}
+		}
+		if c.DivisibleBy(d) != div || c.Quotient(d) != q {
+			t.Fatalf("c=%s d=%s: DivisibleBy=%v Quotient=%s, want %v %s",
+				c, d, c.DivisibleBy(d), c.Quotient(d), div, q)
+		}
+	}
 }

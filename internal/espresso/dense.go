@@ -1,7 +1,9 @@
 package espresso
 
 import (
-	"sort"
+	"iter"
+	"math/bits"
+	"slices"
 
 	"relsyn/internal/bitset"
 	"relsyn/internal/cube"
@@ -13,56 +15,118 @@ import (
 // working set comfortably in cache.
 const DenseLimit = 16
 
-// denseCtx carries the precomputed per-variable truth-table patterns and
-// the fixed on/dc/off sets of one minimization run.
-type denseCtx struct {
-	n    int
-	size int
-	pats []*bitset.Set // pats[v] = minterms with bit v set
-	on   *bitset.Set
-	dc   *bitset.Set
-	off  *bitset.Set
-	poll func() error // cooperative cancellation hook (nil = never)
-}
-
-func newDenseCtx(n int, on, dc *cube.Cover) *denseCtx {
-	ctx := &denseCtx{n: n, size: 1 << uint(n)}
-	ctx.pats = make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		ctx.pats[v] = bitset.VarPattern(ctx.size, v)
+// inWord[k][ones|zeros<<3] is the in-word minterm mask of a cube whose
+// literals on variables 3k..3k+2 are the 3-bit masks ones and zeros: the
+// bits of a 64-minterm word (variables 0..5) those literals admit.
+var inWord = func() (t [2][64]uint64) {
+	// pats[v] = the minterms of a word with variable v set.
+	pats := [6]uint64{
+		0xaaaaaaaaaaaaaaaa,
+		0xcccccccccccccccc,
+		0xf0f0f0f0f0f0f0f0,
+		0xff00ff00ff00ff00,
+		0xffff0000ffff0000,
+		0xffffffff00000000,
 	}
-	ctx.on = ctx.coverBits(on)
-	ctx.dc = ctx.coverBits(dc)
-	care := ctx.on.Union(ctx.dc)
-	ctx.off = care.Complement()
-	return ctx
-}
-
-// cubeBits materializes a cube's minterm set with word-level AND of the
-// variable patterns: O(n·2^n/64).
-func (ctx *denseCtx) cubeBits(c cube.Cube) *bitset.Set {
-	s := bitset.New(ctx.size)
-	s.FillAll()
-	for v := 0; v < ctx.n; v++ {
-		switch c.Val(v) {
-		case cube.One:
-			s.InPlaceIntersect(ctx.pats[v])
-		case cube.Zero:
-			s.InPlaceDifference(ctx.pats[v])
+	for k := range t {
+		for code := range t[k] {
+			mask := ^uint64(0)
+			for j := 0; j < 3; j++ {
+				if code>>uint(j)&1 == 1 {
+					mask &= pats[3*k+j]
+				}
+				if code>>uint(3+j)&1 == 1 {
+					mask &^= pats[3*k+j]
+				}
+			}
+			t[k][code] = mask
 		}
 	}
-	return s
+	return t
+}()
+
+// denseCtx holds the fixed on/off sets of one minimization run over
+// n ≤ DenseLimit inputs. The engine works in cube space: a cube is
+// never materialized as a 2^n-bit set. Every test and count walks only
+// the words the cube touches — one in-word minterm mask for variables
+// 0..5, the word indices enumerated over the cube's free variables
+// above them.
+type denseCtx struct {
+	n        int
+	wordMask uint64   // the minterms of a word that exist (all for n ≥ 6)
+	on       []uint64 // words of the on-set
+	off      []uint64 // words of the off-set (complement of on ∪ dc)
+	covered  []uint64 // expand's running union of primes
+	counts   []int32  // per-minterm coverage counts
+	poll     func() error
 }
 
-func (ctx *denseCtx) coverBits(f *cube.Cover) *bitset.Set {
-	s := bitset.New(ctx.size)
-	if f == nil {
-		return s
+func newDenseCtx(n int, on, off *bitset.Set, poll func() error) *denseCtx {
+	wordMask := ^uint64(0)
+	if n < 6 {
+		wordMask = uint64(1)<<(uint(1)<<uint(n)) - 1
 	}
-	for _, c := range f.Cubes {
-		s.InPlaceUnion(ctx.cubeBits(c))
+	return &denseCtx{
+		n:        n,
+		wordMask: wordMask,
+		on:       on.Words(),
+		off:      off.Words(),
+		covered:  make([]uint64, len(off.Words())),
+		counts:   make([]int32, 1<<uint(n)),
+		poll:     poll,
 	}
-	return s
+}
+
+// span returns the words c touches — index base|s for every subset s
+// of free — and the in-word mask of its minterms, the same in each.
+func (ctx *denseCtx) span(c cube.Cube) (mask uint64, base, free uint32) {
+	ones, zeros := c.Masks()
+	mask = ctx.wordMask &
+		inWord[0][ones&7|(zeros&7)<<3] &
+		inWord[1][ones>>3&7|(zeros>>3&7)<<3]
+	return mask, ones >> 6, c.FreeMask() >> 6
+}
+
+// words yields the index and in-word minterm mask of every word of a
+// span (see denseCtx.span), in ascending index order.
+func words(mask uint64, base, free uint32) iter.Seq2[int, uint64] {
+	return func(yield func(int, uint64) bool) {
+		// Subsets of free in ascending order: s ← (s − free) & free.
+		for s := uint32(0); yield(int(base|s), mask); {
+			if s = (s - free) & free; s == 0 {
+				return
+			}
+		}
+	}
+}
+
+// offCount returns how many off-set minterms c covers.
+func (ctx *denseCtx) offCount(c cube.Cube) int {
+	total := 0
+	for i, mask := range words(ctx.span(c)) {
+		total += bits.OnesCount64(ctx.off[i] & mask)
+	}
+	return total
+}
+
+// hitsOff reports whether c covers an off-set minterm.
+func (ctx *denseCtx) hitsOff(c cube.Cube) bool {
+	for i, mask := range words(ctx.span(c)) {
+		if ctx.off[i]&mask != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// isCovered reports whether every minterm of c is in ctx.covered.
+func (ctx *denseCtx) isCovered(c cube.Cube) bool {
+	for i, mask := range words(ctx.span(c)) {
+		if mask&^ctx.covered[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // expand raises each cube to a prime implicant of on∪dc, biggest cubes
@@ -80,16 +144,17 @@ func (ctx *denseCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 		}
 	}
 	out := cube.NewCover(ctx.n)
-	covered := bitset.New(ctx.size)
+	clear(ctx.covered)
 	for _, c := range work.Cubes {
 		check(ctx.poll)
-		cb := ctx.cubeBits(c)
-		if cb.SubsetOf(covered) {
+		if ctx.isCovered(c) {
 			continue
 		}
 		p := ctx.expandCube(c, variant)
 		out.Add(p)
-		covered.InPlaceUnion(ctx.cubeBits(p))
+		for i, mask := range words(ctx.span(p)) {
+			ctx.covered[i] |= mask
+		}
 	}
 	out.RemoveContained()
 	return out
@@ -101,39 +166,46 @@ func (ctx *denseCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 // ties toward the highest variable index instead of the lowest.
 func (ctx *denseCtx) expandCube(c cube.Cube, variant int) cube.Cube {
 	type cand struct{ v, exposed int }
-	var cands []cand
+	var buf [cube.MaxVars]cand
+	cands := buf[:0]
 	for v := 0; v < ctx.n; v++ {
 		if c.Val(v) == cube.Full {
 			continue
 		}
-		raised := ctx.cubeBits(c.SetVal(v, cube.Full))
-		cands = append(cands, cand{v, raised.IntersectionCount(ctx.off)})
+		cands = append(cands, cand{v, ctx.offCount(c.SetVal(v, cube.Full))})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].exposed != cands[j].exposed {
-			return cands[i].exposed < cands[j].exposed
+	slices.SortFunc(cands, func(a, b cand) int {
+		if a.exposed != b.exposed {
+			return a.exposed - b.exposed
 		}
 		if variant == 1 {
-			return cands[i].v > cands[j].v
+			return b.v - a.v
 		}
-		return cands[i].v < cands[j].v
+		return a.v - b.v
 	})
 	for _, cd := range cands {
-		raised := c.SetVal(cd.v, cube.Full)
-		if !ctx.cubeBits(raised).IntersectsWith(ctx.off) {
+		if raised := c.SetVal(cd.v, cube.Full); !ctx.hitsOff(raised) {
 			c = raised
 		}
 	}
 	return c
 }
 
-// coverageCounts returns, per minterm, how many cubes of f cover it.
-func (ctx *denseCtx) coverageCounts(f *cube.Cover) []int32 {
-	counts := make([]int32, ctx.size)
+// countCoverage sets ctx.counts[m] to how many cubes of f cover m.
+func (ctx *denseCtx) countCoverage(f *cube.Cover) {
+	clear(ctx.counts)
 	for _, c := range f.Cubes {
-		ctx.cubeBits(c).ForEach(func(m int) { counts[m]++ })
+		ctx.addCounts(c, 1)
 	}
-	return counts
+}
+
+// addCounts adds d to the count of every minterm of c.
+func (ctx *denseCtx) addCounts(c cube.Cube, d int32) {
+	for i, mask := range words(ctx.span(c)) {
+		for b := mask; b != 0; b &= b - 1 {
+			ctx.counts[i<<6|bits.TrailingZeros64(b)] += d
+		}
+	}
 }
 
 // irredundant removes cubes whose on-set minterms are all covered at
@@ -141,23 +213,30 @@ func (ctx *denseCtx) coverageCounts(f *cube.Cover) []int32 {
 func (ctx *denseCtx) irredundant(f *cube.Cover) *cube.Cover {
 	work := f.Clone()
 	work.Sort() // big first; iterate from the back (small first)
-	counts := ctx.coverageCounts(work)
+	ctx.countCoverage(work)
 	for i := work.Len() - 1; i >= 0; i-- {
 		check(ctx.poll)
-		cb := ctx.cubeBits(work.Cubes[i])
-		needed := false
-		cb.ForEach(func(m int) {
-			if counts[m] == 1 && ctx.on.Test(m) {
-				needed = true
-			}
-		})
-		if needed {
+		c := work.Cubes[i]
+		if ctx.coversUniquely(c) {
 			continue
 		}
-		cb.ForEach(func(m int) { counts[m]-- })
+		ctx.addCounts(c, -1)
 		work.Cubes = append(work.Cubes[:i], work.Cubes[i+1:]...)
 	}
 	return work
+}
+
+// coversUniquely reports whether c covers an on-set minterm no other
+// cube covers.
+func (ctx *denseCtx) coversUniquely(c cube.Cube) bool {
+	for i, mask := range words(ctx.span(c)) {
+		for b := mask & ctx.on[i]; b != 0; b &= b - 1 {
+			if ctx.counts[i<<6|bits.TrailingZeros64(b)] == 1 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // reduce shrinks each cube to the bounding cube of the on-set minterms
@@ -165,66 +244,67 @@ func (ctx *denseCtx) irredundant(f *cube.Cover) *cube.Cover {
 func (ctx *denseCtx) reduce(f *cube.Cover) *cube.Cover {
 	work := f.Clone()
 	work.Sort()
-	counts := ctx.coverageCounts(work)
-	for i, c := range work.Cubes {
+	ctx.countCoverage(work)
+	for ci, c := range work.Cubes {
 		check(ctx.poll)
-		cb := ctx.cubeBits(c)
-		unique := bitset.New(ctx.size)
-		cb.ForEach(func(m int) {
-			if counts[m] == 1 && ctx.on.Test(m) {
-				unique.Set(m)
+		// The bounding cube of the unique minterms binds variable v to
+		// One where every one has v set (and), to Zero where none has
+		// (or), and leaves it Full otherwise.
+		and, or, unique := ^0, 0, false
+		for i, mask := range words(ctx.span(c)) {
+			for b := mask & ctx.on[i]; b != 0; b &= b - 1 {
+				if m := i<<6 | bits.TrailingZeros64(b); ctx.counts[m] == 1 {
+					and &= m
+					or |= m
+					unique = true
+				}
 			}
-		})
-		if unique.None() {
+		}
+		if !unique {
 			continue // fully redundant; leave for irredundant
 		}
-		reduced := boundingCube(ctx.n, unique)
-		rb := ctx.cubeBits(reduced)
-		// Give up coverage of the abandoned minterms.
-		aband := cb.Difference(rb)
-		aband.ForEach(func(m int) { counts[m]-- })
-		work.Cubes[i] = reduced
+		reduced := cube.New(ctx.n)
+		for v := 0; v < ctx.n; v++ {
+			switch {
+			case and>>uint(v)&1 == 1:
+				reduced = reduced.SetVal(v, cube.One)
+			case or>>uint(v)&1 == 0:
+				reduced = reduced.SetVal(v, cube.Zero)
+			}
+		}
+		// Give up coverage of the abandoned minterms: c's, less reduced's.
+		rmask, rbase, rfree := ctx.span(reduced)
+		for i, mask := range words(ctx.span(c)) {
+			if uint32(i)&^rfree == rbase {
+				mask &^= rmask
+			}
+			for b := mask; b != 0; b &= b - 1 {
+				ctx.counts[i<<6|bits.TrailingZeros64(b)]--
+			}
+		}
+		work.Cubes[ci] = reduced
 	}
 	return work
 }
 
-// boundingCube returns the smallest cube containing every minterm of s.
-// s must be non-empty.
-func boundingCube(n int, s *bitset.Set) cube.Cube {
-	c := cube.New(n)
-	first := s.NextSet(0)
-	for v := 0; v < n; v++ {
-		bit := first>>uint(v)&1 == 1
-		uniform := true
-		s.ForEach(func(m int) {
-			if (m>>uint(v)&1 == 1) != bit {
-				uniform = false
-			}
-		})
-		if uniform {
-			if bit {
-				c = c.SetVal(v, cube.One)
-			} else {
-				c = c.SetVal(v, cube.Zero)
-			}
-		}
+// minimizeDense is the dense engine for n ≤ DenseLimit: ESPRESSO's
+// improvement loop from the seed cover, against the fixed on/dc/off
+// minterm sets (dc may be nil). poll is checked at cube granularity
+// inside every pass.
+func minimizeDense(n int, on, dc *bitset.Set, seed *cube.Cover, poll func() error) *cube.Cover {
+	off := on.Clone()
+	if dc != nil {
+		off.InPlaceUnion(dc)
 	}
-	return c
-}
-
-// minimizeDense is the bitset-backed Minimize engine for n ≤ DenseLimit.
-// poll (nil = never) is checked at cube granularity inside every pass.
-func minimizeDense(on, dc *cube.Cover, poll func() error) *cube.Cover {
-	n := on.NumVars()
-	ctx := newDenseCtx(n, on, dc)
-	ctx.poll = poll
-	if ctx.on.None() {
+	off = off.Complement()
+	if on.None() {
 		return cube.NewCover(n)
 	}
-	if ctx.off.None() {
+	if off.None() {
 		return cube.CoverOf(n, cube.New(n)) // tautology: single universe cube
 	}
-	f := ctx.expand(on, 0)
+	ctx := newDenseCtx(n, on, off, poll)
+	f := ctx.expand(seed, 0)
 	f = ctx.irredundant(f)
 	best := f
 	bestCost := CostOf(f)
@@ -259,4 +339,22 @@ func minimizeDense(on, dc *cube.Cover, poll func() error) *cube.Cover {
 	}
 	best.Sort()
 	return best
+}
+
+// mintermCover returns s as a cover of minterm cubes, ascending.
+func mintermCover(n int, s *bitset.Set) *cube.Cover {
+	cv := cube.NewCover(n)
+	if s != nil {
+		s.ForEach(func(m int) { cv.Add(cube.FromMinterm(n, uint(m))) })
+	}
+	return cv
+}
+
+// coverSet returns the minterms of cover f as a set over n inputs.
+func coverSet(n int, f *cube.Cover) *bitset.Set {
+	s := bitset.New(1 << uint(n))
+	for _, c := range f.Cubes {
+		c.Minterms(func(m uint) { s.Set(int(m)) })
+	}
+	return s
 }

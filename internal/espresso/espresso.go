@@ -3,6 +3,7 @@ package espresso
 import (
 	"sort"
 
+	"relsyn/internal/bitset"
 	"relsyn/internal/cube"
 )
 
@@ -168,8 +169,8 @@ func Reduce(f, d *cube.Cover) *cube.Cover {
 // specified single-output function with on-set cover `on` and don't-care
 // cover `dc` (either may be nil for empty). The returned cover covers
 // every on-set minterm, lies within on ∪ dc, and consists of prime
-// implicants of on ∪ dc. Functions with up to DenseLimit inputs use a
-// bitset-backed engine; larger ones use pure cube algebra.
+// implicants of on ∪ dc. Functions with up to DenseLimit inputs use the
+// dense engine; larger ones use pure cube algebra.
 func Minimize(on, dc *cube.Cover) *cube.Cover {
 	cov, _ := MinimizeInterruptible(on, dc, nil)
 	return cov
@@ -190,21 +191,41 @@ func MinimizeInterruptible(on, dc *cube.Cover, poll func() error) (cov *cube.Cov
 	if on.Len() == 0 {
 		return cube.NewCover(n), nil
 	}
-	if poll != nil {
-		defer func() {
-			if r := recover(); r != nil {
-				if ie, ok := r.(interrupted); ok {
-					cov, err = nil, ie.err
-					return
-				}
-				panic(r)
-			}
-		}()
-	}
+	defer recoverInterrupt(poll, &err)
 	if n <= DenseLimit {
-		return minimizeDense(on, dc, poll), nil
+		return minimizeDense(n, coverSet(n, on), coverSet(n, dc), on, poll), nil
 	}
 	return minimizeGeneric(on, dc, poll), nil
+}
+
+// MinimizeSets is MinimizeInterruptible for a function given as minterm
+// sets over n inputs (dc may be nil): the answer is identical to
+// MinimizeInterruptible on the covers of on's and dc's minterms, but on
+// the dense path the sets are used as they are, without building covers.
+func MinimizeSets(n int, on, dc *bitset.Set, poll func() error) (cov *cube.Cover, err error) {
+	if on.None() {
+		return cube.NewCover(n), nil
+	}
+	if n > DenseLimit {
+		return MinimizeInterruptible(mintermCover(n, on), mintermCover(n, dc), poll)
+	}
+	defer recoverInterrupt(poll, &err)
+	return minimizeDense(n, on, dc, mintermCover(n, on), poll), nil
+}
+
+// recoverInterrupt, deferred by the entry points, turns the panic check
+// raises into the poll error; other panics propagate.
+func recoverInterrupt(poll func() error, err *error) {
+	if poll == nil {
+		return
+	}
+	if r := recover(); r != nil {
+		ie, ok := r.(interrupted)
+		if !ok {
+			panic(r)
+		}
+		*err = ie.err
+	}
 }
 
 // check aborts the minimization via panic when poll reports an error; the
@@ -254,9 +275,9 @@ func minimizeGeneric(on, dc *cube.Cover, poll func() error) *cube.Cover {
 	return best
 }
 
-// Verify checks that impl is a correct cover for (on, dc): impl ⊆ on∪dc
-// and on ⊆ impl. It returns false with a witness cube index on failure.
-// Used by tests and as a post-condition in debug paths.
+// Verify reports whether impl is a correct cover for (on, dc):
+// impl ⊆ on∪dc and on ⊆ impl. Used by tests and as a post-condition in
+// debug paths.
 func Verify(impl, on, dc *cube.Cover) bool {
 	all := on.Clone()
 	if dc != nil {

@@ -213,6 +213,13 @@ func checkMinimized(t *testing.T, name string, impl, on, dc *cube.Cover) {
 	}
 }
 
+// denseOf runs the dense engine seeded from the on cover, as
+// MinimizeInterruptible does for n ≤ DenseLimit.
+func denseOf(on, dc *cube.Cover) *cube.Cover {
+	n := on.NumVars()
+	return minimizeDense(n, coverSet(n, on), coverSet(n, dc), on, nil)
+}
+
 func TestMinimizeRandomBothEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for trial := 0; trial < 60; trial++ {
@@ -222,7 +229,7 @@ func TestMinimizeRandomBothEngines(t *testing.T) {
 			f.SetPhase(0, m, tt.Phase(rng.Intn(3)))
 		}
 		on, dc := f.OnCover(0), f.DCCover(0)
-		dense := minimizeDense(on, dc, nil)
+		dense := denseOf(on, dc)
 		checkMinimized(t, "dense", dense, on, dc)
 		generic := minimizeGeneric(on, dc, nil)
 		checkMinimized(t, "generic", generic, on, dc)
@@ -367,7 +374,7 @@ func TestReduceExpandEscapesLocalMinimum(t *testing.T) {
 			}
 		}
 		on := f.OnCover(0)
-		first := minimizeDense(on, cube.NewCover(n), nil)
+		first := denseOf(on, cube.NewCover(n))
 		checkMinimized(t, "loop", first, on, cube.NewCover(n))
 	}
 }
@@ -378,11 +385,12 @@ func BenchmarkMinimizeDense10(b *testing.B) {
 	for m := 0; m < f.Size(); m++ {
 		f.SetPhase(0, m, tt.Phase(rng.Intn(3)))
 	}
-	on, dc := f.OnCover(0), f.DCCover(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		minimizeDense(on, dc, nil)
+		if _, err := MinimizeSets(10, f.Outs[0].On, f.Outs[0].DC, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func TestQuickEngineAgreement(t *testing.T) {
 			fn.SetPhase(0, m, tt.Phase(rng.Intn(3)))
 		}
 		on, dc := fn.OnCover(0), fn.DCCover(0)
-		a := minimizeDense(on, dc, nil)
+		a := denseOf(on, dc)
 		b := minimizeGeneric(on, dc, nil)
 		// Both must be valid; exact sizes may differ slightly between
 		// heuristics, but not wildly.

@@ -1,7 +1,9 @@
 // Package espresso is a two-level logic minimizer in the ESPRESSO
-// tradition: EXPAND / IRREDUNDANT / REDUCE passes built on the unate
-// recursion paradigm (tautology checking and complementation by
-// cofactoring on the most binate variable).
+// tradition: EXPAND / IRREDUNDANT / REDUCE passes. Up to DenseLimit
+// inputs they run in cube space against the fixed on/off minterm sets
+// (dense.go); wider functions use the unate recursion paradigm
+// (tautology checking and complementation by cofactoring on the most
+// binate variable).
 //
 // It stands in for the ESPRESSO binary the paper uses to size minimal
 // SOPs (Fig. 2) and for the DC-consuming "conventional assignment" step

@@ -120,7 +120,7 @@ func Fig2(samplesPerTarget int, seed int64) ([]Fig2Point, error) {
 		if err != nil {
 			return err
 		}
-		cov := espresso.Minimize(f.OnCover(0), nil)
+		cov, _ := espresso.MinimizeSets(f.NumIn, f.Outs[0].On, nil, nil) // nil poll: no error
 		pts[i] = Fig2Point{
 			TargetCf:   target,
 			Cf:         complexity.Factor(f, 0),

@@ -145,7 +145,7 @@ func Quality(samplesPerClass int, seed int64) ([]QualityRow, error) {
 			if err != nil {
 				return err
 			}
-			heur := espresso.Minimize(f.OnCover(0), f.DCCover(0))
+			heur, _ := espresso.MinimizeSets(f.NumIn, f.Outs[0].On, f.Outs[0].DC, nil) // nil poll: no error
 			ex, err := exact.Minimize(f, 0, exact.Limits{MaxNodes: 1 << 24})
 			if err != nil {
 				continue // intractable exact instance; skip the sample

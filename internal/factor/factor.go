@@ -1,7 +1,8 @@
 package factor
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"relsyn/internal/cube"
 )
@@ -27,13 +28,12 @@ func litVal(l int) (v int, val cube.Literal) {
 func litCounts(f *cube.Cover) []int {
 	counts := make([]int, 2*f.NumVars())
 	for _, c := range f.Cubes {
-		for v := 0; v < f.NumVars(); v++ {
-			switch c.Val(v) {
-			case cube.One:
-				counts[litOf(v, true)]++
-			case cube.Zero:
-				counts[litOf(v, false)]++
-			}
+		ones, zeros := c.Masks()
+		for ; ones != 0; ones &= ones - 1 {
+			counts[litOf(bits.TrailingZeros32(ones), true)]++
+		}
+		for ; zeros != 0; zeros &= zeros - 1 {
+			counts[litOf(bits.TrailingZeros32(zeros), false)]++
 		}
 	}
 	return counts
@@ -50,34 +50,13 @@ func cubeHasLit(c cube.Cube, l int) bool {
 func divideByLit(f *cube.Cover, l int) *cube.Cover {
 	v, _ := litVal(l)
 	q := cube.NewCover(f.NumVars())
+	q.Cubes = make([]cube.Cube, 0, f.Len())
 	for _, c := range f.Cubes {
 		if cubeHasLit(c, l) {
 			q.Add(c.SetVal(v, cube.Full))
 		}
 	}
 	return q
-}
-
-// divisible reports whether cube c contains every literal of cube d,
-// i.e. d's literal set is a subset of c's (so c = (c/d)·d algebraically).
-func divisible(c, d cube.Cube) bool {
-	for v := 0; v < d.NumVars(); v++ {
-		dv := d.Val(v)
-		if dv != cube.Full && c.Val(v) != dv {
-			return false
-		}
-	}
-	return true
-}
-
-// removeLits returns c with all of d's literals raised to Full.
-func removeLits(c, d cube.Cube) cube.Cube {
-	for v := 0; v < d.NumVars(); v++ {
-		if d.Val(v) != cube.Full {
-			c = c.SetVal(v, cube.Full)
-		}
-	}
-	return c
 }
 
 // mergeCubes returns the conjunction of two support-disjoint cubes.
@@ -93,53 +72,66 @@ func mergeCubes(a, b cube.Cube) cube.Cube {
 
 // Divide performs algebraic (weak) division f / d, returning quotient and
 // remainder covers such that f = q·d + r as cube sets, with q maximal.
+// The quotient's cubes are in cube.Compare order.
 func Divide(f, d *cube.Cover) (q, r *cube.Cover) {
-	n := f.NumVars()
+	return newDividend(f).divide(d)
+}
+
+// dividend is a cover prepared for repeated division: its cubes in
+// Compare order, for membership tests by binary search.
+type dividend struct {
+	f      *cube.Cover
+	sorted []cube.Cube
+}
+
+func newDividend(f *cube.Cover) dividend {
+	sorted := slices.Clone(f.Cubes)
+	slices.SortFunc(sorted, cube.Compare)
+	return dividend{f: f, sorted: sorted}
+}
+
+func (x dividend) has(c cube.Cube) bool {
+	_, ok := slices.BinarySearchFunc(x.sorted, c, cube.Compare)
+	return ok
+}
+
+func (x dividend) divide(d *cube.Cover) (q, r *cube.Cover) {
+	f, n := x.f, x.f.NumVars()
 	if d.Len() == 0 {
 		return cube.NewCover(n), f.Clone()
 	}
-	// Quotient: intersection over divisor cubes of {c/dc : dc ⊆ c}.
-	var qset map[string]cube.Cube
-	for i, dc := range d.Cubes {
-		cur := map[string]cube.Cube{}
-		for _, c := range f.Cubes {
-			if divisible(c, dc) {
-				rc := removeLits(c, dc)
-				cur[rc.String()] = rc
-			}
-		}
-		if i == 0 {
-			qset = cur
-		} else {
-			for k := range qset {
-				if _, ok := cur[k]; !ok {
-					delete(qset, k)
-				}
-			}
-		}
-		if len(qset) == 0 {
-			break
-		}
-	}
+	// Quotient: the intersection over divisor cubes dc of
+	// {c/dc : c ∈ f, dc ⊆ c}. Start from the first divisor cube's set;
+	// a candidate k is in another one's iff k binds none of its
+	// variables and k·dc ∈ f.
 	q = cube.NewCover(n)
-	keys := make([]string, 0, len(qset))
-	for k := range qset {
-		keys = append(keys, k)
+	for _, c := range f.Cubes {
+		if c.DivisibleBy(d.Cubes[0]) {
+			q.Cubes = append(q.Cubes, c.Quotient(d.Cubes[0]))
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		q.Add(qset[k])
-	}
+	slices.SortFunc(q.Cubes, cube.Compare)
+	q.Cubes = slices.Compact(q.Cubes)
+	q.Cubes = slices.DeleteFunc(q.Cubes, func(k cube.Cube) bool {
+		for _, dc := range d.Cubes[1:] {
+			if k.Quotient(dc) != k || !x.has(mergeCubes(k, dc)) {
+				return true
+			}
+		}
+		return false
+	})
 	// Remainder: cubes of f not produced by q·d.
-	produced := map[string]bool{}
+	produced := make([]cube.Cube, 0, q.Len()*d.Len())
 	for _, qc := range q.Cubes {
 		for _, dc := range d.Cubes {
-			produced[mergeCubes(qc, dc).String()] = true
+			produced = append(produced, mergeCubes(qc, dc))
 		}
 	}
+	slices.SortFunc(produced, cube.Compare)
 	r = cube.NewCover(n)
+	r.Cubes = make([]cube.Cube, 0, f.Len())
 	for _, c := range f.Cubes {
-		if !produced[c.String()] {
+		if _, ok := slices.BinarySearchFunc(produced, c, cube.Compare); !ok {
 			r.Add(c)
 		}
 	}
@@ -153,21 +145,16 @@ func largestCommonCube(f *cube.Cover) cube.Cube {
 	if f.Len() == 0 {
 		return common
 	}
-	for v := 0; v < f.NumVars(); v++ {
-		val := f.Cubes[0].Val(v)
-		if val == cube.Full {
-			continue
-		}
-		all := true
-		for _, c := range f.Cubes[1:] {
-			if c.Val(v) != val {
-				all = false
-				break
-			}
-		}
-		if all {
-			common = common.SetVal(v, val)
-		}
+	ones, zeros := f.Cubes[0].Masks()
+	for _, c := range f.Cubes[1:] {
+		o, z := c.Masks()
+		ones, zeros = ones&o, zeros&z
+	}
+	for ; ones != 0; ones &= ones - 1 {
+		common = common.SetVal(bits.TrailingZeros32(ones), cube.One)
+	}
+	for ; zeros != 0; zeros &= zeros - 1 {
+		common = common.SetVal(bits.TrailingZeros32(zeros), cube.Zero)
 	}
 	return common
 }
@@ -179,8 +166,9 @@ func makeCubeFree(f *cube.Cover) *cube.Cover {
 		return f
 	}
 	out := cube.NewCover(f.NumVars())
-	for _, c := range f.Cubes {
-		out.Add(removeLits(c, cc))
+	out.Cubes = make([]cube.Cube, len(f.Cubes))
+	for i, c := range f.Cubes {
+		out.Cubes[i] = c.Quotient(cc)
 	}
 	return out
 }
@@ -195,15 +183,14 @@ func isCubeFree(f *cube.Cover) bool {
 // The top-level cover itself is included when it is cube-free.
 func Kernels(f *cube.Cover, limit int) []*cube.Cover {
 	var out []*cube.Cover
-	seen := map[string]bool{}
 	add := func(k *cube.Cover) bool {
 		kk := k.Clone()
 		kk.Sort()
-		key := kk.String()
-		if seen[key] {
-			return true
+		for _, o := range out {
+			if slices.Equal(o.Cubes, kk.Cubes) {
+				return true
+			}
 		}
-		seen[key] = true
 		out = append(out, kk)
 		return limit == 0 || len(out) < limit
 	}
@@ -219,21 +206,7 @@ func Kernels(f *cube.Cover, limit int) []*cube.Cover {
 			if counts[l] < 2 {
 				continue
 			}
-			d := makeCubeFree(divideByLit(g, l))
-			// Skip if some earlier literal appears in every cube of d
-			// (that kernel was or will be found via the earlier literal).
-			dCounts := litCounts(d)
-			dominated := false
-			for k := 0; k < l; k++ {
-				if dCounts[k] == d.Len() && d.Len() > 0 {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				continue
-			}
-			if !rec(l+1, d) {
+			if !rec(l+1, makeCubeFree(divideByLit(g, l))) {
 				return false
 			}
 		}
@@ -297,12 +270,13 @@ func bestKernelFactor(f *cube.Cover) *Expr {
 	}
 	var best *scored
 	flatCost := f.LiteralCount()
+	x := newDividend(f)
 	for _, k := range kernels {
 		if k.Len() < 2 {
 			continue
 		}
 		// Dividing f by itself gives the trivial factoring 1·f.
-		q, r := Divide(f, k)
+		q, r := x.divide(k)
 		if q.Len() == 0 || (q.Len() == 1 && q.Cubes[0].NumLiterals() == 0) {
 			continue
 		}

@@ -181,7 +181,7 @@ type cut struct {
 
 // enumerateCuts returns per-node cut sets (trivial cut excluded from the
 // returned matchable sets but used during merging).
-func enumerateCuts(g *aig.Graph) [][]cut {
+func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
 	total := 1 + g.NumPI() + g.NumNodes()
 	// withTrivial[i] includes {i}; cuts used for matching exclude it.
 	withTrivial := make([][]cut, total)
@@ -189,6 +189,9 @@ func enumerateCuts(g *aig.Graph) [][]cut {
 		withTrivial[i] = []cut{{leaves: []int{i}, table: 0b10}}
 	}
 	for i := g.NumPI() + 1; i < total; i++ {
+		if err := checkPoll(poll, i); err != nil {
+			return nil, err
+		}
 		f0, f1 := g.Fanins(i)
 		var cs []cut
 		for _, c0 := range withTrivial[f0.Node()] {
@@ -222,7 +225,18 @@ func enumerateCuts(g *aig.Graph) [][]cut {
 		}
 		out[i] = cs
 	}
-	return out
+	return out, nil
+}
+
+// pollStride is how many nodes the per-node passes visit between polls.
+const pollStride = 256
+
+// checkPoll calls poll (nil = never) once every pollStride nodes.
+func checkPoll(poll func() error, node int) error {
+	if poll == nil || node%pollStride != 0 {
+		return nil
+	}
+	return poll()
 }
 
 func rowMask(k int) uint16 {
@@ -432,8 +446,19 @@ func better(a, b cand, mode Mode) bool {
 // mode iterates the covering with measured reference counts (area
 // recovery); delay mode maps once.
 func Map(g *aig.Graph, lib *celllib.Library, mode Mode) (*Result, error) {
+	return MapInterruptible(g, lib, mode, nil)
+}
+
+// MapInterruptible is Map with a cooperative cancellation hook: poll
+// (nil = never) is checked every pollStride nodes of the cut enumeration
+// and of each covering round, and a non-nil return aborts the mapping
+// with that error. The successful result is identical to Map's.
+func MapInterruptible(g *aig.Graph, lib *celllib.Library, mode Mode, poll func() error) (*Result, error) {
 	mt := buildMatcher(lib)
-	cuts := enumerateCuts(g)
+	cuts, err := enumerateCuts(g, poll)
+	if err != nil {
+		return nil, err
+	}
 	total := 1 + g.NumPI() + g.NumNodes()
 	div := make([]float64, total)
 	for i, f := range g.FanoutCounts() {
@@ -448,7 +473,7 @@ func Map(g *aig.Graph, lib *celllib.Library, mode Mode) (*Result, error) {
 	}
 	var bestRes *Result
 	for r := 0; r < rounds; r++ {
-		cands, err := runDP(g, lib, mt, cuts, mode, div)
+		cands, err := runDP(g, lib, mt, cuts, mode, div, poll)
 		if err != nil {
 			return nil, err
 		}
@@ -484,7 +509,7 @@ func Map(g *aig.Graph, lib *celllib.Library, mode Mode) (*Result, error) {
 
 // runDP computes the best candidate per (node, phase) with the given
 // fanout divisors.
-func runDP(g *aig.Graph, lib *celllib.Library, mt *matcher, cuts [][]cut, mode Mode, div []float64) ([][2]cand, error) {
+func runDP(g *aig.Graph, lib *celllib.Library, mt *matcher, cuts [][]cut, mode Mode, div []float64, poll func() error) ([][2]cand, error) {
 	total := 1 + g.NumPI() + g.NumNodes()
 	inv := lib.Inv
 
@@ -494,6 +519,9 @@ func runDP(g *aig.Graph, lib *celllib.Library, mt *matcher, cuts [][]cut, mode M
 		best[i][1] = cand{valid: true, viaInv: true, arrival: inv.Delay, flow: inv.Area}
 	}
 	for i := g.NumPI() + 1; i < total; i++ {
+		if err := checkPoll(poll, i); err != nil {
+			return nil, err
+		}
 		for _, c := range cuts[i] {
 			k := len(c.leaves)
 			for phase := 0; phase < 2; phase++ {

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -312,5 +313,32 @@ func BenchmarkMapArea(b *testing.B) {
 		if _, err := Map(g, lib, Area); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// MapInterruptible aborts with the poll's error, and with a poll that
+// never fires maps exactly as Map does.
+func TestMapInterruptible(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(16)), 8, 2000, 64)
+	lib := celllib.Generic70()
+	stop := errors.New("stop")
+	if _, err := MapInterruptible(g, lib, Area, func() error { return stop }); !errors.Is(err, stop) {
+		t.Fatalf("interrupted map returned %v, want %v", err, stop)
+	}
+	want, err := Map(g, lib, Area)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	got, err := MapInterruptible(g, lib, Area, func() error { polls++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls < 2 {
+		t.Fatalf("%d polls over a %d-node graph", polls, g.NumNodes())
+	}
+	if got.Area != want.Area || got.DelayPs != want.DelayPs || got.GateCount() != want.GateCount() {
+		t.Fatalf("polled map differs: area %v/%v delay %v/%v gates %d/%d",
+			got.Area, want.Area, got.DelayPs, want.DelayPs, got.GateCount(), want.GateCount())
 	}
 }

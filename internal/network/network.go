@@ -71,11 +71,22 @@ func (nw *Network) AddPO(s int) {
 // cut-based covering that minimizes node count, then materializes each
 // chosen cone as an SOP node. PO polarity is folded into dedicated nodes.
 func FromAIG(g *aig.Graph, k int) (*Network, error) {
+	return FromAIGInterruptible(g, k, nil)
+}
+
+// FromAIGInterruptible is FromAIG with a cooperative cancellation hook:
+// poll (nil = never) is checked every pollStride nodes of the cut
+// enumeration and of the area-flow pass, and before each PO's cone is
+// built; a non-nil return aborts the clustering with that error.
+func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, error) {
 	if k < 2 || k > MaxFanins {
 		return nil, fmt.Errorf("network: k %d outside [2,%d]", k, MaxFanins)
 	}
 	total := 1 + g.NumPI() + g.NumNodes()
-	cuts := enumerateCuts(g, k)
+	cuts, err := enumerateCuts(g, k, poll)
+	if err != nil {
+		return nil, err
+	}
 
 	// Area-flow DP: cost of implementing each AND node as one SOP node.
 	type choice struct {
@@ -85,6 +96,9 @@ func FromAIG(g *aig.Graph, k int) (*Network, error) {
 	chosen := make([]choice, total)
 	fo := g.FanoutCounts()
 	for i := g.NumPI() + 1; i < total; i++ {
+		if err := checkPoll(poll, i); err != nil {
+			return nil, err
+		}
 		best := choice{flow: -1}
 		for _, c := range cuts[i] {
 			fl := 1.0
@@ -134,6 +148,11 @@ func FromAIG(g *aig.Graph, k int) (*Network, error) {
 	}
 
 	for i := 0; i < g.NumPO(); i++ {
+		if poll != nil {
+			if err := poll(); err != nil {
+				return nil, err
+			}
+		}
 		l := g.PO(i)
 		switch {
 		case l == aig.ConstFalse:
@@ -166,7 +185,7 @@ func FromAIG(g *aig.Graph, k int) (*Network, error) {
 
 // enumerateCuts returns per-AND-node k-feasible cuts (trivial cut
 // included so parents can stop at any node).
-func enumerateCuts(g *aig.Graph, k int) [][][]int {
+func enumerateCuts(g *aig.Graph, k int, poll func() error) ([][][]int, error) {
 	total := 1 + g.NumPI() + g.NumNodes()
 	const maxCuts = 10
 	cuts := make([][][]int, total)
@@ -174,6 +193,9 @@ func enumerateCuts(g *aig.Graph, k int) [][][]int {
 		cuts[i] = [][]int{{i}}
 	}
 	for i := g.NumPI() + 1; i < total; i++ {
+		if err := checkPoll(poll, i); err != nil {
+			return nil, err
+		}
 		f0, f1 := g.Fanins(i)
 		seen := map[string]bool{}
 		var cs [][]int
@@ -212,7 +234,19 @@ func enumerateCuts(g *aig.Graph, k int) [][][]int {
 		}
 		cuts[i] = cs
 	}
-	return cuts
+	return cuts, nil
+}
+
+// pollStride is how many AIG nodes the per-node passes visit between
+// polls.
+const pollStride = 256
+
+// checkPoll calls poll (nil = never) once every pollStride nodes.
+func checkPoll(poll func() error, node int) error {
+	if poll == nil || node%pollStride != 0 {
+		return nil
+	}
+	return poll()
 }
 
 func mergeSorted(a, b []int, k int) []int {
@@ -474,7 +508,7 @@ func (nw *Network) CompleteConventionalAll() error {
 // completeConventional spends remaining DCs via espresso and returns the
 // completely specified table.
 func completeConventional(spec *tt.Function) *bitset.Set {
-	cov := espresso.Minimize(spec.OnCover(0), spec.DCCover(0))
+	cov, _ := espresso.MinimizeSets(spec.NumIn, spec.Outs[0].On, spec.Outs[0].DC, nil) // nil poll: no error
 	table := bitset.New(spec.Size())
 	for m := 0; m < spec.Size(); m++ {
 		if cov.ContainsMinterm(uint(m)) {
@@ -538,18 +572,15 @@ func (nw *Network) InputErrorRate() float64 {
 func (nw *Network) TotalLiterals() int {
 	total := 0
 	for _, nd := range nw.Nodes {
-		cov := espresso.Minimize(tableCover(nd), nil)
+		cov := nd.MinCover()
 		total += cov.LiteralCount()
 	}
 	return total
 }
 
-func tableCover(nd Node) *cube.Cover {
-	cv := cube.NewCover(nd.NumIn())
-	nd.Table.ForEach(func(m int) { cv.Add(cube.FromMinterm(nd.NumIn(), uint(m))) })
-	return cv
+// MinCover returns the espresso-minimized cover of the node's on-set
+// over its local inputs.
+func (nd Node) MinCover() *cube.Cover {
+	cov, _ := espresso.MinimizeSets(nd.NumIn(), nd.Table, nil, nil) // nil poll: no error
+	return cov
 }
-
-// OnCover returns the node's on-set as a cover of minterm cubes over its
-// local inputs.
-func (nd Node) OnCover() *cube.Cover { return tableCover(nd) }

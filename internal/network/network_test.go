@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -242,5 +243,30 @@ func TestTotalLiteralsPositive(t *testing.T) {
 	}
 	if nw.NumNodes() > 0 && nw.TotalLiterals() <= 0 {
 		t.Fatal("TotalLiterals should be positive for nonempty network")
+	}
+}
+
+// FromAIGInterruptible aborts with the poll's error, and with a poll
+// that never fires clusters exactly as FromAIG does.
+func TestFromAIGInterruptible(t *testing.T) {
+	g := synthAIG(t, rand.New(rand.NewSource(16)), 10, 6)
+	stop := errors.New("stop")
+	if _, err := network.FromAIGInterruptible(g, 6, func() error { return stop }); !errors.Is(err, stop) {
+		t.Fatalf("interrupted clustering returned %v, want %v", err, stop)
+	}
+	want, err := network.FromAIG(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	got, err := network.FromAIGInterruptible(g, 6, func() error { polls++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls < 2 {
+		t.Fatalf("%d polls over a %d-node graph", polls, g.NumNodes())
+	}
+	if len(got.Nodes) != len(want.Nodes) || !got.POFunction().Equal(want.POFunction()) {
+		t.Fatalf("polled clustering differs: %d vs %d nodes", len(got.Nodes), len(want.Nodes))
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"relsyn/internal/core"
 	"relsyn/internal/cube"
-	"relsyn/internal/espresso"
 	"relsyn/internal/obs"
 	"relsyn/internal/sat"
 	"relsyn/internal/tt"
@@ -156,7 +155,7 @@ func (x *dcExtractor) cover(ni int) *cube.Cover {
 	if c, ok := x.covers[ni]; ok {
 		return c
 	}
-	c := espresso.Minimize(x.nw.Nodes[ni].OnCover(), nil)
+	c := x.nw.Nodes[ni].MinCover()
 	x.covers[ni] = c
 	return c
 }
@@ -366,7 +365,7 @@ func (c *cnf) xor(d, a, b sat.Lit) {
 // encodeSOP emits clauses defining a fresh variable as the node's SOP
 // over ref(fanin) literals and returns that variable.
 func (c *cnf) encodeSOP(nd Node, ref func(int) sat.Lit) int {
-	return c.encodeCover(espresso.Minimize(tableCover(nd), nil), nd.Fanins, ref)
+	return c.encodeCover(nd.MinCover(), nd.Fanins, ref)
 }
 
 // encodeCover is encodeSOP for a pre-minimized cover, letting callers

@@ -15,6 +15,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(".i 4\n.o 1\n.p 2\n0101 1\n111- ~\n")
 	f.Add("# comment only\n")
 	f.Add(".i 3\n.o 1\n011010")
+	f.Add(".i 33\n.o 1\n" + strings.Repeat("1", 33) + " 1\n.e\n") // wider than a cube
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := Parse(strings.NewReader(src))
 		if err != nil {

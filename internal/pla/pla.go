@@ -95,6 +95,11 @@ func (f *File) directive(fields []string) error {
 		if err != nil {
 			return err
 		}
+		if n > cube.MaxVars {
+			// Every row becomes a cube, so the width is bounded here,
+			// before any row is read.
+			return fmt.Errorf(".i %d exceeds the %d-input cube limit", n, cube.MaxVars)
+		}
 		f.NumIn = n
 	case ".o":
 		n, err := parsePositive(fields, ".o")

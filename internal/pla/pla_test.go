@@ -2,10 +2,12 @@ package pla
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"relsyn/internal/cube"
 	"relsyn/internal/tt"
 )
 
@@ -51,11 +53,26 @@ func TestParseErrors(t *testing.T) {
 		"011 1\n",                // cube before header
 		".i 3\n011 1\n",          // missing .o
 		".i 3\n.o 1\n.type xy\n", // bad type
+		".i 33\n.o 1\n",          // wider than a cube
 	}
 	for _, src := range cases {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("no error for %q", src)
 		}
+	}
+}
+
+// A header wider than cube.MaxVars is refused before any row becomes a
+// cube; the widest admitted header still parses its rows.
+func TestParseBoundsInputWidth(t *testing.T) {
+	wide := fmt.Sprintf(".i %d\n.o 1\n%s 1\n.e\n", cube.MaxVars+1, strings.Repeat("1", cube.MaxVars+1))
+	_, err := Parse(strings.NewReader(wide))
+	if err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("wide header: err = %v, want a line-1 error", err)
+	}
+	top := fmt.Sprintf(".i %d\n.o 1\n%s 1\n.e\n", cube.MaxVars, strings.Repeat("-", cube.MaxVars))
+	if f, err := Parse(strings.NewReader(top)); err != nil || len(f.Rows) != 1 {
+		t.Fatalf(".i %d: %v", cube.MaxVars, err)
 	}
 }
 

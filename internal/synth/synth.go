@@ -25,9 +25,7 @@ import (
 	"fmt"
 
 	"relsyn/internal/aig"
-	"relsyn/internal/bitset"
 	"relsyn/internal/celllib"
-	"relsyn/internal/cube"
 	"relsyn/internal/espresso"
 	"relsyn/internal/factor"
 	"relsyn/internal/mapper"
@@ -162,7 +160,7 @@ func Synthesize(f *tt.Function, opt Options) (*Result, error) {
 		if err := opt.check(); err != nil {
 			return err
 		}
-		cov, err := espresso.MinimizeInterruptible(f.OnCover(o), f.DCCover(o), opt.Interrupt)
+		cov, err := espresso.MinimizeSets(f.NumIn, f.Outs[o].On, f.Outs[o].DC, opt.Interrupt)
 		if err != nil {
 			return err
 		}
@@ -204,7 +202,7 @@ func Synthesize(f *tt.Function, opt Options) (*Result, error) {
 	if opt.Objective == OptimizeDelay {
 		mode = mapper.Delay
 	}
-	net, err := mapper.Map(g, lib, mode)
+	net, err := mapper.MapInterruptible(g, lib, mode, opt.Interrupt)
 	if err != nil {
 		return nil, fmt.Errorf("synth: %w", err)
 	}
@@ -275,7 +273,7 @@ func refactorPoll(g *aig.Graph, poll func() error, parallelism int) (*aig.Graph,
 	exprs := make([]*factor.Expr, g.NumPO())
 	err := par.Do(context.Background(), parallelism, g.NumPO(), func(o int) error {
 		table := g.LitTable(tts, g.PO(o))
-		cov, err := espresso.MinimizeInterruptible(coverFromBits(n, table), nil, poll)
+		cov, err := espresso.MinimizeSets(n, table, nil, poll)
 		if err != nil {
 			return err
 		}
@@ -296,12 +294,6 @@ func refactorPoll(g *aig.Graph, poll func() error, parallelism int) (*aig.Graph,
 	return out, nil
 }
 
-func coverFromBits(n int, s *bitset.Set) *cube.Cover {
-	cv := cube.NewCover(n)
-	s.ForEach(func(m int) { cv.Add(cube.FromMinterm(n, uint(m))) })
-	return cv
-}
-
 // ResynNodes re-synthesizes the graph at node granularity — the
 // renode-style analogue of ABC's refactor: cluster into k-feasible SOP
 // nodes, minimize and factor each node's completely specified local
@@ -316,13 +308,14 @@ func ResynNodes(g *aig.Graph, k int) (*aig.Graph, error) {
 // the node's own truth table, so the expensive phase fans out; the
 // fanin-ordered graph composition stays sequential for determinism.
 func resynNodesPoll(g *aig.Graph, k int, poll func() error, parallelism int) (*aig.Graph, error) {
-	nw, err := network.FromAIG(g, k)
+	nw, err := network.FromAIGInterruptible(g, k, poll)
 	if err != nil {
 		return nil, err
 	}
 	exprs := make([]*factor.Expr, len(nw.Nodes))
 	err = par.Do(context.Background(), parallelism, len(nw.Nodes), func(ni int) error {
-		cov, err := espresso.MinimizeInterruptible(nw.Nodes[ni].OnCover(), nil, poll)
+		nd := nw.Nodes[ni]
+		cov, err := espresso.MinimizeSets(nd.NumIn(), nd.Table, nil, poll)
 		if err != nil {
 			return err
 		}
