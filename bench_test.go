@@ -18,7 +18,9 @@ import (
 	"testing"
 
 	"relsyn/client"
+	"relsyn/internal/aig"
 	"relsyn/internal/benchmarks"
+	"relsyn/internal/celllib"
 	"relsyn/internal/census"
 	"relsyn/internal/cluster"
 	"relsyn/internal/complexity"
@@ -29,6 +31,7 @@ import (
 	"relsyn/internal/experiments"
 	"relsyn/internal/factor"
 	"relsyn/internal/fleet"
+	"relsyn/internal/mapper"
 	"relsyn/internal/metatest"
 	"relsyn/internal/obs"
 	"relsyn/internal/reliability"
@@ -445,6 +448,37 @@ func BenchmarkFactorSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cov := range covs {
 			factor.GoodFactor(cov)
+		}
+	}
+}
+
+// BenchmarkMapSuite times the technology-mapping layer of the same pass:
+// mapper.Map in Area and in Delay mode on the balanced AIG synth builds
+// for each of the ten specs (espresso, GoodFactor, Cleanup, Balance),
+// built once outside the timer. It reports absolute ns/op and allocs/op.
+func BenchmarkMapSuite(b *testing.B) {
+	var gs []*aig.Graph
+	for _, f := range benchPaperSuite(b) {
+		g := aig.New(f.NumIn)
+		for o := range f.Outs {
+			cov, err := espresso.MinimizeSets(f.NumIn, f.Outs[o].On, f.Outs[o].DC, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.AddPO(g.FromExpr(factor.GoodFactor(cov)))
+		}
+		gs = append(gs, g.Cleanup().Balance())
+	}
+	lib := celllib.Generic70()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gs {
+			for _, mode := range []mapper.Mode{mapper.Area, mapper.Delay} {
+				if _, err := mapper.Map(g, lib, mode); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }

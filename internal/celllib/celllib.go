@@ -43,9 +43,16 @@ func tableOf(numIn int, fn func(r uint) bool) uint16 {
 
 func bit(r uint, i int) bool { return r>>uint(i)&1 == 1 }
 
-// Generic70 returns the default library. Delay and area scale with the
-// logical effort of each topology; XORs are the customary outliers.
-func Generic70() *Library {
+// generic70 is the one default library every caller shares.
+var generic70 = buildGeneric70()
+
+// Generic70 returns the default library, one shared immutable value:
+// callers must not modify it, and the mapper keys its per-library matcher
+// cache on the pointer. Delay and area scale with the logical effort of
+// each topology; XORs are the customary outliers.
+func Generic70() *Library { return generic70 }
+
+func buildGeneric70() *Library {
 	inv := Cell{Name: "INV", NumIn: 1, Table: tableOf(1, func(r uint) bool { return !bit(r, 0) }),
 		Area: 0.67, Delay: 18, InputCap: 1.0, Leakage: 0.4}
 	cells := []Cell{

@@ -10,10 +10,13 @@ package mapper
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"relsyn/internal/aig"
 	"relsyn/internal/celllib"
+	"relsyn/internal/kcut"
 )
 
 // Mode selects the optimization objective, mirroring the paper's
@@ -70,51 +73,112 @@ const (
 // match is one way to realize a specific function over cut leaves.
 type match struct {
 	cell    celllib.Cell
-	pinLeaf []int  // pinLeaf[pin] = leaf position the pin connects to
-	inNeg   []bool // pin polarity (true = leaf used complemented)
+	pinLeaf [maxCutLeaves]uint8 // pinLeaf[pin] = leaf position the pin connects to
+	inNeg   uint8               // bit pin set = leaf used complemented at that pin
 }
 
-// matcher indexes matches by arity and exact truth table over the leaves.
+// pinNeg returns the leaf phase pin reads (0 positive, 1 complemented).
+func (m *match) pinNeg(pin int) int { return int(m.inNeg >> uint(pin) & 1) }
+
+// matcher indexes matches by arity and exact truth table over the
+// leaves, in library cell order.
 type matcher struct {
-	byArity [maxCutLeaves + 1]map[uint16][]match
+	byArity [maxCutLeaves + 1]matchIndex
+}
+
+// matchIndex finds the matches of a k-leaf table in O(1) with a few KB
+// per arity: bit t of has is set when table t has matches, and the
+// matches of the i-th such table (in table order) are
+// matches[start[i]:start[i+1]]. rank[w] counts the set bits of
+// has[:w], so i is rank plus a popcount within the word.
+type matchIndex struct {
+	has     []uint64
+	rank    []uint32
+	start   []uint32
+	matches []match
+}
+
+// lookup returns the matches realizing table over k leaves (table holds
+// no bits above row 2^k-1).
+func (m *matcher) lookup(k int, table uint16) []match {
+	ix := &m.byArity[k]
+	w, b := table>>6, table&63
+	word := ix.has[w]
+	if word>>b&1 == 0 {
+		return nil
+	}
+	i := ix.rank[w] + uint32(bits.OnesCount64(word&(1<<b-1)))
+	return ix.matches[ix.start[i]:ix.start[i+1]]
+}
+
+// matchers caches one matcher per library. A Library is immutable, so a
+// matcher built on its first Map call serves every later call for the
+// life of the process, and callers mapping with different libraries
+// never see each other's entries. Entries are never evicted: a process
+// maps with a handful of libraries (in practice celllib.Generic70).
+var matchers = struct {
+	sync.Mutex
+	byLib map[*celllib.Library]*matcher
+}{byLib: map[*celllib.Library]*matcher{}}
+
+// matcherFor returns lib's matcher, building it on first use.
+func matcherFor(lib *celllib.Library) *matcher {
+	matchers.Lock()
+	defer matchers.Unlock()
+	m := matchers.byLib[lib]
+	if m == nil {
+		m = buildMatcher(lib)
+		matchers.byLib[lib] = m
+	}
+	return m
 }
 
 func buildMatcher(lib *celllib.Library) *matcher {
-	m := &matcher{}
+	var byArity [maxCutLeaves + 1]map[uint16][]match
 	for k := 1; k <= maxCutLeaves; k++ {
-		m.byArity[k] = make(map[uint16][]match)
+		byArity[k] = make(map[uint16][]match)
 	}
 	for _, cell := range lib.Cells {
 		k := cell.NumIn
 		if k > maxCutLeaves {
 			continue
 		}
-		perms := permutations(k)
 		type key struct {
 			table  uint16
 			negCnt int
 		}
-		seen := map[string]map[key]bool{}
-		if seen[cell.Name] == nil {
-			seen[cell.Name] = map[key]bool{}
-		}
-		for _, perm := range perms {
+		seen := map[key]bool{}
+		for _, perm := range permutations(k) {
 			for negMask := 0; negMask < 1<<uint(k); negMask++ {
 				table := permNegTable(cell.Table, perm, negMask, k)
-				negCnt := popcount(negMask)
-				kk := key{table, negCnt}
-				if seen[cell.Name][kk] {
+				kk := key{table, popcount(negMask)}
+				if seen[kk] {
 					continue
 				}
-				seen[cell.Name][kk] = true
-				pinLeaf := make([]int, k)
-				inNeg := make([]bool, k)
+				seen[kk] = true
+				mt := match{cell: cell, inNeg: uint8(negMask)}
 				for pin := 0; pin < k; pin++ {
-					pinLeaf[pin] = perm[pin]
-					inNeg[pin] = negMask>>uint(pin)&1 == 1
+					mt.pinLeaf[pin] = uint8(perm[pin])
 				}
-				m.byArity[k][table] = append(m.byArity[k][table],
-					match{cell: cell, pinLeaf: pinLeaf, inNeg: inNeg})
+				byArity[k][table] = append(byArity[k][table], mt)
+			}
+		}
+	}
+	m := &matcher{}
+	for k := 1; k <= maxCutLeaves; k++ {
+		ix := &m.byArity[k]
+		words := (1<<(1<<uint(k)) + 63) / 64
+		ix.has = make([]uint64, words)
+		ix.rank = make([]uint32, words)
+		ix.start = []uint32{0}
+		for t := 0; t < 1<<(1<<uint(k)); t++ {
+			if t%64 == 0 && t > 0 {
+				ix.rank[t/64] = uint32(len(ix.start) - 1)
+			}
+			if ms := byArity[k][uint16(t)]; len(ms) > 0 {
+				ix.has[t/64] |= 1 << uint(t%64)
+				ix.matches = append(ix.matches, ms...)
+				ix.start = append(ix.start, uint32(len(ix.matches)))
 			}
 		}
 	}
@@ -173,31 +237,43 @@ func popcount(x int) int {
 	return c
 }
 
-// cut is a set of leaves with the root's function over them.
+// cut is a set of at most maxCutLeaves leaves with the root's function
+// over them. It is a value: merging, normalizing, deduplicating and
+// copying cuts never allocates.
 type cut struct {
-	leaves []int // sorted AIG node indices
+	leaves kcut.Leaves // sorted AIG node indices
 	table  uint16
 }
 
+// trivialCut is {i} with the identity function.
+func trivialCut(i int) cut { return cut{leaves: kcut.Of(i), table: 0b10} }
+
 // enumerateCuts returns per-node cut sets (trivial cut excluded from the
-// returned matchable sets but used during merging).
+// returned matchable sets but used during merging). Every node's cuts
+// live in one backing array, so the returned sets stay put and the DP
+// can point into them.
 func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
 	total := 1 + g.NumPI() + g.NumNodes()
-	// withTrivial[i] includes {i}; cuts used for matching exclude it.
-	withTrivial := make([][]cut, total)
+	// Node i's cuts, its trivial cut {i} last, are all[start[i]:start[i+1]].
+	all := make([]cut, 0, 4*total)
+	start := make([]int, total+1)
 	for i := 1; i <= g.NumPI(); i++ {
-		withTrivial[i] = []cut{{leaves: []int{i}, table: 0b10}}
+		start[i] = len(all)
+		all = append(all, trivialCut(i))
 	}
+	var cands []cut
 	for i := g.NumPI() + 1; i < total; i++ {
 		if err := checkPoll(poll, i); err != nil {
 			return nil, err
 		}
+		start[i] = len(all)
 		f0, f1 := g.Fanins(i)
-		var cs []cut
-		for _, c0 := range withTrivial[f0.Node()] {
-			for _, c1 := range withTrivial[f1.Node()] {
-				leaves := mergeLeaves(c0.leaves, c1.leaves)
-				if leaves == nil {
+		n0, n1 := f0.Node(), f1.Node()
+		cands = cands[:0]
+		for _, c0 := range all[start[n0]:start[n0+1]] {
+			for _, c1 := range all[start[n1]:start[n1+1]] {
+				leaves, ok := kcut.Merge(c0.leaves, c1.leaves, maxCutLeaves)
+				if !ok {
 					continue
 				}
 				t0 := expandTable(c0.table, c0.leaves, leaves)
@@ -208,22 +284,16 @@ func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
 				if f1.Compl() {
 					t1 = ^t1
 				}
-				table := t0 & t1 & rowMask(len(leaves))
-				cs = append(cs, normalizeCut(cut{leaves: leaves, table: table}))
+				table := t0 & t1 & rowMask(leaves.Len())
+				cands = append(cands, normalizeCut(cut{leaves: leaves, table: table}))
 			}
 		}
-		cs = filterCuts(cs)
-		withTrivial[i] = append(cs, cut{leaves: []int{i}, table: 0b10})
+		all = append(filterCuts(cands, all), trivialCut(i))
 	}
+	start[total] = len(all)
 	out := make([][]cut, total)
-	for i := range withTrivial {
-		var cs []cut
-		for _, c := range withTrivial[i] {
-			if !(len(c.leaves) == 1 && c.leaves[0] == i) {
-				cs = append(cs, c)
-			}
-		}
-		out[i] = cs
+	for i := g.NumPI() + 1; i < total; i++ {
+		out[i] = all[start[i] : start[i+1]-1 : start[i+1]-1]
 	}
 	return out, nil
 }
@@ -246,50 +316,17 @@ func rowMask(k int) uint16 {
 	return uint16(1)<<uint(1<<uint(k)) - 1
 }
 
-// mergeLeaves unions two sorted leaf lists, returning nil when the union
-// exceeds maxCutLeaves.
-func mergeLeaves(a, b []int) []int {
-	out := make([]int, 0, maxCutLeaves)
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v int
-		switch {
-		case i >= len(a):
-			v = b[j]
-			j++
-		case j >= len(b):
-			v = a[i]
-			i++
-		case a[i] < b[j]:
-			v = a[i]
-			i++
-		case a[i] > b[j]:
-			v = b[j]
-			j++
-		default:
-			v = a[i]
-			i++
-			j++
-		}
-		if len(out) == maxCutLeaves {
-			return nil
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // expandTable re-expresses a table over oldLeaves as a table over
 // newLeaves (a superset).
-func expandTable(t uint16, oldLeaves, newLeaves []int) uint16 {
-	pos := make([]int, len(oldLeaves))
-	for i, l := range oldLeaves {
-		pos[i] = indexOf(newLeaves, l)
+func expandTable(t uint16, oldLeaves, newLeaves kcut.Leaves) uint16 {
+	var pos [maxCutLeaves]int
+	for i := 0; i < oldLeaves.Len(); i++ {
+		pos[i] = newLeaves.Index(oldLeaves.At(i))
 	}
 	var out uint16
-	for row := uint(0); row < 1<<uint(len(newLeaves)); row++ {
+	for row := uint(0); row < 1<<uint(newLeaves.Len()); row++ {
 		var oldRow uint
-		for i := range oldLeaves {
+		for i := 0; i < oldLeaves.Len(); i++ {
 			if row>>uint(pos[i])&1 == 1 {
 				oldRow |= 1 << uint(i)
 			}
@@ -301,35 +338,26 @@ func expandTable(t uint16, oldLeaves, newLeaves []int) uint16 {
 	return out
 }
 
-func indexOf(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	panic("mapper: leaf not found")
-}
-
 // normalizeCut removes leaves outside the function's support.
 func normalizeCut(c cut) cut {
-	k := len(c.leaves)
-	var kept []int
+	k := c.leaves.Len()
+	var kept [maxCutLeaves]int
+	nk := 0
+	var keptMask uint
 	for i := 0; i < k; i++ {
 		if dependsOn(c.table, i, k) {
-			kept = append(kept, i)
+			kept[nk] = i
+			nk++
+			keptMask |= 1 << uint(i)
 		}
 	}
-	if len(kept) == k {
+	if nk == k {
 		return c
 	}
-	newLeaves := make([]int, len(kept))
-	for i, old := range kept {
-		newLeaves[i] = c.leaves[old]
-	}
 	var nt uint16
-	for row := uint(0); row < 1<<uint(len(kept)); row++ {
+	for row := uint(0); row < 1<<uint(nk); row++ {
 		var oldRow uint
-		for i, old := range kept {
+		for i, old := range kept[:nk] {
 			if row>>uint(i)&1 == 1 {
 				oldRow |= 1 << uint(old)
 			}
@@ -338,7 +366,7 @@ func normalizeCut(c cut) cut {
 			nt |= 1 << row
 		}
 	}
-	return cut{leaves: newLeaves, table: nt}
+	return cut{leaves: c.leaves.Select(keptMask), table: nt}
 }
 
 func dependsOn(t uint16, v, k int) bool {
@@ -353,77 +381,53 @@ func dependsOn(t uint16, v, k int) bool {
 	return false
 }
 
-// filterCuts deduplicates, removes dominated cuts (supersets of another
-// cut), and keeps the best few by leaf count.
-func filterCuts(cs []cut) []cut {
-	// Dedup by leaf signature (same leaves imply same table for a fixed
-	// root function).
-	seen := map[string]bool{}
-	var uniq []cut
+// filterCuts appends to out the cuts of cs worth keeping: it drops
+// constant-function cuts, duplicates (same leaves imply same table for a
+// fixed root function) and dominated cuts (strict supersets of another
+// cut), then keeps the best maxCutsPer by kcut.Compare — leaf count, then
+// the printed-order tie-break the golden answers were produced with. cs
+// is reordered in place.
+func filterCuts(cs []cut, out []cut) []cut {
+	uniq := cs[:0]
 	for _, c := range cs {
-		if len(c.leaves) == 0 {
-			continue // constant function cut: unusable for matching
-		}
-		key := fmt.Sprint(c.leaves)
-		if seen[key] {
+		if c.leaves.Len() == 0 || slices.ContainsFunc(uniq, func(u cut) bool { return u.leaves == c.leaves }) {
 			continue
 		}
-		seen[key] = true
 		uniq = append(uniq, c)
 	}
-	// Dominance: drop c if another cut's leaves are a strict subset.
-	var kept []cut
+	base := len(out)
 	for i, c := range uniq {
 		dominated := false
 		for j, d := range uniq {
-			if i == j {
-				continue
-			}
-			if len(d.leaves) < len(c.leaves) && subsetOf(d.leaves, c.leaves) {
+			if i != j && d.leaves.Len() < c.leaves.Len() && d.leaves.SubsetOf(c.leaves) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			kept = append(kept, c)
+			out = append(out, c)
 		}
 	}
-	sort.SliceStable(kept, func(i, j int) bool {
-		if len(kept[i].leaves) != len(kept[j].leaves) {
-			return len(kept[i].leaves) < len(kept[j].leaves)
-		}
-		return fmt.Sprint(kept[i].leaves) < fmt.Sprint(kept[j].leaves)
-	})
+	kept := out[base:]
+	slices.SortFunc(kept, func(a, b cut) int { return kcut.Compare(a.leaves, b.leaves) })
 	if len(kept) > maxCutsPer {
-		kept = kept[:maxCutsPer]
+		out = out[:base+maxCutsPer]
 	}
-	return kept
+	return out
 }
 
-func subsetOf(a, b []int) bool {
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j >= len(b) || b[j] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// cand is the best implementation found for one (node, phase).
+// cand is the best implementation found for one (node, phase). cut and m
+// point into the node's cut set and the library's matcher.
 type cand struct {
 	arrival float64
 	flow    float64
+	cut     *cut
+	m       *match
 	viaInv  bool
-	cut     cut
-	m       match
 	valid   bool
 }
 
-func better(a, b cand, mode Mode) bool {
+func better(a, b *cand, mode Mode) bool {
 	if !b.valid {
 		return true
 	}
@@ -454,7 +458,7 @@ func Map(g *aig.Graph, lib *celllib.Library, mode Mode) (*Result, error) {
 // and of each covering round, and a non-nil return aborts the mapping
 // with that error. The successful result is identical to Map's.
 func MapInterruptible(g *aig.Graph, lib *celllib.Library, mode Mode, poll func() error) (*Result, error) {
-	mt := buildMatcher(lib)
+	mt := matcherFor(lib)
 	cuts, err := enumerateCuts(g, poll)
 	if err != nil {
 		return nil, err
@@ -471,13 +475,15 @@ func MapInterruptible(g *aig.Graph, lib *celllib.Library, mode Mode, poll func()
 	if mode == Area {
 		rounds = 3
 	}
+	probs := nodeProbabilities(g)
+	refs := make([]float64, total)
 	var bestRes *Result
 	for r := 0; r < rounds; r++ {
 		cands, err := runDP(g, lib, mt, cuts, mode, div, poll)
 		if err != nil {
 			return nil, err
 		}
-		res, err := extract(g, lib, cands)
+		res, err := extract(g, lib, cands, probs)
 		if err != nil {
 			return nil, err
 		}
@@ -487,7 +493,7 @@ func MapInterruptible(g *aig.Graph, lib *celllib.Library, mode Mode, poll func()
 			bestRes = res
 		}
 		// Refine divisors with the actual reference counts of this cover.
-		refs := make([]float64, total)
+		clear(refs)
 		for _, gt := range res.Gates {
 			for _, in := range gt.Inputs {
 				refs[in.Node]++
@@ -522,23 +528,24 @@ func runDP(g *aig.Graph, lib *celllib.Library, mt *matcher, cuts [][]cut, mode M
 		if err := checkPoll(poll, i); err != nil {
 			return nil, err
 		}
-		for _, c := range cuts[i] {
-			k := len(c.leaves)
+		bi := &best[i]
+		cs := cuts[i]
+		for ci := range cs {
+			c := &cs[ci]
+			k := c.leaves.Len()
 			for phase := 0; phase < 2; phase++ {
 				table := c.table
 				if phase == 1 {
 					table = ^table & rowMask(k)
 				}
-				for _, m := range mt.byArity[k][table] {
-					cd := cand{valid: true, cut: c, m: m, flow: m.cell.Area, arrival: 0}
+				ms := mt.lookup(k, table)
+				for mi := range ms {
+					m := &ms[mi]
+					cd := cand{valid: true, cut: c, m: m, flow: m.cell.Area}
 					feasible := true
 					for pin := 0; pin < k; pin++ {
-						leaf := c.leaves[m.pinLeaf[pin]]
-						ph := 0
-						if m.inNeg[pin] {
-							ph = 1
-						}
-						lb := best[leaf][ph]
+						leaf := c.leaves.At(int(m.pinLeaf[pin]))
+						lb := &best[leaf][m.pinNeg(pin)]
 						if !lb.valid {
 							feasible = false
 							break
@@ -552,8 +559,8 @@ func runDP(g *aig.Graph, lib *celllib.Library, mt *matcher, cuts [][]cut, mode M
 						continue
 					}
 					cd.arrival += m.cell.Delay
-					if better(cd, best[i][phase], mode) {
-						best[i][phase] = cd
+					if better(&cd, &bi[phase], mode) {
+						bi[phase] = cd
 					}
 				}
 			}
@@ -561,52 +568,64 @@ func runDP(g *aig.Graph, lib *celllib.Library, mt *matcher, cuts [][]cut, mode M
 		// Inverter repair, both directions, two rounds for stability.
 		for round := 0; round < 2; round++ {
 			for phase := 0; phase < 2; phase++ {
-				other := best[i][1-phase]
+				other := &bi[1-phase]
 				if !other.valid {
 					continue
 				}
 				cd := cand{valid: true, viaInv: true,
 					arrival: other.arrival + inv.Delay, flow: other.flow + inv.Area}
-				if better(cd, best[i][phase], mode) {
-					best[i][phase] = cd
+				if better(&cd, &bi[phase], mode) {
+					bi[phase] = cd
 				}
 			}
 		}
-		if !best[i][0].valid || !best[i][1].valid {
+		if !bi[0].valid || !bi[1].valid {
 			return nil, fmt.Errorf("mapper: node %d unmatchable in some phase", i)
 		}
 	}
 	return best, nil
 }
 
+// netIndex addresses per-net slices: node-major, positive phase first —
+// the order the power sum walks nets in.
+func netIndex(n Net) int {
+	if n.Neg {
+		return 2*n.Node + 1
+	}
+	return 2 * n.Node
+}
+
+// netState is extract's bookkeeping for one net.
+type netState struct {
+	arrival float64
+	load    float64 // input capacitance the net drives
+	emitted bool
+	loaded  bool // drives a gate input or a primary output
+}
+
 // extract walks required nets from the POs, emits gates, and computes
-// area/delay/power.
-func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand) (*Result, error) {
+// area/delay/power. probs[node] is the node's signal probability.
+func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand, probs []float64) (*Result, error) {
 	res := &Result{CellCounts: map[string]int{}}
-	emitted := map[Net]bool{}
-	arrival := map[Net]float64{}
+	nets := make([]netState, 2*len(best))
 	inv := lib.Inv
 
 	var emit func(net Net) error
 	emit = func(net Net) error {
-		if emitted[net] {
+		s := &nets[netIndex(net)]
+		if s.emitted {
 			return nil
 		}
-		emitted[net] = true
-		if net.Node == 0 {
-			// Constant net: no gate; arrival 0.
-			arrival[net] = 0
-			return nil
-		}
-		if net.Node <= g.NumPI() && !net.Neg {
-			arrival[net] = 0
+		s.emitted = true
+		if net.Node == 0 || (net.Node <= g.NumPI() && !net.Neg) {
+			// Constant or primary input net: no gate; arrival 0.
 			return nil
 		}
 		phase := 0
 		if net.Neg {
 			phase = 1
 		}
-		b := best[net.Node][phase]
+		b := &best[net.Node][phase]
 		if !b.valid {
 			return fmt.Errorf("mapper: no implementation for net %+v", net)
 		}
@@ -617,25 +636,26 @@ func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand) (*Result, error
 			}
 			res.Gates = append(res.Gates, Gate{Cell: inv, Inputs: []Net{src}, Output: net})
 			res.CellCounts[inv.Name]++
-			arrival[net] = arrival[src] + inv.Delay
+			s.arrival = nets[netIndex(src)].arrival + inv.Delay
 			return nil
 		}
-		ins := make([]Net, len(b.m.pinLeaf))
+		k := b.m.cell.NumIn
+		ins := make([]Net, k)
 		worst := 0.0
-		for pin := range b.m.pinLeaf {
-			leaf := b.cut.leaves[b.m.pinLeaf[pin]]
-			in := Net{Node: leaf, Neg: b.m.inNeg[pin]}
+		for pin := 0; pin < k; pin++ {
+			leaf := b.cut.leaves.At(int(b.m.pinLeaf[pin]))
+			in := Net{Node: leaf, Neg: b.m.pinNeg(pin) == 1}
 			if err := emit(in); err != nil {
 				return err
 			}
 			ins[pin] = in
-			if arrival[in] > worst {
-				worst = arrival[in]
+			if a := nets[netIndex(in)].arrival; a > worst {
+				worst = a
 			}
 		}
 		res.Gates = append(res.Gates, Gate{Cell: b.m.cell, Inputs: ins, Output: net})
 		res.CellCounts[b.m.cell.Name]++
-		arrival[net] = worst + b.m.cell.Delay
+		s.arrival = worst + b.m.cell.Delay
 		return nil
 	}
 
@@ -643,10 +663,6 @@ func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand) (*Result, error
 	for i := 0; i < g.NumPO(); i++ {
 		l := g.PO(i)
 		net := Net{Node: l.Node(), Neg: l.Compl()}
-		if l.Node() == 0 {
-			// Constant PO: normalize to the constant net with its phase.
-			net = Net{Node: 0, Neg: l.Compl()}
-		}
 		if err := emit(net); err != nil {
 			return nil, err
 		}
@@ -660,34 +676,34 @@ func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand) (*Result, error
 		res.Power += gt.Cell.Leakage * 0.01 // leakage contribution (scaled)
 	}
 	for _, net := range poNets {
-		if a := arrival[net]; a > res.DelayPs {
+		if a := nets[netIndex(net)].arrival; a > res.DelayPs {
 			res.DelayPs = a
 		}
 	}
-	// Dynamic power: activity × capacitive load per net.
-	probs := netProbabilities(g)
-	load := map[Net]float64{}
+	// Dynamic power: activity × capacitive load per net, summed in net
+	// index order.
 	for _, gt := range res.Gates {
 		for _, in := range gt.Inputs {
-			load[in] += gt.Cell.InputCap
+			s := &nets[netIndex(in)]
+			s.load += gt.Cell.InputCap
+			s.loaded = true
 		}
 	}
 	for _, net := range poNets {
-		load[net] += poCap
+		s := &nets[netIndex(net)]
+		s.load += poCap
+		s.loaded = true
 	}
-	nets := make([]Net, 0, len(load))
-	for net := range load {
-		nets = append(nets, net)
-	}
-	sort.Slice(nets, func(i, j int) bool {
-		if nets[i].Node != nets[j].Node {
-			return nets[i].Node < nets[j].Node
+	for i := range nets {
+		s := &nets[i]
+		if !s.loaded {
+			continue
 		}
-		return !nets[i].Neg && nets[j].Neg
-	})
-	for _, net := range nets {
-		p := probs(net)
-		res.Power += 2 * p * (1 - p) * (load[net] + wireCap)
+		p := probs[i/2]
+		if i%2 == 1 {
+			p = 1 - p
+		}
+		res.Power += 2 * p * (1 - p) * (s.load + wireCap)
 	}
 	if math.IsNaN(res.Power) {
 		return nil, fmt.Errorf("mapper: power computation produced NaN")
@@ -695,16 +711,14 @@ func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand) (*Result, error
 	return res, nil
 }
 
-// netProbabilities returns a closure giving each net's signal probability
-// from exhaustive simulation.
-func netProbabilities(g *aig.Graph) func(Net) float64 {
+// nodeProbabilities returns each node's signal probability (positive
+// phase) from exhaustive simulation.
+func nodeProbabilities(g *aig.Graph) []float64 {
 	tts := g.NodeTruthTables()
 	size := float64(int(1) << uint(g.NumPI()))
-	return func(n Net) float64 {
-		p := float64(tts[n.Node].Count()) / size
-		if n.Neg {
-			p = 1 - p
-		}
-		return p
+	probs := make([]float64, len(tts))
+	for i, t := range tts {
+		probs[i] = float64(t.Count()) / size
 	}
+	return probs
 }

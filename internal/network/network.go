@@ -17,13 +17,14 @@ package network
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"relsyn/internal/aig"
 	"relsyn/internal/bitset"
 	"relsyn/internal/core"
 	"relsyn/internal/cube"
 	"relsyn/internal/espresso"
+	"relsyn/internal/kcut"
 	"relsyn/internal/tt"
 )
 
@@ -90,7 +91,7 @@ func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, err
 
 	// Area-flow DP: cost of implementing each AND node as one SOP node.
 	type choice struct {
-		cut  []int
+		cut  kcut.Leaves
 		flow float64
 	}
 	chosen := make([]choice, total)
@@ -102,8 +103,8 @@ func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, err
 		best := choice{flow: -1}
 		for _, c := range cuts[i] {
 			fl := 1.0
-			for _, leaf := range c {
-				if leaf > g.NumPI() {
+			for j := 0; j < c.Len(); j++ {
+				if leaf := c.At(j); leaf > g.NumPI() {
 					d := float64(fo[leaf])
 					if d < 1 {
 						d = 1
@@ -131,16 +132,16 @@ func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, err
 		if s, ok := sigOf[andNode]; ok {
 			return s
 		}
-		c := chosen[andNode]
-		fanins := make([]int, len(c.cut))
-		for j, leaf := range c.cut {
+		leaves := chosen[andNode].cut.Ints()
+		fanins := make([]int, len(leaves))
+		for j, leaf := range leaves {
 			if leaf <= g.NumPI() {
 				fanins[j] = leaf - 1
 			} else {
 				fanins[j] = build(leaf)
 			}
 		}
-		table := coneTable(g, andNode, c.cut)
+		table := coneTable(g, andNode, leaves)
 		nw.Nodes = append(nw.Nodes, Node{Fanins: fanins, Table: table})
 		s := nw.NumPI + len(nw.Nodes) - 1
 		sigOf[andNode] = s
@@ -183,56 +184,51 @@ func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, err
 	return nw, nil
 }
 
-// enumerateCuts returns per-AND-node k-feasible cuts (trivial cut
-// included so parents can stop at any node).
-func enumerateCuts(g *aig.Graph, k int, poll func() error) ([][][]int, error) {
+// enumerateCuts returns each node's k-feasible cuts: {i} for a primary
+// input, and for an AND node its best maxCuts non-trivial cuts by
+// kcut.Compare — leaf count, then the printed-order tie-break the mapper
+// shares. The trivial cut {i} of an AND node only feeds its parents'
+// merges. Every node's cuts live in one backing array.
+func enumerateCuts(g *aig.Graph, k int, poll func() error) ([][]kcut.Leaves, error) {
 	total := 1 + g.NumPI() + g.NumNodes()
 	const maxCuts = 10
-	cuts := make([][][]int, total)
+	// Node i's cuts, its trivial cut {i} last, are all[start[i]:start[i+1]].
+	all := make([]kcut.Leaves, 0, 4*total)
+	start := make([]int, total+1)
 	for i := 1; i <= g.NumPI(); i++ {
-		cuts[i] = [][]int{{i}}
+		start[i] = len(all)
+		all = append(all, kcut.Of(i))
 	}
+	var cs []kcut.Leaves
 	for i := g.NumPI() + 1; i < total; i++ {
 		if err := checkPoll(poll, i); err != nil {
 			return nil, err
 		}
+		start[i] = len(all)
 		f0, f1 := g.Fanins(i)
-		seen := map[string]bool{}
-		var cs [][]int
-		for _, c0 := range cuts[f0.Node()] {
-			for _, c1 := range cuts[f1.Node()] {
-				merged := mergeSorted(c0, c1, k)
-				if merged == nil {
-					continue
+		n0, n1 := f0.Node(), f1.Node()
+		cs = cs[:0]
+		for _, c0 := range all[start[n0]:start[n0+1]] {
+			for _, c1 := range all[start[n1]:start[n1+1]] {
+				if merged, ok := kcut.Merge(c0, c1, k); ok && !slices.Contains(cs, merged) {
+					cs = append(cs, merged)
 				}
-				key := fmt.Sprint(merged)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				cs = append(cs, merged)
 			}
 		}
-		sort.SliceStable(cs, func(a, b int) bool {
-			if len(cs[a]) != len(cs[b]) {
-				return len(cs[a]) < len(cs[b])
-			}
-			return fmt.Sprint(cs[a]) < fmt.Sprint(cs[b])
-		})
+		slices.SortFunc(cs, kcut.Compare)
 		if len(cs) > maxCuts {
 			cs = cs[:maxCuts]
 		}
-		cuts[i] = append(cs, []int{i})
+		all = append(append(all, cs...), kcut.Of(i))
 	}
-	// Strip trivial self-cuts for the DP (they are only for parents).
-	for i := g.NumPI() + 1; i < total; i++ {
-		var cs [][]int
-		for _, c := range cuts[i] {
-			if !(len(c) == 1 && c[0] == i) {
-				cs = append(cs, c)
-			}
+	start[total] = len(all)
+	cuts := make([][]kcut.Leaves, total)
+	for i := 1; i < total; i++ {
+		end := start[i+1]
+		if i > g.NumPI() {
+			end-- // strip the AND node's trivial cut
 		}
-		cuts[i] = cs
+		cuts[i] = all[start[i]:end:end]
 	}
 	return cuts, nil
 }
@@ -247,37 +243,6 @@ func checkPoll(poll func() error, node int) error {
 		return nil
 	}
 	return poll()
-}
-
-func mergeSorted(a, b []int, k int) []int {
-	out := make([]int, 0, k)
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v int
-		switch {
-		case i >= len(a):
-			v = b[j]
-			j++
-		case j >= len(b):
-			v = a[i]
-			i++
-		case a[i] < b[j]:
-			v = a[i]
-			i++
-		case a[i] > b[j]:
-			v = b[j]
-			j++
-		default:
-			v = a[i]
-			i++
-			j++
-		}
-		if len(out) == k {
-			return nil
-		}
-		out = append(out, v)
-	}
-	return out
 }
 
 // coneTable computes the truth table of AIG node root over the given cut

@@ -2,10 +2,14 @@ package network_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"relsyn/internal/aig"
+	"relsyn/internal/benchmarks"
 	"relsyn/internal/network"
 	"relsyn/internal/synth"
 	"relsyn/internal/tt"
@@ -268,5 +272,123 @@ func TestFromAIGInterruptible(t *testing.T) {
 	}
 	if len(got.Nodes) != len(want.Nodes) || !got.POFunction().Equal(want.POFunction()) {
 		t.Fatalf("polled clustering differs: %d vs %d nodes", len(got.Nodes), len(want.Nodes))
+	}
+}
+
+// oracleEnumerateCuts is the string-keyed enumerator enumerateCuts
+// replaced: slice cuts, deduplicated on fmt.Sprint(leaves) and ranked by
+// leaf count, then by the printed strings.
+func oracleEnumerateCuts(g *aig.Graph, k int) [][][]int {
+	total := 1 + g.NumPI() + g.NumNodes()
+	const maxCuts = 10
+	cuts := make([][][]int, total)
+	for i := 1; i <= g.NumPI(); i++ {
+		cuts[i] = [][]int{{i}}
+	}
+	for i := g.NumPI() + 1; i < total; i++ {
+		f0, f1 := g.Fanins(i)
+		seen := map[string]bool{}
+		var cs [][]int
+		for _, c0 := range cuts[f0.Node()] {
+			for _, c1 := range cuts[f1.Node()] {
+				merged := oracleMergeSorted(c0, c1, k)
+				if merged == nil {
+					continue
+				}
+				key := fmt.Sprint(merged)
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+				cs = append(cs, merged)
+			}
+		}
+		sort.SliceStable(cs, func(a, b int) bool {
+			if len(cs[a]) != len(cs[b]) {
+				return len(cs[a]) < len(cs[b])
+			}
+			return fmt.Sprint(cs[a]) < fmt.Sprint(cs[b])
+		})
+		if len(cs) > maxCuts {
+			cs = cs[:maxCuts]
+		}
+		cuts[i] = append(cs, []int{i})
+	}
+	for i := g.NumPI() + 1; i < total; i++ {
+		var cs [][]int
+		for _, c := range cuts[i] {
+			if !(len(c) == 1 && c[0] == i) {
+				cs = append(cs, c)
+			}
+		}
+		cuts[i] = cs
+	}
+	return cuts
+}
+
+func oracleMergeSorted(a, b []int, k int) []int {
+	out := make([]int, 0, k)
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var v int
+		switch {
+		case i >= len(a):
+			v = b[j]
+			j++
+		case j >= len(b):
+			v = a[i]
+			i++
+		case a[i] < b[j]:
+			v = a[i]
+			i++
+		case a[i] > b[j]:
+			v = b[j]
+			j++
+		default:
+			v = a[i]
+			i++
+			j++
+		}
+		if len(out) == k {
+			return nil
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// The value-keyed enumerator returns the oracle's cut lists, in order,
+// node by node, on the synthesized AIG of every Table 1 suite spec at
+// k = 4 and k = 6.
+func TestEnumerateCutsMatchesOracle(t *testing.T) {
+	for _, s := range benchmarks.Specs() {
+		f, err := benchmarks.Load(s.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := synth.Synthesize(f, synth.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := res.Graph
+		for _, k := range []int{4, 6} {
+			got, err := network.EnumerateCuts(g, k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracleEnumerateCuts(g, k)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: %d cut sets, oracle %d", s.Name, k, len(got), len(want))
+			}
+			for i := range want {
+				var ints [][]int
+				for _, c := range got[i] {
+					ints = append(ints, c.Ints())
+				}
+				if !reflect.DeepEqual(ints, want[i]) {
+					t.Fatalf("%s k=%d node %d: cuts %v, oracle %v", s.Name, k, i, ints, want[i])
+				}
+			}
+		}
 	}
 }

@@ -77,16 +77,6 @@ type JobOptions struct {
 	// participate in Key().
 	WindowTFI int `json:"window_tfi,omitempty"`
 	WindowTFO int `json:"window_tfo,omitempty"`
-
-	// The request fields "kernels", "use_bdd" and "max_bdd_nodes"
-	// selected analysis paths and a BDD assignment rung that no longer
-	// exist. Requests carrying them are accepted and the values ignored
-	// until the next release: Normalize clears them, so they never reach
-	// Key() and a job carrying them computes and caches exactly like one
-	// without them.
-	RetiredKernels     any `json:"kernels,omitempty"`
-	RetiredUseBDD      any `json:"use_bdd,omitempty"`
-	RetiredMaxBDDNodes any `json:"max_bdd_nodes,omitempty"`
 }
 
 // Job option string values.
@@ -107,8 +97,8 @@ const (
 // cleared: Method/Objective/Flow lower-cased with defaults "none",
 // "power", "sop"; Fraction is kept only for "rank", Threshold only for
 // "lcf"; AssignTies is cleared for "none" (no assignment runs) and for
-// "complete" (which always binds ties), mirroring core.Options.Canonical;
-// the retired request fields are cleared. Two requests that normalize
+// "complete" (which always binds ties), mirroring core.Options.Canonical.
+// Two requests that normalize
 // equal compute identical results, so Key() — and every cache keyed on
 // it — must only ever see normalized options.
 func (o JobOptions) Normalize() JobOptions {
@@ -136,7 +126,6 @@ func (o JobOptions) Normalize() JobOptions {
 		// assignment knob, and it is inert for these methods.
 		n.AssignTies = core.Options{}.Canonical().AssignTies
 	}
-	n.RetiredKernels, n.RetiredUseBDD, n.RetiredMaxBDDNodes = nil, nil, nil
 	n.DCMode = strings.ToLower(strings.TrimSpace(n.DCMode))
 	if n.DCMode == "auto" {
 		n.DCMode = ""

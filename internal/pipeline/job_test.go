@@ -39,11 +39,11 @@ func TestJobOptionsNormalizeDefaults(t *testing.T) {
 	}
 	// Irrelevant knobs are cleared per method.
 	n = JobOptions{Method: "Complete", Fraction: 0.7, Threshold: 0.5,
-		RetiredUseBDD: true, AssignTies: true}.Normalize()
+		AssignTies: true}.Normalize()
 	if n.Method != JobMethodComplete {
 		t.Fatalf("method not lower-cased: %q", n.Method)
 	}
-	if n.Fraction != 0 || n.Threshold != 0 || n.RetiredUseBDD != nil || n.AssignTies {
+	if n.Fraction != 0 || n.Threshold != 0 || n.AssignTies {
 		t.Fatalf("complete-method normalization kept inert knobs: %+v", n)
 	}
 	n = JobOptions{Method: "rank", Fraction: 0.7, Threshold: 0.5}.Normalize()
@@ -64,10 +64,6 @@ func TestJobOptionsKey(t *testing.T) {
 		// bit-identical results, so it must never fragment the cache.
 		{Method: "lcf", Threshold: 0.55, Parallelism: 1},
 		{Method: "lcf", Threshold: 0.55, Parallelism: 8},
-		// The retired request fields are accepted and ignored.
-		{Method: "lcf", Threshold: 0.55, RetiredKernels: "off"},
-		{Method: "lcf", Threshold: 0.55, RetiredUseBDD: true},
-		{Method: "lcf", Threshold: 0.55, RetiredMaxBDDNodes: 4},
 	}
 	for i, o := range same {
 		if o.Key() != base.Key() {
@@ -230,29 +226,31 @@ func TestRunJobNilAndInvalid(t *testing.T) {
 	}
 }
 
-// The request fields "kernels", "use_bdd" and "max_bdd_nodes" are
-// retired: a body carrying them must still decode, validate, and hash
-// to the key of the same body without them.
-func TestJobOptionsFusedKnobKeyPurity(t *testing.T) {
-	base := JobOptions{Method: "lcf", Threshold: 0.55}
-	for _, retired := range []string{
-		`"kernels": ""`, `"kernels": "on"`, `"kernels": "off"`, `"kernels": "fused"`,
-		`"kernels": "unfused"`, `"kernels": " Unfused "`, `"use_bdd": true`,
-		`"use_bdd": false`, `"max_bdd_nodes": 4`,
-		`"kernels": "off", "use_bdd": true, "max_bdd_nodes": 4`,
-	} {
+// The request fields "kernels", "use_bdd" and "max_bdd_nodes" are gone:
+// the strict decoder the server uses rejects a body carrying any of
+// them, naming the field, while the same body without it decodes.
+func TestJobOptionsRejectsRetiredFields(t *testing.T) {
+	decode := func(body string) error {
 		var o JobOptions
-		body := `{"method": "lcf", "threshold": 0.55, "parallelism": 4, ` + retired + `}`
 		dec := json.NewDecoder(strings.NewReader(body))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&o); err != nil {
-			t.Fatalf("%s: %v", retired, err)
-		}
-		if err := o.Normalize().Validate(); err != nil {
-			t.Fatalf("%s rejected: %v", retired, err)
-		}
-		if o.Key() != base.Key() {
-			t.Fatalf("%s fragmented the result-cache key", retired)
+		return dec.Decode(&o)
+	}
+	const plain = `{"method": "lcf", "threshold": 0.55, "parallelism": 4`
+	if err := decode(plain + `}`); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ field, retired string }{
+		{"kernels", `"kernels": "off"`},
+		{"kernels", `"kernels": ""`},
+		{"use_bdd", `"use_bdd": true`},
+		{"use_bdd", `"use_bdd": false`},
+		{"max_bdd_nodes", `"max_bdd_nodes": 4`},
+		{"kernels", `"kernels": "off", "use_bdd": true, "max_bdd_nodes": 4`},
+	} {
+		err := decode(plain + `, ` + c.retired + `}`)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+c.field+`"`) {
+			t.Fatalf("%s: decode error %v, want unknown field %q", c.retired, err, c.field)
 		}
 	}
 }

@@ -37,9 +37,7 @@ func netTestNetwork(t *testing.T) *network.Network {
 // The new semantic knobs must fragment the cache key — dc_mode and the
 // window depths change which don't-cares a job can see, so two jobs
 // differing in them must never share a cache entry (key impurity) —
-// while parallelism and the retired kernels field must still collapse
-// onto one entry
-// (key purity).
+// while parallelism must still collapse onto one entry (key purity).
 func TestJobOptionsDCModeKeyImpurity(t *testing.T) {
 	base := JobOptions{Method: "lcf", Threshold: 0.55}
 	fragmenting := []JobOptions{
@@ -65,7 +63,6 @@ func TestJobOptionsDCModeKeyImpurity(t *testing.T) {
 		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: 2},
 		{Method: "LCF", Threshold: 0.55, DCMode: " Windowed-SAT ", WindowTFI: 2},
 		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: 2, Parallelism: 8},
-		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: 2, RetiredKernels: "on"},
 	}
 	for i := 1; i < len(same); i++ {
 		if same[i].Key() != same[0].Key() {

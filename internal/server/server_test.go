@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -415,48 +414,36 @@ func TestServerFailedJobNotCached(t *testing.T) {
 	}
 }
 
-// The retired option names "kernels", "use_bdd" and "max_bdd_nodes"
-// are accepted and ignored: a body carrying them gets 200 and the same
-// result bytes as the same body without them, each computed on a fresh
-// server so neither answer is a cache hit of the other.
-func TestServerAcceptsRetiredOptions(t *testing.T) {
-	timings := regexp.MustCompile(`"(took_ms|elapsed_ms)": *[0-9.eE+-]+`)
-	result := func(options string) []byte {
-		t.Helper()
-		_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
-		pla, _ := json.Marshal(specPLA(3))
-		body := `{"pla": ` + string(pla) + `, "options": {` + options + `}}`
+// The retired option names "kernels", "use_bdd" and "max_bdd_nodes" are
+// unknown fields now: the strict decoder answers 400 with an error naming
+// the field, and nothing is enqueued, computed or cached.
+func TestServerRejectsRetiredOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
+	pla, _ := json.Marshal(specPLA(3))
+	for _, c := range []struct{ field, options string }{
+		{"kernels", `"method": "rank", "fraction": 0.5, "kernels": "off"`},
+		{"use_bdd", `"method": "lcf", "threshold": 0.55, "use_bdd": true`},
+		{"max_bdd_nodes", `"method": "lcf", "threshold": 0.55, "max_bdd_nodes": 4`},
+	} {
+		body := `{"pla": ` + string(pla) + `, "options": {` + c.options + `}}`
 		resp, err := http.Post(ts.URL+"/v1/synth", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := io.ReadAll(resp.Body)
+		var sr SynthResponse
+		err = json.NewDecoder(resp.Body).Decode(&sr)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: HTTP %d: %s", options, resp.StatusCode, data)
+		if resp.StatusCode != http.StatusBadRequest || sr.Status != "error" ||
+			!strings.Contains(sr.Error, `unknown field "`+c.field+`"`) {
+			t.Fatalf("%s: HTTP %d status %q error %q, want 400 naming the field",
+				c.field, resp.StatusCode, sr.Status, sr.Error)
 		}
-		var sr struct {
-			Status string          `json:"status"`
-			Cached bool            `json:"cached"`
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.Unmarshal(data, &sr); err != nil {
-			t.Fatal(err)
-		}
-		if sr.Status != StatusDone || sr.Cached {
-			t.Fatalf("%s: status %q cached %v", options, sr.Status, sr.Cached)
-		}
-		return timings.ReplaceAll(sr.Result, []byte(`"$1":0`))
 	}
-	for _, method := range []string{`"method": "rank", "fraction": 0.5`, `"method": "lcf", "threshold": 0.55`} {
-		plain := result(method)
-		retired := result(method + `, "kernels": "off", "use_bdd": true, "max_bdd_nodes": 4`)
-		if !bytes.Equal(plain, retired) {
-			t.Fatalf("retired options changed the result:\n%s\n%s", plain, retired)
-		}
+	if st := serverStats(t, ts.URL); st.Submitted != 0 || st.Cache.Len != 0 {
+		t.Fatalf("rejected requests reached the job path: %+v", st)
 	}
 }
 

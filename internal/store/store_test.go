@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +139,47 @@ func TestTornTailTruncated(t *testing.T) {
 				t.Fatalf("after re-append recovered %d records, want 3", len(again))
 			}
 		})
+	}
+}
+
+// Job options never persist the retired request fields "kernels",
+// "use_bdd" and "max_bdd_nodes": JobOptions has no such fields, so an
+// appended record cannot carry them, and a WAL frame written before they
+// were retired still replays — the record decoder ignores unknown names.
+func TestReplayIgnoresRetiredOptionFields(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte(`{"seq":1,"id":"old","key":"k","status":"queued",` +
+		`"options":{"method":"lcf","threshold":0.55,"kernels":"off","use_bdd":true,"max_bdd_nodes":4}}`)
+	frame := make([]byte, frameHeaderLen+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	copy(frame[frameHeaderLen:], payload)
+	if err := os.WriteFile(filepath.Join(dir, walName), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, recs := openTest(t, dir, nil)
+	if len(recs) != 1 || st.Stats().TornTails != 0 {
+		t.Fatalf("recovered %d records, %d torn tails; want 1, 0", len(recs), st.Stats().TornTails)
+	}
+	want := pipeline.JobOptions{Method: "lcf", Threshold: 0.55}
+	if o := recs[0].Options; o == nil || *o != want {
+		t.Fatalf("recovered options %+v, want %+v", o, want)
+	}
+	jo := pipeline.JobOptions{Method: "rank", Fraction: 0.5}.Normalize()
+	mustAppend(t, st, Record{ID: "new", Key: "k2", Status: StatusQueued, Options: &jo})
+	st.Close()
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := string(wal[len(frame):])
+	if !strings.Contains(appended, `"method":"rank"`) {
+		t.Fatalf("the new record's options are not in the WAL: %q", appended)
+	}
+	for _, name := range []string{`"kernels"`, `"use_bdd"`, `"max_bdd_nodes"`} {
+		if strings.Contains(appended, name) {
+			t.Fatalf("a new WAL record persisted %s", name)
+		}
 	}
 }
 
