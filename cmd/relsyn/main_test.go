@@ -13,10 +13,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"relsyn/internal/obs"
 	"relsyn/internal/pipeline"
 	"relsyn/internal/server"
+	"relsyn/internal/tt"
 )
 
 // capture runs fn with os.Stdout redirected to a pipe and returns what
@@ -488,6 +490,21 @@ func TestExitCodes(t *testing.T) {
 	})
 	if exitCode(err) != exitUsage {
 		t.Fatalf("bad -objective classified as %d", exitCode(err))
+	}
+}
+
+// A spec wider than tt.MaxInputs is refused while it is read: synth
+// exits 1 at once instead of minimizing it.
+func TestRunSynthRefusesWideSpec(t *testing.T) {
+	n := tt.MaxInputs + 1
+	in := writeTemp(t, fmt.Sprintf(".i %d\n.o 1\n1%s 1\n.e\n", n, strings.Repeat("-", n-1)))
+	start := time.Now()
+	_, err := capture(t, func() error { return runSynth([]string{"-in", in}) })
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("refusal took %v", took)
+	}
+	if !errors.Is(err, tt.ErrTooWide) || exitCode(err) != exitFailure {
+		t.Fatalf("synth .i %d: err %v, exit %d; want tt.ErrTooWide, exit %d", n, err, exitCode(err), exitFailure)
 	}
 }
 

@@ -24,14 +24,10 @@ import (
 	"math/bits"
 
 	"relsyn/internal/bitset"
+	"relsyn/internal/tt"
 )
 
 var wireMagic = [4]byte{'R', 'S', 'C', '1'}
-
-// maxWireInputs caps deserialized spec sizes: 2^24 minterms is 2 MiB
-// per set, far beyond any spec the service accepts, and keeps a
-// malformed header from asking for gigabyte allocations.
-const maxWireInputs = 24
 
 func censusPlanes(numIn int) int {
 	k := numIn
@@ -43,8 +39,8 @@ func censusPlanes(numIn int) int {
 
 // MarshalBinary serializes the census for the peer endpoint.
 func (fc *FunctionCensus) MarshalBinary() ([]byte, error) {
-	if fc.NumIn < 0 || fc.NumIn > maxWireInputs {
-		return nil, fmt.Errorf("census: %d inputs outside wire range [0,%d]", fc.NumIn, maxWireInputs)
+	if fc.NumIn < 0 || fc.NumIn > tt.MaxInputs {
+		return nil, fmt.Errorf("census: %d inputs outside wire range [0,%d]", fc.NumIn, tt.MaxInputs)
 	}
 	n := 1 << uint(fc.NumIn)
 	words := (n + 63) / 64
@@ -95,8 +91,11 @@ func UnmarshalBinary(data []byte) (*FunctionCensus, error) {
 	}
 	numIn := int(binary.LittleEndian.Uint32(data[4:8]))
 	numOuts := int(binary.LittleEndian.Uint32(data[8:12]))
-	if numIn > maxWireInputs {
-		return nil, fmt.Errorf("census: %d inputs outside wire range [0,%d]", numIn, maxWireInputs)
+	// No admitted spec is wider than tt.MaxInputs, so a wider header is
+	// malformed peer input; refusing it also keeps the header from
+	// asking for huge allocations.
+	if numIn > tt.MaxInputs {
+		return nil, fmt.Errorf("census: %d inputs outside wire range [0,%d]", numIn, tt.MaxInputs)
 	}
 	n := 1 << uint(numIn)
 	words := (n + 63) / 64

@@ -557,9 +557,12 @@ func TestRouterHealthzAndStatsz(t *testing.T) {
 func TestRouterInvalidSpec(t *testing.T) {
 	shard := newStubShard(t, "s0")
 	rt := newTestRouter(t, RouterConfig{Peers: []string{shard.addr()}, HedgeAfter: -1})
-	resp, body := postRouter(t, rt, "/v1/synth", map[string]any{"pla": ".i nope"}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	// A malformed header, and one wider than the dense ceiling.
+	for _, spec := range []string{".i nope", ".i 17\n.o 1\n1---------------- 1\n.e\n"} {
+		resp, body := postRouter(t, rt, "/v1/synth", map[string]any{"pla": spec}, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400: %s", spec, resp.StatusCode, body)
+		}
 	}
 	if len(shard.calls("/v1/synth")) != 0 {
 		t.Fatal("invalid spec must not be forwarded")

@@ -68,14 +68,11 @@ func (cv *Cover) LiteralCount() int {
 	return total
 }
 
-// RemoveContained deletes every cube that is contained in another single
-// cube of the cover (single-cube containment).
-func (cv *Cover) RemoveContained() { _ = cv.RemoveContainedPoll(nil) }
-
-// RemoveContainedPoll is RemoveContained with poll (nil = never) checked
-// about every 2^20 containment tests, since the scan is quadratic in the
-// cube count. A non-nil return from poll stops the scan and is returned;
-// the cover's contents are then unspecified.
+// RemoveContainedPoll deletes every cube that is contained in another
+// single cube of the cover (single-cube containment). poll (nil = never)
+// is checked about every 2^20 containment tests, since the scan is
+// quadratic in the cube count. A non-nil return from poll stops the scan
+// and is returned; the cover's contents are then unspecified.
 func (cv *Cover) RemoveContainedPoll(poll func() error) error {
 	work := 0
 	keep := cv.Cubes[:0]
@@ -116,17 +113,6 @@ func (cv *Cover) Sort() {
 		}
 		return Compare(a, b)
 	})
-}
-
-// Cofactor returns the cover's Shannon cofactor with respect to cube p.
-func (cv *Cover) Cofactor(p Cube) *Cover {
-	out := NewCover(cv.n)
-	for _, c := range cv.Cubes {
-		if cf, ok := c.Cofactor(p); ok {
-			out.Add(cf)
-		}
-	}
-	return out
 }
 
 // String renders the cover one cube per line.

@@ -164,9 +164,6 @@ func (c Cube) Distance(o Cube) int {
 	return bits.OnesCount64(^(x | x>>1) & evenMask & pairMask(c.n))
 }
 
-// Intersects reports whether the two cubes share at least one minterm.
-func (c Cube) Intersects(o Cube) bool { return c.Distance(o) == 0 }
-
 // Intersect returns the cube covering exactly the common minterms,
 // and whether that intersection is non-empty.
 func (c Cube) Intersect(o Cube) (Cube, bool) {
@@ -188,36 +185,6 @@ func (c Cube) ContainsMinterm(m uint) bool {
 	return FromMinterm(c.n, m).w&^c.w == 0
 }
 
-// Supercube returns the smallest cube containing both c and o.
-func (c Cube) Supercube(o Cube) Cube {
-	c.mustMatch(o)
-	return Cube{n: c.n, w: c.w | o.w}
-}
-
-// Consensus returns the consensus cube of c and o and whether it exists.
-// The consensus exists iff Distance(c, o) == 1; it is the supercube in the
-// conflicting variable and the intersection elsewhere.
-func (c Cube) Consensus(o Cube) (Cube, bool) {
-	if c.Distance(o) != 1 {
-		return Cube{}, false
-	}
-	x := c.w & o.w
-	conflict := ^(x | x>>1) & evenMask & pairMask(c.n)
-	conflict |= conflict << 1
-	return Cube{n: c.n, w: x | (c.w|o.w)&conflict}, true
-}
-
-// Cofactor returns the Shannon cofactor of c with respect to cube p
-// (espresso definition): empty if the cubes conflict, otherwise c with
-// every variable that p binds raised to Full.
-func (c Cube) Cofactor(p Cube) (Cube, bool) {
-	if c.Distance(p) != 0 {
-		return Cube{}, false
-	}
-	// Raise to Full wherever p is not Full: result = c | ^p (within pairs).
-	return Cube{n: c.n, w: (c.w | ^p.w) & pairMask(c.n)}, true
-}
-
 // DivisibleBy reports whether c carries every literal of d — the
 // algebraic condition for c = (c/d)·d.
 func (c Cube) DivisibleBy(d Cube) bool {
@@ -235,12 +202,6 @@ func (c Cube) Quotient(d Cube) Cube {
 // NumLiterals returns the number of bound variables (not Full).
 func (c Cube) NumLiterals() int {
 	return bits.OnesCount64(c.boundPairs() & evenMask)
-}
-
-// MintermCount returns the number of minterms the cube covers: 2^(free vars).
-func (c Cube) MintermCount() uint64 {
-	free := c.n - c.NumLiterals()
-	return 1 << uint(free)
 }
 
 // Minterms calls fn for every minterm covered by the cube, in ascending

@@ -9,12 +9,6 @@ import (
 	"relsyn/internal/cube"
 )
 
-// DenseLimit is the largest input count routed to the dense (bitset)
-// minimization engine. Above it, Minimize falls back to the pure
-// cube-algebra path. 2^16 minterms × an int counter per minterm keeps the
-// working set comfortably in cache.
-const DenseLimit = 16
-
 // inWord[k][ones|zeros<<3] is the in-word minterm mask of a cube whose
 // literals on variables 3k..3k+2 are the 3-bit masks ones and zeros: the
 // bits of a 64-minterm word (variables 0..5) those literals admit.
@@ -46,11 +40,12 @@ var inWord = func() (t [2][64]uint64) {
 }()
 
 // denseCtx holds the fixed on/off sets of one minimization run over
-// n ≤ DenseLimit inputs. The engine works in cube space: a cube is
-// never materialized as a 2^n-bit set. Every test and count walks only
-// the words the cube touches — one in-word minterm mask for variables
-// 0..5, the word indices enumerated over the cube's free variables
-// above them.
+// n ≤ tt.MaxInputs inputs (2^16 minterms × an int32 counter per minterm
+// keeps the working set in cache). The engine works in cube space: a
+// cube is never materialized as a 2^n-bit set. Every test and count
+// walks only the words the cube touches — one in-word minterm mask for
+// variables 0..5, the word indices enumerated over the cube's free
+// variables above them.
 type denseCtx struct {
 	n        int
 	wordMask uint64   // the minterms of a word that exist (all for n ≥ 6)
@@ -156,7 +151,11 @@ func (ctx *denseCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 			ctx.covered[i] |= mask
 		}
 	}
-	out.RemoveContained()
+	// The containment scan is quadratic in the prime count (32,768
+	// primes for 16-input parity), so it polls too.
+	if err := out.RemoveContainedPoll(ctx.poll); err != nil {
+		panic(interrupted{err})
+	}
 	return out
 }
 
@@ -287,7 +286,7 @@ func (ctx *denseCtx) reduce(f *cube.Cover) *cube.Cover {
 	return work
 }
 
-// minimizeDense is the dense engine for n ≤ DenseLimit: ESPRESSO's
+// minimizeDense is the dense engine for n ≤ tt.MaxInputs: ESPRESSO's
 // improvement loop from the seed cover, against the fixed on/dc/off
 // minterm sets (dc may be nil). poll is checked at cube granularity
 // inside every pass.

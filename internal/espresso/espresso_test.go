@@ -1,9 +1,11 @@
 package espresso
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"relsyn/internal/bitset"
 	"relsyn/internal/cube"
 	"relsyn/internal/tt"
 )
@@ -52,108 +54,55 @@ func randomCover(rng *rand.Rand, n, k int) *cube.Cover {
 	return cv
 }
 
+// isUniverse reports whether cv is the single universe cube: the dense
+// engine's answer exactly when on ∪ dc is a tautology.
+func isUniverse(cv *cube.Cover) bool {
+	return cv.Len() == 1 && cv.Cubes[0].NumLiterals() == 0
+}
+
 func TestTautologyBasics(t *testing.T) {
 	// x + x̄ is a tautology.
-	if !Tautology(coverFrom(t, 1, "0", "1")) {
-		t.Fatal("x + x̄ should be tautology")
+	if !isUniverse(Minimize(coverFrom(t, 1, "0", "1"), nil)) {
+		t.Fatal("x + x̄ should minimize to the universe")
 	}
-	if Tautology(coverFrom(t, 1, "0")) {
+	if isUniverse(Minimize(coverFrom(t, 1, "0"), nil)) {
 		t.Fatal("x̄ alone is not a tautology")
 	}
-	if !Tautology(coverFrom(t, 3, "---")) {
+	if !isUniverse(Minimize(coverFrom(t, 3, "---"), nil)) {
 		t.Fatal("universe cube is a tautology")
 	}
-	if Tautology(cube.NewCover(3)) {
-		t.Fatal("empty cover is not a tautology")
-	}
 	// Shannon expansion of 1 over two vars.
-	if !Tautology(coverFrom(t, 2, "0-", "11", "10")) {
-		t.Fatal("complete cover should be tautology")
+	if !isUniverse(Minimize(coverFrom(t, 2, "0-", "11", "10"), nil)) {
+		t.Fatal("complete cover should minimize to the universe")
 	}
-	if Tautology(coverFrom(t, 2, "0-", "11")) {
-		t.Fatal("cover missing minterm 10 reported tautology")
+	if isUniverse(Minimize(coverFrom(t, 2, "0-", "11"), nil)) {
+		t.Fatal("cover missing minterm 10 minimized to the universe")
+	}
+	// The don't-cares complete the space: on ∪ dc is a tautology.
+	if !isUniverse(Minimize(coverFrom(t, 2, "0-"), coverFrom(t, 2, "1-"))) {
+		t.Fatal("on ∪ dc covering the space should minimize to the universe")
 	}
 }
 
+// The engine returns the universe cube exactly when on ∪ dc covers
+// every minterm.
 func TestTautologyMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(6)
 		// Mix sparse and dense covers; dense ones are often tautologies.
-		cv := randomCover(rng, n, 1+rng.Intn(10))
+		on := randomCover(rng, n, 1+rng.Intn(10))
+		dc := randomCover(rng, n, rng.Intn(3))
 		want := true
-		for _, b := range bitsOf(cv) {
-			if !b {
+		for m, b := range bitsOf(on) {
+			if !b && !dc.ContainsMinterm(uint(m)) {
 				want = false
 				break
 			}
 		}
-		if got := Tautology(cv); got != want {
-			t.Fatalf("n=%d cover:\n%s\nTautology=%v, want %v", n, cv, got, want)
+		if got := isUniverse(Minimize(on, dc)); got != want {
+			t.Fatalf("n=%d on:\n%s\ndc:\n%s\nuniverse=%v, want %v", n, on, dc, got, want)
 		}
-	}
-}
-
-func TestSharpSingleCube(t *testing.T) {
-	c := mustParse(t, "01-")
-	comp := sharp(c)
-	bits := bitsOf(comp)
-	for m := 0; m < 8; m++ {
-		if bits[m] == c.ContainsMinterm(uint(m)) {
-			t.Fatalf("sharp overlaps or misses minterm %d", m)
-		}
-	}
-	// Sharp must produce disjoint cubes.
-	for i := 0; i < comp.Len(); i++ {
-		for j := i + 1; j < comp.Len(); j++ {
-			if comp.Cubes[i].Distance(comp.Cubes[j]) == 0 {
-				t.Fatal("sharp cubes not disjoint")
-			}
-		}
-	}
-}
-
-func TestComplementMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(6)
-		cv := randomCover(rng, n, 1+rng.Intn(8))
-		comp := Complement(cv)
-		b, cb := bitsOf(cv), bitsOf(comp)
-		for m := range b {
-			if b[m] == cb[m] {
-				t.Fatalf("n=%d minterm %d: cover=%v comp=%v\ncover:\n%s\ncomp:\n%s",
-					n, m, b[m], cb[m], cv, comp)
-			}
-		}
-	}
-}
-
-func TestComplementEdgeCases(t *testing.T) {
-	// ¬0 = 1
-	comp := Complement(cube.NewCover(3))
-	if comp.Len() != 1 || comp.Cubes[0].NumLiterals() != 0 {
-		t.Fatal("complement of empty cover should be the universe")
-	}
-	// ¬1 = 0
-	comp = Complement(coverFrom(t, 3, "---"))
-	if comp.Len() != 0 {
-		t.Fatal("complement of universe should be empty")
-	}
-}
-
-func TestCoverContainsCube(t *testing.T) {
-	cv := coverFrom(t, 3, "0--", "-1-")
-	if !CoverContainsCube(cv, mustParse(t, "01-")) {
-		t.Fatal("cover should contain 01-")
-	}
-	if CoverContainsCube(cv, mustParse(t, "1-0")) {
-		t.Fatal("cover should not contain 1-0")
-	}
-	// Containment requiring cooperation of two cubes.
-	cv2 := coverFrom(t, 2, "0-", "1-")
-	if !CoverContainsCube(cv2, mustParse(t, "--")) {
-		t.Fatal("split cover should contain the universe")
 	}
 }
 
@@ -214,12 +163,15 @@ func checkMinimized(t *testing.T, name string, impl, on, dc *cube.Cover) {
 }
 
 // denseOf runs the dense engine seeded from the on cover, as
-// MinimizeInterruptible does for n ≤ DenseLimit.
+// MinimizeInterruptible does.
 func denseOf(on, dc *cube.Cover) *cube.Cover {
 	n := on.NumVars()
 	return minimizeDense(n, coverSet(n, on), coverSet(n, dc), on, nil)
 }
 
+// Both entry points — MinimizeInterruptible, seeded from the on cover,
+// and MinimizeSets, seeded from the on-set's minterms — return valid
+// irredundant prime covers.
 func TestMinimizeRandomBothEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for trial := 0; trial < 60; trial++ {
@@ -229,10 +181,33 @@ func TestMinimizeRandomBothEngines(t *testing.T) {
 			f.SetPhase(0, m, tt.Phase(rng.Intn(3)))
 		}
 		on, dc := f.OnCover(0), f.DCCover(0)
-		dense := denseOf(on, dc)
-		checkMinimized(t, "dense", dense, on, dc)
-		generic := minimizeGeneric(on, dc, nil)
-		checkMinimized(t, "generic", generic, on, dc)
+		covers, err := MinimizeInterruptible(on, dc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMinimized(t, "covers", covers, on, dc)
+		sets, err := MinimizeSets(n, f.Outs[0].On, f.Outs[0].DC, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMinimized(t, "sets", sets, on, dc)
+	}
+}
+
+// Functions wider than tt.MaxInputs are refused with tt.ErrTooWide by
+// both entry points, with or without a poll, and never panic.
+func TestMinimizeRefusesWide(t *testing.T) {
+	n := tt.MaxInputs + 1
+	on := cube.CoverOf(n, cube.New(n).SetVal(0, cube.One))
+	for _, poll := range []func() error{nil, func() error { return nil }} {
+		if _, err := MinimizeInterruptible(on, nil, poll); !errors.Is(err, tt.ErrTooWide) {
+			t.Fatalf("MinimizeInterruptible(n=%d) = %v, want tt.ErrTooWide", n, err)
+		}
+		set := bitset.New(1 << uint(n))
+		set.Set(1)
+		if _, err := MinimizeSets(n, set, nil, poll); !errors.Is(err, tt.ErrTooWide) {
+			t.Fatalf("MinimizeSets(n=%d) = %v, want tt.ErrTooWide", n, err)
+		}
 	}
 }
 
@@ -328,33 +303,16 @@ func TestMinimizeDeterministic(t *testing.T) {
 	}
 }
 
-func TestVerify(t *testing.T) {
-	on := coverFrom(t, 3, "11-")
-	dc := coverFrom(t, 3, "0-0")
-	good := coverFrom(t, 3, "11-")
-	if !Verify(good, on, dc) {
-		t.Fatal("valid cover rejected")
-	}
-	overreach := coverFrom(t, 3, "1--")
-	if Verify(overreach, on, dc) {
-		t.Fatal("cover exceeding on∪dc accepted")
-	}
-	undercover := cube.NewCover(3)
-	if Verify(undercover, on, dc) {
-		t.Fatal("cover missing on-set accepted")
-	}
-}
-
+// The dense EXPAND raises the minterms of x0 to the one prime 1--.
 func TestExpandProducesPrimes(t *testing.T) {
-	// Start from minterms of x0 on 3 vars; expand against the off-set.
 	f := tt.New(3, 1)
 	for m := 0; m < 8; m++ {
 		if m&1 == 1 {
 			f.SetPhase(0, m, tt.On)
 		}
 	}
-	r := Complement(f.OnCover(0))
-	exp := Expand(f.OnCover(0), r)
+	ctx := newDenseCtx(3, f.Outs[0].On, f.OffSet(0), nil)
+	exp := ctx.expand(f.OnCover(0), 0)
 	if exp.Len() != 1 || exp.Cubes[0].String() != "1--" {
 		t.Fatalf("expand of x0 minterms = %s, want single cube 1--", exp)
 	}
@@ -391,15 +349,5 @@ func BenchmarkMinimizeDense10(b *testing.B) {
 		if _, err := MinimizeSets(10, f.Outs[0].On, f.Outs[0].DC, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkTautology8(b *testing.B) {
-	rng := rand.New(rand.NewSource(67))
-	cv := randomCover(rng, 8, 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Tautology(cv)
 	}
 }

@@ -91,7 +91,9 @@ func (ctx *oracleCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 		out.Add(p)
 		covered.InPlaceUnion(ctx.cubeBits(p))
 	}
-	out.RemoveContained()
+	if err := out.RemoveContainedPoll(ctx.poll); err != nil {
+		panic(interrupted{err})
+	}
 	return out
 }
 

@@ -10,7 +10,6 @@ package exact
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"relsyn/internal/bitset"
@@ -69,125 +68,15 @@ func Primes(f *tt.Function, o int, lim Limits) ([]cube.Cube, error) {
 	return PrimesCtx(context.Background(), f, o, lim)
 }
 
-// mergeResult is the output of one popcount-group adjacency-merge task:
-// the implicants produced by merging group pc with group pc+1 and the
-// inputs consumed by at least one merge. Tasks write only their own
-// slot; the fold into sets happens sequentially in group order, so the
-// (sorted) prime list is identical at every parallelism level.
-type mergeResult struct {
-	merged []implicant
-	used   []implicant
-}
-
-// kernelMaxInputs bounds the word-parallel merge: it represents each
-// mask group as a dense 2^n-bit set, which is the winning trade for the
-// small functions exact minimization targets (n ≲ 10) but would cost
-// 2^n bits per live mask on adversarially large inputs. Above the bound
-// PrimesCtx uses the scalar merge.
-const kernelMaxInputs = 16
-
 // PrimesCtx is Primes with cooperative cancellation and the parallelism
-// cap taken from lim.Parallelism. It picks the word-parallel mask-group
-// merge up to kernelMaxInputs inputs and the scalar popcount-group
-// merge above; both produce the identical sorted prime list.
+// cap taken from lim.Parallelism. A function wider than tt.MaxInputs is
+// refused with an error wrapping tt.ErrTooWide.
 func PrimesCtx(ctx context.Context, f *tt.Function, o int, lim Limits) ([]cube.Cube, error) {
 	lim.defaults()
-	n := f.NumIn
-	if n > 20 {
-		return nil, fmt.Errorf("exact: %d inputs too large", n)
+	if f.NumIn > tt.MaxInputs {
+		return nil, fmt.Errorf("exact: %d inputs: %w", f.NumIn, tt.ErrTooWide)
 	}
-	if n <= kernelMaxInputs {
-		return primesKernel(ctx, f, o, lim)
-	}
-	return primesScalar(ctx, f, o, lim)
-}
-
-// PrimesScalarCtx is PrimesCtx pinned to the scalar popcount-group
-// merge, for differential tests that cross-check the kernel path.
-func PrimesScalarCtx(ctx context.Context, f *tt.Function, o int, lim Limits) ([]cube.Cube, error) {
-	lim.defaults()
-	n := f.NumIn
-	if n > 20 {
-		return nil, fmt.Errorf("exact: %d inputs too large", n)
-	}
-	return primesScalar(ctx, f, o, lim)
-}
-
-// primesScalar is the pre-kernel Quine-McCluskey merge: each level
-// groups implicants by popcount of values and merges the per-popcount
-// group pairs (pc, pc+1) concurrently — the pairs are independent, so
-// they fan out through the shared work pool while the union of their
-// results is folded deterministically.
-func primesScalar(ctx context.Context, f *tt.Function, o int, lim Limits) ([]cube.Cube, error) {
-	n := f.NumIn
-	// Level 0: all care-1 minterms (on ∪ dc).
-	cur := map[implicant]bool{}
-	out := f.Outs[o]
-	for m := 0; m < f.Size(); m++ {
-		if out.On.Test(m) || out.DC.Test(m) {
-			cur[implicant{values: uint32(m)}] = true
-		}
-	}
-	var primes []implicant
-	for len(cur) > 0 {
-		// Group by popcount of values for the classic adjacency merge.
-		groups := map[int][]implicant{}
-		for im := range cur {
-			groups[bits.OnesCount32(im.values)] = append(groups[bits.OnesCount32(im.values)], im)
-		}
-		// The (pc, pc+1) group pairs are independent merge tasks; run
-		// them concurrently, each writing only results[i]. groups is
-		// read-only during the fan-out.
-		pcs := make([]int, 0, len(groups))
-		for pc := range groups {
-			pcs = append(pcs, pc)
-		}
-		sort.Ints(pcs)
-		results := make([]mergeResult, len(pcs))
-		err := par.Do(ctx, lim.Parallelism, len(pcs), func(i int) error {
-			g, next := groups[pcs[i]], groups[pcs[i]+1]
-			var res mergeResult
-			for _, a := range g {
-				for _, b := range next {
-					if a.mask != b.mask {
-						continue
-					}
-					diff := a.values ^ b.values
-					if bits.OnesCount32(diff) != 1 {
-						continue
-					}
-					nm := implicant{values: a.values &^ diff, mask: a.mask | diff}
-					res.merged = append(res.merged, nm)
-					res.used = append(res.used, a, b)
-				}
-			}
-			results[i] = res
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		merged := map[implicant]bool{}
-		used := map[implicant]bool{}
-		for _, res := range results {
-			for _, im := range res.merged {
-				merged[im] = true
-			}
-			for _, im := range res.used {
-				used[im] = true
-			}
-		}
-		for im := range cur {
-			if !used[im] {
-				primes = append(primes, im)
-				if len(primes) > lim.MaxPrimes {
-					return nil, fmt.Errorf("exact: more than %d primes", lim.MaxPrimes)
-				}
-			}
-		}
-		cur = merged
-	}
-	return sortedCubes(primes, n, lim)
+	return primesKernel(ctx, f, o, lim)
 }
 
 // sortedCubes canonicalizes a prime list: sorted by (mask, values) so
@@ -238,7 +127,8 @@ type maskMergeResult struct {
 // are independent, so they fan out through the shared work pool; the
 // fold into the next level's groups runs sequentially in ascending mask
 // order, and the final (mask, values) sort makes the output identical
-// to the scalar merge at every parallelism level.
+// to the scalar merge (the oracle in exact_test.go) at every parallelism
+// level.
 func primesKernel(ctx context.Context, f *tt.Function, o int, lim Limits) ([]cube.Cube, error) {
 	n := f.NumIn
 	size := f.Size()

@@ -3,12 +3,16 @@ package exact
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"relsyn/internal/cube"
 	"relsyn/internal/espresso"
+	"relsyn/internal/par"
 	"relsyn/internal/tt"
 )
 
@@ -187,6 +191,14 @@ func TestMinimizeLimitErrors(t *testing.T) {
 	}
 }
 
+// A function wider than tt.MaxInputs is refused with tt.ErrTooWide.
+func TestPrimesRefusesWide(t *testing.T) {
+	f := tt.New(tt.MaxInputs+1, 1)
+	if _, err := Primes(f, 0, Limits{}); !errors.Is(err, tt.ErrTooWide) {
+		t.Fatalf("Primes(n=%d) = %v, want tt.ErrTooWide", f.NumIn, err)
+	}
+}
+
 func popcount(x int) int {
 	c := 0
 	for x != 0 {
@@ -258,7 +270,7 @@ func TestPrimesKernelMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := PrimesScalarCtx(ctx, f, 0, Limits{})
+		sp, err := primesScalar(ctx, f, 0, Limits{MaxPrimes: 20000, MaxNodes: 1 << 22})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,4 +283,92 @@ func TestPrimesKernelMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergeResult is the output of one popcount-group adjacency-merge task:
+// the implicants produced by merging group pc with group pc+1 and the
+// inputs consumed by at least one merge. Tasks write only their own
+// slot; the fold into sets happens sequentially in group order, so the
+// (sorted) prime list is identical at every parallelism level.
+type mergeResult struct {
+	merged []implicant
+	used   []implicant
+}
+
+// primesScalar is the pre-kernel Quine-McCluskey merge, kept as the
+// oracle of primesKernel: each level groups implicants by popcount of
+// values and merges the per-popcount group pairs (pc, pc+1)
+// concurrently — the pairs are independent, so they fan out through
+// the shared work pool while the union of their results is folded
+// deterministically.
+func primesScalar(ctx context.Context, f *tt.Function, o int, lim Limits) ([]cube.Cube, error) {
+	n := f.NumIn
+	// Level 0: all care-1 minterms (on ∪ dc).
+	cur := map[implicant]bool{}
+	out := f.Outs[o]
+	for m := 0; m < f.Size(); m++ {
+		if out.On.Test(m) || out.DC.Test(m) {
+			cur[implicant{values: uint32(m)}] = true
+		}
+	}
+	var primes []implicant
+	for len(cur) > 0 {
+		// Group by popcount of values for the classic adjacency merge.
+		groups := map[int][]implicant{}
+		for im := range cur {
+			groups[bits.OnesCount32(im.values)] = append(groups[bits.OnesCount32(im.values)], im)
+		}
+		// The (pc, pc+1) group pairs are independent merge tasks; run
+		// them concurrently, each writing only results[i]. groups is
+		// read-only during the fan-out.
+		pcs := make([]int, 0, len(groups))
+		for pc := range groups {
+			pcs = append(pcs, pc)
+		}
+		sort.Ints(pcs)
+		results := make([]mergeResult, len(pcs))
+		err := par.Do(ctx, lim.Parallelism, len(pcs), func(i int) error {
+			g, next := groups[pcs[i]], groups[pcs[i]+1]
+			var res mergeResult
+			for _, a := range g {
+				for _, b := range next {
+					if a.mask != b.mask {
+						continue
+					}
+					diff := a.values ^ b.values
+					if bits.OnesCount32(diff) != 1 {
+						continue
+					}
+					nm := implicant{values: a.values &^ diff, mask: a.mask | diff}
+					res.merged = append(res.merged, nm)
+					res.used = append(res.used, a, b)
+				}
+			}
+			results[i] = res
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		merged := map[implicant]bool{}
+		used := map[implicant]bool{}
+		for _, res := range results {
+			for _, im := range res.merged {
+				merged[im] = true
+			}
+			for _, im := range res.used {
+				used[im] = true
+			}
+		}
+		for im := range cur {
+			if !used[im] {
+				primes = append(primes, im)
+				if len(primes) > lim.MaxPrimes {
+					return nil, fmt.Errorf("exact: more than %d primes", lim.MaxPrimes)
+				}
+			}
+		}
+		cur = merged
+	}
+	return sortedCubes(primes, n, lim)
 }

@@ -182,7 +182,7 @@ func randomSparseCover(rng *rand.Rand, n, k int) *cube.Cover {
 		}
 		cv.Add(c)
 	}
-	cv.RemoveContained()
+	_ = cv.RemoveContainedPoll(nil) // nil poll: no error
 	return cv
 }
 

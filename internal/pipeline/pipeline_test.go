@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"strings"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -13,7 +13,6 @@ import (
 	"relsyn/internal/chaos"
 	"relsyn/internal/network"
 	"relsyn/internal/pipeline"
-	"relsyn/internal/pla"
 	"relsyn/internal/reliability"
 	"relsyn/internal/sat"
 	"relsyn/internal/synth"
@@ -346,30 +345,32 @@ func TestMaxConflictsDoesNotChangeDenseJob(t *testing.T) {
 	}
 }
 
-// TestWideSpecHonoursDeadline runs a 60-byte, 21-input spec whose
-// per-minterm on-cover is 2^20 cubes. Synthesis takes the generic
-// (n > 16) minimizer, whose complementation must poll the interrupt:
-// the run has to end in a cancel within the deadline plus latencySlack.
+// TestWideSpecHonoursDeadline runs the widest admitted spec with the
+// largest minimum cover: tt.MaxInputs-input parity, whose 32,768 on-set
+// minterms are all primes. Every minimizer pass touches each of them,
+// and EXPAND's containment cleanup compares them pairwise, so every pass
+// must poll the interrupt: under each deadline the run has to end in a
+// cancel within latencySlack. (Specs wider than tt.MaxInputs never get
+// here; TestServerRefusesWideSpec covers their refusal.)
 func TestWideSpecHonoursDeadline(t *testing.T) {
-	p, err := pla.Parse(strings.NewReader(".i 21\n.o 1\n1-------------------- 1\n.e\n"))
-	if err != nil {
-		t.Fatal(err)
+	f := tt.New(tt.MaxInputs, 1)
+	for m := 0; m < f.Size(); m++ {
+		if bits.OnesCount(uint(m))%2 == 1 {
+			f.SetPhase(0, m, tt.On)
+		}
 	}
-	f, err := p.ToFunction()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const timeout = time.Second
-	start := time.Now()
-	_, err = pipeline.Run(context.Background(), f, pipeline.Options{Budget: pipeline.Budget{Timeout: timeout}})
-	elapsed := time.Since(start)
-	var serr *pipeline.StageError
-	if !errors.As(err, &serr) || serr.Reason != pipeline.ReasonCancel {
-		t.Fatalf("want a cancel StageError, got %v", err)
-	}
-	t.Logf("cancelled after %v in %s", elapsed, serr.Attempt)
-	if over := elapsed - timeout; over > latencySlack {
-		t.Fatalf("returned %v past the %v deadline (limit %v)", over, timeout, latencySlack)
+	for _, timeout := range []time.Duration{50 * time.Millisecond, 200 * time.Millisecond, time.Second} {
+		start := time.Now()
+		_, err := pipeline.Run(context.Background(), f, pipeline.Options{Budget: pipeline.Budget{Timeout: timeout}})
+		elapsed := time.Since(start)
+		var serr *pipeline.StageError
+		if !errors.As(err, &serr) || serr.Reason != pipeline.ReasonCancel {
+			t.Fatalf("timeout=%v: want a cancel StageError, got %v", timeout, err)
+		}
+		t.Logf("timeout=%v: cancelled after %v in %s", timeout, elapsed, serr.Attempt)
+		if over := elapsed - timeout; over > latencySlack {
+			t.Fatalf("timeout=%v: returned %v past the deadline (limit %v)", timeout, over, latencySlack)
+		}
 	}
 }
 

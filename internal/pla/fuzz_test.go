@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"relsyn/internal/tt"
 )
 
 // FuzzParse checks the parser never panics and that anything it accepts
@@ -16,10 +18,14 @@ func FuzzParse(f *testing.F) {
 	f.Add("# comment only\n")
 	f.Add(".i 3\n.o 1\n011010")
 	f.Add(".i 33\n.o 1\n" + strings.Repeat("1", 33) + " 1\n.e\n") // wider than a cube
+	f.Add(".i 17\n.o 1\n" + strings.Repeat("-", 17) + " 1\n.e\n") // one past tt.MaxInputs
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := Parse(strings.NewReader(src))
 		if err != nil {
 			return
+		}
+		if file.NumIn > tt.MaxInputs {
+			t.Fatalf("accepted a %d-input header", file.NumIn)
 		}
 		if file.NumIn > 12 {
 			return // dense conversion would be huge; parsing alone suffices

@@ -95,10 +95,10 @@ func (f *File) directive(fields []string) error {
 		if err != nil {
 			return err
 		}
-		if n > cube.MaxVars {
-			// Every row becomes a cube, so the width is bounded here,
-			// before any row is read.
-			return fmt.Errorf(".i %d exceeds the %d-input cube limit", n, cube.MaxVars)
+		if n > tt.MaxInputs {
+			// Every spec becomes a dense truth table, so the width is
+			// bounded here, before any row is read.
+			return fmt.Errorf(".i %d: %w", n, tt.ErrTooWide)
 		}
 		f.NumIn = n
 	case ".o":
@@ -185,8 +185,9 @@ func outKind(ch byte) tt.Phase {
 // specified; for fdr all three planes are explicit and must partition the
 // space (an error is returned otherwise).
 func (f *File) ToFunction() (*tt.Function, error) {
-	if f.NumIn > 24 {
-		return nil, fmt.Errorf("pla: %d inputs too large for dense truth table", f.NumIn)
+	if f.NumIn > tt.MaxInputs {
+		// Parse refuses such a header; a hand-built File is checked here.
+		return nil, fmt.Errorf("pla: %d inputs: %w", f.NumIn, tt.ErrTooWide)
 	}
 	if f.NumOut <= 0 {
 		// Parse rejects ".o 0", but a hand-built File can still carry no

@@ -2,12 +2,12 @@ package pla
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"relsyn/internal/cube"
 	"relsyn/internal/tt"
 )
 
@@ -53,7 +53,7 @@ func TestParseErrors(t *testing.T) {
 		"011 1\n",                // cube before header
 		".i 3\n011 1\n",          // missing .o
 		".i 3\n.o 1\n.type xy\n", // bad type
-		".i 33\n.o 1\n",          // wider than a cube
+		".i 33\n.o 1\n",          // wider than tt.MaxInputs
 	}
 	for _, src := range cases {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
@@ -62,17 +62,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// A header wider than cube.MaxVars is refused before any row becomes a
-// cube; the widest admitted header still parses its rows.
+// A header wider than tt.MaxInputs is refused at line 1, before any row
+// is read, with tt.ErrTooWide, and so is a hand-built File that wide;
+// the widest admitted header still parses its rows and converts to a
+// function.
 func TestParseBoundsInputWidth(t *testing.T) {
-	wide := fmt.Sprintf(".i %d\n.o 1\n%s 1\n.e\n", cube.MaxVars+1, strings.Repeat("1", cube.MaxVars+1))
+	wide := fmt.Sprintf(".i %d\n.o 1\n%s 1\n.e\n", tt.MaxInputs+1, strings.Repeat("1", tt.MaxInputs+1))
 	_, err := Parse(strings.NewReader(wide))
-	if err == nil || !strings.Contains(err.Error(), "line 1") {
-		t.Fatalf("wide header: err = %v, want a line-1 error", err)
+	if err == nil || !strings.Contains(err.Error(), "line 1") || !errors.Is(err, tt.ErrTooWide) {
+		t.Fatalf("wide header: err = %v, want a line-1 tt.ErrTooWide", err)
 	}
-	top := fmt.Sprintf(".i %d\n.o 1\n%s 1\n.e\n", cube.MaxVars, strings.Repeat("-", cube.MaxVars))
-	if f, err := Parse(strings.NewReader(top)); err != nil || len(f.Rows) != 1 {
-		t.Fatalf(".i %d: %v", cube.MaxVars, err)
+	built := &File{NumIn: tt.MaxInputs + 1, NumOut: 1, LogicTyp: TypeFD}
+	if _, err := built.ToFunction(); !errors.Is(err, tt.ErrTooWide) {
+		t.Fatalf("hand-built .i %d: ToFunction = %v, want tt.ErrTooWide", built.NumIn, err)
+	}
+	top := fmt.Sprintf(".i %d\n.o 1\n%s 1\n.e\n", tt.MaxInputs, strings.Repeat("-", tt.MaxInputs))
+	f, err := Parse(strings.NewReader(top))
+	if err != nil || len(f.Rows) != 1 {
+		t.Fatalf(".i %d: %v", tt.MaxInputs, err)
+	}
+	if _, err := f.ToFunction(); err != nil {
+		t.Fatalf(".i %d: ToFunction: %v", tt.MaxInputs, err)
 	}
 }
 

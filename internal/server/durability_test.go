@@ -213,11 +213,15 @@ func TestServerRecoverUnreplayable(t *testing.T) {
 		{ID: "job_nospec", Key: "k", Status: store.StatusQueued},
 		{ID: "job_badpla", Key: "k2", Status: store.StatusQueued,
 			SpecPLA: "this is not a pla file", Options: &pipeline.JobOptions{}},
+		// Written before the dense ceiling was enforced at the .pla
+		// boundary: the spec no longer parses, so the job fails.
+		{ID: "job_wide", Key: "k3", Status: store.StatusQueued,
+			SpecPLA: wideSpecPLA(tt.MaxInputs + 1), Options: &pipeline.JobOptions{}},
 	})
-	if rs.Failed != 2 {
-		t.Fatalf("recovery stats = %+v, want 2 failed", rs)
+	if rs.Failed != 3 {
+		t.Fatalf("recovery stats = %+v, want 3 failed", rs)
 	}
-	for _, id := range []string{"job_nospec", "job_badpla"} {
+	for _, id := range []string{"job_nospec", "job_badpla", "job_wide"} {
 		js, ok := s.Lookup(id)
 		if !ok {
 			t.Fatalf("unreplayable job %s not registered", id)
@@ -225,6 +229,9 @@ func TestServerRecoverUnreplayable(t *testing.T) {
 		status, _, errMsg := js.snapshot()
 		if status != StatusFailed || errMsg == "" {
 			t.Fatalf("job %s = %s (%q), want failed with message", id, status, errMsg)
+		}
+		if id == "job_wide" && !strings.Contains(errMsg, tt.ErrTooWide.Error()) {
+			t.Fatalf("job %s failed with %q, want the input ceiling named", id, errMsg)
 		}
 	}
 }

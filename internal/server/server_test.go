@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"relsyn/internal/jobqueue"
 	"relsyn/internal/obs"
 	"relsyn/internal/pipeline"
+	"relsyn/internal/pla"
 	"relsyn/internal/tt"
 )
 
@@ -479,6 +481,45 @@ func TestServerBadRequests(t *testing.T) {
 	}
 	if resp := getJSON(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d", resp.StatusCode)
+	}
+}
+
+// wideSpecPLA is a one-row spec over n inputs whose minimum is the
+// literal x0.
+func wideSpecPLA(n int) string {
+	return fmt.Sprintf(".i %d\n.o 1\n1%s 1\n.e\n", n, strings.Repeat("-", n-1))
+}
+
+// Specs wider than tt.MaxInputs are refused where they enter: pla.Parse
+// at the header, pla.File.ToFunction for a hand-built file, and
+// /v1/synth with a 400 before anything is queued — never by a worker
+// spending its deadline on them.
+func TestServerRefusesWideSpec(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	for _, n := range []int{tt.MaxInputs + 1, 21} {
+		if _, err := pla.Parse(strings.NewReader(wideSpecPLA(n))); !errors.Is(err, tt.ErrTooWide) {
+			t.Fatalf(".i %d: pla.Parse = %v, want tt.ErrTooWide", n, err)
+		}
+		file := &pla.File{NumIn: n, NumOut: 1, LogicTyp: pla.TypeFD}
+		if _, err := file.ToFunction(); !errors.Is(err, tt.ErrTooWide) {
+			t.Fatalf(".i %d: ToFunction = %v, want tt.ErrTooWide", n, err)
+		}
+		start := time.Now()
+		resp, data := postJSON(t, ts.URL+"/v1/synth", SynthRequest{PLA: wideSpecPLA(n)})
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf(".i %d: refusal took %v", n, took)
+		}
+		var sr SynthResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || sr.Status != "invalid" ||
+			!strings.Contains(sr.Error, tt.ErrTooWide.Error()) {
+			t.Fatalf(".i %d: HTTP %d %+v, want 400 invalid naming the ceiling", n, resp.StatusCode, sr)
+		}
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Fatalf("wide specs submitted %d jobs, want 0", st.Submitted)
 	}
 }
 

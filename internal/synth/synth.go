@@ -264,7 +264,7 @@ func Refactor(g *aig.Graph) *aig.Graph {
 // parallelism cap for the per-cone minimize+factor fan-out.
 func refactorPoll(g *aig.Graph, poll func() error, parallelism int) (*aig.Graph, error) {
 	n := g.NumPI()
-	if n > 16 {
+	if n > tt.MaxInputs {
 		return g, nil
 	}
 	tts := g.NodeTruthTables()

@@ -75,8 +75,8 @@ func checkProbs(p0, p1, pdc float64) error {
 // steered to Params.TargetCf by local search over phase flips and
 // DC-position swaps, at exactly the requested DC density.
 func Generate(p Params) (*tt.Function, error) {
-	if p.Inputs < 1 || p.Inputs > 16 {
-		return nil, fmt.Errorf("synthetic: inputs %d outside [1,16]", p.Inputs)
+	if p.Inputs < 1 || p.Inputs > tt.MaxInputs {
+		return nil, fmt.Errorf("synthetic: inputs %d outside [1,%d]", p.Inputs, tt.MaxInputs)
 	}
 	if p.Outputs < 1 {
 		return nil, fmt.Errorf("synthetic: need at least one output")

@@ -5,7 +5,7 @@
 // off-set, and DC-set, stored as two bitsets (on, dc); the off-set is
 // implicit. All of the paper's metrics — complexity factor, error rates,
 // border counts — are Θ(n·2^n) bulk scans over this representation, which
-// is exact and fast for the benchmark sizes in question (n ≤ 16).
+// is exact and fast for the spec sizes admitted (n ≤ MaxInputs).
 package tt
 
 import (
@@ -23,6 +23,19 @@ import (
 // mean — before this sentinel existed the mean helpers silently divided
 // by zero and returned NaN.
 var ErrZeroOutputs = errors.New("tt: function has zero outputs")
+
+// MaxInputs is the widest function the dense engine admits: every
+// two-level minimization, census and assignment runs over 2^n-minterm
+// bitsets, which stay cache-resident and bounded in cost up to here.
+// Specs enter through the .pla boundary (pla.Parse, pla.File.ToFunction),
+// which refuses anything wider with ErrTooWide. Wider logic is a network
+// (BLIF) job, which never builds a dense table of its primary inputs.
+const MaxInputs = 16
+
+// ErrTooWide is returned (wrapped) wherever a spec wider than MaxInputs
+// is refused: by the .pla boundary, and by the dense entry points of
+// internal/espresso and internal/exact.
+var ErrTooWide = fmt.Errorf("tt: spec wider than %d inputs", MaxInputs)
 
 // Phase classifies a minterm with respect to one output.
 type Phase uint8

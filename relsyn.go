@@ -78,7 +78,8 @@ func NewFunction(n, m int) *Function { return tt.New(n, m) }
 var ErrZeroOutputs = tt.ErrZeroOutputs
 
 // ParsePLA reads an Espresso-format .pla description (types f, fd, fr,
-// fdr) into a dense function.
+// fdr) into a dense function. A spec wider than 16 inputs is refused:
+// wider logic is a network job (ParseBLIF, RunNetworkJob).
 func ParsePLA(r io.Reader) (*Function, error) {
 	file, err := pla.Parse(r)
 	if err != nil {
