@@ -114,6 +114,12 @@ func New(n int) Cube {
 // NumVars returns the number of input variables.
 func (c Cube) NumVars() int { return c.n }
 
+// Word returns the cube's literal pairs as one word (variable i at bits
+// 2i and 2i+1). Two cubes of the same width are equal iff their words
+// are; the word order is not Compare's. For cubes with disjoint
+// supports, the word of their product is the AND of their words.
+func (c Cube) Word() uint64 { return c.w }
+
 // Val returns the literal state of variable i.
 func (c Cube) Val(i int) Literal {
 	if i < 0 || i >= c.n {

@@ -52,7 +52,7 @@ func NewAnd(args ...*Expr) *Expr { return newNary(And, Const1, Const0, args) }
 func NewOr(args ...*Expr) *Expr { return newNary(Or, Const0, Const1, args) }
 
 func newNary(k Kind, identity, absorbing Kind, args []*Expr) *Expr {
-	var flat []*Expr
+	flat := make([]*Expr, 0, len(args))
 	for _, a := range args {
 		switch {
 		case a == nil || a.Kind == identity:
@@ -162,23 +162,33 @@ func (e *Expr) write(b *strings.Builder, parenOr bool) {
 
 // FromCube renders a cube as an And of literals.
 func FromCube(c cube.Cube) *Expr {
-	var lits []*Expr
+	nodes := make([]Expr, 0, c.NumLiterals())
 	for v := 0; v < c.NumVars(); v++ {
 		switch c.Val(v) {
 		case cube.One:
-			lits = append(lits, NewLit(v, false))
+			nodes = append(nodes, Expr{Kind: Lit, Var: v})
 		case cube.Zero:
-			lits = append(lits, NewLit(v, true))
+			nodes = append(nodes, Expr{Kind: Lit, Var: v, Neg: true})
 		case cube.Empty:
 			return NewConst(false)
 		}
 	}
-	return NewAnd(lits...)
+	switch len(nodes) {
+	case 0:
+		return NewConst(true)
+	case 1:
+		return &nodes[0]
+	}
+	lits := make([]*Expr, len(nodes))
+	for i := range nodes {
+		lits[i] = &nodes[i]
+	}
+	return &Expr{Kind: And, Args: lits}
 }
 
 // SOP renders a cover as the flat Or of its cube Ands (no factoring).
 func SOP(cv *cube.Cover) *Expr {
-	var terms []*Expr
+	terms := make([]*Expr, 0, cv.Len())
 	for _, c := range cv.Cubes {
 		terms = append(terms, FromCube(c))
 	}

@@ -133,6 +133,19 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
+// Peek returns the value for k like Get, but counts neither a hit nor
+// a miss and leaves recency alone: it is for a re-probe whose caller
+// has already counted its lookup.
+func (c *Cache[K, V]) Peek(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		return el.Value.(*entry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Add inserts or refreshes k -> v, evicting least recently used
 // entries while either the entry count or the byte total is over
 // budget.

@@ -38,6 +38,25 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+func TestPeekCountsNothing(t *testing.T) {
+	c := New[string, int](2)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d,%v", v, ok)
+	}
+	if _, ok := c.Peek("z"); ok {
+		t.Fatal("Peek(z) hit")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Peek counted: %+v", st)
+	}
+	c.Add("c", 3) // a is still LRU: Peek did not refresh it
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek refreshed a's recency")
+	}
+}
+
 func TestAddRefreshesExisting(t *testing.T) {
 	c := New[string, int](2)
 	c.Add("a", 1)

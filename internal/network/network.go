@@ -245,39 +245,41 @@ func checkPoll(poll func() error, node int) error {
 	return poll()
 }
 
+// leafWord[i] holds cut leaf i's value on all 64 rows of a cone table:
+// bit r is bit i of r.
+var leafWord = [MaxFanins]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
 // coneTable computes the truth table of AIG node root over the given cut
-// leaves by local evaluation.
+// leaves (at most MaxFanins) by simulating the cone once, every row at
+// a time: one word per node, leaf i's word being leafWord[i].
 func coneTable(g *aig.Graph, root int, leaves []int) *bitset.Set {
-	k := len(leaves)
-	size := 1 << uint(k)
-	table := bitset.New(size)
-	leafPos := map[int]int{}
+	val := make(map[int]uint64, 4*len(leaves))
 	for i, l := range leaves {
-		leafPos[l] = i
+		val[l] = leafWord[i]
 	}
-	for row := 0; row < size; row++ {
-		memo := map[int]bool{0: false}
-		var eval func(n int) bool
-		eval = func(n int) bool {
-			if v, ok := memo[n]; ok {
-				return v
-			}
-			if p, ok := leafPos[n]; ok {
-				v := row>>uint(p)&1 == 1
-				memo[n] = v
-				return v
-			}
-			f0, f1 := g.Fanins(n)
-			v0 := eval(f0.Node()) != f0.Compl()
-			v1 := eval(f1.Node()) != f1.Compl()
-			v := v0 && v1
-			memo[n] = v
+	val[0] = 0 // the constant-false node
+	var sim func(n int) uint64
+	sim = func(n int) uint64 {
+		if v, ok := val[n]; ok {
 			return v
 		}
-		if eval(root) {
-			table.Set(row)
+		f0, f1 := g.Fanins(n)
+		v0, v1 := sim(f0.Node()), sim(f1.Node())
+		if f0.Compl() {
+			v0 = ^v0
 		}
+		if f1.Compl() {
+			v1 = ^v1
+		}
+		val[n] = v0 & v1
+		return v0 & v1
 	}
+	table := bitset.New(1 << uint(len(leaves)))
+	table.Words()[0] = sim(root)
+	table.Trim() // rows past 2^k
 	return table
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"relsyn/internal/aig"
 	"relsyn/internal/benchmarks"
+	"relsyn/internal/bitset"
 	"relsyn/internal/network"
 	"relsyn/internal/synth"
 	"relsyn/internal/tt"
@@ -387,6 +388,77 @@ func TestEnumerateCutsMatchesOracle(t *testing.T) {
 				}
 				if !reflect.DeepEqual(ints, want[i]) {
 					t.Fatalf("%s k=%d node %d: cuts %v, oracle %v", s.Name, k, i, ints, want[i])
+				}
+			}
+		}
+	}
+}
+
+// oracleConeTable evaluates the cone row by row, one memoized recursion
+// per truth-table row: the reference for coneTable's word-parallel
+// simulation.
+func oracleConeTable(g *aig.Graph, root int, leaves []int) *bitset.Set {
+	size := 1 << uint(len(leaves))
+	table := bitset.New(size)
+	leafPos := map[int]int{}
+	for i, l := range leaves {
+		leafPos[l] = i
+	}
+	for row := 0; row < size; row++ {
+		memo := map[int]bool{0: false}
+		var eval func(n int) bool
+		eval = func(n int) bool {
+			if v, ok := memo[n]; ok {
+				return v
+			}
+			if p, ok := leafPos[n]; ok {
+				v := row>>uint(p)&1 == 1
+				memo[n] = v
+				return v
+			}
+			f0, f1 := g.Fanins(n)
+			v0 := eval(f0.Node()) != f0.Compl()
+			v1 := eval(f1.Node()) != f1.Compl()
+			v := v0 && v1
+			memo[n] = v
+			return v
+		}
+		if eval(root) {
+			table.Set(row)
+		}
+	}
+	return table
+}
+
+// The word-parallel cone simulator agrees with the per-row evaluator on
+// every cut of every AND node of each Table 1 suite spec's synthesized
+// AIG, at k = 2, 4 and 6.
+func TestConeTableMatchesOracle(t *testing.T) {
+	for _, s := range benchmarks.Specs() {
+		if testing.Short() && (s.Name == "random1" || s.Name == "random2") {
+			continue
+		}
+		f, err := benchmarks.Load(s.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := synth.Synthesize(f, synth.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := res.Graph
+		for _, k := range []int{2, 4, network.MaxFanins} {
+			cuts, err := network.EnumerateCuts(g, k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := g.NumPI() + 1; n < len(cuts); n++ {
+				for _, c := range cuts[n] {
+					leaves := c.Ints()
+					got, want := network.ConeTable(g, n, leaves), oracleConeTable(g, n, leaves)
+					if !got.Equal(want) {
+						t.Fatalf("%s k=%d node %d cut %v: table %s, oracle %s", s.Name, k, n, leaves, got, want)
+					}
 				}
 			}
 		}

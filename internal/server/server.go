@@ -394,39 +394,58 @@ func (s *Server) SubmitSpec(fn *tt.Function, specHash, specPLA string, jo pipeli
 	key := specHash + "|" + jo.Key()
 
 	// The cache counts its own hits/misses (lru.Instrument).
-	if res, ok := s.cache.Get(key); ok {
-		js := s.completedState(key, res)
-		s.register(js)
-		// Durable trail for /v1/jobs/{id} across restarts. The result is
-		// not repeated on the record: recovery resolves it through the
-		// cache by key.
-		s.persist(store.Record{
-			ID: js.id, Key: key, Status: store.StatusDone,
-			CreatedUnixMs:  js.created.UnixMilli(),
-			FinishedUnixMs: js.finished.UnixMilli(),
+	for {
+		if res, ok := s.cache.Get(key); ok {
+			return s.serveCached(key, res), nil
+		}
+		js, started, err := s.inFly.Do(key, func() (*jobState, error) {
+			// completeJob adds a result before it forgets the flight, so
+			// a flight that completed after the Get above has already
+			// published: go back and serve it from the cache instead of
+			// running the spec twice. Peek counts no second miss.
+			if _, ok := s.cache.Peek(key); ok {
+				return nil, errCached
+			}
+			return s.enqueueJob(newJobID(), key, fn, jo, priority)
 		})
-		return &SubmitOutcome{Job: js, Cached: true}, nil
+		if errors.Is(err, errCached) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !started {
+			// The flight group counted the join (flight.Instrument).
+			return &SubmitOutcome{Job: js, Coalesced: true}, nil
+		}
+		s.register(js)
+		s.persist(store.Record{
+			ID: js.id, Key: key, Status: store.StatusQueued,
+			Priority:      priority,
+			SpecPLA:       s.specText(fn, specPLA),
+			Options:       &jo,
+			CreatedUnixMs: js.created.UnixMilli(),
+		})
+		return &SubmitOutcome{Job: js}, nil
 	}
+}
 
-	js, started, err := s.inFly.Do(key, func() (*jobState, error) {
-		return s.enqueueJob(newJobID(), key, fn, jo, priority)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !started {
-		// The flight group counted the join (flight.Instrument).
-		return &SubmitOutcome{Job: js, Coalesced: true}, nil
-	}
+// errCached stops a flight start whose result is already cached.
+var errCached = errors.New("server: result already cached")
+
+// serveCached registers a done job for a cached result.
+func (s *Server) serveCached(key string, res *pipeline.JobResult) *SubmitOutcome {
+	js := s.completedState(key, res)
 	s.register(js)
+	// Durable trail for /v1/jobs/{id} across restarts. The result is
+	// not repeated on the record: recovery resolves it through the
+	// cache by key.
 	s.persist(store.Record{
-		ID: js.id, Key: key, Status: store.StatusQueued,
-		Priority:      priority,
-		SpecPLA:       s.specText(fn, specPLA),
-		Options:       &jo,
-		CreatedUnixMs: js.created.UnixMilli(),
+		ID: js.id, Key: key, Status: store.StatusDone,
+		CreatedUnixMs:  js.created.UnixMilli(),
+		FinishedUnixMs: js.finished.UnixMilli(),
 	})
-	return &SubmitOutcome{Job: js}, nil
+	return &SubmitOutcome{Job: js, Cached: true}
 }
 
 // enqueueJob creates the jobState for one leader job and admits it to

@@ -661,22 +661,15 @@ func TestServerMetricsEndpoint(t *testing.T) {
 			t.Fatalf("synth: HTTP %d: %s", resp.StatusCode, data)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// A worker marks itself idle only after completeJob's WAL append,
+	// which may land after the reply: wait for the gauge to settle.
+	var text string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		text = scrapeMetrics(t, ts.URL)
+		if strings.Contains(text, "relsyn_workers_busy 0\n") || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: HTTP %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
 	for _, want := range []string{
 		"# TYPE relsyn_queue_depth gauge",
 		"relsyn_queue_capacity 8",
@@ -700,6 +693,27 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if t.Failed() {
 		t.Logf("full /metrics body:\n%s", text)
 	}
+}
+
+// scrapeMetrics fetches /metrics and checks its status and content type.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: HTTP %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("content type %q", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // /statsz carries both the classic counters and the full metrics

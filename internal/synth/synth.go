@@ -82,9 +82,9 @@ type Options struct {
 	Flow      Flow
 	Library   *celllib.Library // nil = celllib.Generic70()
 
-	// Interrupt, when non-nil, is polled between per-output minimization
-	// passes and between flow phases; a non-nil return aborts Synthesize
-	// with that error (cooperative cancellation).
+	// Interrupt, when non-nil, is polled inside minimization and
+	// factoring and between flow phases; a non-nil return aborts
+	// Synthesize with that error (cooperative cancellation).
 	Interrupt func() error
 
 	// MaxAIGNodes caps the AND-node count of the constructed AIG
@@ -164,8 +164,8 @@ func Synthesize(f *tt.Function, opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		exprs[o] = factor.GoodFactor(cov)
-		return nil
+		exprs[o], err = factor.GoodFactorPoll(cov, opt.Interrupt)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -277,8 +277,8 @@ func refactorPoll(g *aig.Graph, poll func() error, parallelism int) (*aig.Graph,
 		if err != nil {
 			return err
 		}
-		exprs[o] = factor.GoodFactor(cov)
-		return nil
+		exprs[o], err = factor.GoodFactorPoll(cov, poll)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -319,8 +319,8 @@ func resynNodesPoll(g *aig.Graph, k int, poll func() error, parallelism int) (*a
 		if err != nil {
 			return err
 		}
-		exprs[ni] = factor.GoodFactor(cov)
-		return nil
+		exprs[ni], err = factor.GoodFactorPoll(cov, poll)
+		return err
 	})
 	if err != nil {
 		return nil, err
