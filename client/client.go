@@ -328,29 +328,6 @@ func (c *Client) FetchCache(ctx context.Context, key string) (*pipeline.JobResul
 	return env.Result, true, nil
 }
 
-// FetchCensus asks the shard's census endpoint for a cached fused
-// neighbor census by bare spec hash (no options key: census identity
-// is options-independent). The payload is the internal/census binary
-// wire format, returned opaque so the caller decides whether to decode
-// and trust it. Like FetchCache it is a single best-effort round trip;
-// a 404 is (nil, false, nil).
-func (c *Client) FetchCensus(ctx context.Context, specHash string) ([]byte, bool, error) {
-	r := c.exchange(ctx, http.MethodGet, "/v1/census/"+url.PathEscape(specHash), nil, nil, false)
-	if r.err != nil {
-		return nil, false, fmt.Errorf("client: GET /v1/census: %w", r.err)
-	}
-	if r.code == http.StatusNotFound {
-		return nil, false, nil
-	}
-	if r.code != http.StatusOK {
-		return nil, false, fmt.Errorf("client: GET /v1/census: HTTP %d", r.code)
-	}
-	if len(r.body) == 0 {
-		return nil, false, nil
-	}
-	return r.body, true, nil
-}
-
 // doRaw runs one logical request through the retry (and hedging)
 // policy, returning the first definitive exchange (any status outside
 // the retryable set). The response body is fully read but not decoded.

@@ -26,10 +26,7 @@
 // relied on (they too snapshot their censuses before mutating).
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Census is the fused neighbor census of one output: for every minterm
 // m of a 2^k space, how many of its k 1-Hamming neighbors are in the
@@ -114,66 +111,6 @@ func (c *Census) buildDerived() {
 	c.foldVals = fold.Values16()
 }
 
-// NewCensusFromParts reassembles a census from deserialized pieces
-// (the peer-fill wire path): the phase sets plus the three neighbor
-// counters, all validated for shape. The off-set is rederived from
-// on|dc rather than trusted from the wire, and on/dc are cloned, so
-// the caller's buffers stay independent. Shape is validated; counter
-// *contents* are trusted — a peer-supplied census with wrong counts
-// yields wrong metrics on the receiving shard, which is why receivers
-// gate primes behind an exact on/dc match against the local spec.
-func NewCensusFromParts(on, dc *Set, onCnt, offCnt, dcCnt *Counter) *Census {
-	on.checkShift("NewCensusFromParts", 0)
-	on.mustMatch("bitset.NewCensusFromParts", dc)
-	n := on.n
-	k := bits.Len(uint(n - 1))
-	if n == 1 {
-		k = 0
-	}
-	planes := bits.Len(uint(max2(k, 1)))
-	for _, cnt := range []*Counter{onCnt, offCnt, dcCnt} {
-		if cnt.n != n {
-			panic(NewSizeMismatch("bitset.NewCensusFromParts", n, cnt.n))
-		}
-		if len(cnt.planes) != planes {
-			panic(fmt.Sprintf("bitset: census counter has %d planes, want %d", len(cnt.planes), planes))
-		}
-	}
-	off := on.Union(dc)
-	for i := range off.words {
-		off.words[i] = ^off.words[i]
-	}
-	off.trim()
-	c := &Census{
-		n: n, k: k,
-		on: on.Clone(), dc: dc.Clone(), off: off,
-		onCnt: onCnt, offCnt: offCnt, dcCnt: dcCnt,
-	}
-	c.buildDerived()
-	return c
-}
-
-// NewCounterFromPlanes wraps deserialized bit planes as a counter.
-// Plane 0 is least significant; every plane must have capacity n.
-func NewCounterFromPlanes(n int, planes []*Set) *Counter {
-	if len(planes) == 0 {
-		panic("bitset: counter needs at least one plane")
-	}
-	for _, p := range planes {
-		if p.n != n {
-			panic(NewSizeMismatch("bitset.NewCounterFromPlanes", n, p.n))
-		}
-	}
-	return &Counter{n: n, planes: planes}
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Len returns the minterm-space size (2^K).
 func (c *Census) Len() int { return c.n }
 
@@ -186,12 +123,6 @@ func (c *Census) K() int { return c.k }
 func (c *Census) On() *Set  { return c.on }
 func (c *Census) DC() *Set  { return c.dc }
 func (c *Census) Off() *Set { return c.off }
-
-// OnCounter, OffCounter and DCCounter return the bit-sliced neighbor
-// counters. Read-only: mutating the planes corrupts the census.
-func (c *Census) OnCounter() *Counter  { return c.onCnt }
-func (c *Census) OffCounter() *Counter { return c.offCnt }
-func (c *Census) DCCounter() *Counter  { return c.dcCnt }
 
 // OnAt, OffAt and DCAt return the per-minterm neighbor counts. On and
 // off reads come from the precomputed arrays; DC counts are queried

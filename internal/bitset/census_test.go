@@ -158,7 +158,7 @@ func TestMaskedCounterSumBlocked(t *testing.T) {
 		t.Logf("note: n=2^%d fits one block of %d words; boundary exercised only on smaller block sizes", k, popcountBlockWords)
 	}
 	on, dc := randomPhases(k, 0.3, 77)
-	cnt := NewCensus(on, dc).OnCounter()
+	cnt := NewCensus(on, dc).onCnt
 	want := 0
 	dc.ForEach(func(m int) { want += cnt.Get(m) })
 	if got := MaskedCounterSum(cnt, dc); got != want {

@@ -204,13 +204,6 @@ func NewCounter(n, max int) *Counter {
 // Len returns the number of positions.
 func (c *Counter) Len() int { return c.n }
 
-// NumPlanes returns the number of bit planes (the counter width).
-func (c *Counter) NumPlanes() int { return len(c.planes) }
-
-// Plane returns bit plane p (plane 0 is the least significant). The
-// returned set is live: mutating it mutates the counter.
-func (c *Counter) Plane(p int) *Set { return c.planes[p] }
-
 // addWordAt ripple-carries the 0/1-per-position word x into word wi of
 // the planes, entering at plane `level` (i.e. adding x·2^level).
 func (c *Counter) addWordAt(wi int, x uint64, level int) {

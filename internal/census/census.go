@@ -9,10 +9,10 @@
 // (pla.HashFunction upstream). Execution knobs — parallelism,
 // assignment fractions/thresholds — must never
 // fragment it; the key-purity tests in this package and in
-// internal/pipeline pin that. The same property makes the census
-// shareable across shards: ring placement already groups every
-// option-variant of one spec on the owner of the bare spec hash, so
-// the peer-fill path can serve censuses under the same ownership rule.
+// internal/pipeline pin that. Each process keeps its own engine and a
+// census never leaves it: in a sharded deployment ring placement on
+// the same bare spec hash already sends every option-variant of one
+// spec to one owner, whose engine serves them all.
 //
 // Invalidation story: there is none, by construction. The key is a
 // content hash of the truth tables, so a "stale" census is
@@ -80,7 +80,7 @@ func (fc *FunctionCensus) Bytes() int {
 // Matches reports whether the census plausibly belongs to f: same
 // input count, same output count, and each output's snapshot on/dc
 // sets equal f's. It is the guard consumers use before trusting a
-// cache or peer-supplied census for a given function.
+// cached census for a given function.
 func (fc *FunctionCensus) Matches(f *tt.Function) bool {
 	if fc.NumIn != f.NumIn || len(fc.Outs) != len(f.Outs) {
 		return false
@@ -137,7 +137,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.SetHelp("relsyn_census_hits_total", "Fused-census lookups served from the content-addressed cache (local or peer-primed).")
+	reg.SetHelp("relsyn_census_hits_total", "Fused-census lookups served from the content-addressed cache.")
 	reg.SetHelp("relsyn_census_misses_total", "Fused-census lookups that recomputed the census.")
 	reg.SetHelp("relsyn_census_bytes", "Resident bytes of cached fused censuses.")
 	reg.RegisterCounter("relsyn_census_hits_total", &e.hits)
@@ -166,8 +166,8 @@ func (e *Engine) Stats() Stats {
 // from the cache when present and computing (and caching) it
 // otherwise. hash must be the spec content hash alone — callers must
 // not mix execution options into it (key purity). A cached census that
-// fails the Matches guard (hash collision or corrupted prime) is
-// discarded and recomputed.
+// fails the Matches guard (a hash collision) is discarded and
+// recomputed.
 func (e *Engine) For(ctx context.Context, hash string, f *tt.Function, parallelism int) (*FunctionCensus, error) {
 	if hash == "" {
 		return nil, fmt.Errorf("census: empty spec hash")
@@ -187,17 +187,3 @@ func (e *Engine) For(ctx context.Context, hash string, f *tt.Function, paralleli
 	e.cache.Add(hash, fc)
 	return fc, nil
 }
-
-// Prime inserts a census computed elsewhere (the peer-fill path) under
-// its spec hash. The Matches guard still runs at every For, so a bad
-// prime can waste cache space but never corrupt results.
-func (e *Engine) Prime(hash string, fc *FunctionCensus) {
-	if hash == "" || fc == nil {
-		return
-	}
-	e.cache.Add(hash, fc)
-}
-
-// Peek returns the cached census for hash without computing on miss —
-// the read side of the peer census endpoint.
-func (e *Engine) Peek(hash string) (*FunctionCensus, bool) { return e.cache.Get(hash) }

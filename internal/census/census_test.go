@@ -122,58 +122,3 @@ func TestEngineByteBudgetBounds(t *testing.T) {
 		t.Fatalf("cache holds %d censuses, byte budget allows at most 3", got)
 	}
 }
-
-func TestWireRoundTrip(t *testing.T) {
-	for _, k := range []int{0, 1, 5, 7} {
-		f := randomSpec(k, 2, int64(10+k))
-		fc, err := Compute(context.Background(), f, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := fc.MarshalBinary()
-		if err != nil {
-			t.Fatalf("k=%d marshal: %v", k, err)
-		}
-		got, err := UnmarshalBinary(buf)
-		if err != nil {
-			t.Fatalf("k=%d unmarshal: %v", k, err)
-		}
-		if !got.Matches(f) {
-			t.Fatalf("k=%d round-tripped census does not match the source function", k)
-		}
-		for o := range fc.Outs {
-			want, have := fc.Out(o), got.Out(o)
-			for m := 0; m < f.Size(); m++ {
-				if want.OnAt(m) != have.OnAt(m) || want.OffAt(m) != have.OffAt(m) || want.DCAt(m) != have.DCAt(m) {
-					t.Fatalf("k=%d o=%d m=%d counts differ after round trip", k, o, m)
-				}
-			}
-			wb0, wb1, wbd := want.Borders()
-			gb0, gb1, gbd := have.Borders()
-			if wb0 != gb0 || wb1 != gb1 || wbd != gbd {
-				t.Fatalf("k=%d o=%d borders differ after round trip", k, o)
-			}
-		}
-	}
-}
-
-func TestWireRejectsCorruption(t *testing.T) {
-	f := randomSpec(4, 1, 20)
-	fc, _ := Compute(context.Background(), f, 1)
-	buf, err := fc.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    append([]byte("XXXX"), buf[4:]...),
-		"truncated":    buf[:len(buf)-3],
-		"trailing":     append(append([]byte{}, buf...), 0),
-		"insane numIn": append(append(append([]byte{}, buf[:4]...), 0xFF, 0xFF, 0, 0), buf[8:]...),
-	}
-	for name, data := range cases {
-		if _, err := UnmarshalBinary(data); err == nil {
-			t.Fatalf("%s payload accepted", name)
-		}
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -260,25 +261,38 @@ func TestFleetSingleNodeRestartMidSoak(t *testing.T) {
 	// though the replacement serves for most of the run.
 	time.Sleep(2 * time.Second)
 
-	restarted := make(chan *soakShard, 1)
-	go func() {
-		defer close(restarted)
-		time.Sleep(400 * time.Millisecond)
+	// The restart runs inside the driver's 40th request, before that
+	// request is sent. The driver sends nothing before Run's opening
+	// scrape, and Run drains every op before its closing scrape, so the
+	// restart always falls between the two however slow the host is.
+	var sh2 *soakShard
+	restart := func() {
 		sh.kill()
 		// A restarted daemon keeps its address; the freed port may need a
 		// few retries to rebind.
 		for i := 0; i < 100; i++ {
 			ln2, err := net.Listen("tcp", addr)
 			if err == nil {
-				restarted <- boot(ln2)
+				sh2 = boot(ln2)
 				return
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-	}()
+	}
+	driver, err := client.New(client.Config{
+		BaseURL: url,
+		HTTPClient: &http.Client{
+			Timeout:   2 * time.Minute,
+			Transport: &restartOnRequest{n: 40, restart: restart, base: http.DefaultTransport},
+		},
+		Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rep, err := fleet.Run(context.Background(), fleet.Config{
-		Driver:        testDriver(t, url),
+		Driver:        driver,
 		ScrapeTargets: []string{url},
 		Pool:          testPool(t),
 		Duration:      1500 * time.Millisecond,
@@ -293,8 +307,7 @@ func TestFleetSingleNodeRestartMidSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh2, ok := <-restarted
-	if !ok || sh2 == nil {
+	if sh2 == nil {
 		t.Fatal("shard never came back on its address")
 	}
 	t.Cleanup(func() { sh2.ts.Close(); sh2.srv.Close() })
@@ -314,6 +327,22 @@ func TestFleetSingleNodeRestartMidSoak(t *testing.T) {
 	if rep.MetricsDelta.Sum("relsyn_http_requests_total") < 1 {
 		t.Fatalf("no post-restart requests counted — reset deltas were dropped:\n%s", raw)
 	}
+}
+
+// restartOnRequest is a driver transport that calls restart
+// synchronously inside its nth request, before forwarding it.
+type restartOnRequest struct {
+	n       int64
+	seen    atomic.Int64
+	restart func()
+	base    http.RoundTripper
+}
+
+func (rt *restartOnRequest) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt.seen.Add(1) == rt.n {
+		rt.restart()
+	}
+	return rt.base.RoundTrip(req)
 }
 
 func repTotals(rep *fleet.Report) (total, errs int64) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +99,28 @@ type clusterShard struct {
 	ts      *httptest.Server
 	backend *countingBackend
 	reg     *obs.Registry
+	reqs    requestLog
+}
+
+// requestLog records "METHOD /path" for every request a shard serves.
+type requestLog struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (l *requestLog) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		l.mu.Lock()
+		l.seen = append(l.seen, r.Method+" "+r.URL.Path)
+		l.mu.Unlock()
+		h.ServeHTTP(w, r)
+	})
+}
+
+func (l *requestLog) snapshot() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.seen...)
 }
 
 // newClusterShards boots n shards that all know each other: listeners
@@ -125,7 +148,7 @@ func newClusterShards(t *testing.T, n int) ([]*clusterShard, []string) {
 			Peers:    peers,
 			SelfAddr: sh.addr,
 		})
-		sh.ts = &httptest.Server{Listener: sh.ln, Config: &http.Server{Handler: sh.srv.Handler()}}
+		sh.ts = &httptest.Server{Listener: sh.ln, Config: &http.Server{Handler: sh.reqs.wrap(sh.srv.Handler())}}
 		sh.ts.Start()
 		sh := sh
 		t.Cleanup(func() {
@@ -243,6 +266,12 @@ func TestPeerFillMissComputesLocally(t *testing.T) {
 	if hits := shards[1].srv.peers.hits.Value(); hits != 0 {
 		t.Fatalf("peer_fill_hits = %d, want 0", hits)
 	}
+	// The miss cost the owner exactly one intra-cluster request, the
+	// result probe; nothing else crosses the wire before the local run.
+	wantPaths := []string{"GET /v1/cache/" + cacheKeyFor(t, text, 30*time.Second)}
+	if got := shards[0].reqs.snapshot(); !slices.Equal(got, wantPaths) {
+		t.Fatalf("owner saw requests %q, want %q", got, wantPaths)
+	}
 
 	// Self-owned keys are not fill candidates: no counter movement.
 	selfText, selfHash := specOwnedBy(t, peers, shards[1].addr, used)
@@ -255,6 +284,9 @@ func TestPeerFillMissComputesLocally(t *testing.T) {
 	}
 	if misses := shards[1].srv.peers.misses.Value(); misses != 1 {
 		t.Fatalf("peer_fill_misses moved to %d on a self-owned key", misses)
+	}
+	if got := shards[0].reqs.snapshot(); len(got) != len(wantPaths) {
+		t.Fatalf("a self-owned key sent the peer requests: %q", got)
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"relsyn/internal/blif"
-	"relsyn/internal/census"
 	"relsyn/internal/obs"
 	"relsyn/internal/pipeline"
 	"relsyn/internal/pla"
@@ -92,7 +91,6 @@ func (s *Server) Handler() http.Handler {
 	route("POST /v1/resyn", "/v1/resyn", s.handleResyn)
 	route("GET /v1/jobs/{id}", "/v1/jobs/{id}", s.handleJob)
 	route("GET /v1/cache/{key}", "/v1/cache/{key}", s.handleCacheGet)
-	route("GET /v1/census/{hash}", "/v1/census/{hash}", s.handleCensusGet)
 	route("GET /healthz", "/healthz", s.handleHealthz)
 	route("GET /statsz", "/statsz", s.handleStatsz)
 	route("GET /metrics", "/metrics", s.handleMetrics)
@@ -371,33 +369,6 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SynthResponse{Status: StatusDone, Cached: true, Result: res})
-}
-
-// handleCensusGet is the census half of the intra-cluster fill
-// protocol: a peer shard probing for a cached fused neighbor census by
-// bare spec hash (censuses are options-independent, so the key carries
-// no options half). The payload is the internal/census binary wire
-// format. Read-only and non-computing, like handleCacheGet — a probe
-// never builds a census, so shard-to-shard fills cannot cascade.
-func (s *Server) handleCensusGet(w http.ResponseWriter, r *http.Request) {
-	eng := census.Default
-	if eng == nil {
-		writeJSON(w, http.StatusNotFound, SynthResponse{Status: "miss"})
-		return
-	}
-	fc, ok := eng.Peek(r.PathValue("hash"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, SynthResponse{Status: "miss"})
-		return
-	}
-	buf, err := fc.MarshalBinary()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode census: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

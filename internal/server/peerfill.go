@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"relsyn/client"
-	"relsyn/internal/census"
 	"relsyn/internal/cluster"
 	"relsyn/internal/obs"
 	"relsyn/internal/pipeline"
@@ -49,9 +48,6 @@ type peerFill struct {
 
 	hits   obs.Counter
 	misses obs.Counter
-
-	censusHits   obs.Counter
-	censusMisses obs.Counter
 }
 
 // newPeerFill wires the cluster config. Returns an error when SelfAddr
@@ -87,10 +83,6 @@ func newPeerFill(cfg Config, reg *obs.Registry) (*peerFill, error) {
 	reg.SetHelp("relsyn_cluster_peer_degraded", "1 while the peer's circuit breaker is open (fills skip it), by peer.")
 	reg.RegisterCounter("relsyn_cluster_peer_fill_hits_total", &pf.hits)
 	reg.RegisterCounter("relsyn_cluster_peer_fill_misses_total", &pf.misses)
-	reg.SetHelp("relsyn_cluster_census_fill_hits_total", "Fused censuses fetched from the ring owner instead of recomputing.")
-	reg.SetHelp("relsyn_cluster_census_fill_misses_total", "Peer census-fill attempts that fell through to local computation.")
-	reg.RegisterCounter("relsyn_cluster_census_fill_hits_total", &pf.censusHits)
-	reg.RegisterCounter("relsyn_cluster_census_fill_misses_total", &pf.censusMisses)
 	for _, addr := range ring.Peers() {
 		if addr == self {
 			continue
@@ -156,36 +148,4 @@ func (pf *peerFill) fetch(ctx context.Context, key string) (*pipeline.JobResult,
 	}
 	pf.hits.Inc()
 	return res, true
-}
-
-// fetchCensus tries to pull the spec's fused neighbor census from its
-// ring owner (the same owner that holds the spec's results: placement
-// uses the bare spec hash for both). Best-effort with the same breaker
-// and timeout as result fill; any failure returns (nil, false) and the
-// job computes its census locally.
-func (pf *peerFill) fetchCensus(ctx context.Context, specHash string) (*census.FunctionCensus, bool) {
-	owner := pf.ring.Owner(specHash)
-	pc := pf.peers[owner]
-	if pc == nil {
-		return nil, false // self-owned: compute locally, nothing to count
-	}
-	if !pc.breaker.Allow() {
-		pf.censusMisses.Inc()
-		return nil, false
-	}
-	fctx, cancel := context.WithTimeout(ctx, pf.timeout)
-	defer cancel()
-	buf, ok, err := pc.client.FetchCensus(fctx, specHash)
-	pc.breaker.Record(err)
-	if err != nil || !ok {
-		pf.censusMisses.Inc()
-		return nil, false
-	}
-	fc, err := census.UnmarshalBinary(buf)
-	if err != nil {
-		pf.censusMisses.Inc()
-		return nil, false
-	}
-	pf.censusHits.Inc()
-	return fc, true
 }

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"relsyn/internal/census"
 	"relsyn/internal/flight"
 	"relsyn/internal/jobqueue"
 	"relsyn/internal/lru"
@@ -634,11 +633,6 @@ func (s *Server) runJob(w *work) {
 			s.completeJob(js, res)
 			return
 		}
-		// Result miss: still try to pull the spec's fused census from the
-		// owner so the local compute at least skips the census build. The
-		// Matches gate keeps a stale or mismatched peer payload from ever
-		// being primed for this spec.
-		s.prefillCensus(w)
 	}
 	res, err := s.callBackend(w)
 	if err != nil {
@@ -660,24 +654,6 @@ func (s *Server) completeJob(js *jobState, res *pipeline.JobResult) {
 	js.finish(StatusDone, res, nil)
 	s.persistFinish(js, StatusDone, res, nil)
 	s.inFly.Forget(js.key)
-}
-
-// prefillCensus primes the process-wide census engine from the spec's
-// ring owner before a local compute. Gated on an engine being
-// configured and not already holding the census, and on the peer
-// payload passing the Matches guard against the job's own spec.
-func (s *Server) prefillCensus(w *work) {
-	eng := census.Default
-	if eng == nil || w.fn == nil {
-		return
-	}
-	specHash := specHashOf(w.state.key)
-	if _, ok := eng.Peek(specHash); ok {
-		return
-	}
-	if fc, ok := s.peers.fetchCensus(w.ctx, specHash); ok && fc.Matches(w.fn) {
-		eng.Prime(specHash, fc)
-	}
 }
 
 // callBackend shields the worker pool from a panicking backend: the

@@ -38,11 +38,9 @@ import (
 	"relsyn/internal/aig"
 	"relsyn/internal/benchmarks"
 	"relsyn/internal/blif"
-	"relsyn/internal/cec"
 	"relsyn/internal/complexity"
 	"relsyn/internal/core"
 	"relsyn/internal/estimate"
-	"relsyn/internal/faultsim"
 	"relsyn/internal/network"
 	"relsyn/internal/obs"
 	"relsyn/internal/pipeline"
@@ -168,16 +166,6 @@ func ErrorRateMulti(ctx context.Context, spec, impl *Function, k int) (float64, 
 	return reliability.ErrorRateMultiMean(ctx, spec, impl, k)
 }
 
-// FaultReport summarizes exhaustive stuck-at fault simulation of a
-// mapped netlist; see internal/faultsim.
-type FaultReport = faultsim.Report
-
-// AnalyzeFaults runs exhaustive single-stuck-at fault simulation over a
-// synthesized implementation's netlist.
-func AnalyzeFaults(res *SynthResult, numPI int) (*FaultReport, error) {
-	return faultsim.Analyze(res.Netlist, numPI)
-}
-
 // EstimateBounds is an analytically estimated [Min, Max] error-rate
 // interval.
 type EstimateBounds = estimate.Bounds
@@ -273,16 +261,6 @@ func RunNetworkJob(ctx context.Context, nw *Network, o JobOptions) (*NetworkJobR
 	return pipeline.RunNetworkJob(ctx, nw, o)
 }
 
-// Counterexample is a distinguishing input found by CheckEquivalence.
-type Counterexample = cec.Counterexample
-
-// CheckEquivalence proves or refutes combinational equivalence of two
-// synthesized circuits by SAT on a miter (scales beyond the exhaustive
-// range). Pass the Graph fields of two SynthResults.
-func CheckEquivalence(g1, g2 *aig.Graph) (bool, *Counterexample, error) {
-	return cec.Check(g1, g2)
-}
-
 // PipelineOptions configures RunPipeline; see pipeline.Options.
 type PipelineOptions = pipeline.Options
 
@@ -340,11 +318,6 @@ type JobResult = pipeline.JobResult
 func RunJob(ctx context.Context, f *Function, o JobOptions) (*JobResult, error) {
 	return pipeline.RunJob(ctx, f, o)
 }
-
-// HashPLA returns the canonical content hash of a function: stable
-// across cube order, redundant cubes, and .pla logic-type encodings.
-// This is the spec half of the relsynd cache key.
-func HashPLA(f *Function) string { return pla.HashFunction(f) }
 
 // Span is one node of an execution trace recorded by the observability
 // layer; see internal/obs. Pipeline runs under a traced context record
