@@ -1,8 +1,8 @@
 package relsyn_test
 
 import (
-	"fmt"
-	"strings"
+	"bytes"
+	"os"
 	"testing"
 
 	"relsyn/internal/benchmarks"
@@ -26,46 +26,6 @@ func benchSatDCNetwork(b *testing.B, name string) *network.Network {
 		b.Fatal(err)
 	}
 	return nw
-}
-
-// benchBigBLIF mirrors the 120-PI acceptance circuit from the network
-// tests: 40 PI triples, 39 overlapping combiners, 13 collectors.
-func benchBigBLIF() string {
-	var sb strings.Builder
-	sb.WriteString(".model big\n.inputs")
-	for i := 0; i < 120; i++ {
-		fmt.Fprintf(&sb, " x%d", i)
-	}
-	sb.WriteString("\n.outputs")
-	for j := 0; j < 13; j++ {
-		fmt.Fprintf(&sb, " y%d", j)
-	}
-	sb.WriteString("\n")
-	for j := 0; j < 40; j++ {
-		fmt.Fprintf(&sb, ".names x%d x%d x%d m%d\n", 3*j, 3*j+1, 3*j+2, j)
-		if j%2 == 0 {
-			sb.WriteString("11- 1\n1-1 1\n-11 1\n")
-		} else {
-			sb.WriteString("100 1\n010 1\n001 1\n111 1\n")
-		}
-	}
-	for j := 0; j < 39; j++ {
-		fmt.Fprintf(&sb, ".names m%d m%d p%d\n", j, j+1, j)
-		switch j % 3 {
-		case 0:
-			sb.WriteString("11 1\n")
-		case 1:
-			sb.WriteString("1- 1\n-1 1\n")
-		default:
-			sb.WriteString("10 1\n01 1\n")
-		}
-	}
-	for j := 0; j < 13; j++ {
-		fmt.Fprintf(&sb, ".names p%d p%d p%d y%d\n", 3*j, 3*j+1, 3*j+2, j)
-		sb.WriteString("001 1\n111 1\n")
-	}
-	sb.WriteString(".end\n")
-	return sb.String()
 }
 
 // BenchmarkSatDC pairs the windowed SAT reassignment against the
@@ -98,7 +58,11 @@ func BenchmarkSatDC(b *testing.B) {
 			}
 		})
 	}
-	big, err := blif.Parse(strings.NewReader(benchBigBLIF()))
+	src, err := os.ReadFile("internal/network/testdata/big120.blif")
+	if err != nil {
+		b.Fatal(err)
+	}
+	big, err := blif.Parse(bytes.NewReader(src))
 	if err != nil {
 		b.Fatal(err)
 	}

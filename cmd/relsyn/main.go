@@ -106,12 +106,10 @@ func usage() {
   relsyn assign [-in spec.pla | -bench name] [-out out.pla] -method rank|lcf|complete [-fraction F] [-threshold T]
   relsyn synth  [-in spec.pla | -bench name] [-objective delay|power|area] [-flow sop|resyn]
                 [-method none|rank|lcf|complete] [-fraction F] [-threshold T]
-                [-timeout D] [-max-conflicts N] [-max-aig-nodes N] [-strict]
-                [-j N] [-json] [-trace]
+                [-timeout D] [-max-aig-nodes N] [-strict] [-j N] [-json] [-trace]
   relsyn verilog [-in spec.pla | -bench name] [-module name] [-out file.v]
   relsyn decompose [-in spec.pla | -bench name] [-k 5] [-threshold 0.7] [-blif file.blif]
   relsyn resyn  [-in file.blif] [-out file.blif] [-threshold T]
-                [-dc-mode auto|exhaustive|windowed-sat] [-window-tfi N] [-window-tfo N]
                 [-max-conflicts N] [-timeout D] [-strict] [-json]
 
 exit codes: 0 ok, 1 failure, 2 usage, 3 resource-limited (budget/timeout)`)
@@ -285,7 +283,6 @@ func runSynth(args []string) error {
 	fraction := fs.Float64("fraction", 0.5, "fraction of ranked DCs to assign (rank)")
 	threshold := fs.Float64("threshold", 0.55, "LC^f threshold (lcf)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
-	maxConflicts := fs.Int64("max-conflicts", 0, "SAT conflict budget; bounds network (resyn) jobs only, so a synth run ignores it (0 = default)")
 	maxAIG := fs.Int("max-aig-nodes", 0, "AIG node budget for synthesis (0 = unlimited)")
 	strict := fs.Bool("strict", false, "fail on budget exhaustion instead of degrading")
 	jsonOut := fs.Bool("json", false, "print the result as JSON (the relsynd wire format)")
@@ -323,13 +320,12 @@ func runSynth(args []string) error {
 		return err
 	}
 	jo := relsyn.JobOptions{
-		Method:       *method,
-		Objective:    *objective,
-		Flow:         *flow,
-		Strict:       *strict,
-		MaxConflicts: *maxConflicts,
-		MaxAIGNodes:  *maxAIG,
-		Parallelism:  *jobs,
+		Method:      *method,
+		Objective:   *objective,
+		Flow:        *flow,
+		Strict:      *strict,
+		MaxAIGNodes: *maxAIG,
+		Parallelism: *jobs,
 	}
 	switch *method {
 	case "rank":
@@ -471,17 +467,14 @@ type resynEnvelope struct {
 }
 
 // runResyn reassigns the internal don't-cares of a BLIF network: parse,
-// extract per-node DCs (exhaustively or with windowed SAT), bind those
-// below the LC^f threshold, and emit the rewritten — provably
-// PO-equivalent — network as BLIF.
+// extract per-node DCs (exhaustively up to tt.MaxInputs primary inputs,
+// with windowed SAT above that), bind those below the LC^f threshold,
+// and emit the rewritten — provably PO-equivalent — network as BLIF.
 func runResyn(args []string) error {
 	fs := flag.NewFlagSet("resyn", flag.ExitOnError)
 	in := fs.String("in", "", "input .blif file (default: stdin)")
 	out := fs.String("out", "", "output .blif file for the reassigned network")
 	threshold := fs.Float64("threshold", 0.55, "LC^f threshold for internal reassignment")
-	dcMode := fs.String("dc-mode", "auto", "DC extraction engine: auto, exhaustive, or windowed-sat")
-	windowTFI := fs.Int("window-tfi", 0, "window fanin depth for windowed-sat (0 = default, negative = full)")
-	windowTFO := fs.Int("window-tfo", 0, "window fanout depth for windowed-sat (0 = default, negative = full)")
 	maxConflicts := fs.Int64("max-conflicts", 0, "per-node SAT conflict budget of the windowed DC extraction; bounds network (resyn) jobs only (0 = default)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
 	strict := fs.Bool("strict", false, "fail on budget exhaustion instead of degrading")
@@ -491,11 +484,6 @@ func runResyn(args []string) error {
 	}
 	if err := checkThreshold(*threshold); err != nil {
 		return err
-	}
-	switch *dcMode {
-	case "auto", "exhaustive", "windowed-sat":
-	default:
-		return usagef("unknown dc-mode %q", *dcMode)
 	}
 	var r io.Reader = os.Stdin
 	if *in != "" {
@@ -513,9 +501,6 @@ func runResyn(args []string) error {
 	jo := relsyn.JobOptions{
 		Method:       "lcf",
 		Threshold:    *threshold,
-		DCMode:       *dcMode,
-		WindowTFI:    *windowTFI,
-		WindowTFO:    *windowTFO,
 		MaxConflicts: *maxConflicts,
 		Strict:       *strict,
 	}

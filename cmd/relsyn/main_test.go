@@ -215,30 +215,28 @@ func writeTempBLIF(t *testing.T, content string) string {
 // consumable as resyn input.
 func TestRunResyn(t *testing.T) {
 	in := writeTempBLIF(t, testBLIF)
-	for _, mode := range []string{"auto", "exhaustive", "windowed-sat"} {
-		out := filepath.Join(t.TempDir(), mode+".blif")
-		text, err := capture(t, func() error {
-			return runResyn([]string{"-in", in, "-out", out, "-dc-mode", mode})
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+	out := filepath.Join(t.TempDir(), "out.blif")
+	text, err := capture(t, func() error {
+		return runResyn([]string{"-in", in, "-out", out})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"inputs           3", "outputs          2", "dc mode          exhaustive", "PO-equivalent    true"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("resyn output missing %q:\n%s", want, text)
 		}
-		for _, want := range []string{"inputs           3", "outputs          2", "dc mode", "PO-equivalent    true"} {
-			if !strings.Contains(text, want) {
-				t.Fatalf("%s: resyn output missing %q:\n%s", mode, want, text)
-			}
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(data), ".model relsyn") {
-			t.Fatalf("%s: BLIF malformed:\n%s", mode, data)
-		}
-		// The emitted network must itself be consumable by resyn.
-		if _, err := capture(t, func() error { return runResyn([]string{"-in", out}) }); err != nil {
-			t.Fatalf("%s: emitted BLIF rejected: %v", mode, err)
-		}
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), ".model relsyn") {
+		t.Fatalf("BLIF malformed:\n%s", data)
+	}
+	// The emitted network must itself be consumable by resyn.
+	if _, err := capture(t, func() error { return runResyn([]string{"-in", out}) }); err != nil {
+		t.Fatalf("emitted BLIF rejected: %v", err)
 	}
 }
 
@@ -247,7 +245,7 @@ func TestRunResyn(t *testing.T) {
 func TestRunResynJSON(t *testing.T) {
 	in := writeTempBLIF(t, testBLIF)
 	out, err := capture(t, func() error {
-		return runResyn([]string{"-in", in, "-dc-mode", "windowed-sat", "-json"})
+		return runResyn([]string{"-in", in, "-json"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,10 +268,10 @@ func TestRunResynJSON(t *testing.T) {
 		t.Fatalf("envelope %+v", env)
 	}
 	if env.Result.NumPI != 3 || env.Result.NumPO != 2 ||
-		env.Result.DCMode != "windowed-sat" || env.Result.Windows == 0 {
+		env.Result.DCMode != "exhaustive" || env.Result.Windows != 0 {
 		t.Fatalf("result %+v", env.Result)
 	}
-	if !env.Result.Equivalent || env.Result.CECMethod == "" {
+	if !env.Result.Equivalent || env.Result.CECMethod != "construction" {
 		t.Fatalf("CEC not reported: %+v", env.Result)
 	}
 	// Human metric lines must not leak into the JSON stream.
@@ -282,17 +280,11 @@ func TestRunResynJSON(t *testing.T) {
 	}
 }
 
-// resyn flag validation: enum and range mistakes are usage errors (exit
-// 2), a missing input file is a hard failure (exit 1).
+// resyn flag validation: a range mistake is a usage error (exit 2), a
+// missing input file is a hard failure (exit 1).
 func TestRunResynFlagValidation(t *testing.T) {
 	in := writeTempBLIF(t, testBLIF)
 	_, err := capture(t, func() error {
-		return runResyn([]string{"-in", in, "-dc-mode", "bogus"})
-	})
-	if err == nil || exitCode(err) != exitUsage {
-		t.Fatalf("bad -dc-mode classified as %d (%v)", exitCode(err), err)
-	}
-	_, err = capture(t, func() error {
 		return runResyn([]string{"-in", in, "-threshold", "1.5"})
 	})
 	if err == nil || exitCode(err) != exitUsage {
@@ -634,6 +626,87 @@ func TestSynthJSONMatchesServiceResponse(t *testing.T) {
 			svcRes := normalizeTimings(svcEnv.Result)
 			if !bytes.Equal(cliRes, svcRes) {
 				t.Fatalf("CLI and service results diverge\n--- cli ---\n%s\n--- service ---\n%s", cliRes, svcRes)
+			}
+		})
+	}
+}
+
+// Differential test for network jobs: `relsyn resyn -json` and POST
+// /v1/resyn on the same BLIF return the same result object (modulo
+// wall-clock timings) and the same rewritten BLIF, on a network the
+// exhaustive engine takes and on one above the dense ceiling that only
+// windowed SAT can handle.
+func TestResynJSONMatchesServiceResponse(t *testing.T) {
+	big, err := os.ReadFile("../../internal/network/testdata/big120.blif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{Workers: 1, QueueDepth: 8, Metrics: obs.NewRegistry()})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ name, blif, mode string }{
+		{"fa", testBLIF, "exhaustive"},
+		{"big120", string(big), "windowed-sat"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := writeTempBLIF(t, tc.blif)
+			outPath := filepath.Join(t.TempDir(), "out.blif")
+			cliOut, err := capture(t, func() error {
+				return runResyn([]string{"-in", in, "-out", outPath, "-json"})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cliEnv struct {
+				Status string          `json:"status"`
+				Result json.RawMessage `json:"result"`
+			}
+			if err := json.Unmarshal([]byte(cliOut), &cliEnv); err != nil {
+				t.Fatalf("CLI output not JSON: %v\n%s", err, cliOut)
+			}
+			cliBLIF, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			body, err := json.Marshal(map[string]any{"blif": tc.blif})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/resyn", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var svcEnv struct {
+				Status string          `json:"status"`
+				Result json.RawMessage `json:"result"`
+				BLIF   string          `json:"blif"`
+			}
+			if err := json.Unmarshal(raw, &svcEnv); err != nil {
+				t.Fatalf("service body not JSON: %v\n%s", err, raw)
+			}
+			if resp.StatusCode != http.StatusOK || cliEnv.Status != "done" || svcEnv.Status != "done" {
+				t.Fatalf("CLI status %q, service HTTP %d status %q: %s",
+					cliEnv.Status, resp.StatusCode, svcEnv.Status, raw)
+			}
+
+			cliRes := normalizeTimings(cliEnv.Result)
+			svcRes := normalizeTimings(svcEnv.Result)
+			if !bytes.Equal(cliRes, svcRes) {
+				t.Fatalf("CLI and service results diverge\n--- cli ---\n%s\n--- service ---\n%s", cliRes, svcRes)
+			}
+			if !bytes.Contains(cliRes, []byte(`"dc_mode": "`+tc.mode+`"`)) {
+				t.Fatalf("engine %q not chosen:\n%s", tc.mode, cliRes)
+			}
+			if string(cliBLIF) != svcEnv.BLIF {
+				t.Fatalf("CLI and service BLIF diverge\n--- cli ---\n%s\n--- service ---\n%s", cliBLIF, svcEnv.BLIF)
 			}
 		})
 	}

@@ -9,17 +9,14 @@
 //	        [-default-timeout 30s] [-max-timeout 5m] [-retry-after 1s]
 //	        [-drain-timeout 30s] [-pprof-addr localhost:6060]
 //	        [-max-conflicts N] [-max-aig-nodes N] [-j N]
-//	        [-dc-mode auto|exhaustive|windowed-sat] [-window-tfi N] [-window-tfo N]
 //	        [-store-dir DIR] [-wal-sync always|interval|off]
 //	        [-peers host:port,... -self host:port] [-vnodes 64]
 //	        [-peer-fill-timeout 1s]
 //
 // Network jobs: POST /v1/resyn reassigns the internal don't-cares of a
-// BLIF network (see internal/pipeline.RunNetworkJob). -dc-mode,
-// -window-tfi, and -window-tfo set server-wide defaults for the
-// DC-extraction engine applied to resyn jobs whose options carry none —
-// like the budget flags they are applied in the backend, after request
-// validation, so per-request options always win.
+// BLIF network (see internal/pipeline.RunNetworkJob), with the
+// DC-extraction engine picked from the network's size exactly as
+// `relsyn resyn` picks it. -max-conflicts bounds their SAT effort.
 //
 // Clustering: -peers (the full shard fleet, identical on every node and
 // on the router) plus -self (this node's entry in that list) makes the
@@ -113,11 +110,6 @@ type budgetDefaults struct {
 	maxConflicts int64
 	maxAIGNodes  int
 	parallelism  int
-	// Network-job (POST /v1/resyn) extraction defaults, applied to jobs
-	// whose options carry none: DC engine plus window depths.
-	dcMode    string
-	windowTFI int
-	windowTFO int
 }
 
 func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
@@ -137,9 +129,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.Int64Var(&cfg.budget.maxConflicts, "max-conflicts", 0, "default per-node SAT conflict budget for network (resyn) jobs that carry none; dense synth jobs run no SAT (0 = default)")
 	fs.IntVar(&cfg.budget.maxAIGNodes, "max-aig-nodes", 0, "default AIG node budget for jobs that carry none (0 = unlimited)")
 	fs.IntVar(&cfg.budget.parallelism, "j", 0, "default per-job analysis parallelism for jobs that carry none (0 = GOMAXPROCS, 1 = sequential)")
-	fs.StringVar(&cfg.budget.dcMode, "dc-mode", "", "default DC-extraction engine for network jobs that carry none: auto, exhaustive, or windowed-sat")
-	fs.IntVar(&cfg.budget.windowTFI, "window-tfi", 0, "default window fanin depth for windowed-sat network jobs that carry none (0 = engine default, negative = full)")
-	fs.IntVar(&cfg.budget.windowTFO, "window-tfo", 0, "default window fanout depth for windowed-sat network jobs that carry none (0 = engine default, negative = full)")
 	fs.IntVar(&cfg.censusMB, "census-cache-mb", 64, "byte budget (MiB) of the fused neighbor-census cache (0 disables census caching)")
 	fs.StringVar(&cfg.storeDir, "store-dir", "", "directory for the durable job store (empty = volatile, no durability)")
 	fs.StringVar(&cfg.walSync, "wal-sync", "always", "WAL fsync policy: always, interval, or off")
@@ -157,12 +146,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	if cfg.budget.parallelism < 0 {
 		fs.Usage()
 		return nil, fmt.Errorf("-j must be >= 0, got %d", cfg.budget.parallelism)
-	}
-	switch cfg.budget.dcMode {
-	case "", "auto", "exhaustive", "windowed-sat":
-	default:
-		fs.Usage()
-		return nil, fmt.Errorf("-dc-mode must be auto, exhaustive, or windowed-sat, got %q", cfg.budget.dcMode)
 	}
 	if _, err := store.ParseSyncMode(cfg.walSync); err != nil {
 		fs.Usage()
@@ -225,22 +208,13 @@ func (b budgetDefaults) backend() server.Backend {
 }
 
 // resynBackend wraps pipeline.RunNetworkJob for POST /v1/resyn, filling
-// server-wide extraction and budget defaults for jobs that do not set
-// their own. Network jobs have no cache tier, but the same post-
-// validation placement keeps per-request options authoritative.
+// the server-wide SAT conflict budget for jobs that do not set their
+// own. Network jobs have no cache tier, but the same post-validation
+// placement keeps per-request options authoritative.
 func (b budgetDefaults) resynBackend() server.ResynBackend {
 	return func(ctx context.Context, nw *network.Network, jo pipeline.JobOptions) (*pipeline.NetworkJobResult, error) {
 		if jo.MaxConflicts == 0 {
 			jo.MaxConflicts = b.maxConflicts
-		}
-		if jo.DCMode == "" && b.dcMode != "" && b.dcMode != "auto" {
-			jo.DCMode = b.dcMode
-		}
-		if jo.WindowTFI == 0 {
-			jo.WindowTFI = b.windowTFI
-		}
-		if jo.WindowTFO == 0 {
-			jo.WindowTFO = b.windowTFO
 		}
 		return pipeline.RunNetworkJob(ctx, nw, jo)
 	}

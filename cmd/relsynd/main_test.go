@@ -189,9 +189,10 @@ func TestDaemonBudgetDefaultsApplied(t *testing.T) {
 	out, errOut := &lockedBuffer{}, &lockedBuffer{}
 	// A 1-node AIG cap cannot fit any real spec: strict jobs must fail
 	// with a budget error, proving the server-wide default reached the
-	// pipeline.
+	// pipeline. A 1-conflict SAT cap does the same for resyn jobs above
+	// the dense ceiling.
 	base, sig, code := startDaemon(t,
-		[]string{"-max-aig-nodes", "1"}, out, errOut)
+		[]string{"-max-aig-nodes", "1", "-max-conflicts", "1"}, out, errOut)
 
 	body, _ := json.Marshal(map[string]any{
 		"pla":     daemonPLA,
@@ -213,91 +214,27 @@ func TestDaemonBudgetDefaultsApplied(t *testing.T) {
 		t.Fatalf("want strict budget failure, got %+v", envelope)
 	}
 
-	sig <- syscall.SIGTERM
-	if c := waitExit(t, code); c != 0 {
-		t.Fatalf("exit %d; stderr: %s", c, errOut.String())
+	big, err := os.ReadFile("../../internal/network/testdata/big120.blif")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-const daemonBLIF = `.model fa
-.inputs a b cin
-.outputs sum cout
-.names a b axb
-10 1
-01 1
-.names axb cin sum
-10 1
-01 1
-.names a b ab
-11 1
-.names axb cin ac
-11 1
-.names ab ac cout
-1- 1
--1 1
-.end
-`
-
-// The daemon-wide -dc-mode/-window-tfi/-window-tfo defaults reach
-// /v1/resyn jobs that carry no extraction options of their own, and a
-// per-request dc_mode overrides them.
-func TestDaemonResynDefaults(t *testing.T) {
-	out, errOut := &lockedBuffer{}, &lockedBuffer{}
-	base, sig, code := startDaemon(t,
-		[]string{"-dc-mode", "windowed-sat", "-window-tfi", "2", "-window-tfo", "1"}, out, errOut)
-
-	resyn := func(body map[string]any) (status, dcMode string, windows int) {
-		t.Helper()
-		raw, _ := json.Marshal(body)
-		resp, err := http.Post(base+"/v1/resyn", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("post: %v", err)
-		}
-		defer resp.Body.Close()
-		var envelope struct {
-			Status string `json:"status"`
-			Result *struct {
-				DCMode  string `json:"dc_mode"`
-				Windows int    `json:"windows"`
-			} `json:"result"`
-			Error string `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if resp.StatusCode != http.StatusOK || envelope.Result == nil {
-			t.Fatalf("HTTP %d, envelope %+v", resp.StatusCode, envelope)
-		}
-		return envelope.Status, envelope.Result.DCMode, envelope.Result.Windows
+	body, _ = json.Marshal(map[string]any{"blif": string(big)})
+	resp, err = http.Post(base+"/v1/resyn", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("post: %v", err)
 	}
-
-	// No options: the daemon default picks windowed-SAT even though the
-	// 3-PI network would auto-select exhaustive.
-	status, mode, windows := resyn(map[string]any{"blif": daemonBLIF})
-	if status != "done" || mode != "windowed-sat" || windows == 0 {
-		t.Fatalf("daemon default not applied: status %q mode %q windows %d", status, mode, windows)
+	envelope.Status, envelope.Error = "", ""
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	// Per-request options win over the daemon default.
-	status, mode, _ = resyn(map[string]any{
-		"blif": daemonBLIF, "options": map[string]any{"dc_mode": "exhaustive"},
-	})
-	if status != "done" || mode != "exhaustive" {
-		t.Fatalf("request override lost: status %q mode %q", status, mode)
+	resp.Body.Close()
+	if envelope.Status != "failed" || !strings.Contains(envelope.Error, "budget") {
+		t.Fatalf("want resyn budget failure, got %+v", envelope)
 	}
 
 	sig <- syscall.SIGTERM
 	if c := waitExit(t, code); c != 0 {
 		t.Fatalf("exit %d; stderr: %s", c, errOut.String())
-	}
-}
-
-func TestDaemonBadDCModeFlag(t *testing.T) {
-	var out, errOut lockedBuffer
-	if c := run([]string{"-dc-mode", "bogus"}, &out, &errOut, make(chan os.Signal)); c != 2 {
-		t.Fatalf("bad -dc-mode exit %d", c)
-	}
-	if !strings.Contains(errOut.String(), "dc-mode") {
-		t.Fatalf("error does not name the flag: %q", errOut.String())
 	}
 }
 

@@ -1,7 +1,8 @@
 package network_test
 
 import (
-	"fmt"
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -9,60 +10,16 @@ import (
 	"relsyn/internal/network"
 )
 
-// bigBLIF deterministically generates a 120-input, 13-output BLIF
-// circuit: 40 majority/xor triples over the PIs, 39 overlapping two-input
-// combiners (the overlap creates the correlated window inputs that yield
-// satisfiability don't-cares), and 13 majority collectors driving the
-// outputs. Exhaustive extraction over 2^120 minterms is out of the
-// question here; the windowed engine must finish under its defaults.
-func bigBLIF() string {
-	var b strings.Builder
-	b.WriteString(".model big\n.inputs")
-	for i := 0; i < 120; i++ {
-		fmt.Fprintf(&b, " x%d", i)
-	}
-	b.WriteString("\n.outputs")
-	for j := 0; j < 13; j++ {
-		fmt.Fprintf(&b, " y%d", j)
-	}
-	b.WriteString("\n")
-	for j := 0; j < 40; j++ {
-		fmt.Fprintf(&b, ".names x%d x%d x%d m%d\n", 3*j, 3*j+1, 3*j+2, j)
-		if j%2 == 0 {
-			b.WriteString("11- 1\n1-1 1\n-11 1\n") // majority
-		} else {
-			b.WriteString("100 1\n010 1\n001 1\n111 1\n") // odd parity
-		}
-	}
-	for j := 0; j < 39; j++ {
-		fmt.Fprintf(&b, ".names m%d m%d p%d\n", j, j+1, j)
-		switch j % 3 {
-		case 0:
-			b.WriteString("11 1\n") // and
-		case 1:
-			b.WriteString("1- 1\n-1 1\n") // or
-		default:
-			b.WriteString("10 1\n01 1\n") // xor
-		}
-	}
-	// Collector y = p2 ∧ (p0 ⊙ p1). Its SDC patterns (p0,p1)=(1,0) — the
-	// AND-typed p0 forces the OR-typed p1 through the shared m — have
-	// care neighbors that agree in phase, so LC^f assignment binds them;
-	// a symmetric collector (e.g. majority) would leave them tied.
-	for j := 0; j < 13; j++ {
-		fmt.Fprintf(&b, ".names p%d p%d p%d y%d\n", 3*j, 3*j+1, 3*j+2, j)
-		b.WriteString("001 1\n111 1\n")
-	}
-	b.WriteString(".end\n")
-	return b.String()
-}
-
 // The acceptance target of the windowed engine: a network far past the
 // 2^n exhaustive ceiling (120 primary inputs) completes a full windowed
 // LC^f reassignment under the default window and conflict budget, and
 // the built-in SAT CEC proves the primary outputs unchanged.
 func TestReassignLCFWindowedBigNetwork(t *testing.T) {
-	nw, err := blif.Parse(strings.NewReader(bigBLIF()))
+	src, err := os.ReadFile("testdata/big120.blif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := blif.Parse(bytes.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,9 +277,9 @@ func (nw *Network) ReassignLCFWindowed(threshold float64, opt SatDCOptions) (*Wi
 // EquivalentSAT checks combinational equivalence of two networks with
 // identical interfaces by a SAT miter over shared primary inputs. When
 // the solver verdict is Unknown and the networks are small enough
-// (NumPI <= 16) it degrades to exhaustive truth-table comparison
-// (method "exhaustive"); otherwise it returns an error wrapping
-// sat.ErrBudget.
+// (NumPI <= tt.MaxInputs) it degrades to exhaustive truth-table
+// comparison (method "exhaustive"); otherwise it returns an error
+// wrapping sat.ErrBudget.
 func (nw *Network) EquivalentSAT(other *Network, maxConflicts int64, interrupt func() bool) (equal bool, method string, err error) {
 	if nw.NumPI != other.NumPI || len(nw.POs) != len(other.POs) {
 		return false, "", fmt.Errorf("network: interface mismatch: %dx%d vs %dx%d",
@@ -336,7 +336,7 @@ func (nw *Network) EquivalentSAT(other *Network, maxConflicts int64, interrupt f
 	case sat.Sat:
 		return false, "sat", nil
 	}
-	if nw.NumPI <= 16 {
+	if nw.NumPI <= tt.MaxInputs {
 		return nw.POFunction().Equal(other.POFunction()), "exhaustive", nil
 	}
 	return false, "", fmt.Errorf("network: equivalence verdict unknown: %w", sat.ErrBudget)

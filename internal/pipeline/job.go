@@ -62,21 +62,6 @@ type JobOptions struct {
 	// changes results, so Key() strips it — two jobs differing only in
 	// Parallelism share one cache entry.
 	Parallelism int `json:"parallelism,omitempty"`
-
-	// DCMode selects the internal don't-care extraction engine for
-	// network (BLIF-input) jobs: "" (auto: exhaustive when the network
-	// is small enough, windowed-SAT otherwise), "exhaustive" (complete
-	// DCs by bit-parallel simulation, NumPI <= 16), or "windowed-sat"
-	// (per-node TFI/TFO windows + SAT enumeration, any size). Unlike
-	// Parallelism this changes the computed DC sets — windowed
-	// DCs are a subset of complete DCs — so it participates in Key().
-	DCMode string `json:"dc_mode,omitempty"`
-	// WindowTFI/WindowTFO bound the extraction window depths for
-	// dc_mode "windowed-sat" (0 = engine defaults, negative = full
-	// depth). They change which don't-cares are visible, so both
-	// participate in Key().
-	WindowTFI int `json:"window_tfi,omitempty"`
-	WindowTFO int `json:"window_tfo,omitempty"`
 }
 
 // Job option string values.
@@ -85,12 +70,6 @@ const (
 	JobMethodRank     = "rank"
 	JobMethodLCF      = "lcf"
 	JobMethodComplete = "complete"
-)
-
-// DC-extraction mode values for network jobs ("" = auto).
-const (
-	JobDCExhaustive  = "exhaustive"
-	JobDCWindowedSAT = "windowed-sat"
 )
 
 // Normalize returns o with defaults filled and method-irrelevant knobs
@@ -126,21 +105,6 @@ func (o JobOptions) Normalize() JobOptions {
 		// assignment knob, and it is inert for these methods.
 		n.AssignTies = core.Options{}.Canonical().AssignTies
 	}
-	n.DCMode = strings.ToLower(strings.TrimSpace(n.DCMode))
-	if n.DCMode == "auto" {
-		n.DCMode = ""
-	}
-	if n.DCMode == JobDCExhaustive {
-		// Window depths are meaningless for the exhaustive engine.
-		n.WindowTFI, n.WindowTFO = 0, 0
-	}
-	// All negative depths mean "full depth": collapse to one spelling.
-	if n.WindowTFI < 0 {
-		n.WindowTFI = -1
-	}
-	if n.WindowTFO < 0 {
-		n.WindowTFO = -1
-	}
 	return n
 }
 
@@ -175,11 +139,6 @@ func (o JobOptions) Validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("pipeline: job parallelism must be non-negative")
 	}
-	switch o.DCMode {
-	case "", JobDCExhaustive, JobDCWindowedSAT:
-	default:
-		return fmt.Errorf("pipeline: job dc_mode %q must be \"\", %q or %q", o.DCMode, JobDCExhaustive, JobDCWindowedSAT)
-	}
 	return nil
 }
 
@@ -188,10 +147,7 @@ func (o JobOptions) Validate() error {
 // Parallelism is zeroed before hashing: it cannot affect the computed
 // result (the parallel paths are bit-identical to the sequential one),
 // so hashing it would needlessly split identical work across cache
-// entries and defeat request coalescing. DCMode, WindowTFI, and
-// WindowTFO are NOT stripped: the extraction engine and window depths
-// change which don't-cares the job sees, and therefore the answer —
-// two jobs differing in them must never share a cache entry.
+// entries and defeat request coalescing.
 func (o JobOptions) Key() string {
 	n := o.Normalize()
 	n.Parallelism = 0
@@ -297,6 +253,27 @@ type JobStage struct {
 	TookMs   float64  `json:"took_ms"`
 }
 
+// wireTrail converts a run's degradation ladder and stage reports to
+// their wire forms.
+func wireTrail(res *Result) (fallbacks []JobFallback, stages []JobStage) {
+	for _, fb := range res.Fallbacks {
+		fallbacks = append(fallbacks, JobFallback{
+			Stage:  string(fb.Stage),
+			From:   fb.From,
+			To:     fb.To,
+			Reason: string(fb.Cause.Reason),
+		})
+	}
+	for _, st := range res.Stages {
+		stages = append(stages, JobStage{
+			Stage:    string(st.Stage),
+			Attempts: append([]string(nil), st.Attempts...),
+			TookMs:   float64(st.Took) / float64(time.Millisecond),
+		})
+	}
+	return fallbacks, stages
+}
+
 // JobResult is the serializable outcome of one synthesis job. On
 // pipeline failure RunJob returns a partial JobResult (fallbacks and
 // stages populated, metrics zero) alongside the error so callers can
@@ -365,21 +342,7 @@ func runJob(ctx context.Context, f *tt.Function, n JobOptions, opt Options) (*Jo
 		Degraded:  res.Degraded(),
 		ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
 	}
-	for _, fb := range res.Fallbacks {
-		jr.Fallbacks = append(jr.Fallbacks, JobFallback{
-			Stage:  string(fb.Stage),
-			From:   fb.From,
-			To:     fb.To,
-			Reason: string(fb.Cause.Reason),
-		})
-	}
-	for _, st := range res.Stages {
-		jr.Stages = append(jr.Stages, JobStage{
-			Stage:    string(st.Stage),
-			Attempts: append([]string(nil), st.Attempts...),
-			TookMs:   float64(st.Took) / float64(time.Millisecond),
-		})
-	}
+	jr.Fallbacks, jr.Stages = wireTrail(res)
 	if runErr != nil {
 		return jr, runErr
 	}

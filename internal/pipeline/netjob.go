@@ -5,23 +5,19 @@
 // reassignment (paper §4 nodal decomposition) so the circuit masks more
 // internal errors without changing its primary-output functions.
 //
-// The extraction engine is the job's semantic fork (JobOptions.DCMode):
+// The extraction engine is chosen from the network alone:
 //
 //	exhaustive    complete internal DCs by bit-parallel simulation over
-//	              all 2^NumPI minterms — exact, but only for NumPI <= 16.
-//	windowed-sat  per-node TFI/TFO windows + SAT enumeration
-//	              (internal/network window.go / satdc.go) — a sound
-//	              subset of the complete DCs at any network size.
+//	              all 2^NumPI minterms — exact, run when NumPI <=
+//	              tt.MaxInputs.
+//	windowed-sat  per-node TFI/TFO windows at the default depths + SAT
+//	              enumeration (internal/network window.go / satdc.go) —
+//	              a sound subset of the complete DCs, run above that.
 //
-// The degradation ladder connects them in both directions:
-//
-//	extract: exhaustive   -> windowed-sat  (network too large / budget)
-//	extract: windowed-sat -> exhaustive    (SAT budget ran out and the
-//	                                        network is small enough for
-//	                                        the complete extraction)
-//
-// As everywhere in this package, Strict disables the ladder and a
-// cancelled context never degrades.
+// One ladder step connects them: an exhaustive attempt that fails on a
+// budget error or a panic degrades to windowed-sat. As everywhere in
+// this package, Strict disables the ladder and a cancelled context
+// never degrades.
 package pipeline
 
 import (
@@ -31,16 +27,18 @@ import (
 
 	"relsyn/internal/network"
 	"relsyn/internal/obs"
-	"relsyn/internal/sat"
+	"relsyn/internal/tt"
 )
 
 // StageExtract is the DC-extraction + reassignment stage of network jobs.
 const StageExtract Stage = "extract"
 
-// MaxExhaustivePI is the largest primary-input count the exhaustive
-// (dense truth-table) extraction engine accepts: 2^16 minterms per
-// signal table keeps it in the same envelope as the exhaustive CEC path.
-const MaxExhaustivePI = 16
+// Extraction rungs of network jobs, as reported in
+// NetworkJobResult.DCMode.
+const (
+	JobDCExhaustive  = "exhaustive"
+	JobDCWindowedSAT = "windowed-sat"
+)
 
 // NetworkJobResult is the serializable outcome of one network job. On
 // failure RunNetworkJob returns a partial result (fallbacks and stages
@@ -54,9 +52,9 @@ type NetworkJobResult struct {
 	NumPO int `json:"num_po"`
 	Nodes int `json:"nodes"`
 
-	// DCMode is the extraction rung that produced the result
-	// ("exhaustive" or "windowed-sat"), after auto-selection and any
-	// ladder step — see Fallbacks for the path taken.
+	// DCMode is the extraction rung that produced the result:
+	// "exhaustive" when NumPI <= tt.MaxInputs, "windowed-sat" above
+	// that or after a ladder step — see Fallbacks for the path taken.
 	DCMode string `json:"dc_mode"`
 	// Assigned counts DC patterns bound for reliability.
 	Assigned int `json:"assigned"`
@@ -103,7 +101,7 @@ func RunNetworkJob(ctx context.Context, nw *network.Network, jo JobOptions) (*Ne
 // RunNetworkJobOpt is RunNetworkJob under explicit runner Options — the
 // Run analogue for network jobs, exposing Strict, Inject, and Metrics to
 // tests and the daemon. Budgets and strictness are taken from opt; the
-// semantic knobs (threshold, dc_mode, window depths) from jo.
+// threshold from jo.
 func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, opt Options) (*NetworkJobResult, error) {
 	n := jo.Normalize()
 	if err := n.Validate(); err != nil {
@@ -122,7 +120,6 @@ func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, o
 	}
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "pipeline/netjob")
-	span.SetAttr("dc_mode", n.DCMode)
 	r := &runner{ctx: ctx, opt: opt, res: &Result{}, span: span}
 
 	jr := &NetworkJobResult{
@@ -131,7 +128,7 @@ func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, o
 		Nodes:          nw.NumNodes(),
 		LiteralsBefore: nw.TotalLiterals(),
 	}
-	serr := r.runExtract(nw, n, jr)
+	serr := r.runExtract(nw, n.Threshold, jr)
 	status := "ok"
 	if serr != nil {
 		status = "error"
@@ -142,21 +139,7 @@ func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, o
 	span.End()
 
 	jr.Degraded = r.res.Degraded()
-	for _, fb := range r.res.Fallbacks {
-		jr.Fallbacks = append(jr.Fallbacks, JobFallback{
-			Stage:  string(fb.Stage),
-			From:   fb.From,
-			To:     fb.To,
-			Reason: string(fb.Cause.Reason),
-		})
-	}
-	for _, st := range r.res.Stages {
-		jr.Stages = append(jr.Stages, JobStage{
-			Stage:    string(st.Stage),
-			Attempts: append([]string(nil), st.Attempts...),
-			TookMs:   float64(st.Took) / float64(time.Millisecond),
-		})
-	}
+	jr.Fallbacks, jr.Stages = wireTrail(r.res)
 	jr.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
 	if serr != nil {
 		return jr, serr
@@ -168,42 +151,13 @@ func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, o
 // runExtract walks the extraction ladder. Each rung reassigns a clone of
 // the input network, so a failed rung leaves no partial mutation behind
 // and the fallback rung starts from the pristine circuit.
-func (r *runner) runExtract(nw *network.Network, n JobOptions, jr *NetworkJobResult) *StageError {
+func (r *runner) runExtract(nw *network.Network, threshold float64, jr *NetworkJobResult) *StageError {
 	began := time.Now()
 	defer r.finishStage(StageExtract, began)
 
-	mode := n.DCMode
-	if mode == "" {
-		if nw.NumPI <= MaxExhaustivePI {
-			mode = JobDCExhaustive
-		} else {
-			mode = JobDCWindowedSAT
-		}
-	}
-
-	exhaustive := func() error {
-		if nw.NumPI > MaxExhaustivePI {
-			return fmt.Errorf("pipeline: exhaustive extraction limited to %d inputs, got %d: %w",
-				MaxExhaustivePI, nw.NumPI, ErrBudget)
-		}
-		c := nw.Clone()
-		assigned, err := c.ReassignLCF(n.Threshold)
-		if err != nil {
-			return err
-		}
-		jr.Network = c
-		jr.DCMode = JobDCExhaustive
-		jr.Assigned = assigned
-		jr.Windows, jr.SATCalls, jr.BudgetExhausted = 0, 0, 0
-		// ReassignLCF binds exact complete DCs node by node, which
-		// preserves PO functions by construction.
-		jr.Equivalent, jr.CECMethod = true, "construction"
-		return nil
-	}
 	windowed := func() error {
 		c := nw.Clone()
-		rep, err := c.ReassignLCFWindowed(n.Threshold, network.SatDCOptions{
-			Window:       network.WindowOptions{TFI: n.WindowTFI, TFO: n.WindowTFO},
+		rep, err := c.ReassignLCFWindowed(threshold, network.SatDCOptions{
 			MaxConflicts: r.opt.Budget.MaxConflicts,
 			Interrupt:    r.interruptBool,
 		})
@@ -214,46 +168,34 @@ func (r *runner) runExtract(nw *network.Network, n JobOptions, jr *NetworkJobRes
 		if err != nil {
 			return err
 		}
-		if rep.BudgetExhausted > 0 && nw.NumPI <= MaxExhaustivePI {
-			// Partial specs are sound but weaker; when the complete
-			// extraction is in reach, surface the exhaustion as a
-			// degradable budget failure instead of keeping the weaker
-			// answer.
-			return fmt.Errorf("pipeline: windowed extraction degraded on %d node(s): %w",
-				rep.BudgetExhausted, sat.ErrBudget)
-		}
 		jr.Network = c
 		jr.DCMode = JobDCWindowedSAT
 		jr.Assigned = rep.Assigned
 		jr.Equivalent, jr.CECMethod = rep.Equivalent, rep.CECMethod
 		return nil
 	}
-
-	canDegrade := func(serr *StageError) bool {
-		return serr.Reason == ReasonBudget || serr.Reason == ReasonPanic
-	}
-	if mode == JobDCExhaustive {
-		serr := r.attempt(StageExtract, "extract/exhaustive", exhaustive)
-		if serr == nil {
-			return nil
-		}
-		if !canDegrade(serr) {
-			return serr
-		}
-		if serr = r.degrade(serr, "extract/windowed-sat"); serr != nil {
-			return serr
-		}
+	if nw.NumPI > tt.MaxInputs {
 		return r.attempt(StageExtract, "extract/windowed-sat", windowed)
 	}
-	serr := r.attempt(StageExtract, "extract/windowed-sat", windowed)
-	if serr == nil {
+	serr := r.attempt(StageExtract, "extract/exhaustive", func() error {
+		c := nw.Clone()
+		assigned, err := c.ReassignLCF(threshold)
+		if err != nil {
+			return err
+		}
+		jr.Network = c
+		jr.DCMode = JobDCExhaustive
+		jr.Assigned = assigned
+		// ReassignLCF binds exact complete DCs node by node, which
+		// preserves PO functions by construction.
+		jr.Equivalent, jr.CECMethod = true, "construction"
 		return nil
-	}
-	if !canDegrade(serr) || nw.NumPI > MaxExhaustivePI {
+	})
+	if serr == nil || (serr.Reason != ReasonBudget && serr.Reason != ReasonPanic) {
 		return serr
 	}
-	if serr = r.degrade(serr, "extract/exhaustive"); serr != nil {
+	if serr = r.degrade(serr, "extract/windowed-sat"); serr != nil {
 		return serr
 	}
-	return r.attempt(StageExtract, "extract/exhaustive", exhaustive)
+	return r.attempt(StageExtract, "extract/windowed-sat", windowed)
 }

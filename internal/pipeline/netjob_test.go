@@ -1,12 +1,15 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"relsyn/internal/bitset"
+	"relsyn/internal/blif"
 	"relsyn/internal/network"
 	"relsyn/internal/sat"
 )
@@ -34,67 +37,19 @@ func netTestNetwork(t *testing.T) *network.Network {
 	return nw
 }
 
-// The new semantic knobs must fragment the cache key — dc_mode and the
-// window depths change which don't-cares a job can see, so two jobs
-// differing in them must never share a cache entry (key impurity) —
-// while parallelism must still collapse onto one entry (key purity).
+// Parallelism is operational, so it collapses onto one cache entry, and
+// no DC-extraction knob reaches the key: a network job's engine is
+// picked from the network alone.
 func TestJobOptionsDCModeKeyImpurity(t *testing.T) {
-	base := JobOptions{Method: "lcf", Threshold: 0.55}
-	fragmenting := []JobOptions{
-		{Method: "lcf", Threshold: 0.55, DCMode: "exhaustive"},
-		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat"},
-		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: 2},
-		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: 3},
-		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFO: 1},
-		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: -1, WindowTFO: -1},
-		{Method: "lcf", Threshold: 0.55, WindowTFI: 4},
-	}
-	seen := map[string]int{base.Key(): -1}
-	for i, o := range fragmenting {
-		k := o.Key()
-		if j, ok := seen[k]; ok {
-			t.Fatalf("options %d and %d collided (dc knobs must fragment the key)", i, j)
-		}
-		seen[k] = i
-	}
-	// Purity survives alongside the new fields: operational knobs still
-	// collapse, and equivalent dc spellings collapse too.
 	same := []JobOptions{
-		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: 2},
-		{Method: "LCF", Threshold: 0.55, DCMode: " Windowed-SAT ", WindowTFI: 2},
-		{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: 2, Parallelism: 8},
+		{Method: "lcf", Threshold: 0.55},
+		{Method: "LCF", Threshold: 0.55},
+		{Method: "lcf", Threshold: 0.55, Parallelism: 8},
 	}
 	for i := 1; i < len(same); i++ {
 		if same[i].Key() != same[0].Key() {
 			t.Fatalf("equivalent options %d fragmented the key", i)
 		}
-	}
-	// All negative depths are one spelling ("full depth").
-	a := JobOptions{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: -1, WindowTFO: -2}
-	b := JobOptions{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: -7, WindowTFO: -1}
-	if a.Key() != b.Key() {
-		t.Fatal("negative window depths did not collapse to one key")
-	}
-	// Window depths are inert for the exhaustive engine.
-	c := JobOptions{Method: "lcf", Threshold: 0.55, DCMode: "exhaustive", WindowTFI: 3, WindowTFO: 2}
-	d := JobOptions{Method: "lcf", Threshold: 0.55, DCMode: "exhaustive"}
-	if c.Key() != d.Key() {
-		t.Fatal("window depths fragmented the key under dc_mode=exhaustive")
-	}
-}
-
-func TestJobOptionsDCModeValidate(t *testing.T) {
-	if err := (JobOptions{DCMode: "bogus"}).Normalize().Validate(); err == nil {
-		t.Fatal("invalid dc_mode accepted")
-	}
-	for _, m := range []string{"", "auto", "exhaustive", "Windowed-SAT"} {
-		if err := (JobOptions{DCMode: m}).Normalize().Validate(); err != nil {
-			t.Fatalf("dc_mode %q rejected: %v", m, err)
-		}
-	}
-	n := JobOptions{DCMode: "auto"}.Normalize()
-	if n.DCMode != "" {
-		t.Fatalf("auto did not normalize to empty, got %q", n.DCMode)
 	}
 }
 
@@ -123,86 +78,101 @@ func TestRunNetworkJobAutoExhaustive(t *testing.T) {
 	}
 }
 
-func TestRunNetworkJobWindowed(t *testing.T) {
-	nw := netTestNetwork(t)
-	want := nw.POFunction()
-	res, err := RunNetworkJob(context.Background(), nw, JobOptions{
-		Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat", WindowTFI: 2, WindowTFO: 1,
-	})
+// bigNetwork parses the shared 120-input network, past the dense
+// ceiling, so network jobs on it run the windowed-SAT engine.
+func bigNetwork(t *testing.T) *network.Network {
+	t.Helper()
+	src, err := os.ReadFile("../network/testdata/big120.blif")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DCMode != JobDCWindowedSAT {
-		t.Fatalf("dc_mode=%q, want windowed-sat", res.DCMode)
+	nw, err := blif.Parse(bytes.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !res.Equivalent || res.CECMethod == "" {
+	return nw
+}
+
+func TestRunNetworkJobWindowed(t *testing.T) {
+	nw := bigNetwork(t)
+	res, err := RunNetworkJob(context.Background(), nw, JobOptions{Method: "lcf", Threshold: 0.55})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DCMode != JobDCWindowedSAT || res.Degraded {
+		t.Fatalf("a %d-PI network ran %q (degraded %v), want windowed-sat", nw.NumPI, res.DCMode, res.Degraded)
+	}
+	// 2^120 minterms rule out simulation: the SAT CEC must prove the
+	// primary outputs unchanged.
+	if !res.Equivalent || res.CECMethod != "sat" {
 		t.Fatalf("windowed run not CEC-verified: %+v", res)
 	}
-	if res.Windows == 0 || res.SATCalls == 0 {
+	if res.Windows == 0 || res.SATCalls == 0 || res.Assigned == 0 {
 		t.Fatalf("windowed effort not reported: %+v", res)
 	}
-	if !res.Network.POFunction().Equal(want) {
-		t.Fatal("windowed reassignment changed PO functions")
-	}
 }
 
-// Regression for the satdc budget fix: a windowed extraction that runs
-// out of SAT conflicts surfaces a typed sat.ErrBudget, which the ladder
-// classifies as a budget failure and degrades to the exhaustive
-// extraction — instead of the pre-fix behavior of hard-failing the job.
-func TestRunNetworkJobLadderCatchesSATBudget(t *testing.T) {
-	nw := netTestNetwork(t)
-	want := nw.POFunction()
-	opt := Options{Inject: func(point string) error {
-		if point == "extract/windowed-sat" {
-			return fmt.Errorf("injected mid-node exhaustion: %w", sat.ErrBudget)
-		}
-		return nil
-	}}
-	res, err := RunNetworkJobOpt(context.Background(), nw, JobOptions{
-		Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat",
-	}, opt)
-	if err != nil {
-		t.Fatalf("ladder did not absorb the SAT budget failure: %v", err)
-	}
-	if !res.Degraded || len(res.Fallbacks) != 1 {
-		t.Fatalf("degradation not reported: %+v", res)
-	}
-	fb := res.Fallbacks[0]
-	if fb.Stage != "extract" || fb.From != "extract/windowed-sat" ||
-		fb.To != "extract/exhaustive" || fb.Reason != "budget" {
-		t.Fatalf("fallback wrong: %+v", fb)
-	}
-	if res.DCMode != JobDCExhaustive {
-		t.Fatalf("fallback rung %q, want exhaustive", res.DCMode)
-	}
-	if !res.Network.POFunction().Equal(want) {
-		t.Fatal("fallback reassignment changed PO functions")
-	}
-}
-
-// Strict mode disables the ladder: the same failure is returned as a
-// budget StageError with the partial result still reporting the attempt.
-func TestRunNetworkJobStrictSATBudget(t *testing.T) {
-	nw := netTestNetwork(t)
-	opt := Options{Strict: true, Inject: func(point string) error {
-		if point == "extract/windowed-sat" {
-			return fmt.Errorf("injected: %w", sat.ErrBudget)
-		}
-		return nil
-	}}
-	res, err := RunNetworkJobOpt(context.Background(), nw, JobOptions{
-		Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat",
-	}, opt)
-	if err == nil {
-		t.Fatal("strict run absorbed a budget failure")
-	}
+// A starved conflict budget on a network above the dense ceiling is a
+// budget failure of the windowed rung: there is no rung to degrade to.
+func TestRunNetworkJobWindowedBudget(t *testing.T) {
+	opt := Options{Budget: Budget{MaxConflicts: 1}}
+	res, err := RunNetworkJobOpt(context.Background(), bigNetwork(t),
+		JobOptions{Method: "lcf", Threshold: 0.55}, opt)
 	var se *StageError
-	if !errors.As(err, &se) || se.Reason != ReasonBudget || !errors.Is(err, sat.ErrBudget) {
-		t.Fatalf("error not a sat.ErrBudget StageError: %v", err)
+	if !errors.As(err, &se) || se.Attempt != "extract/windowed-sat" ||
+		se.Reason != ReasonBudget || !errors.Is(err, sat.ErrBudget) {
+		t.Fatalf("want a windowed-sat budget StageError, got %v", err)
 	}
-	if res == nil || len(res.Stages) == 0 || res.Network != nil {
+	if res == nil || res.Network != nil || len(res.Fallbacks) != 0 {
 		t.Fatalf("partial result wrong: %+v", res)
+	}
+}
+
+// An exhaustive attempt that panics or trips a budget degrades to the
+// windowed-SAT rung, which still returns a PO-equivalent network; under
+// Strict the failure comes back as a typed StageError instead.
+func TestRunNetworkJobExhaustiveDegrades(t *testing.T) {
+	for _, tc := range []struct {
+		reason Reason
+		inject func() error
+	}{
+		{ReasonPanic, func() error { panic("injected") }},
+		{ReasonBudget, func() error { return fmt.Errorf("injected: %w", ErrBudget) }},
+	} {
+		t.Run(string(tc.reason), func(t *testing.T) {
+			nw := netTestNetwork(t)
+			want := nw.POFunction()
+			opt := Options{Inject: func(point string) error {
+				if point == "extract/exhaustive" {
+					return tc.inject()
+				}
+				return nil
+			}}
+			jo := JobOptions{Method: "lcf", Threshold: 0.55}
+			res, err := RunNetworkJobOpt(context.Background(), nw, jo, opt)
+			if err != nil {
+				t.Fatalf("ladder did not absorb the failure: %v", err)
+			}
+			want1 := JobFallback{Stage: "extract", From: "extract/exhaustive",
+				To: "extract/windowed-sat", Reason: string(tc.reason)}
+			if !res.Degraded || len(res.Fallbacks) != 1 || res.Fallbacks[0] != want1 {
+				t.Fatalf("fallbacks %+v, want [%+v]", res.Fallbacks, want1)
+			}
+			if res.DCMode != JobDCWindowedSAT || !res.Equivalent ||
+				!res.Network.POFunction().Equal(want) {
+				t.Fatalf("fallback result wrong: %+v", res)
+			}
+
+			opt.Strict = true
+			res, err = RunNetworkJobOpt(context.Background(), nw, jo, opt)
+			var se *StageError
+			if !errors.As(err, &se) || se.Attempt != "extract/exhaustive" || se.Reason != tc.reason {
+				t.Fatalf("strict: want a %s StageError at extract/exhaustive, got %v", tc.reason, err)
+			}
+			if res == nil || res.Network != nil || len(res.Fallbacks) != 0 {
+				t.Fatalf("strict: partial result wrong: %+v", res)
+			}
+		})
 	}
 }
 

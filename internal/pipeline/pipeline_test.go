@@ -11,10 +11,8 @@ import (
 
 	"relsyn/internal/benchmarks"
 	"relsyn/internal/chaos"
-	"relsyn/internal/network"
 	"relsyn/internal/pipeline"
 	"relsyn/internal/reliability"
-	"relsyn/internal/sat"
 	"relsyn/internal/synth"
 	"relsyn/internal/tt"
 )
@@ -275,41 +273,6 @@ func TestAIGBudget(t *testing.T) {
 	assertStageError(t, err, "synth/sop", pipeline.ReasonBudget)
 	if !errors.Is(err, synth.ErrAIGBudget) {
 		t.Fatalf("want ErrAIGBudget, got %v", err)
-	}
-}
-
-// TestConflictBudgetFallsBackToExhaustive starves the SAT conflict budget
-// of a windowed network job, so some window's don't-care query runs out
-// of conflicts, and checks the exhaustive extraction rung takes over.
-func TestConflictBudgetFallsBackToExhaustive(t *testing.T) {
-	res, err := synth.Synthesize(load(t, "t4"), synth.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := network.FromAIG(res.Graph, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := nw.POFunction()
-	jo := pipeline.JobOptions{Method: "lcf", Threshold: 0.55, DCMode: "windowed-sat"}
-	opt := pipeline.Options{Budget: pipeline.Budget{MaxConflicts: 1}}
-	jr, err := pipeline.RunNetworkJobOpt(context.Background(), nw, jo, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jr.DCMode != "exhaustive" || len(jr.Fallbacks) != 1 ||
-		jr.Fallbacks[0].From != "extract/windowed-sat" || jr.Fallbacks[0].Reason != "budget" {
-		t.Fatalf("want exhaustive fallback, got dc_mode=%q fallbacks=%+v", jr.DCMode, jr.Fallbacks)
-	}
-	if !jr.Equivalent || !jr.Network.POFunction().Equal(want) {
-		t.Fatal("fallback reassignment changed PO functions")
-	}
-	// Strict mode surfaces the exhaustion instead.
-	opt.Strict = true
-	_, err = pipeline.RunNetworkJobOpt(context.Background(), nw, jo, opt)
-	assertStageError(t, err, "extract/windowed-sat", pipeline.ReasonBudget)
-	if !errors.Is(err, sat.ErrBudget) {
-		t.Fatalf("budget failure should wrap sat.ErrBudget: %v", err)
 	}
 }
 

@@ -277,8 +277,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // ResynRequest is the POST /v1/resyn body: a combinational BLIF network
-// plus network-job options (method defaults to "lcf", threshold to 0.55;
-// dc_mode/window_tfi/window_tfo pick the DC-extraction engine).
+// plus network-job options (method defaults to "lcf", threshold to
+// 0.55). The DC-extraction engine is picked from the network's size.
 type ResynRequest struct {
 	// BLIF is the network in Berkeley Logic Interchange Format
 	// (combinational subset: .model/.inputs/.outputs/.names).

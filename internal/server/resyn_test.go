@@ -49,36 +49,35 @@ func postResyn(t *testing.T, base string, body any) (*http.Response, ResynRespon
 // re-parseable BLIF whose primary-output functions match the input's.
 func TestResynEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Metrics: obs.NewRegistry()})
-	for _, mode := range []string{"exhaustive", "windowed-sat"} {
-		resp, rr, raw := postResyn(t, ts.URL, map[string]any{
-			"blif":    testBLIF,
-			"options": map[string]any{"dc_mode": mode, "threshold": 0.6},
-		})
-		if resp.StatusCode != http.StatusOK || rr.Status != StatusDone {
-			t.Fatalf("%s: HTTP %d status %q: %s", mode, resp.StatusCode, rr.Status, raw)
-		}
-		if rr.Result == nil || rr.Result.DCMode != mode || !rr.Result.Equivalent {
-			t.Fatalf("%s: result %+v", mode, rr.Result)
-		}
-		if rr.Result.NumPI != 3 || rr.Result.NumPO != 2 {
-			t.Fatalf("%s: interface %+v", mode, rr.Result)
-		}
-		orig, err := blif.Parse(strings.NewReader(testBLIF))
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := blif.Parse(strings.NewReader(rr.BLIF))
-		if err != nil {
-			t.Fatalf("%s: response BLIF unparseable: %v\n%s", mode, err, rr.BLIF)
-		}
-		if !back.POFunction().Equal(orig.POFunction()) {
-			t.Fatalf("%s: reassigned network changed PO functions", mode)
-		}
+	resp, rr, raw := postResyn(t, ts.URL, map[string]any{
+		"blif":    testBLIF,
+		"options": map[string]any{"threshold": 0.6},
+	})
+	if resp.StatusCode != http.StatusOK || rr.Status != StatusDone {
+		t.Fatalf("HTTP %d status %q: %s", resp.StatusCode, rr.Status, raw)
+	}
+	if rr.Result == nil || rr.Result.DCMode != pipeline.JobDCExhaustive || !rr.Result.Equivalent {
+		t.Fatalf("result %+v", rr.Result)
+	}
+	if rr.Result.NumPI != 3 || rr.Result.NumPO != 2 {
+		t.Fatalf("interface %+v", rr.Result)
+	}
+	orig, err := blif.Parse(strings.NewReader(testBLIF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := blif.Parse(strings.NewReader(rr.BLIF))
+	if err != nil {
+		t.Fatalf("response BLIF unparseable: %v\n%s", err, rr.BLIF)
+	}
+	if !back.POFunction().Equal(orig.POFunction()) {
+		t.Fatal("reassigned network changed PO functions")
 	}
 }
 
 // Malformed inputs are 400 "invalid": bad JSON, empty/unparseable BLIF,
-// and options that fail validation never reach the backend.
+// the retired extraction options, and options that fail validation never
+// reach the backend.
 func TestResynEndpointRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 8, Metrics: obs.NewRegistry(),
@@ -90,11 +89,14 @@ func TestResynEndpointRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		body any
+		want string // substring of the error
 	}{
-		{"empty blif", map[string]any{"blif": ""}},
-		{"unparseable blif", map[string]any{"blif": ".model x\n.inputs a\n.outputs y\n.end\n"}},
-		{"bad dc_mode", map[string]any{"blif": testBLIF, "options": map[string]any{"dc_mode": "bogus"}}},
-		{"bad threshold", map[string]any{"blif": testBLIF, "options": map[string]any{"method": "lcf", "threshold": 2.0}}},
+		{"empty blif", map[string]any{"blif": ""}, "empty blif"},
+		{"unparseable blif", map[string]any{"blif": ".model x\n.inputs a\n.outputs y\n.end\n"}, "parse blif"},
+		{"bad dc_mode", map[string]any{"blif": testBLIF, "options": map[string]any{"dc_mode": "windowed-sat"}}, `unknown field "dc_mode"`},
+		{"window_tfi", map[string]any{"blif": testBLIF, "options": map[string]any{"window_tfi": 2}}, `unknown field "window_tfi"`},
+		{"window_tfo", map[string]any{"blif": testBLIF, "options": map[string]any{"window_tfo": 1}}, `unknown field "window_tfo"`},
+		{"bad threshold", map[string]any{"blif": testBLIF, "options": map[string]any{"method": "lcf", "threshold": 2.0}}, "threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,8 +104,8 @@ func TestResynEndpointRejects(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("HTTP %d, want 400: %s", resp.StatusCode, raw)
 			}
-			if rr.Status != "invalid" || rr.Error == "" {
-				t.Fatalf("envelope %+v", rr)
+			if rr.Status != "invalid" || !strings.Contains(rr.Error, tc.want) {
+				t.Fatalf("envelope %+v, want an error naming %q", rr, tc.want)
 			}
 		})
 	}

@@ -416,9 +416,10 @@ func TestServerFailedJobNotCached(t *testing.T) {
 	}
 }
 
-// The retired option names "kernels", "use_bdd" and "max_bdd_nodes" are
-// unknown fields now: the strict decoder answers 400 with an error naming
-// the field, and nothing is enqueued, computed or cached.
+// The retired option names "kernels", "use_bdd", "max_bdd_nodes",
+// "dc_mode", "window_tfi" and "window_tfo" are unknown fields now: the
+// strict decoder answers 400 with an error naming the field, and nothing
+// is enqueued, computed or cached.
 func TestServerRejectsRetiredOptions(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
 	pla, _ := json.Marshal(specPLA(3))
@@ -426,6 +427,9 @@ func TestServerRejectsRetiredOptions(t *testing.T) {
 		{"kernels", `"method": "rank", "fraction": 0.5, "kernels": "off"`},
 		{"use_bdd", `"method": "lcf", "threshold": 0.55, "use_bdd": true`},
 		{"max_bdd_nodes", `"method": "lcf", "threshold": 0.55, "max_bdd_nodes": 4`},
+		{"dc_mode", `"method": "lcf", "threshold": 0.55, "dc_mode": "exhaustive"`},
+		{"window_tfi", `"method": "lcf", "threshold": 0.55, "window_tfi": 2`},
+		{"window_tfo", `"method": "lcf", "threshold": 0.55, "window_tfo": 1`},
 	} {
 		body := `{"pla": ` + string(pla) + `, "options": {` + c.options + `}}`
 		resp, err := http.Post(ts.URL+"/v1/synth", "application/json", strings.NewReader(body))

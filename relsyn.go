@@ -254,9 +254,10 @@ var ErrSATBudget = sat.ErrBudget
 type NetworkJobResult = pipeline.NetworkJobResult
 
 // RunNetworkJob rewrites a decomposed network's nodes by extracting
-// internal don't-cares (exhaustively or with windowed SAT, per
-// JobOptions.DCMode) and binding them with the LC^f reassignment, under
-// the pipeline's degradation ladder. Method must be "lcf".
+// internal don't-cares (exhaustively up to tt.MaxInputs primary inputs,
+// with windowed SAT above that) and binding them with the LC^f
+// reassignment, under the pipeline's degradation ladder. Method must be
+// "lcf".
 func RunNetworkJob(ctx context.Context, nw *Network, o JobOptions) (*NetworkJobResult, error) {
 	return pipeline.RunNetworkJob(ctx, nw, o)
 }
