@@ -202,14 +202,18 @@ func benchParSpec(b *testing.B) *tt.Function {
 
 var benchParWorkers = []int{1, 2, 4}
 
-func BenchmarkParBoundsMean(b *testing.B) {
+// BenchmarkParCensusCompute times the one place the spec-side analysis
+// takes a worker count: building the fused census of every output,
+// fanned out over j workers. Every bound, estimate and C^f read of the
+// census afterwards is O(outputs) and sequential.
+func BenchmarkParCensusCompute(b *testing.B) {
 	spec := benchParSpec(b)
 	for _, j := range benchParWorkers {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
 			benchParProcs(b, 4)
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := reliability.BoundsMeanCtx(ctx, spec, j); err != nil {
+				if _, err := census.Compute(ctx, spec, j); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -226,21 +230,6 @@ func BenchmarkParErrorRateMean(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
 				if _, err := reliability.ErrorRateMeanCtx(ctx, spec, impl, j); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkParFactorMean(b *testing.B) {
-	spec := benchParSpec(b)
-	for _, j := range benchParWorkers {
-		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
-			benchParProcs(b, 4)
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				if _, err := complexity.FactorMeanCtx(ctx, spec, j); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -358,11 +347,11 @@ func BenchmarkAnalysisBundle(b *testing.B) {
 				if _, _, err := reliability.BoundsMeanCensusCtx(ctx, spec, cs, 1); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := estimate.BorderBasedMeanCensusCtx(ctx, spec, cs, 1); err != nil {
+				if _, err := estimate.BorderBasedMean(spec, cs); err != nil {
 					b.Fatal(err)
 				}
-				for _, c := range cs {
-					complexity.FactorCensus(c)
+				if _, err := complexity.FactorMean(cs); err != nil {
+					b.Fatal(err)
 				}
 				opt := core.Options{Parallelism: 1, Census: cs}
 				if _, err := core.Ranking(spec, 0.5, opt); err != nil {

@@ -1,24 +1,17 @@
 // Package client is the Go client for the relsynd synthesis service,
-// with the reliability behaviors a fleet caller needs built in:
+// with the retry behavior a fleet caller needs built in: capped
+// exponential backoff and jitter on transport errors, 429 (queue
+// backpressure), 503 (draining), and other 5xx responses. A 429's
+// Retry-After header overrides the computed backoff (capped at
+// MaxBackoff) — the server's hint is authoritative.
 //
-//   - Retries with capped exponential backoff and jitter on transport
-//     errors, 429 (queue backpressure), 503 (draining), and other 5xx
-//     responses. A 429's Retry-After header overrides the computed
-//     backoff (capped at MaxBackoff) — the server's hint is
-//     authoritative.
-//   - Per-request hedging for tail latency: when HedgeAfter is set and
-//     the primary request has not answered in time, an identical
-//     request is raced against it and the first response wins. Hedging
-//     is safe against relsynd by construction — requests are
-//     content-addressed, so duplicates coalesce server-side onto one
-//     execution instead of doubling work.
-//
-// Both behaviors assume idempotent submissions, which relsynd
-// guarantees: identical (spec, options) pairs share one cache entry and
-// one in-flight execution.
+// Retries assume idempotent submissions, which relsynd guarantees:
+// identical (spec, options) pairs share one cache entry and one
+// in-flight execution. Racing a slow shard against another replica is
+// relsyn-router's job (its -hedge-after), not the client's.
 //
 // The client exports relsyn_client_* metrics (requests by code,
-// retries, hedges) on the configured obs registry.
+// retries) on the configured obs registry.
 package client
 
 import (
@@ -81,13 +74,6 @@ type Config struct {
 	// storms from a fleet of clients hitting one recovering server.
 	JitterFrac float64
 
-	// HedgeAfter, when positive, launches an identical hedge request if
-	// the primary has not answered within the delay; first response
-	// wins, the loser is cancelled (default off).
-	HedgeAfter time.Duration
-	// MaxHedges bounds extra requests per attempt (default 1).
-	MaxHedges int
-
 	// Header holds extra headers applied to every request — e.g. the
 	// cluster forwarding marker (internal/cluster.HeaderForwarded) that
 	// relsyn-router and relsynd's peer-fill path stamp on forwarded
@@ -117,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JitterFrac <= 0 || c.JitterFrac > 1 {
 		c.JitterFrac = 0.2
-	}
-	if c.MaxHedges <= 0 {
-		c.MaxHedges = 1
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.Default
@@ -152,8 +135,6 @@ func (c Config) withDefaults() Config {
 type Client struct {
 	cfg     Config
 	retries obs.Counter
-	hedges  obs.Counter
-	wins    obs.Counter
 }
 
 // New validates cfg and returns a client.
@@ -166,11 +147,7 @@ func New(cfg Config) (*Client, error) {
 	c := &Client{cfg: cfg}
 	reg := cfg.Metrics
 	reg.SetHelp("relsyn_client_retries_total", "Requests retried after a retryable failure (429/503/5xx/transport).")
-	reg.SetHelp("relsyn_client_hedges_total", "Hedge requests launched against slow primaries.")
-	reg.SetHelp("relsyn_client_hedge_wins_total", "Hedge requests that answered before the primary.")
 	reg.RegisterCounter("relsyn_client_retries_total", &c.retries)
-	reg.RegisterCounter("relsyn_client_hedges_total", &c.hedges)
-	reg.RegisterCounter("relsyn_client_hedge_wins_total", &c.wins)
 	return c, nil
 }
 
@@ -256,7 +233,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*Res
 	return env, nil
 }
 
-// Do runs one logical request through the retry (and hedging) policy
+// Do runs one logical request through the retry policy
 // and decodes the single-job envelope. Unlike Synth/Job it reports
 // definitive 4xx responses with a nil error — the envelope and status
 // code are the answer — which is what a forwarding router needs to pass
@@ -308,7 +285,7 @@ func (c *Client) DoBatch(ctx context.Context, body []byte, hdr http.Header) (bat
 // miss must stay cheaper than the recompute it avoids. ok reports a
 // hit; a 404 is (nil, false, nil).
 func (c *Client) FetchCache(ctx context.Context, key string) (*pipeline.JobResult, bool, error) {
-	r := c.exchange(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, nil, false)
+	r := c.exchange(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, nil)
 	if r.err != nil {
 		return nil, false, fmt.Errorf("client: GET /v1/cache: %w", r.err)
 	}
@@ -328,13 +305,13 @@ func (c *Client) FetchCache(ctx context.Context, key string) (*pipeline.JobResul
 	return env.Result, true, nil
 }
 
-// doRaw runs one logical request through the retry (and hedging)
-// policy, returning the first definitive exchange (any status outside
-// the retryable set). The response body is fully read but not decoded.
+// doRaw runs one logical request through the retry policy, returning
+// the first definitive exchange (any status outside the retryable set).
+// The response body is fully read but not decoded.
 func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, hdr http.Header) (attemptResult, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		r := c.attempt(ctx, method, path, body, hdr)
+		r := c.exchange(ctx, method, path, body, hdr)
 		switch {
 		case r.err == nil && !retryableStatus(r.code):
 			return r, nil
@@ -378,74 +355,19 @@ type attemptResult struct {
 	code       int
 	retryAfter time.Duration
 	err        error
-	hedged     bool
-}
-
-// attempt performs one (possibly hedged) physical exchange.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hdr http.Header) attemptResult {
-	if c.cfg.HedgeAfter <= 0 || method != http.MethodPost {
-		return c.exchange(ctx, method, path, body, hdr, false)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // reap the loser
-	results := make(chan attemptResult, c.cfg.MaxHedges+1)
-	launch := func(hedged bool) {
-		go func() { results <- c.exchange(hctx, method, path, body, hdr, hedged) }()
-	}
-	launch(false)
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	launched, failures := 1, 0
-	var firstFail attemptResult
-	for {
-		select {
-		case r := <-results:
-			if r.err == nil {
-				if r.hedged {
-					c.wins.Inc()
-				}
-				return r
-			}
-			failures++
-			if failures == 1 {
-				firstFail = r
-			}
-			if failures >= launched {
-				if launched > c.cfg.MaxHedges {
-					// Everything we may launch has failed; report the
-					// first failure (the primary's, usually).
-					return firstFail
-				}
-				// Primary failed fast: hedge immediately rather than
-				// waiting out the timer.
-				c.hedges.Inc()
-				launch(true)
-				launched++
-			}
-		case <-timer.C:
-			if launched <= c.cfg.MaxHedges {
-				c.hedges.Inc()
-				launch(true)
-				launched++
-				timer.Reset(c.cfg.HedgeAfter)
-			}
-		case <-ctx.Done():
-			return attemptResult{err: ctx.Err()}
-		}
-	}
 }
 
 // exchange performs one HTTP round trip and reads the full body. A
 // body-read failure (e.g. the peer died mid-response) is a transport
 // error and therefore retryable; decoding is the caller's concern.
-func (c *Client) exchange(ctx context.Context, method, path string, body []byte, hdr http.Header, hedged bool) attemptResult {
+func (c *Client) exchange(ctx context.Context, method, path string, body []byte, hdr http.Header) attemptResult {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
 	if err != nil {
-		return attemptResult{err: err, hedged: hedged}
+		return attemptResult{err: err}
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -460,16 +382,16 @@ func (c *Client) exchange(ctx context.Context, method, path string, body []byte,
 	}
 	httpResp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return attemptResult{err: err, hedged: hedged}
+		return attemptResult{err: err}
 	}
 	defer httpResp.Body.Close()
 	c.cfg.Metrics.Counter("relsyn_client_requests_total",
 		obs.L("code", strconv.Itoa(httpResp.StatusCode))).Inc()
 	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
 	if err != nil {
-		return attemptResult{err: fmt.Errorf("read response (HTTP %d): %w", httpResp.StatusCode, err), hedged: hedged}
+		return attemptResult{err: fmt.Errorf("read response (HTTP %d): %w", httpResp.StatusCode, err)}
 	}
-	out := attemptResult{body: raw, code: httpResp.StatusCode, hedged: hedged}
+	out := attemptResult{body: raw, code: httpResp.StatusCode}
 	if out.code == http.StatusTooManyRequests || out.code == http.StatusServiceUnavailable {
 		if ra, err := strconv.Atoi(httpResp.Header.Get("Retry-After")); err == nil && ra > 0 {
 			out.retryAfter = time.Duration(ra) * time.Second

@@ -175,54 +175,6 @@ func TestTransportErrorRetried(t *testing.T) {
 	}
 }
 
-func TestHedgeWinsOverStalledPrimary(t *testing.T) {
-	release := make(chan struct{})
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			select { // primary stalls until the test ends
-			case <-release:
-			case <-r.Context().Done():
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"status":"done","job_id":"hedged"}`)
-	}))
-	defer ts.Close()
-	defer close(release)
-
-	c, err := New(Config{
-		BaseURL:    ts.URL,
-		Metrics:    obs.NewRegistry(),
-		HedgeAfter: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	resp, err := c.Synth(context.Background(), ".i 1\n.o 1\n1 1\n.e\n", pipeline.JobOptions{})
-	if err != nil {
-		t.Fatalf("Synth: %v", err)
-	}
-	if resp.Status != "done" {
-		t.Fatalf("status = %s, want done", resp.Status)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("hedged request took %v — hedge never fired", d)
-	}
-	if calls.Load() < 2 {
-		t.Fatalf("server saw %d calls, want primary + hedge", calls.Load())
-	}
-	snap := c.cfg.Metrics.Snapshot()
-	if snap.Counters["relsyn_client_hedges_total"] < 1 {
-		t.Fatalf("hedges counter = %v, want >= 1", snap.Counters)
-	}
-	if snap.Counters["relsyn_client_hedge_wins_total"] < 1 {
-		t.Fatalf("hedge wins counter = %v, want >= 1", snap.Counters)
-	}
-}
-
 func TestWaitPollsToTerminal(t *testing.T) {
 	ts, calls := scriptedServer(t, []struct {
 		code    int
@@ -282,7 +234,6 @@ func TestClientMetricsExposition(t *testing.T) {
 		"relsyn_client_retries_total 1",
 		`relsyn_client_requests_total{code="200"} 1`,
 		`relsyn_client_requests_total{code="503"} 1`,
-		"relsyn_client_hedges_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

@@ -23,6 +23,10 @@ import (
 	"os"
 
 	"relsyn"
+	"relsyn/internal/census"
+	"relsyn/internal/complexity"
+	"relsyn/internal/estimate"
+	"relsyn/internal/reliability"
 )
 
 // Exit codes (stable; documented in README):
@@ -174,23 +178,30 @@ func runStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	lo, hi, err := relsyn.ExactBounds(f)
+	// One census per output feeds the bounds, the border estimate and
+	// C^f alike.
+	ctx := context.Background()
+	fc, err := census.Compute(ctx, f, 0)
 	if err != nil {
 		return err
 	}
-	sig, err := relsyn.SignalEstimate(f)
+	lo, hi, err := reliability.BoundsMeanCensusCtx(ctx, f, fc.Outs, 0)
 	if err != nil {
 		return err
 	}
-	bor, err := relsyn.BorderEstimate(f)
+	sig, err := estimate.SignalBasedMean(f)
 	if err != nil {
 		return err
 	}
-	cf, err := relsyn.ComplexityFactor(f)
+	bor, err := estimate.BorderBasedMean(f, fc.Outs)
 	if err != nil {
 		return err
 	}
-	ecf, err := relsyn.ExpectedComplexityFactor(f)
+	cf, err := complexity.FactorMean(fc.Outs)
+	if err != nil {
+		return err
+	}
+	ecf, err := complexity.ExpectedMean(f)
 	if err != nil {
 		return err
 	}

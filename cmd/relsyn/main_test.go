@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"relsyn"
 	"relsyn/internal/obs"
 	"relsyn/internal/pipeline"
 	"relsyn/internal/server"
@@ -71,13 +73,46 @@ func TestRunStats(t *testing.T) {
 	}
 }
 
+var updateStats = flag.Bool("update", false, "rewrite testdata/stats.golden")
+
+const statsGoldenPath = "testdata/stats.golden"
+
+// TestRunStatsBench pins the full stats report of every built-in
+// benchmark — C^f, E[C^f], the exact bounds and both estimates, all
+// read through the library facade — against testdata/stats.golden.
+// Regenerate with: go test ./cmd/relsyn -run TestRunStatsBench -update
 func TestRunStatsBench(t *testing.T) {
-	out, err := capture(t, func() error { return runStats([]string{"-bench", "bench"}) })
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]string{}
+	if !*updateStats {
+		data, err := os.ReadFile(statsGoldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, block := range strings.Split(string(data), "== ")[1:] {
+			name, report, _ := strings.Cut(block, "\n")
+			want[name] = report
+		}
 	}
-	if !strings.Contains(out, "inputs            6") {
-		t.Fatalf("bench stats wrong:\n%s", out)
+	var golden strings.Builder
+	for _, b := range relsyn.Benchmarks() {
+		t.Run(b.Name, func(t *testing.T) {
+			out, err := capture(t, func() error { return runStats([]string{"-bench", b.Name}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&golden, "== %s\n%s", b.Name, out)
+			if !*updateStats && out != want[b.Name] {
+				t.Errorf("stats report moved:\n got\n%s want\n%s", out, want[b.Name])
+			}
+		})
+	}
+	if *updateStats {
+		if err := os.MkdirAll(filepath.Dir(statsGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(statsGoldenPath, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

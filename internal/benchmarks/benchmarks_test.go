@@ -1,9 +1,11 @@
 package benchmarks
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"relsyn/internal/census"
 	"relsyn/internal/complexity"
 )
 
@@ -50,7 +52,11 @@ func TestSuiteMatchesTable1(t *testing.T) {
 			if dc := f.DCFraction(); math.Abs(dc-s.DCFraction) > 0.01 {
 				t.Errorf("%%DC = %.3f, want %.3f", dc, s.DCFraction)
 			}
-			cf, err := complexity.FactorMean(f)
+			fc, err := census.Compute(context.Background(), f, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cf, err := complexity.FactorMean(fc.Outs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,8 +65,23 @@ func Output(f *tt.Function, o int) *bitset.Census {
 	return bitset.NewCensus(f.Outs[o].On, f.Outs[o].DC)
 }
 
-// Out returns output o's census.
-func (fc *FunctionCensus) Out(o int) *bitset.Census { return fc.Outs[o] }
+// Check reports why cs cannot be f's per-output censuses: a slice of
+// the wrong length, a missing entry, or a census of another minterm
+// space. The analysis means call it before reading cs.
+func Check(f *tt.Function, cs []*bitset.Census) error {
+	if len(cs) != f.NumOut() {
+		return fmt.Errorf("census: %d censuses for %d outputs", len(cs), f.NumOut())
+	}
+	for o, c := range cs {
+		if c == nil {
+			return fmt.Errorf("census: output %d has no census", o)
+		}
+		if c.Len() != f.Size() {
+			return fmt.Errorf("census: output %d census spans %d minterms, want %d", o, c.Len(), f.Size())
+		}
+	}
+	return nil
+}
 
 // Bytes reports the resident size charged by the byte-accounted cache.
 func (fc *FunctionCensus) Bytes() int {

@@ -2,9 +2,11 @@ package census
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"relsyn/internal/bitset"
 	"relsyn/internal/tt"
 )
 
@@ -32,7 +34,7 @@ func TestComputeMatchesPerMinterm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for o := 0; o < 3; o++ {
-		c := fc.Out(o)
+		c := fc.Outs[o]
 		for m := 0; m < f.Size(); m++ {
 			if got, want := c.OnAt(m), f.OnNeighbors(o, m); got != want {
 				t.Fatalf("o=%d m=%d OnAt=%d want %d", o, m, got, want)
@@ -47,6 +49,47 @@ func TestComputeMatchesPerMinterm(t *testing.T) {
 	}
 	if fc.Bytes() <= 0 {
 		t.Fatal("census reports zero resident bytes")
+	}
+}
+
+// A cancelled context aborts the census build with ctx.Err(), so no
+// analysis reads a partial census.
+func TestComputeCancellationAborts(t *testing.T) {
+	f := randomSpec(6, 4, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Compute(ctx, f, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compute: got %v, want context.Canceled", err)
+	}
+}
+
+// Check accepts exactly one census per output of f's minterm space.
+func TestCheck(t *testing.T) {
+	f := randomSpec(5, 3, 4)
+	fc, err := Compute(context.Background(), f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := fc.Outs
+	wide, err := Compute(context.Background(), randomSpec(6, 3, 5), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cs   []*bitset.Census
+		ok   bool
+	}{
+		{"own", cs, true},
+		{"nil", nil, false},
+		{"short", cs[:2], false},
+		{"long", append(cs[:3:3], cs[0]), false},
+		{"nil entry", []*bitset.Census{cs[0], nil, cs[2]}, false},
+		{"other width", []*bitset.Census{cs[0], wide.Outs[1], cs[2]}, false},
+	} {
+		if err := Check(f, tc.cs); (err == nil) != tc.ok {
+			t.Errorf("%s: Check = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -18,66 +18,39 @@
 package complexity
 
 import (
-	"context"
 	"fmt"
 
 	"relsyn/internal/bitset"
-	"relsyn/internal/census"
-	"relsyn/internal/par"
 	"relsyn/internal/tt"
 )
 
-// checkOutputs rejects zero-output functions at the API boundary with
-// the typed tt.ErrZeroOutputs sentinel (per-output means over zero
-// outputs used to silently divide by zero and return NaN).
-func checkOutputs(f *tt.Function) error {
-	if f.NumOut() == 0 {
-		return fmt.Errorf("complexity: %w", tt.ErrZeroOutputs)
-	}
-	return nil
-}
-
-// Factor returns C^f for output o from a fused neighbor census of that
-// output built for the call.
-func Factor(f *tt.Function, o int) float64 {
-	return FactorCensus(census.Output(f, o))
-}
-
-// FactorCensus is Factor served from a fused neighbor census
+// Factor returns C^f for one output from its fused neighbor census
 // (internal/census): the same-phase pair total is three masked plane
 // sums over the census that ranking, bounds and borders share.
-func FactorCensus(c *bitset.Census) float64 {
+func Factor(c *bitset.Census) float64 {
 	return float64(c.SamePhasePairs()) / float64(c.K()*c.Len())
 }
 
-// FactorMean returns the mean C^f across all outputs — the per-benchmark
-// figure reported in paper Table 1 — computed with full machine
-// parallelism. Zero-output functions are rejected with an error wrapping
-// tt.ErrZeroOutputs.
-func FactorMean(f *tt.Function) (float64, error) {
-	return FactorMeanCtx(context.Background(), f, 0)
-}
-
-// FactorMeanCtx is FactorMean with cooperative cancellation and an
-// explicit parallelism cap (0 = GOMAXPROCS, 1 = sequential). Per-output
-// factors are computed concurrently but accumulated in output order, so
-// the result is bit-identical at every parallelism level.
-func FactorMeanCtx(ctx context.Context, f *tt.Function, parallelism int) (float64, error) {
-	if err := checkOutputs(f); err != nil {
-		return 0, err
-	}
-	factors := make([]float64, f.NumOut())
-	if err := par.Do(ctx, parallelism, f.NumOut(), func(o int) error {
-		factors[o] = Factor(f, o)
-		return nil
-	}); err != nil {
-		return 0, err
+// FactorMean returns the mean C^f over cs, one function's censuses
+// indexed by output — the per-benchmark figure reported in paper
+// Table 1. An empty cs is rejected with an error wrapping
+// tt.ErrZeroOutputs; a nil entry, or censuses of differing minterm
+// spaces, cannot be one function's and are errors too.
+func FactorMean(cs []*bitset.Census) (float64, error) {
+	if len(cs) == 0 {
+		return 0, fmt.Errorf("complexity: %w", tt.ErrZeroOutputs)
 	}
 	sum := 0.0
-	for _, v := range factors {
-		sum += v
+	for o, c := range cs {
+		if c == nil {
+			return 0, fmt.Errorf("complexity: output %d has no census", o)
+		}
+		if c.Len() != cs[0].Len() {
+			return 0, fmt.Errorf("complexity: output %d census spans %d minterms, output 0 %d", o, c.Len(), cs[0].Len())
+		}
+		sum += Factor(c)
 	}
-	return sum / float64(f.NumOut()), nil
+	return sum / float64(len(cs)), nil
 }
 
 // Expected returns E[C^f] for output o: the complexity factor a random
@@ -91,8 +64,8 @@ func Expected(f *tt.Function, o int) float64 {
 // ExpectedMean returns the mean E[C^f] across outputs. Zero-output
 // functions are rejected with an error wrapping tt.ErrZeroOutputs.
 func ExpectedMean(f *tt.Function) (float64, error) {
-	if err := checkOutputs(f); err != nil {
-		return 0, err
+	if f.NumOut() == 0 {
+		return 0, fmt.Errorf("complexity: %w", tt.ErrZeroOutputs)
 	}
 	sum := 0.0
 	for o := range f.Outs {
@@ -101,53 +74,17 @@ func ExpectedMean(f *tt.Function) (float64, error) {
 	return sum / float64(f.NumOut()), nil
 }
 
-// Local returns LC^f for minterm m of output o.
-func Local(f *tt.Function, o, m int) float64 {
-	return float64(census.Output(f, o).SamePhaseFold()[m]) / float64(f.NumIn*f.NumIn)
-}
-
-// LocalAll returns LC^f for every minterm of output o in one pass —
-// used by the complexity-factor-based assignment algorithm, which needs
-// the value for every DC minterm.
-func LocalAll(f *tt.Function, o int) []float64 {
-	out, _ := LocalAllCtx(context.Background(), f, o, 1)
-	return out
-}
-
-// localAllChunk is the minimum minterm-chunk size LocalAllCtx hands to
-// one worker; below this the per-chunk dispatch overhead dominates the
-// O(n) work per minterm.
-const localAllChunk = 1024
-
-// LocalAllCtx is LocalAll with cooperative cancellation and an explicit
-// parallelism cap (0 = GOMAXPROCS, 1 = sequential). The minterm space is
-// split into contiguous chunks and each worker writes only its own
-// index range, so the result is bit-identical at every parallelism
-// level.
-func LocalAllCtx(ctx context.Context, f *tt.Function, o, parallelism int) ([]float64, error) {
-	return LocalAllCensusCtx(ctx, f, o, nil, parallelism)
-}
-
-// LocalAllCensusCtx is LocalAllCtx served from a fused neighbor
-// census: the census carries the two-step same-phase fold precomputed
-// (bitset.Census.SamePhaseFold), so all that remains per call is the
-// normalize. A nil census builds output o's census for the call.
-func LocalAllCensusCtx(ctx context.Context, f *tt.Function, o int, c *bitset.Census, parallelism int) ([]float64, error) {
-	if c == nil {
-		c = census.Output(f, o)
-	}
-	size := f.Size()
+// LocalAll returns LC^f for every minterm of one output, read from its
+// fused neighbor census — used by the complexity-factor-based
+// assignment algorithm, which needs the value for every DC minterm. The
+// census carries the two-step same-phase fold precomputed
+// (bitset.Census.SamePhaseFold), so all that remains is the normalize.
+func LocalAll(c *bitset.Census) []float64 {
 	vals := c.SamePhaseFold()
-	out := make([]float64, size)
-	norm := float64(f.NumIn * f.NumIn)
-	err := par.DoRange(ctx, parallelism, size, localAllChunk, func(lo, hi int) error {
-		for m := lo; m < hi; m++ {
-			out[m] = float64(vals[m]) / norm
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	out := make([]float64, c.Len())
+	norm := float64(c.K() * c.K())
+	for m := range out {
+		out[m] = float64(vals[m]) / norm
 	}
-	return out, nil
+	return out
 }

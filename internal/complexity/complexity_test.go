@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"relsyn/internal/bitset"
 	"relsyn/internal/census"
 	"relsyn/internal/tt"
 )
@@ -54,13 +55,13 @@ func TestSamePhaseNeighborsMatchesNaive(t *testing.T) {
 func TestFactorConstantFunction(t *testing.T) {
 	// A constant function has complexity factor exactly 1 (paper §2.2).
 	f := tt.New(5, 1)
-	if got := Factor(f, 0); got != 1.0 {
+	if got := Factor(census.Output(f, 0)); got != 1.0 {
 		t.Fatalf("constant-0 C^f = %v, want 1", got)
 	}
 	for m := 0; m < 32; m++ {
 		f.SetPhase(0, m, tt.On)
 	}
-	if got := Factor(f, 0); got != 1.0 {
+	if got := Factor(census.Output(f, 0)); got != 1.0 {
 		t.Fatalf("constant-1 C^f = %v, want 1", got)
 	}
 }
@@ -75,7 +76,7 @@ func TestFactorXOR(t *testing.T) {
 			f.SetPhase(0, m, tt.On)
 		}
 	}
-	if got := Factor(f, 0); got != 0.0 {
+	if got := Factor(census.Output(f, 0)); got != 0.0 {
 		t.Fatalf("XOR C^f = %v, want 0", got)
 	}
 }
@@ -98,7 +99,7 @@ func TestFactorSingleVariable(t *testing.T) {
 			f.SetPhase(0, m, tt.On)
 		}
 	}
-	if got, want := Factor(f, 0), 2.0/3.0; math.Abs(got-want) > 1e-12 {
+	if got, want := Factor(census.Output(f, 0)), 2.0/3.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("C^f(x0) = %v, want %v", got, want)
 	}
 }
@@ -107,7 +108,7 @@ func TestFactorRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 20; trial++ {
 		f := randomFunction(rng, 7, 1)
-		c := Factor(f, 0)
+		c := Factor(census.Output(f, 0))
 		if c < 0 || c > 1 {
 			t.Fatalf("C^f = %v out of [0,1]", c)
 		}
@@ -136,7 +137,7 @@ func TestFactorApproachesExpectedOnRandom(t *testing.T) {
 	for m := 0; m < f.Size(); m++ {
 		f.SetPhase(0, m, tt.Phase(rng.Intn(3)))
 	}
-	cf := Factor(f, 0)
+	cf := Factor(census.Output(f, 0))
 	ecf := Expected(f, 0)
 	if math.Abs(cf-ecf) > 0.02 {
 		t.Fatalf("random function: C^f=%v vs E[C^f]=%v differ too much", cf, ecf)
@@ -161,21 +162,21 @@ func naiveLocal(f *tt.Function, o, m int) float64 {
 func TestLocalMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	f := randomFunction(rng, 6, 1)
-	all := LocalAll(f, 0)
+	all := LocalAll(census.Output(f, 0))
+	if len(all) != f.Size() {
+		t.Fatalf("LocalAll returned %d values, want %d", len(all), f.Size())
+	}
 	for m := 0; m < f.Size(); m++ {
 		want := naiveLocal(f, 0, m)
 		if math.Abs(all[m]-want) > 1e-12 {
 			t.Fatalf("LC^f(%d) = %v, want %v", m, all[m], want)
-		}
-		if got := Local(f, 0, m); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("Local(%d) = %v, want %v", m, got, want)
 		}
 	}
 }
 
 func TestLocalConstantIsOne(t *testing.T) {
 	f := tt.New(4, 1)
-	all := LocalAll(f, 0)
+	all := LocalAll(census.Output(f, 0))
 	for m, v := range all {
 		if v != 1.0 {
 			t.Fatalf("constant function LC^f(%d) = %v, want 1", m, v)
@@ -193,13 +194,13 @@ func TestMeanLocalEqualsFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 10; trial++ {
 		f := randomFunction(rng, 7, 1)
-		all := LocalAll(f, 0)
+		all := LocalAll(census.Output(f, 0))
 		sum := 0.0
 		for _, v := range all {
 			sum += v
 		}
 		mean := sum / float64(len(all))
-		cf := Factor(f, 0)
+		cf := Factor(census.Output(f, 0))
 		if math.Abs(mean-cf) > 1e-9 {
 			t.Fatalf("mean LC^f = %v, C^f = %v", mean, cf)
 		}
@@ -211,9 +212,9 @@ func TestMeans(t *testing.T) {
 	f := randomFunction(rng, 5, 3)
 	sum := 0.0
 	for o := 0; o < 3; o++ {
-		sum += Factor(f, o)
+		sum += Factor(census.Output(f, o))
 	}
-	got, err := FactorMean(f)
+	got, err := FactorMean(censuses(t, f, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestMeans(t *testing.T) {
 // functions; they must now reject them with the typed sentinel.
 func TestMeansZeroOutputsRejected(t *testing.T) {
 	f := &tt.Function{NumIn: 4} // hand-built: no outputs
-	if _, err := FactorMean(f); !errors.Is(err, tt.ErrZeroOutputs) {
+	if _, err := FactorMean(nil); !errors.Is(err, tt.ErrZeroOutputs) {
 		t.Fatalf("FactorMean: got %v, want tt.ErrZeroOutputs", err)
 	}
 	if _, err := ExpectedMean(f); !errors.Is(err, tt.ErrZeroOutputs) {
@@ -245,42 +246,40 @@ func TestMeansZeroOutputsRejected(t *testing.T) {
 	}
 }
 
-// withProcs raises GOMAXPROCS so the parallel path actually runs
-// concurrently even on single-core machines.
-func withProcs(t *testing.T, n int) {
+// censuses builds f's per-output censuses at the given worker count.
+func censuses(t *testing.T, f *tt.Function, parallelism int) []*bitset.Census {
 	t.Helper()
-	old := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	fc, err := census.Compute(context.Background(), f, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fc.Outs
 }
 
-// The parallel kernels must be bit-identical to the sequential path at
-// every parallelism level.
+// C^f and LC^f must be bit-identical whatever worker count built the
+// censuses they read.
 func TestParallelMatchesSequential(t *testing.T) {
-	withProcs(t, 8)
+	old := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	rng := rand.New(rand.NewSource(99))
-	ctx := context.Background()
 	for trial := 0; trial < 3; trial++ {
 		f := randomFunction(rng, 7, 5)
-		seqMean, err := FactorMeanCtx(ctx, f, 1)
+		seq := censuses(t, f, 1)
+		seqMean, err := FactorMean(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqLocal, err := LocalAllCtx(ctx, f, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seqLocal := LocalAll(seq[0])
 		for _, p := range []int{2, 8, 0} {
-			mean, err := FactorMeanCtx(ctx, f, p)
+			cs := censuses(t, f, p)
+			mean, err := FactorMean(cs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mean != seqMean {
 				t.Fatalf("p=%d: FactorMean %v != sequential %v", p, mean, seqMean)
 			}
-			local, err := LocalAllCtx(ctx, f, 0, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			local := LocalAll(cs[0])
 			for m := range local {
 				if local[m] != seqLocal[m] {
 					t.Fatalf("p=%d: LocalAll[%d] %v != sequential %v", p, m, local[m], seqLocal[m])
@@ -290,17 +289,22 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// A cancelled context aborts the parallel kernels with ctx.Err().
-func TestCancellationAborts(t *testing.T) {
-	rng := rand.New(rand.NewSource(100))
-	f := randomFunction(rng, 6, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := FactorMeanCtx(ctx, f, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FactorMeanCtx: got %v, want context.Canceled", err)
-	}
-	if _, err := LocalAllCtx(ctx, f, 0, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("LocalAllCtx: got %v, want context.Canceled", err)
+// FactorMean has no function to check its censuses against, but a nil
+// entry or censuses of two minterm spaces cannot be one function's.
+func TestFactorMeanRejectsForeignCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	cs := censuses(t, randomFunction(rng, 5, 3), 1)
+	wide := censuses(t, randomFunction(rng, 6, 3), 1)
+	for _, tc := range []struct {
+		name string
+		cs   []*bitset.Census
+	}{
+		{"nil entry", []*bitset.Census{cs[0], nil, cs[2]}},
+		{"other width", []*bitset.Census{cs[0], wide[1], cs[2]}},
+	} {
+		if _, err := FactorMean(tc.cs); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 
@@ -310,7 +314,7 @@ func BenchmarkFactor12(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Factor(f, 0)
+		Factor(census.Output(f, 0))
 	}
 }
 
@@ -320,6 +324,6 @@ func BenchmarkLocalAll12(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LocalAll(f, 0)
+		LocalAll(census.Output(f, 0))
 	}
 }

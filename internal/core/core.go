@@ -212,13 +212,8 @@ func LCF(f *tt.Function, threshold float64, opt Options) (*Result, error) {
 		if !f.Outs[o].DC.Any() {
 			return nil
 		}
-		// The LC^f normalize also fans out over minterm chunks, so a
-		// single-output function still uses the whole parallelism budget.
 		c := opt.censusFor(f, o)
-		local, err := complexity.LocalAllCensusCtx(context.Background(), f, o, c, opt.Parallelism)
-		if err != nil {
-			return err
-		}
+		local := complexity.LocalAll(c)
 		no := newNeighborOracle(o, c)
 		var sel []Assignment
 		f.Outs[o].DC.ForEach(func(m int) {

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
+	"math/rand"
 	"relsyn/internal/bitset"
+	"relsyn/internal/census"
 	"relsyn/internal/reliability"
 	"relsyn/internal/tt"
 )
@@ -161,7 +163,7 @@ func TestRankingFullAchievesExactMin(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 10; trial++ {
 		f := randomFunction(rng, 6, 1, 0.5)
-		lo, _ := reliability.Bounds(f, 0)
+		lo, _ := reliability.Bounds(census.Output(f, 0))
 		res, err := Ranking(f, 1.0, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -196,11 +198,15 @@ func TestCompleteSpecifiesEverything(t *testing.T) {
 	if len(res.Assigned) != res.TotalDCs {
 		t.Fatalf("assigned %d of %d", len(res.Assigned), res.TotalDCs)
 	}
-	lo, _, err := reliability.BoundsMean(f)
+	fc, err := census.Compute(context.Background(), f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := reliability.ErrorRateMean(f, res.Func)
+	lo, _, err := reliability.BoundsMeanCensusCtx(context.Background(), f, fc.Outs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := reliability.ErrorRateMeanCtx(context.Background(), f, res.Func, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,11 @@
 package estimate
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"relsyn/internal/bitset"
 	"relsyn/internal/census"
-	"relsyn/internal/par"
 	"relsyn/internal/reliability"
 	"relsyn/internal/tt"
 )
@@ -70,20 +68,10 @@ func meanAbsGaussian(mu, variance float64) float64 {
 }
 
 // BorderBased computes the Poisson border-count estimate for output o,
-// measuring the border counts on a fused neighbor census of that output
-// built for the call.
-func BorderBased(f *tt.Function, o int) Bounds {
-	return BorderBasedCensus(f, o, nil)
-}
-
-// BorderBasedCensus is BorderBased with the border counts served from
-// a precomputed fused neighbor census (three masked plane sums). A nil
-// census builds output o's census for the call.
-func BorderBasedCensus(f *tt.Function, o int, c *bitset.Census) Bounds {
-	if c == nil {
-		c = census.Output(f, o)
-	}
-	return BorderModel(f, o, reliability.CountBordersCensus(c))
+// measuring the border counts on c, that output's fused neighbor census
+// (three masked plane sums).
+func BorderBased(f *tt.Function, o int, c *bitset.Census) Bounds {
+	return BorderModel(f, o, reliability.CountBorders(c))
 }
 
 // BorderModel evaluates the Poisson model on measured border counts b
@@ -150,64 +138,33 @@ func poisson(k int, lambda float64) float64 {
 	return p
 }
 
-// SignalBasedMean averages SignalBased over all outputs with full
-// machine parallelism. Zero-output functions are rejected with an error
-// wrapping tt.ErrZeroOutputs.
+// SignalBasedMean averages SignalBased over all outputs. Zero-output
+// functions are rejected with an error wrapping tt.ErrZeroOutputs.
 func SignalBasedMean(f *tt.Function) (Bounds, error) {
-	return SignalBasedMeanCtx(context.Background(), f, 0)
+	return meanOver(f, func(o int) Bounds { return SignalBased(f, o) })
 }
 
-// SignalBasedMeanCtx is SignalBasedMean with cooperative cancellation
-// and an explicit parallelism cap (0 = GOMAXPROCS, 1 = sequential);
-// results are bit-identical at every parallelism level.
-func SignalBasedMeanCtx(ctx context.Context, f *tt.Function, parallelism int) (Bounds, error) {
-	return meanOver(ctx, f, parallelism, SignalBased)
+// BorderBasedMean averages BorderBased over all outputs of f, reading
+// cs, f's censuses indexed by output. A cs that is not one census per
+// output of f's minterm space is an error, as is a zero-output f
+// (wrapping tt.ErrZeroOutputs).
+func BorderBasedMean(f *tt.Function, cs []*bitset.Census) (Bounds, error) {
+	if err := census.Check(f, cs); err != nil {
+		return Bounds{}, fmt.Errorf("estimate: %w", err)
+	}
+	return meanOver(f, func(o int) Bounds { return BorderBased(f, o, cs[o]) })
 }
 
-// BorderBasedMean averages BorderBased over all outputs with full
-// machine parallelism. Zero-output functions are rejected with an error
-// wrapping tt.ErrZeroOutputs.
-func BorderBasedMean(f *tt.Function) (Bounds, error) {
-	return BorderBasedMeanCtx(context.Background(), f, 0)
-}
-
-// BorderBasedMeanCtx is BorderBasedMean with cooperative cancellation
-// and an explicit parallelism cap (0 = GOMAXPROCS, 1 = sequential);
-// results are bit-identical at every parallelism level.
-func BorderBasedMeanCtx(ctx context.Context, f *tt.Function, parallelism int) (Bounds, error) {
-	return meanOver(ctx, f, parallelism, BorderBased)
-}
-
-// BorderBasedMeanCensusCtx is BorderBasedMeanCtx with per-output border
-// counts served from fused censuses where available (a nil slice or nil
-// entry builds that output's census for the call).
-func BorderBasedMeanCensusCtx(ctx context.Context, f *tt.Function, cs []*bitset.Census, parallelism int) (Bounds, error) {
-	return meanOver(ctx, f, parallelism, func(f *tt.Function, o int) Bounds {
-		if o < len(cs) {
-			return BorderBasedCensus(f, o, cs[o])
-		}
-		return BorderBased(f, o)
-	})
-}
-
-// meanOver computes per-output bounds concurrently into index-addressed
-// slots and accumulates them sequentially in output order, so the mean
-// is bit-identical at every parallelism level. Zero-output functions
-// are rejected with the typed tt.ErrZeroOutputs sentinel (historically
-// this divided by zero and returned NaN bounds).
-func meanOver(ctx context.Context, f *tt.Function, parallelism int, fn func(*tt.Function, int) Bounds) (Bounds, error) {
+// meanOver averages per-output bounds in output order. Zero-output
+// functions are rejected with the typed tt.ErrZeroOutputs sentinel
+// (historically this divided by zero and returned NaN bounds).
+func meanOver(f *tt.Function, fn func(o int) Bounds) (Bounds, error) {
 	if f.NumOut() == 0 {
 		return Bounds{}, fmt.Errorf("estimate: %w", tt.ErrZeroOutputs)
 	}
-	per := make([]Bounds, f.NumOut())
-	if err := par.Do(ctx, parallelism, f.NumOut(), func(o int) error {
-		per[o] = fn(f, o)
-		return nil
-	}); err != nil {
-		return Bounds{}, err
-	}
 	var acc Bounds
-	for _, b := range per {
+	for o := range f.Outs {
+		b := fn(o)
 		acc.Min += b.Min
 		acc.Max += b.Max
 	}

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 
+	"relsyn/internal/bitset"
+	"relsyn/internal/census"
 	"relsyn/internal/reliability"
 	"relsyn/internal/synthetic"
 	"relsyn/internal/tt"
@@ -67,7 +69,7 @@ func TestEstimatesOnFullySpecified(t *testing.T) {
 		}
 	}
 	sb := SignalBased(f, 0)
-	bb := BorderBased(f, 0)
+	bb := BorderBased(f, 0, census.Output(f, 0))
 	if sb.Min != sb.Max {
 		t.Fatalf("signal interval should be a point without DCs: %+v", sb)
 	}
@@ -75,7 +77,7 @@ func TestEstimatesOnFullySpecified(t *testing.T) {
 		t.Fatalf("border interval should be a point without DCs: %+v", bb)
 	}
 	// The border-based base estimate is exact when fDC = 0.
-	lo, hi := reliability.Bounds(f, 0)
+	lo, hi := reliability.Bounds(census.Output(f, 0))
 	if lo != hi {
 		t.Fatal("exact bounds should coincide without DCs")
 	}
@@ -96,7 +98,7 @@ func TestIntervalsWellFormed(t *testing.T) {
 		for m := 0; m < f.Size(); m++ {
 			f.SetPhase(0, m, tt.Phase(rng.Intn(3)))
 		}
-		for _, b := range []Bounds{SignalBased(f, 0), BorderBased(f, 0)} {
+		for _, b := range []Bounds{SignalBased(f, 0), BorderBased(f, 0, census.Output(f, 0))} {
 			if b.Min > b.Max+1e-12 {
 				t.Fatalf("inverted interval %+v", b)
 			}
@@ -124,8 +126,8 @@ func TestPaperClaimsOnRandomFunctions(t *testing.T) {
 				f.SetPhase(0, m, tt.On)
 			}
 		}
-		exLo, exHi := reliability.Bounds(f, 0)
-		bb := BorderBased(f, 0)
+		exLo, exHi := reliability.Bounds(census.Output(f, 0))
+		bb := BorderBased(f, 0, census.Output(f, 0))
 		sb := SignalBased(f, 0)
 		trials++
 		if bb.Min <= exLo+0.02 && bb.Max >= exHi-0.02 {
@@ -153,9 +155,9 @@ func TestBorderTighterOnStructuredFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exLo, _ := reliability.Bounds(f, 0)
+	exLo, _ := reliability.Bounds(census.Output(f, 0))
 	sb := SignalBased(f, 0)
-	bb := BorderBased(f, 0)
+	bb := BorderBased(f, 0, census.Output(f, 0))
 	if !(sb.Min > exLo) {
 		t.Fatalf("signal-based min %v should overshoot exact %v on structured function", sb.Min, exLo)
 	}
@@ -197,40 +199,39 @@ func TestMeansZeroOutputsRejected(t *testing.T) {
 	if _, err := SignalBasedMean(f); !errors.Is(err, tt.ErrZeroOutputs) {
 		t.Fatalf("SignalBasedMean: got %v, want tt.ErrZeroOutputs", err)
 	}
-	if _, err := BorderBasedMean(f); !errors.Is(err, tt.ErrZeroOutputs) {
+	if _, err := BorderBasedMean(f, nil); !errors.Is(err, tt.ErrZeroOutputs) {
 		t.Fatalf("BorderBasedMean: got %v, want tt.ErrZeroOutputs", err)
 	}
 }
 
-// The mean estimates must be bit-identical at every parallelism level.
+// censuses builds f's per-output censuses at the given worker count.
+func censuses(t *testing.T, f *tt.Function, parallelism int) []*bitset.Census {
+	t.Helper()
+	fc, err := census.Compute(context.Background(), f, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fc.Outs
+}
+
+// The border estimate must be bit-identical whatever worker count built
+// the censuses it reads.
 func TestMeansParallelMatchSequential(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	rng := rand.New(rand.NewSource(135))
-	ctx := context.Background()
 	f := tt.New(6, 6)
 	for o := 0; o < f.NumOut(); o++ {
 		for m := 0; m < f.Size(); m++ {
 			f.SetPhase(o, m, tt.Phase(rng.Intn(3)))
 		}
 	}
-	seqSig, err := SignalBasedMeanCtx(ctx, f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqBor, err := BorderBasedMeanCtx(ctx, f, 1)
+	seqBor, err := BorderBasedMean(f, censuses(t, f, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8, 0} {
-		sig, err := SignalBasedMeanCtx(ctx, f, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sig != seqSig {
-			t.Fatalf("p=%d: SignalBasedMean %+v != sequential %+v", p, sig, seqSig)
-		}
-		bor, err := BorderBasedMeanCtx(ctx, f, p)
+		bor, err := BorderBasedMean(f, censuses(t, f, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,18 +241,48 @@ func TestMeansParallelMatchSequential(t *testing.T) {
 	}
 }
 
+// A census slice that does not belong to f is an error, never read as
+// is and never rebuilt: a short slice, a nil entry, or a census of
+// another width.
+func TestBorderBasedMeanRejectsForeignCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(136))
+	f, wider := tt.New(5, 3), tt.New(6, 3)
+	for o := 0; o < 3; o++ {
+		for m := 0; m < f.Size(); m++ {
+			f.SetPhase(o, m, tt.Phase(rng.Intn(3)))
+		}
+	}
+	cs, wide := censuses(t, f, 1), censuses(t, wider, 1)
+	for _, tc := range []struct {
+		name string
+		cs   []*bitset.Census
+	}{
+		{"nil", nil},
+		{"short", cs[:2]},
+		{"nil entry", []*bitset.Census{cs[0], nil, cs[2]}},
+		{"other width", []*bitset.Census{cs[0], wide[1], cs[2]}},
+	} {
+		if _, err := BorderBasedMean(f, tc.cs); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := BorderBasedMean(f, cs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAllDCFunction(t *testing.T) {
 	f := tt.New(6, 1)
 	for m := 0; m < 64; m++ {
 		f.SetPhase(0, m, tt.DC)
 	}
 	// Exact: zero errors possible (no care minterms).
-	lo, hi := reliability.Bounds(f, 0)
+	lo, hi := reliability.Bounds(census.Output(f, 0))
 	if lo != 0 || hi != 0 {
 		t.Fatalf("all-DC exact bounds (%v,%v), want (0,0)", lo, hi)
 	}
 	// Border-based sees zero borders and agrees.
-	bb := BorderBased(f, 0)
+	bb := BorderBased(f, 0, census.Output(f, 0))
 	if bb.Min != 0 || bb.Max != 0 {
 		t.Fatalf("all-DC border bounds %+v, want zeros", bb)
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 
 	"relsyn/internal/benchmarks"
+	"relsyn/internal/bitset"
+	"relsyn/internal/census"
 	"relsyn/internal/complexity"
 	"relsyn/internal/core"
 	"relsyn/internal/espresso"
@@ -43,11 +45,21 @@ func synthER(spec, f *tt.Function, obj synth.Objective) (synth.Metrics, float64,
 	if err != nil {
 		return synth.Metrics{}, 0, err
 	}
-	er, err := reliability.ErrorRateMean(spec, res.Impl)
+	er, err := reliability.ErrorRateMeanCtx(context.Background(), spec, res.Impl, 0)
 	if err != nil {
 		return synth.Metrics{}, 0, err
 	}
 	return res.Metrics, er, nil
+}
+
+// specCensus builds spec's per-output fused neighbor censuses once, for
+// every analysis and assignment pass over that spec to share.
+func specCensus(spec *tt.Function) ([]*bitset.Census, error) {
+	fc, err := census.Compute(context.Background(), spec, 0)
+	if err != nil {
+		return nil, err
+	}
+	return fc.Outs, nil
 }
 
 // ---------------------------------------------------------------------
@@ -75,7 +87,11 @@ func Table1() ([]Table1Row, error) {
 		if err != nil {
 			return err
 		}
-		cf, err := complexity.FactorMean(f)
+		cs, err := specCensus(f)
+		if err != nil {
+			return err
+		}
+		cf, err := complexity.FactorMean(cs)
 		if err != nil {
 			return err
 		}
@@ -123,7 +139,7 @@ func Fig2(samplesPerTarget int, seed int64) ([]Fig2Point, error) {
 		cov, _ := espresso.MinimizeSets(f.NumIn, f.Outs[0].On, nil, nil) // nil poll: no error
 		pts[i] = Fig2Point{
 			TargetCf:   target,
-			Cf:         complexity.Factor(f, 0),
+			Cf:         complexity.Factor(census.Output(f, 0)),
 			Implicants: cov.Len(),
 		}
 		return nil
@@ -151,10 +167,14 @@ func Fig4(fractions []float64) ([]Fig4Row, error) {
 		if err != nil {
 			return err
 		}
+		cs, err := specCensus(spec)
+		if err != nil {
+			return err
+		}
 		row := Fig4Row{Name: specs[i].Name, Fractions: fractions}
 		var base float64
 		for _, fr := range fractions {
-			res, err := core.Ranking(spec, fr, core.Options{})
+			res, err := core.Ranking(spec, fr, core.Options{Census: cs})
 			if err != nil {
 				return err
 			}
@@ -210,10 +230,14 @@ func Fig5(fractions []float64) ([]Fig5Result, error) {
 			if err != nil {
 				return err
 			}
+			cs, err := specCensus(spec)
+			if err != nil {
+				return err
+			}
 			var base synth.Metrics
 			norm[b] = make([]triple, len(fractions))
 			for fi, fr := range fractions {
-				res, err := core.Ranking(spec, fr, core.Options{})
+				res, err := core.Ranking(spec, fr, core.Options{Census: cs})
 				if err != nil {
 					return err
 				}
@@ -337,11 +361,15 @@ func Fig6(cfg Fig6Config) ([]Fig6Family, error) {
 		if err != nil {
 			return err
 		}
+		cs, err := specCensus(spec)
+		if err != nil {
+			return err
+		}
 		var baseArea, baseER float64
 		areas := make([]float64, len(cfg.Fractions))
 		ers := make([]float64, len(cfg.Fractions))
 		for fi, fr := range cfg.Fractions {
-			res, err := core.Ranking(spec, fr, core.Options{})
+			res, err := core.Ranking(spec, fr, core.Options{Census: cs})
 			if err != nil {
 				return err
 			}
@@ -412,8 +440,13 @@ func Table2(threshold float64) ([]Table2Row, error) {
 		imp := func(m synth.Metrics, er float64) (float64, float64) {
 			return pctImp(baseM.Area, m.Area), pctImp(baseER, er)
 		}
+		cs, err := specCensus(spec)
+		if err != nil {
+			return err
+		}
+		opt := core.Options{Census: cs}
 
-		lcf, err := core.LCF(spec, threshold, core.Options{})
+		lcf, err := core.LCF(spec, threshold, opt)
 		if err != nil {
 			return err
 		}
@@ -423,7 +456,7 @@ func Table2(threshold float64) ([]Table2Row, error) {
 		}
 
 		// Ranking at matched per-output fractions.
-		counts := core.RankableCounts(spec, core.Options{})
+		counts := core.RankableCounts(spec, opt)
 		fracs := make([]float64, spec.NumOut())
 		perOut := make([]int, spec.NumOut())
 		for _, a := range lcf.Assigned {
@@ -437,7 +470,7 @@ func Table2(threshold float64) ([]Table2Row, error) {
 				}
 			}
 		}
-		rank, err := core.RankingPerOutput(spec, fracs, core.Options{})
+		rank, err := core.RankingPerOutput(spec, fracs, opt)
 		if err != nil {
 			return err
 		}
@@ -446,13 +479,13 @@ func Table2(threshold float64) ([]Table2Row, error) {
 			return err
 		}
 
-		comp := core.Complete(spec)
+		comp := core.CompleteCensus(spec, cs)
 		compM, compER, err := synthER(spec, comp.Func, synth.OptimizePower)
 		if err != nil {
 			return err
 		}
 
-		cf, err := complexity.FactorMean(spec)
+		cf, err := complexity.FactorMean(cs)
 		if err != nil {
 			return err
 		}
@@ -503,7 +536,11 @@ func Table3(threshold float64) ([]Table3Row, error) {
 		if err != nil {
 			return err
 		}
-		exLo, exHi, err := reliability.BoundsMean(spec)
+		cs, err := specCensus(spec)
+		if err != nil {
+			return err
+		}
+		exLo, exHi, err := reliability.BoundsMeanCensusCtx(context.Background(), spec, cs, 0)
 		if err != nil {
 			return err
 		}
@@ -511,7 +548,7 @@ func Table3(threshold float64) ([]Table3Row, error) {
 		if err != nil {
 			return err
 		}
-		bor, err := estimate.BorderBasedMean(spec)
+		bor, err := estimate.BorderBasedMean(spec, cs)
 		if err != nil {
 			return err
 		}
@@ -520,7 +557,7 @@ func Table3(threshold float64) ([]Table3Row, error) {
 		if err != nil {
 			return err
 		}
-		lcf, err := core.LCF(spec, threshold, core.Options{})
+		lcf, err := core.LCF(spec, threshold, core.Options{Census: cs})
 		if err != nil {
 			return err
 		}

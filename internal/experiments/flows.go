@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"relsyn/internal/benchmarks"
 	"relsyn/internal/core"
 	"relsyn/internal/reliability"
@@ -41,7 +43,7 @@ func Flows() ([]FlowRow, error) {
 				if err != nil {
 					return synth.Metrics{}, 0, err
 				}
-				er, err := reliability.ErrorRateMean(spec, res.Impl)
+				er, err := reliability.ErrorRateMeanCtx(context.Background(), spec, res.Impl, 0)
 				if err != nil {
 					return synth.Metrics{}, 0, err
 				}

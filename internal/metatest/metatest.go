@@ -18,7 +18,8 @@
 //     "assign iff LC^f < threshold", so the assigned set grows with the
 //     threshold).
 //  5. Parallel ≡ sequential — every analysis and synthesis kernel that
-//     fans per-output work through internal/par produces bit-identical
+//     fans per-output work through internal/par (for the spec-side
+//     metrics, the census build they read) produces bit-identical
 //     results (exact float equality, identical assignments, identical
 //     netlist metrics) at every worker count. Parallelism is an
 //     execution knob, never an answer knob.
@@ -142,11 +143,16 @@ const boundsEps = 1e-9
 // CheckErrorRateBounds verifies property 2: the exact error rate of
 // impl against spec lies within spec's [min, max] achievable interval.
 func CheckErrorRateBounds(spec, impl *tt.Function) error {
-	lo, hi, err := reliability.BoundsMean(spec)
+	ctx := context.Background()
+	fc, err := census.Compute(ctx, spec, 0)
 	if err != nil {
 		return err
 	}
-	er, err := reliability.ErrorRateMean(spec, impl)
+	lo, hi, err := reliability.BoundsMeanCensusCtx(ctx, spec, fc.Outs, 0)
+	if err != nil {
+		return err
+	}
+	er, err := reliability.ErrorRateMeanCtx(ctx, spec, impl, 0)
 	if err != nil {
 		return err
 	}
@@ -217,17 +223,20 @@ const (
 func ParallelBaseline(spec *tt.Function) (*ParallelReference, error) {
 	ref := &ParallelReference{}
 	ctx := context.Background()
-	var err error
-	if ref.BoundsLo, ref.BoundsHi, err = reliability.BoundsMeanCtx(ctx, spec, 1); err != nil {
+	fc, err := census.Compute(ctx, spec, 1)
+	if err != nil {
 		return nil, err
 	}
-	if ref.Cf, err = complexity.FactorMeanCtx(ctx, spec, 1); err != nil {
+	if ref.BoundsLo, ref.BoundsHi, err = reliability.BoundsMeanCensusCtx(ctx, spec, fc.Outs, 1); err != nil {
 		return nil, err
 	}
-	if ref.Signal, err = estimate.SignalBasedMeanCtx(ctx, spec, 1); err != nil {
+	if ref.Cf, err = complexity.FactorMean(fc.Outs); err != nil {
 		return nil, err
 	}
-	if ref.Border, err = estimate.BorderBasedMeanCtx(ctx, spec, 1); err != nil {
+	if ref.Signal, err = estimate.SignalBasedMean(spec); err != nil {
+		return nil, err
+	}
+	if ref.Border, err = estimate.BorderBasedMean(spec, fc.Outs); err != nil {
 		return nil, err
 	}
 	if ref.Rank, err = core.Ranking(spec, parEquivFraction, core.Options{Parallelism: 1}); err != nil {
@@ -250,13 +259,19 @@ func ParallelBaseline(spec *tt.Function) (*ParallelReference, error) {
 
 // CheckParallelEquivalence verifies property 5 on spec at worker count
 // p: every parallelized kernel reproduces the sequential reference ref
-// bit for bit. Float comparisons are exact (==), not within an epsilon:
-// the pool writes results into index-addressed slots and reduces them
-// in index order, so summation order — and therefore every bit of the
-// result — is independent of the worker count.
+// bit for bit. The spec-side metrics read a census built at p workers
+// (census.Compute is where their worker count applies). Float
+// comparisons are exact (==), not within an epsilon: the pool writes
+// results into index-addressed slots and reduces them in index order,
+// so summation order — and therefore every bit of the result — is
+// independent of the worker count.
 func CheckParallelEquivalence(spec *tt.Function, ref *ParallelReference, p int) error {
 	ctx := context.Background()
-	lo, hi, err := reliability.BoundsMeanCtx(ctx, spec, p)
+	fc, err := census.Compute(ctx, spec, p)
+	if err != nil {
+		return err
+	}
+	lo, hi, err := reliability.BoundsMeanCensusCtx(ctx, spec, fc.Outs, p)
 	if err != nil {
 		return err
 	}
@@ -264,21 +279,21 @@ func CheckParallelEquivalence(spec *tt.Function, ref *ParallelReference, p int) 
 		return fmt.Errorf("BoundsMean(p=%d) = [%v, %v], sequential [%v, %v]",
 			p, lo, hi, ref.BoundsLo, ref.BoundsHi)
 	}
-	cf, err := complexity.FactorMeanCtx(ctx, spec, p)
+	cf, err := complexity.FactorMean(fc.Outs)
 	if err != nil {
 		return err
 	}
 	if cf != ref.Cf {
 		return fmt.Errorf("FactorMean(p=%d) = %v, sequential %v", p, cf, ref.Cf)
 	}
-	sig, err := estimate.SignalBasedMeanCtx(ctx, spec, p)
+	sig, err := estimate.SignalBasedMean(spec)
 	if err != nil {
 		return err
 	}
 	if sig != ref.Signal {
 		return fmt.Errorf("SignalBasedMean(p=%d) = %+v, sequential %+v", p, sig, ref.Signal)
 	}
-	bor, err := estimate.BorderBasedMeanCtx(ctx, spec, p)
+	bor, err := estimate.BorderBasedMean(spec, fc.Outs)
 	if err != nil {
 		return err
 	}
@@ -402,9 +417,9 @@ func sameAssignments(what string, got, want *core.Result) error {
 // bit through every consumer — exact pair counts, bounds, border
 // counts, C^f, the LC^f fold, the Poisson border estimate, and the
 // ranking, LC^f and complete assignment passes including recorded
-// weights. Each metric is checked twice: served from a census computed
-// here (as RunJob serves it) and through its census-less entry point,
-// which builds its own. All float comparisons are exact (==): the
+// weights. The assignment passes are checked twice: served from the
+// census computed here (as RunJob serves it) and with none supplied,
+// when they build their own. All float comparisons are exact (==): the
 // census carries the same integer event counts the oracle accumulates,
 // divided once at the end. The censuses are computed fresh per call,
 // never through the process-global census engine, so the sweep is
@@ -417,46 +432,31 @@ func CheckCensusEquivalence(spec *tt.Function, ref *OracleReference, p int) erro
 	}
 	err = par.Do(ctx, p, spec.NumOut(), func(o int) error {
 		c := fc.Outs[o]
-		for _, got := range []reliability.Counts{reliability.ExactCountsCensus(c), reliability.ExactCounts(spec, o)} {
-			if got != ref.Counts[o] {
-				return fmt.Errorf("output %d: ExactCounts %+v, oracle %+v", o, got, ref.Counts[o])
-			}
+		if got := reliability.ExactCounts(c); got != ref.Counts[o] {
+			return fmt.Errorf("output %d: ExactCounts %+v, oracle %+v", o, got, ref.Counts[o])
 		}
-		lo, hi := reliability.BoundsCensus(c)
-		lo2, hi2 := reliability.Bounds(spec, o)
-		if lo != ref.BoundsLo[o] || hi != ref.BoundsHi[o] || lo2 != lo || hi2 != hi {
-			return fmt.Errorf("output %d: Bounds census [%v, %v], per call [%v, %v], oracle [%v, %v]",
-				o, lo, hi, lo2, hi2, ref.BoundsLo[o], ref.BoundsHi[o])
+		if lo, hi := reliability.Bounds(c); lo != ref.BoundsLo[o] || hi != ref.BoundsHi[o] {
+			return fmt.Errorf("output %d: Bounds [%v, %v], oracle [%v, %v]",
+				o, lo, hi, ref.BoundsLo[o], ref.BoundsHi[o])
 		}
-		for _, b := range []reliability.Borders{reliability.CountBordersCensus(c), reliability.CountBorders(spec, o)} {
-			if b != ref.Borders[o] {
-				return fmt.Errorf("output %d: CountBorders %+v, oracle %+v", o, b, ref.Borders[o])
-			}
+		if b := reliability.CountBorders(c); b != ref.Borders[o] {
+			return fmt.Errorf("output %d: CountBorders %+v, oracle %+v", o, b, ref.Borders[o])
 		}
-		for _, cf := range []float64{complexity.FactorCensus(c), complexity.Factor(spec, o)} {
-			if cf != ref.Factor[o] {
-				return fmt.Errorf("output %d: Factor %v, oracle %v", o, cf, ref.Factor[o])
-			}
+		if cf := complexity.Factor(c); cf != ref.Factor[o] {
+			return fmt.Errorf("output %d: Factor %v, oracle %v", o, cf, ref.Factor[o])
 		}
-		for _, eb := range []estimate.Bounds{estimate.BorderBasedCensus(spec, o, c), estimate.BorderBased(spec, o)} {
-			if eb != ref.Border[o] {
-				return fmt.Errorf("output %d: BorderBased %+v, oracle %+v", o, eb, ref.Border[o])
-			}
+		if eb := estimate.BorderBased(spec, o, c); eb != ref.Border[o] {
+			return fmt.Errorf("output %d: BorderBased %+v, oracle %+v", o, eb, ref.Border[o])
 		}
-		for _, cs := range []*bitset.Census{c, nil} {
-			local, err := complexity.LocalAllCensusCtx(ctx, spec, o, cs, 1)
-			if err != nil {
-				return err
-			}
-			if len(local) != len(ref.Local[o]) {
-				return fmt.Errorf("output %d: LocalAll length %d, oracle %d",
-					o, len(local), len(ref.Local[o]))
-			}
-			for m := range local {
-				if local[m] != ref.Local[o][m] {
-					return fmt.Errorf("output %d minterm %d: LC^f %v, oracle %v",
-						o, m, local[m], ref.Local[o][m])
-				}
+		local := complexity.LocalAll(c)
+		if len(local) != len(ref.Local[o]) {
+			return fmt.Errorf("output %d: LocalAll length %d, oracle %d",
+				o, len(local), len(ref.Local[o]))
+		}
+		for m := range local {
+			if local[m] != ref.Local[o][m] {
+				return fmt.Errorf("output %d minterm %d: LC^f %v, oracle %v",
+					o, m, local[m], ref.Local[o][m])
 			}
 		}
 		return nil
@@ -507,12 +507,12 @@ func CheckKernelEquivalence(spec *tt.Function, ref *OracleReference, p int) erro
 		if er != ref.ErrorRate[o] {
 			return fmt.Errorf("output %d: ErrorRate %v, oracle %v", o, er, ref.ErrorRate[o])
 		}
-		sr, err := reliability.SelfErrorRate(ref.Impl, o)
+		sr, err := reliability.ErrorRate(ref.Impl, ref.Impl, o)
 		if err != nil {
 			return err
 		}
 		if sr != ref.SelfRate[o] {
-			return fmt.Errorf("output %d: SelfErrorRate %v, oracle %v", o, sr, ref.SelfRate[o])
+			return fmt.Errorf("output %d: self ErrorRate %v, oracle %v", o, sr, ref.SelfRate[o])
 		}
 		return nil
 	})

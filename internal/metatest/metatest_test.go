@@ -166,9 +166,8 @@ func TestKernelEquivalenceAcrossSuite(t *testing.T) {
 // serve every spec-side quantity — exact pair counts and bounds, border
 // counts, C^f and the LC^f fold, the Poisson border estimate, and the
 // ranking, LC^f and complete passes — bit for bit against the scalar
-// oracle, both from a precomputed census and through the census-less
-// entry points, with the consumers fanned out at worker counts 1 and 8,
-// on every benchmark. Censuses are computed fresh per check (never
+// oracle from a census built at worker counts 1 and 8 — the assignment
+// passes also with no census supplied — on every benchmark. Censuses are computed fresh per check (never
 // through the process-global engine), so the sweep is race-free under
 // t.Parallel and part of the -race CI gate.
 func TestCensusEquivalenceAcrossSuite(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package par is the repository's shared bounded work pool: a small,
-// dependency-light fan-out primitive used by every per-output /
-// per-minterm hot loop (internal/{reliability,complexity,estimate,
-// exact,core,synth,experiments}).
+// dependency-light fan-out primitive used by the per-output loops of
+// internal/{census,reliability,exact,core,synth,experiments}.
 //
 // Contract (relied on by the metamorphic "parallel ≡ sequential" law and
 // documented in DESIGN §9):
@@ -176,34 +175,4 @@ func Do(ctx context.Context, limit, n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// DoRange splits [0, n) into contiguous chunks of at least minChunk
-// indices and runs fn(lo, hi) for each chunk (half-open) through Do.
-// Chunk boundaries are a pure function of (n, minChunk, limit via
-// Workers), so a given call sees the same chunking at every parallelism
-// level only if the caller fixes minChunk; determinism of the RESULT is
-// instead guaranteed by fn writing exclusively to index-addressed slots
-// within its own [lo, hi) range.
-func DoRange(ctx context.Context, limit, n, minChunk int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	workers := Workers(limit, n)
-	chunk := (n + workers - 1) / workers
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	chunks := (n + chunk - 1) / chunk
-	return Do(ctx, limit, chunks, func(c int) error {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
-	})
 }

@@ -144,32 +144,6 @@ func TestDoZeroTasks(t *testing.T) {
 	}
 }
 
-func TestDoRangeCoversEveryIndex(t *testing.T) {
-	withProcs(t, 8)
-	for _, limit := range []int{1, 3, 0} {
-		for _, n := range []int{1, 7, 64, 1000} {
-			covered := make([]atomic.Int32, n)
-			err := DoRange(context.Background(), limit, n, 16, func(lo, hi int) error {
-				if lo < 0 || hi > n || lo >= hi {
-					return fmt.Errorf("bad chunk [%d,%d)", lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					covered[i].Add(1)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("limit %d n %d: %v", limit, n, err)
-			}
-			for i := range covered {
-				if got := covered[i].Load(); got != 1 {
-					t.Fatalf("limit %d n %d: index %d covered %d times", limit, n, i, got)
-				}
-			}
-		}
-	}
-}
-
 func TestMetricsRecorded(t *testing.T) {
 	withProcs(t, 8)
 	before := obs.Default.Counter(MetricTasks).Value()

@@ -308,26 +308,43 @@ func RunJob(ctx context.Context, f *tt.Function, jo JobOptions) (*JobResult, err
 // runJob is RunJob on the normalized options n and their lowering opt,
 // which tests extend with an Inject hook.
 func runJob(ctx context.Context, f *tt.Function, n JobOptions, opt Options) (*JobResult, error) {
-	// Every spec-side metric reads one fused neighbor census per output:
-	// fetched from (or computed into) the shared engine, keyed on the
-	// spec content hash alone, or computed for this job when no engine
-	// is configured. It feeds the assignment oracles and the bounds
-	// report. A census that fails to build (a cancelled context) leaves
-	// cs nil; each consumer then builds its own, and Run reports the
-	// cancellation.
-	var cs []*bitset.Census
-	if f != nil && f.Validate() == nil {
-		var fc *census.FunctionCensus
-		var cerr error
-		if eng := census.Default; eng != nil {
-			fc, cerr = eng.For(ctx, pla.HashFunction(f), f, n.Parallelism)
-		} else {
-			fc, cerr = census.Compute(ctx, f, n.Parallelism)
-		}
-		if cerr == nil {
-			cs = fc.Outs
-		}
+	cs, cerr := jobCensus(ctx, f, n.Parallelism)
+	return reportJob(ctx, f, n, opt, cs, cerr)
+}
+
+// jobCensus returns f's fused neighbor census, one per output, which
+// every spec-side metric of the job reads: fetched from (or computed
+// into) the shared engine, keyed on the spec content hash alone, or
+// computed for this job when no engine is configured. An invalid f
+// has none; Run reports why.
+func jobCensus(ctx context.Context, f *tt.Function, parallelism int) ([]*bitset.Census, error) {
+	if f == nil {
+		return nil, fmt.Errorf("pipeline: nil function")
 	}
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	var fc *census.FunctionCensus
+	var err error
+	if eng := census.Default; eng != nil {
+		fc, err = eng.For(ctx, pla.HashFunction(f), f, parallelism)
+	} else {
+		fc, err = census.Compute(ctx, f, parallelism)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return fc.Outs, nil
+}
+
+// reportJob runs the pipeline on f with cs, the census jobCensus built
+// (or its failure cerr), and folds the outcome into a JobResult. The
+// census feeds the assignment oracles and the bounds report. A census
+// that failed to build (a cancelled context) leaves the assignment
+// stage to build its own and Run to report the cancellation; if Run
+// succeeds regardless, the bounds report has no census and the job
+// fails with cerr.
+func reportJob(ctx context.Context, f *tt.Function, n JobOptions, opt Options, cs []*bitset.Census, cerr error) (*JobResult, error) {
 	opt.Census = cs
 	res, runErr := Run(ctx, f, opt)
 	if res == nil {
@@ -370,6 +387,9 @@ func runJob(ctx context.Context, f *tt.Function, n JobOptions, opt Options) (*Jo
 		return jr, fmt.Errorf("pipeline: error-rate report: %w", err)
 	}
 	jr.ErrorRate = er
+	if cerr != nil {
+		return jr, fmt.Errorf("pipeline: bounds report: %w", cerr)
+	}
 	lo, hi, err := reliability.BoundsMeanCensusCtx(ctx, f, cs, n.Parallelism)
 	if err != nil {
 		return jr, fmt.Errorf("pipeline: bounds report: %w", err)

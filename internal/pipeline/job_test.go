@@ -314,6 +314,38 @@ func TestRunJobWithoutCensusEngine(t *testing.T) {
 	}
 }
 
+// A census that fails to build while Run still succeeds fails the job
+// at the bounds report with the census error: the report never rebuilds
+// the census. When the failure is a cancelled context, Run fails first
+// and reports it as a cancellation, which the CLI maps to exit 3.
+func TestRunJobCensusFailureFailsBoundsReport(t *testing.T) {
+	f := jobTestFunction()
+	jo := JobOptions{Method: JobMethodLCF, Threshold: 0.55}
+	opt, err := jo.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected census failure")
+	jr, err := reportJob(context.Background(), f, jo.Normalize(), opt, nil, injected)
+	if !errors.Is(err, injected) {
+		t.Fatalf("err = %v, want the census error", err)
+	}
+	if jr == nil || !jr.Verified || jr.Metrics.Gates == 0 {
+		t.Fatalf("the pipeline did not run without a census: %+v", jr)
+	}
+	if jr.Bounds != (JobBounds{}) {
+		t.Fatalf("bounds %+v reported without a census", jr.Bounds)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = RunJob(ctx, f, jo)
+	var se *StageError
+	if !errors.As(err, &se) || se.Reason != ReasonCancel {
+		t.Fatalf("cancelled job: err = %v, want a cancel StageError", err)
+	}
+}
+
 // One spec run under different option mixes (fractions, thresholds,
 // parallelism) must share a single
 // census-cache entry: the census key is the spec hash alone, so the

@@ -431,11 +431,11 @@ func TestDegradedResultStillImprovesReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	convER, err := reliability.ErrorRateMean(spec, conv.Synth.Impl)
+	convER, err := reliability.ErrorRateMeanCtx(context.Background(), spec, conv.Synth.Impl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relER, err := reliability.ErrorRateMean(spec, rel.Synth.Impl)
+	relER, err := reliability.ErrorRateMeanCtx(context.Background(), spec, rel.Synth.Impl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

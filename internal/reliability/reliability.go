@@ -50,9 +50,6 @@ type Counts struct {
 	MaxDCPairs int
 }
 
-// NormBase returns BasePairs normalized by n·2^n.
-func (c Counts) NormBase(n, size int) float64 { return float64(c.BasePairs) / float64(n*size) }
-
 // NormMin returns the exact minimum error rate, (base + min-dc)/(n·2^n).
 func (c Counts) NormMin(n, size int) float64 {
 	return float64(c.BasePairs+c.MinDCPairs) / float64(n*size)
@@ -63,65 +60,40 @@ func (c Counts) NormMax(n, size int) float64 {
 	return float64(c.BasePairs+c.MaxDCPairs) / float64(n*size)
 }
 
-// ExactCounts computes the base/min-dc/max-dc pair counts for output o
-// from a fused neighbor census of that output built for the call.
-func ExactCounts(f *tt.Function, o int) Counts {
-	return ExactCountsCensus(census.Output(f, o))
-}
-
-// ExactCountsCensus recovers the pair counts from a fused neighbor
+// ExactCounts recovers one output's pair counts from its fused neighbor
 // census: base pairs are one masked plane sum, and the DC min/max read
 // the same census the ranking oracle shares.
-func ExactCountsCensus(c *bitset.Census) Counts {
+func ExactCounts(c *bitset.Census) Counts {
 	minDC, maxDC := c.DCPairBounds()
 	return Counts{BasePairs: c.BasePairs(), MinDCPairs: minDC, MaxDCPairs: maxDC}
 }
 
-// Bounds returns the exact minimum and maximum achievable error rates for
-// output o over all possible DC assignments.
-func Bounds(f *tt.Function, o int) (lo, hi float64) {
-	return BoundsCensus(census.Output(f, o))
-}
-
-// BoundsCensus is Bounds served from a fused census; the census
-// carries its own dimensions.
-func BoundsCensus(c *bitset.Census) (lo, hi float64) {
-	counts := ExactCountsCensus(c)
+// Bounds returns the exact minimum and maximum error rates any DC
+// assignment of one output can achieve, read from that output's census
+// (which carries its own dimensions).
+func Bounds(c *bitset.Census) (lo, hi float64) {
+	counts := ExactCounts(c)
 	return counts.NormMin(c.K(), c.Len()), counts.NormMax(c.K(), c.Len())
 }
 
-// BoundsMean returns Bounds averaged over all outputs, computed with
-// full machine parallelism. Zero-output functions are rejected with an
-// error wrapping tt.ErrZeroOutputs.
-func BoundsMean(f *tt.Function) (lo, hi float64, err error) {
-	return BoundsMeanCtx(context.Background(), f, 0)
-}
-
-// BoundsMeanCtx is BoundsMean with cooperative cancellation and an
-// explicit parallelism cap (0 = GOMAXPROCS, 1 = sequential). The
-// per-output bounds are computed concurrently but accumulated in output
-// order, so the result is bit-identical at every parallelism level.
-func BoundsMeanCtx(ctx context.Context, f *tt.Function, parallelism int) (lo, hi float64, err error) {
-	return BoundsMeanCensusCtx(ctx, f, nil, parallelism)
-}
-
-// BoundsMeanCensusCtx is BoundsMeanCtx consuming precomputed fused
-// censuses where available: cs is indexed by output (a nil slice or nil
-// entry builds that output's census for the call). The pipeline passes the
-// cached FunctionCensus.Outs here so the bounds report rides the same
-// census as the assignment stage.
+// BoundsMeanCensusCtx returns Bounds averaged over all outputs of f,
+// read from cs, f's censuses indexed by output. A cs that is not one
+// census per output of f's minterm space is an error, as is a
+// zero-output f (wrapping tt.ErrZeroOutputs). The per-output bounds
+// are read under ctx and the parallelism cap (0 = GOMAXPROCS, 1 =
+// sequential) but accumulated in output order, so the result is
+// bit-identical at every parallelism level.
 func BoundsMeanCensusCtx(ctx context.Context, f *tt.Function, cs []*bitset.Census, parallelism int) (lo, hi float64, err error) {
 	if err := checkOutputs(f); err != nil {
 		return 0, 0, err
 	}
+	if err := census.Check(f, cs); err != nil {
+		return 0, 0, fmt.Errorf("reliability: %w", err)
+	}
 	los := make([]float64, f.NumOut())
 	his := make([]float64, f.NumOut())
 	err = par.Do(ctx, parallelism, f.NumOut(), func(o int) error {
-		if o < len(cs) && cs[o] != nil {
-			los[o], his[o] = BoundsCensus(cs[o])
-		} else {
-			los[o], his[o] = Bounds(f, o)
-		}
+		los[o], his[o] = Bounds(cs[o])
 		return nil
 	})
 	if err != nil {
@@ -175,17 +147,12 @@ func implValue(impl *tt.Function, o int) *bitset.Set {
 	return impl.Outs[o].On.Clone()
 }
 
-// ErrorRateMean returns ErrorRate averaged over all outputs — the
+// ErrorRateMeanCtx returns ErrorRate averaged over all outputs — the
 // per-benchmark reliability number used throughout the paper's plots —
-// computed with full machine parallelism. Zero-output functions are
-// rejected with an error wrapping tt.ErrZeroOutputs.
-func ErrorRateMean(spec, impl *tt.Function) (float64, error) {
-	return ErrorRateMeanCtx(context.Background(), spec, impl, 0)
-}
-
-// ErrorRateMeanCtx is ErrorRateMean with cooperative cancellation and an
-// explicit parallelism cap (0 = GOMAXPROCS, 1 = sequential); results are
-// bit-identical at every parallelism level.
+// under ctx and an explicit parallelism cap (0 = GOMAXPROCS, 1 =
+// sequential); results are bit-identical at every parallelism level.
+// Zero-output functions are rejected with an error wrapping
+// tt.ErrZeroOutputs.
 func ErrorRateMeanCtx(ctx context.Context, spec, impl *tt.Function, parallelism int) (float64, error) {
 	if err := checkOutputs(spec); err != nil {
 		return 0, err
@@ -207,16 +174,6 @@ func ErrorRateMeanCtx(ctx context.Context, spec, impl *tt.Function, parallelism 
 		sum += r
 	}
 	return sum / float64(spec.NumOut()), nil
-}
-
-// SelfErrorRate measures a completely specified function against its own
-// care set (all minterms): the plain fraction of adjacent minterm pairs
-// with differing values. An invalid output index is reported as an
-// error, matching its ErrorRate/ErrorRateMulti siblings (this function
-// is exported; a bad index from a caller must not crash a serving
-// process).
-func SelfErrorRate(f *tt.Function, o int) (float64, error) {
-	return ErrorRate(f, f, o)
 }
 
 // multiCancelStride is how many k-subsets ErrorRateMulti enumerates
@@ -271,21 +228,15 @@ func ErrorRateMulti(ctx context.Context, spec, impl *tt.Function, o, k int) (flo
 }
 
 // ErrorRateMultiMean averages ErrorRateMulti over all outputs with full
-// machine parallelism. Zero-output functions are rejected with an error
-// wrapping tt.ErrZeroOutputs.
+// machine parallelism; results are bit-identical at every parallelism
+// level. Zero-output functions are rejected with an error wrapping
+// tt.ErrZeroOutputs.
 func ErrorRateMultiMean(ctx context.Context, spec, impl *tt.Function, k int) (float64, error) {
-	return ErrorRateMultiMeanCtx(ctx, spec, impl, k, 0)
-}
-
-// ErrorRateMultiMeanCtx is ErrorRateMultiMean with an explicit
-// parallelism cap (0 = GOMAXPROCS, 1 = sequential); results are
-// bit-identical at every parallelism level.
-func ErrorRateMultiMeanCtx(ctx context.Context, spec, impl *tt.Function, k, parallelism int) (float64, error) {
 	if err := checkOutputs(spec); err != nil {
 		return 0, err
 	}
 	rates := make([]float64, spec.NumOut())
-	err := par.Do(ctx, parallelism, spec.NumOut(), func(o int) error {
+	err := par.Do(ctx, 0, spec.NumOut(), func(o int) error {
 		r, err := ErrorRateMulti(ctx, spec, impl, o, k)
 		if err != nil {
 			return err
@@ -330,16 +281,10 @@ type Borders struct {
 	BDC int // first ∈ DC-set
 }
 
-// CountBorders computes the three border counts for output o from a
-// fused neighbor census of that output built for the call.
-func CountBorders(f *tt.Function, o int) Borders {
-	return CountBordersCensus(census.Output(f, o))
-}
-
-// CountBordersCensus recovers the border counts from a fused census:
-// a minterm's out-of-region neighbor count is its input count minus its
-// same-region census, so each border is one masked plane sum.
-func CountBordersCensus(c *bitset.Census) Borders {
+// CountBorders recovers one output's border counts from its fused
+// census: a minterm's out-of-region neighbor count is its input count
+// minus its same-region census, so each border is one masked plane sum.
+func CountBorders(c *bitset.Census) Borders {
 	b0, b1, bdc := c.Borders()
 	return Borders{B0: b0, B1: b1, BDC: bdc}
 }

@@ -8,8 +8,20 @@ import (
 	"runtime"
 	"testing"
 
+	"relsyn/internal/bitset"
+	"relsyn/internal/census"
 	"relsyn/internal/tt"
 )
+
+// censuses builds f's per-output censuses at the given worker count.
+func censuses(t *testing.T, f *tt.Function, parallelism int) []*bitset.Census {
+	t.Helper()
+	fc, err := census.Compute(context.Background(), f, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fc.Outs
+}
 
 // mustRate unwraps an (ErrorRate*, error) pair for tests whose inputs
 // are dimensionally valid by construction: mustRate(t)(ErrorRate(...)).
@@ -72,7 +84,7 @@ func TestExactCountsMatchesNaive(t *testing.T) {
 	for _, n := range []int{2, 4, 6, 8} {
 		for trial := 0; trial < 5; trial++ {
 			f := randomFunction(rng, n, 1)
-			got := ExactCounts(f, 0)
+			got := ExactCounts(census.Output(f, 0))
 			want := naiveExact(f, 0)
 			if got != want {
 				t.Fatalf("n=%d: got %+v want %+v", n, got, want)
@@ -90,14 +102,14 @@ func TestExactCountsXOR(t *testing.T) {
 			f.SetPhase(0, m, tt.On)
 		}
 	}
-	c := ExactCounts(f, 0)
+	c := ExactCounts(census.Output(f, 0))
 	if c.BasePairs != n*f.Size() {
 		t.Fatalf("XOR base pairs = %d, want %d", c.BasePairs, n*f.Size())
 	}
 	if c.MinDCPairs != 0 || c.MaxDCPairs != 0 {
 		t.Fatal("fully specified function should have zero DC pair counts")
 	}
-	lo, hi := Bounds(f, 0)
+	lo, hi := Bounds(census.Output(f, 0))
 	if lo != 1.0 || hi != 1.0 {
 		t.Fatalf("XOR bounds = (%v,%v), want (1,1)", lo, hi)
 	}
@@ -114,7 +126,7 @@ func popcount(x int) int {
 
 func TestExactCountsConstant(t *testing.T) {
 	f := tt.New(4, 1)
-	c := ExactCounts(f, 0)
+	c := ExactCounts(census.Output(f, 0))
 	if c.BasePairs != 0 || c.MinDCPairs != 0 || c.MaxDCPairs != 0 {
 		t.Fatalf("constant function counts = %+v, want zeros", c)
 	}
@@ -124,7 +136,7 @@ func TestBoundsOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		f := randomFunction(rng, 6, 1)
-		lo, hi := Bounds(f, 0)
+		lo, hi := Bounds(census.Output(f, 0))
 		if lo > hi {
 			t.Fatalf("lo %v > hi %v", lo, hi)
 		}
@@ -140,7 +152,7 @@ func TestBoundsContainAllAssignments(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 20; trial++ {
 		spec := randomFunction(rng, 5, 1)
-		lo, hi := Bounds(spec, 0)
+		lo, hi := Bounds(census.Output(spec, 0))
 		for assignTrial := 0; assignTrial < 10; assignTrial++ {
 			impl := spec.Clone()
 			spec.Outs[0].DC.ForEach(func(m int) {
@@ -167,7 +179,7 @@ func TestMinBoundAchievedByGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 20; trial++ {
 		spec := randomFunction(rng, 5, 1)
-		lo, _ := Bounds(spec, 0)
+		lo, _ := Bounds(census.Output(spec, 0))
 		impl := spec.Clone()
 		spec.Outs[0].DC.ForEach(func(m int) {
 			if spec.OnNeighbors(0, m) >= spec.OffNeighbors(0, m) {
@@ -225,11 +237,14 @@ func TestErrorRateMean(t *testing.T) {
 	for o := 0; o < 3; o++ {
 		sum += mustRate(t)(ErrorRate(spec, impl, o))
 	}
-	if got := mustRate(t)(ErrorRateMean(spec, impl)); math.Abs(got-sum/3) > 1e-12 {
+	if got := mustRate(t)(ErrorRateMeanCtx(context.Background(), spec, impl, 0)); math.Abs(got-sum/3) > 1e-12 {
 		t.Fatalf("ErrorRateMean = %v, want %v", got, sum/3)
 	}
 }
 
+// A completely specified function measured against itself (its care
+// set is every minterm) has the plain fraction of adjacent minterm pairs
+// with differing values as its error rate.
 func TestSelfErrorRateXORAndConstant(t *testing.T) {
 	n := 4
 	xor := tt.New(n, 1)
@@ -238,21 +253,22 @@ func TestSelfErrorRateXORAndConstant(t *testing.T) {
 			xor.SetPhase(0, m, tt.On)
 		}
 	}
-	if got := mustRate(t)(SelfErrorRate(xor, 0)); got != 1.0 {
+	if got := mustRate(t)(ErrorRate(xor, xor, 0)); got != 1.0 {
 		t.Fatalf("XOR self error rate = %v, want 1", got)
 	}
-	if got := mustRate(t)(SelfErrorRate(tt.New(n, 1), 0)); got != 0.0 {
+	constant := tt.New(n, 1)
+	if got := mustRate(t)(ErrorRate(constant, constant, 0)); got != 0.0 {
 		t.Fatalf("constant self error rate = %v, want 0", got)
 	}
 }
 
-// Regression: SelfErrorRate used to panic on an out-of-range output
-// index; it must now return an error like its ErrorRate siblings.
+// Regression: measuring a function against itself used to panic on an
+// out-of-range output index; it must return an error instead.
 func TestSelfErrorRateInvalidIndexIsError(t *testing.T) {
 	f := tt.New(3, 2)
 	for _, o := range []int{-1, 2, 100} {
-		if _, err := SelfErrorRate(f, o); err == nil {
-			t.Fatalf("SelfErrorRate(f, %d): expected error, got nil", o)
+		if _, err := ErrorRate(f, f, o); err == nil {
+			t.Fatalf("ErrorRate(f, f, %d): expected error, got nil", o)
 		}
 	}
 }
@@ -261,7 +277,7 @@ func TestCountBordersNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 10; trial++ {
 		f := randomFunction(rng, 6, 1)
-		got := CountBorders(f, 0)
+		got := CountBorders(census.Output(f, 0))
 		var want Borders
 		for m := 0; m < f.Size(); m++ {
 			for b := 0; b < f.NumIn; b++ {
@@ -294,8 +310,8 @@ func TestBorderConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for trial := 0; trial < 20; trial++ {
 		f := randomFunction(rng, 6, 1)
-		b := CountBorders(f, 0)
-		c := ExactCounts(f, 0)
+		b := CountBorders(census.Output(f, 0))
+		c := ExactCounts(census.Output(f, 0))
 		if c.BasePairs > b.B0+b.B1 {
 			t.Fatalf("BasePairs %d > B0+B1 %d", c.BasePairs, b.B0+b.B1)
 		}
@@ -412,7 +428,7 @@ func TestErrorRateBoundaryErrors(t *testing.T) {
 	if _, err := ErrorRate(a, a, -1); err == nil {
 		t.Fatal("expected error on negative output index")
 	}
-	if _, err := ErrorRateMean(a, b); err == nil {
+	if _, err := ErrorRateMeanCtx(context.Background(), a, b, 0); err == nil {
 		t.Fatal("expected ErrorRateMean to propagate the mismatch error")
 	}
 }
@@ -433,10 +449,10 @@ func TestErrorRateMultiMultiplicityErrors(t *testing.T) {
 // NaN; they must reject zero-output specs with the typed sentinel.
 func TestZeroOutputMeansRejected(t *testing.T) {
 	f := &tt.Function{NumIn: 3} // hand-built: no outputs
-	if _, _, err := BoundsMean(f); !errors.Is(err, tt.ErrZeroOutputs) {
+	if _, _, err := BoundsMeanCensusCtx(context.Background(), f, nil, 0); !errors.Is(err, tt.ErrZeroOutputs) {
 		t.Fatalf("BoundsMean: got %v, want tt.ErrZeroOutputs", err)
 	}
-	if _, err := ErrorRateMean(f, f); !errors.Is(err, tt.ErrZeroOutputs) {
+	if _, err := ErrorRateMeanCtx(context.Background(), f, f, 0); !errors.Is(err, tt.ErrZeroOutputs) {
 		t.Fatalf("ErrorRateMean: got %v, want tt.ErrZeroOutputs", err)
 	}
 	if _, err := ErrorRateMultiMean(context.Background(), f, f, 1); !errors.Is(err, tt.ErrZeroOutputs) {
@@ -472,7 +488,7 @@ func withProcs(t *testing.T, n int) {
 
 // The mean kernels must be bit-identical at every parallelism level:
 // per-output results are computed concurrently but summed in output
-// order.
+// order. The bounds also read censuses built at each worker count.
 func TestMeansParallelMatchSequential(t *testing.T) {
 	withProcs(t, 8)
 	rng := rand.New(rand.NewSource(600))
@@ -483,7 +499,7 @@ func TestMeansParallelMatchSequential(t *testing.T) {
 		for o := 0; o < spec.NumOut(); o++ {
 			spec.Outs[o].DC.ForEach(func(m int) { impl.SetPhase(o, m, tt.Off) })
 		}
-		seqLo, seqHi, err := BoundsMeanCtx(ctx, spec, 1)
+		seqLo, seqHi, err := BoundsMeanCensusCtx(ctx, spec, censuses(t, spec, 1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,12 +507,17 @@ func TestMeansParallelMatchSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqMulti, err := ErrorRateMultiMeanCtx(ctx, spec, impl, 2, 1)
-		if err != nil {
-			t.Fatal(err)
+		seqMulti := 0.0
+		for o := 0; o < spec.NumOut(); o++ {
+			seqMulti += mustRate(t)(ErrorRateMulti(ctx, spec, impl, o, 2))
+		}
+		seqMulti /= float64(spec.NumOut())
+		multi := mustRate(t)(ErrorRateMultiMean(ctx, spec, impl, 2))
+		if multi != seqMulti {
+			t.Fatalf("ErrorRateMultiMean %v != sequential %v", multi, seqMulti)
 		}
 		for _, p := range []int{2, 8, 0} {
-			lo, hi, err := BoundsMeanCtx(ctx, spec, p)
+			lo, hi, err := BoundsMeanCensusCtx(ctx, spec, censuses(t, spec, p), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -510,14 +531,33 @@ func TestMeansParallelMatchSequential(t *testing.T) {
 			if er != seqER {
 				t.Fatalf("p=%d: ErrorRateMean %v != sequential %v", p, er, seqER)
 			}
-			multi, err := ErrorRateMultiMeanCtx(ctx, spec, impl, 2, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if multi != seqMulti {
-				t.Fatalf("p=%d: ErrorRateMultiMean %v != sequential %v", p, multi, seqMulti)
-			}
 		}
+	}
+}
+
+// A census slice that does not belong to f is an error, never read as
+// is and never rebuilt: a short slice, a nil entry, or a census of
+// another width.
+func TestBoundsMeanRejectsForeignCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(601))
+	f := randomFunction(rng, 5, 3)
+	cs := censuses(t, f, 1)
+	wide := censuses(t, randomFunction(rng, 6, 3), 1)
+	for _, tc := range []struct {
+		name string
+		cs   []*bitset.Census
+	}{
+		{"nil", nil},
+		{"short", cs[:2]},
+		{"nil entry", []*bitset.Census{cs[0], nil, cs[2]}},
+		{"other width", []*bitset.Census{cs[0], wide[1], cs[2]}},
+	} {
+		if _, _, err := BoundsMeanCensusCtx(context.Background(), f, tc.cs, 1); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, _, err := BoundsMeanCensusCtx(context.Background(), f, cs, 1); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -527,6 +567,6 @@ func BenchmarkExactCounts12(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExactCounts(f, 0)
+		ExactCounts(census.Output(f, 0))
 	}
 }

@@ -1,10 +1,12 @@
 package synth
 
 import (
-	"math/rand"
+	"context"
 	"runtime"
 	"testing"
 
+	"math/rand"
+	"relsyn/internal/census"
 	"relsyn/internal/core"
 	"relsyn/internal/reliability"
 	"relsyn/internal/tt"
@@ -144,7 +146,7 @@ func TestPipelineErrorRateImproves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		convER, err := reliability.ErrorRateMean(spec, conv.Impl)
+		convER, err := reliability.ErrorRateMeanCtx(context.Background(), spec, conv.Impl, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,12 +156,16 @@ func TestPipelineErrorRateImproves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		relER, err := reliability.ErrorRateMean(spec, rel.Impl)
+		relER, err := reliability.ErrorRateMeanCtx(context.Background(), spec, rel.Impl, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		lo, hi, err := reliability.BoundsMean(spec)
+		fc, err := census.Compute(context.Background(), spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi, err := reliability.BoundsMeanCensusCtx(context.Background(), spec, fc.Outs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

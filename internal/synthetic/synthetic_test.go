@@ -2,9 +2,10 @@ package synthetic
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
+	"math/rand"
+	"relsyn/internal/census"
 	"relsyn/internal/complexity"
 	"relsyn/internal/tt"
 )
@@ -35,7 +36,7 @@ func TestRandomNearExpectedCf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := complexity.Factor(f, 0)
+	cf := complexity.Factor(census.Output(f, 0))
 	ecf := complexity.Expected(f, 0)
 	if math.Abs(cf-ecf) > 0.02 {
 		t.Fatalf("random C^f=%v vs E[C^f]=%v", cf, ecf)
@@ -109,7 +110,7 @@ func TestGenerateHitsTargets(t *testing.T) {
 			t.Fatalf("target %v: %v", target, err)
 		}
 		for o := 0; o < 2; o++ {
-			cf := complexity.Factor(f, o)
+			cf := complexity.Factor(census.Output(f, o))
 			if math.Abs(cf-target) > 0.02+1e-9 {
 				t.Errorf("target %v output %d: C^f=%v", target, o, cf)
 			}
@@ -135,7 +136,7 @@ func TestGenerateHighCfAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cf := complexity.Factor(f, 0); math.Abs(cf-0.83) > 0.021 {
+	if cf := complexity.Factor(census.Output(f, 0)); math.Abs(cf-0.83) > 0.021 {
 		t.Fatalf("C^f = %v, want ~0.83", cf)
 	}
 }
@@ -151,7 +152,7 @@ func TestGenerateFullySpecified(t *testing.T) {
 	if !f.CompletelySpecified() {
 		t.Fatal("DCFraction 0 should give a completely specified function")
 	}
-	if cf := complexity.Factor(f, 0); math.Abs(cf-0.75) > 0.021 {
+	if cf := complexity.Factor(census.Output(f, 0)); math.Abs(cf-0.75) > 0.021 {
 		t.Fatalf("C^f = %v, want ~0.75", cf)
 	}
 }
@@ -167,7 +168,7 @@ func TestGenerateLowCfFullySpecified(t *testing.T) {
 		if err != nil {
 			t.Fatalf("target %v: %v", target, err)
 		}
-		if cf := complexity.Factor(f, 0); math.Abs(cf-target) > 0.021 {
+		if cf := complexity.Factor(census.Output(f, 0)); math.Abs(cf-target) > 0.021 {
 			t.Errorf("target %v: C^f=%v", target, cf)
 		}
 	}
@@ -202,7 +203,7 @@ func TestGenerateLockedBalance(t *testing.T) {
 	if math.Abs(f1-0.53) > 1/size || math.Abs(fdc-0.44) > 1/size {
 		t.Fatalf("locked probabilities drifted: f0=%v f1=%v fdc=%v", f0, f1, fdc)
 	}
-	if cf := complexity.Factor(f, 0); math.Abs(cf-0.8) > 0.021 {
+	if cf := complexity.Factor(census.Output(f, 0)); math.Abs(cf-0.8) > 0.021 {
 		t.Fatalf("C^f = %v, want ~0.8", cf)
 	}
 }
@@ -299,7 +300,7 @@ func TestGenerateEdgeParams(t *testing.T) {
 			p: Params{Inputs: 8, Outputs: 1, DCFraction: 0.6, TargetCf: 0.5,
 				Tolerance: 0.02, Seed: 7, MaxIters: 0},
 			check: func(t *testing.T, f *tt.Function) {
-				if cf := complexity.Factor(f, 0); math.Abs(cf-0.5) > 0.02+1e-9 {
+				if cf := complexity.Factor(census.Output(f, 0)); math.Abs(cf-0.5) > 0.02+1e-9 {
 					t.Fatalf("C^f=%v, want within 0.02 of 0.5", cf)
 				}
 			},

@@ -27,8 +27,7 @@
 //
 // The pipeline is also served over HTTP by cmd/relsynd — optionally
 // crash-safe via a durable job store (internal/store) — and consumed
-// with retries, backoff, and hedging through the relsyn/client
-// package.
+// with retries and backoff through the relsyn/client package.
 package relsyn
 
 import (
@@ -37,7 +36,9 @@ import (
 
 	"relsyn/internal/aig"
 	"relsyn/internal/benchmarks"
+	"relsyn/internal/bitset"
 	"relsyn/internal/blif"
+	"relsyn/internal/census"
 	"relsyn/internal/complexity"
 	"relsyn/internal/core"
 	"relsyn/internal/estimate"
@@ -130,7 +131,13 @@ func CompleteAssign(f *Function) *AssignResult { return core.Complete(f) }
 // ComplexityFactor returns the mean normalized complexity factor C^f
 // across outputs (paper §2.2). Zero-output functions are rejected with
 // an error wrapping ErrZeroOutputs.
-func ComplexityFactor(f *Function) (float64, error) { return complexity.FactorMean(f) }
+func ComplexityFactor(f *Function) (float64, error) {
+	cs, err := censuses(f)
+	if err != nil {
+		return 0, err
+	}
+	return complexity.FactorMean(cs)
+}
 
 // ExpectedComplexityFactor returns the mean E[C^f] = f0²+f1²+fDC².
 // Zero-output functions are rejected with an error wrapping
@@ -140,7 +147,7 @@ func ExpectedComplexityFactor(f *Function) (float64, error) { return complexity.
 // LocalComplexityFactor returns LC^f for one minterm of one output
 // (paper §4).
 func LocalComplexityFactor(f *Function, output, minterm int) float64 {
-	return complexity.Local(f, output, minterm)
+	return complexity.LocalAll(census.Output(f, output))[minterm]
 }
 
 // ErrorRate returns the exact single-bit input error rate of impl
@@ -148,14 +155,20 @@ func LocalComplexityFactor(f *Function, output, minterm int) float64 {
 // by the n·2^n possible (minterm, bit) error events. Dimension mismatches
 // between spec and impl are reported as errors.
 func ErrorRate(spec, impl *Function) (float64, error) {
-	return reliability.ErrorRateMean(spec, impl)
+	return reliability.ErrorRateMeanCtx(context.Background(), spec, impl, 0)
 }
 
 // ExactBounds returns the minimum and maximum error rates achievable by
 // any DC assignment of f (paper §5 exact formulas), averaged over
 // outputs. Zero-output functions are rejected with an error wrapping
 // ErrZeroOutputs.
-func ExactBounds(f *Function) (lo, hi float64, err error) { return reliability.BoundsMean(f) }
+func ExactBounds(f *Function) (lo, hi float64, err error) {
+	cs, err := censuses(f)
+	if err != nil {
+		return 0, 0, err
+	}
+	return reliability.BoundsMeanCensusCtx(context.Background(), f, cs, 0)
+}
 
 // ErrorRateMulti returns the exact k-bit input error rate of impl
 // against spec (k = 1 reproduces ErrorRate), averaged over outputs.
@@ -178,7 +191,24 @@ func SignalEstimate(f *Function) (EstimateBounds, error) { return estimate.Signa
 // BorderEstimate returns the Poisson border-count min-max estimate
 // (paper §5), averaged over outputs. Zero-output functions are rejected
 // with an error wrapping ErrZeroOutputs.
-func BorderEstimate(f *Function) (EstimateBounds, error) { return estimate.BorderBasedMean(f) }
+func BorderEstimate(f *Function) (EstimateBounds, error) {
+	cs, err := censuses(f)
+	if err != nil {
+		return EstimateBounds{}, err
+	}
+	return estimate.BorderBasedMean(f, cs)
+}
+
+// censuses builds f's per-output fused neighbor censuses for one
+// facade call. An invalid f, including one with no outputs (wrapping
+// ErrZeroOutputs), is an error.
+func censuses(f *Function) ([]*bitset.Census, error) {
+	fc, err := census.Compute(context.Background(), f, 0)
+	if err != nil {
+		return nil, err
+	}
+	return fc.Outs, nil
+}
 
 // SynthOptions configures the synthesis flow; see synth.Options.
 type SynthOptions = synth.Options
