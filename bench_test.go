@@ -34,6 +34,7 @@ import (
 	"relsyn/internal/mapper"
 	"relsyn/internal/metatest"
 	"relsyn/internal/obs"
+	"relsyn/internal/pla"
 	"relsyn/internal/reliability"
 	"relsyn/internal/server"
 	"relsyn/internal/store"
@@ -398,6 +399,35 @@ func benchPaperSuite(b *testing.B) []*tt.Function {
 		fns = append(fns, f)
 	}
 	return fns
+}
+
+// BenchmarkParseSuite times the .pla boundary of one paper-suite pass:
+// pla.Parse plus File.ToFunction on the ten specs, each written by
+// pla.FromFunction(fn, nil, nil) with one row per on-set or DC minterm
+// (the text the fleet and perfbench send). It reports absolute ns/op
+// and allocs/op.
+func BenchmarkParseSuite(b *testing.B) {
+	var texts []string
+	for _, f := range benchPaperSuite(b) {
+		var sb strings.Builder
+		if err := pla.FromFunction(f, nil, nil).Write(&sb); err != nil {
+			b.Fatal(err)
+		}
+		texts = append(texts, sb.String())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, text := range texts {
+			file, err := pla.Parse(strings.NewReader(text))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := file.ToFunction(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkEspressoSuite times the two-level minimization layer of one

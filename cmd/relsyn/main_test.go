@@ -535,6 +535,26 @@ func TestRunSynthRefusesWideSpec(t *testing.T) {
 	}
 }
 
+// A spec past tt.MaxCells is refused at its second header, and a header
+// that resizes rows already read is a parse error: synth exits 1 for
+// both (the second used to panic).
+func TestRunSynthRefusesOversizedAndResizedSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want error
+	}{
+		{".i 16\n.o 200\n.e\n", tt.ErrTooLarge},
+		{".i 2\n.o 1\n01 1\n.o 2\n.e\n", nil},
+		{".i 3\n.o 1\n011 1\n.i 2\n.e\n", nil},
+	} {
+		in := writeTemp(t, tc.src)
+		_, err := capture(t, func() error { return runSynth([]string{"-in", in}) })
+		if err == nil || exitCode(err) != exitFailure || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Fatalf("%q: err %v, exit %d; want exit %d", tc.src, err, exitCode(err), exitFailure)
+		}
+	}
+}
+
 func TestLoadSpecMissingFile(t *testing.T) {
 	if _, err := loadSpec("/nonexistent/file.pla", ""); err == nil {
 		t.Fatal("missing file accepted")

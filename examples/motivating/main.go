@@ -27,9 +27,12 @@ func main() {
 
 	fmt.Println("DC minterm neighborhoods:")
 	for _, m := range []int{x1, x2, x3} {
+		lcf, err := relsyn.LocalComplexityFactor(f, 0, m)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  minterm %04b: %d on-neighbors, %d off-neighbors, LC^f=%.2f\n",
-			m, f.OnNeighbors(0, m), f.OffNeighbors(0, m),
-			relsyn.LocalComplexityFactor(f, 0, m))
+			m, f.OnNeighbors(0, m), f.OffNeighbors(0, m), lcf)
 	}
 
 	res, err := relsyn.RankingAssign(f, 1.0)

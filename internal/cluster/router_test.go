@@ -557,8 +557,10 @@ func TestRouterHealthzAndStatsz(t *testing.T) {
 func TestRouterInvalidSpec(t *testing.T) {
 	shard := newStubShard(t, "s0")
 	rt := newTestRouter(t, RouterConfig{Peers: []string{shard.addr()}, HedgeAfter: -1})
-	// A malformed header, and one wider than the dense ceiling.
-	for _, spec := range []string{".i nope", ".i 17\n.o 1\n1---------------- 1\n.e\n"} {
+	// A malformed header, one wider than the dense ceiling, one past
+	// tt.MaxCells, and a header that resizes rows already read.
+	for _, spec := range []string{".i nope", ".i 17\n.o 1\n1---------------- 1\n.e\n",
+		".i 16\n.o 200\n.e", ".i 2\n.o 1\n01 1\n.o 2\n.e"} {
 		resp, body := postRouter(t, rt, "/v1/synth", map[string]any{"pla": spec}, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%q: status %d, want 400: %s", spec, resp.StatusCode, body)

@@ -84,18 +84,30 @@ type Options struct {
 	Parallelism int
 
 	// Census, when non-nil, supplies precomputed fused neighbor
-	// censuses (internal/bitset.Census), indexed by output. An output
-	// with no supplied census gets one built for the pass. The census
+	// censuses (internal/bitset.Census), one per output, and must pass
+	// census.Check against the function: a census of another minterm
+	// space is an error, never silently rebuilt. When nil, each output
+	// gets one built for the pass. The census
 	// is a spec-time snapshot of the counts every consumer reads, so,
 	// like Parallelism, Census is an operational knob and deliberately
 	// NOT part of Canonical().
 	Census []*bitset.Census
 }
 
-// censusFor returns the fused census of output o: the supplied one when
-// its minterm space matches f, else one built for the call.
+// checkCensus rejects a supplied census that does not belong to f's
+// minterm space (see census.Check). Every entry point calls it before
+// censusFor.
+func (o Options) checkCensus(f *tt.Function) error {
+	if o.Census == nil {
+		return nil
+	}
+	return census.Check(f, o.Census)
+}
+
+// censusFor returns the fused census of output idx: the supplied one,
+// or one built for the call when none was supplied.
 func (o Options) censusFor(f *tt.Function, idx int) *bitset.Census {
-	if idx < len(o.Census) && o.Census[idx] != nil && o.Census[idx].Len() == f.Size() {
+	if o.Census != nil {
 		return o.Census[idx]
 	}
 	return census.Output(f, idx)
@@ -154,6 +166,9 @@ func RankingPerOutput(f *tt.Function, fractions []float64, opt Options) (*Result
 // output order — the computed assignment is bit-identical at every
 // parallelism level.
 func rankingWith(f *tt.Function, fractions []float64, opt Options) (*Result, error) {
+	if err := opt.checkCensus(f); err != nil {
+		return nil, err
+	}
 	res := newResult(f)
 	sels := make([][]Assignment, f.NumOut())
 	err := par.Do(context.Background(), opt.Parallelism, f.NumOut(), func(o int) error {
@@ -203,6 +218,9 @@ func LCF(f *tt.Function, threshold float64, opt Options) (*Result, error) {
 	if threshold < 0 || threshold > 1 {
 		return nil, fmt.Errorf("core: threshold %v outside [0,1]", threshold)
 	}
+	if err := opt.checkCensus(f); err != nil {
+		return nil, err
+	}
 	res := newResult(f)
 	sels := make([][]Assignment, f.NumOut())
 	err := par.Do(context.Background(), opt.Parallelism, f.NumOut(), func(o int) error {
@@ -241,14 +259,19 @@ func LCF(f *tt.Function, threshold float64, opt Options) (*Result, error) {
 // maximal error masking, typically large area overhead). Ties are bound
 // to the off-set so that the result is completely specified.
 func Complete(f *tt.Function) *Result {
-	return CompleteCensus(f, nil)
+	res, _ := CompleteCensus(f, nil) // no census supplied: nothing to reject
+	return res
 }
 
 // CompleteCensus is Complete reading the neighbor counts from
-// precomputed fused censuses, indexed by output; a nil slice or entry
-// builds that output's census for the call.
-func CompleteCensus(f *tt.Function, cs []*bitset.Census) *Result {
+// precomputed fused censuses, one per output; a nil slice builds each
+// output's census for the call, and a census that fails census.Check
+// is an error.
+func CompleteCensus(f *tt.Function, cs []*bitset.Census) (*Result, error) {
 	opt := Options{Census: cs}
+	if err := opt.checkCensus(f); err != nil {
+		return nil, err
+	}
 	res := newResult(f)
 	for o := range f.Outs {
 		if !f.Outs[o].DC.Any() {
@@ -265,7 +288,7 @@ func CompleteCensus(f *tt.Function, cs []*bitset.Census) *Result {
 		})
 		res.apply(o, sel)
 	}
-	return res
+	return res, nil
 }
 
 func newResult(f *tt.Function) *Result {
@@ -282,13 +305,17 @@ func newResult(f *tt.Function) *Result {
 
 // RankableCounts returns, per output, how many DC minterms are eligible
 // for ranking (non-tied under opt) — the denominator for matching an
-// LC^f run's per-output assignment fractions in a Ranking run.
-func RankableCounts(f *tt.Function, opt Options) []int {
+// LC^f run's per-output assignment fractions in a Ranking run. A
+// supplied census that fails census.Check is an error.
+func RankableCounts(f *tt.Function, opt Options) ([]int, error) {
+	if err := opt.checkCensus(f); err != nil {
+		return nil, err
+	}
 	out := make([]int, f.NumOut())
 	for o := range f.Outs {
 		out[o] = len(rankCandidates(f, o, opt))
 	}
-	return out
+	return out, nil
 }
 
 // neighborOracle answers per-minterm on/off neighbor-count queries for

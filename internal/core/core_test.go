@@ -453,3 +453,57 @@ func TestAssignmentParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// Every entry point that reads Options.Census rejects one of another
+// minterm space with census.Check's error instead of rebuilding it, and
+// still accepts the matching census and a nil one.
+func TestEntryPointsRejectForeignCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	f := randomFunction(rng, 5, 2, 0.4)
+	other := randomFunction(rng, 4, 2, 0.4)
+	censusOf := func(g *tt.Function) []*bitset.Census {
+		fc, err := census.Compute(context.Background(), g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fc.Outs
+	}
+	own, foreign := censusOf(f), censusOf(other)
+	entries := map[string]func(cs []*bitset.Census) error{
+		"Ranking": func(cs []*bitset.Census) error {
+			_, err := Ranking(f, 0.5, Options{Census: cs})
+			return err
+		},
+		"RankingPerOutput": func(cs []*bitset.Census) error {
+			_, err := RankingPerOutput(f, []float64{0.5, 1}, Options{Census: cs})
+			return err
+		},
+		"LCF": func(cs []*bitset.Census) error {
+			_, err := LCF(f, 0.55, Options{Census: cs})
+			return err
+		},
+		"CompleteCensus": func(cs []*bitset.Census) error {
+			_, err := CompleteCensus(f, cs)
+			return err
+		},
+		"RankableCounts": func(cs []*bitset.Census) error {
+			_, err := RankableCounts(f, Options{Census: cs})
+			return err
+		},
+	}
+	for name, run := range entries {
+		want := census.Check(f, foreign)
+		if err := run(foreign); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s with a foreign census: err = %v, want %v", name, err, want)
+		}
+		if err := run(own[:1]); err == nil {
+			t.Errorf("%s with a census for one of two outputs: accepted", name)
+		}
+		if err := run(own); err != nil {
+			t.Errorf("%s with its own census: %v", name, err)
+		}
+		if err := run(nil); err != nil {
+			t.Errorf("%s with no census: %v", name, err)
+		}
+	}
+}

@@ -282,27 +282,27 @@ func (c Cube) rank() uint64 {
 	return c.w ^ (same | same<<1)
 }
 
-// Parse builds a cube from a .pla-style literal string such as "01-1".
-// Character i binds variable i; accepted characters are '0', '1', '-', '2'
-// and 'x'/'X' (the latter three all meaning unconstrained).
-func Parse(s string) (Cube, error) {
+// litOf maps a .pla literal character to its pair bits; 0 (Empty)
+// marks a character that is not a literal.
+var litOf = [256]uint8{'0': uint8(Zero), '1': uint8(One), '-': uint8(Full), '2': uint8(Full), 'x': uint8(Full), 'X': uint8(Full)}
+
+// Parse builds a cube from a .pla-style literal string such as "01-1",
+// given as a string or as its bytes. Character i binds variable i;
+// accepted characters are '0', '1', '-', '2' and 'x'/'X' (the latter
+// three all meaning unconstrained).
+func Parse[S ~string | ~[]byte](s S) (Cube, error) {
 	if len(s) > MaxVars {
 		return Cube{}, fmt.Errorf("cube: %d variables exceed the %d-variable limit", len(s), MaxVars)
 	}
-	c := New(len(s))
+	var w uint64
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-			c = c.SetVal(i, Zero)
-		case '1':
-			c = c.SetVal(i, One)
-		case '-', '2', 'x', 'X':
-			// already Full
-		default:
+		l := litOf[s[i]]
+		if l == 0 {
 			return Cube{}, fmt.Errorf("cube: invalid literal character %q at position %d", s[i], i)
 		}
+		w |= uint64(l) << (2 * uint(i))
 	}
-	return c, nil
+	return Cube{n: len(s), w: w}, nil
 }
 
 // String renders the cube in .pla notation, e.g. "01-1".

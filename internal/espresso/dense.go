@@ -1,7 +1,6 @@
 package espresso
 
 import (
-	"iter"
 	"math/bits"
 	"slices"
 
@@ -9,96 +8,37 @@ import (
 	"relsyn/internal/cube"
 )
 
-// inWord[k][ones|zeros<<3] is the in-word minterm mask of a cube whose
-// literals on variables 3k..3k+2 are the 3-bit masks ones and zeros: the
-// bits of a 64-minterm word (variables 0..5) those literals admit.
-var inWord = func() (t [2][64]uint64) {
-	// pats[v] = the minterms of a word with variable v set.
-	pats := [6]uint64{
-		0xaaaaaaaaaaaaaaaa,
-		0xcccccccccccccccc,
-		0xf0f0f0f0f0f0f0f0,
-		0xff00ff00ff00ff00,
-		0xffff0000ffff0000,
-		0xffffffff00000000,
-	}
-	for k := range t {
-		for code := range t[k] {
-			mask := ^uint64(0)
-			for j := 0; j < 3; j++ {
-				if code>>uint(j)&1 == 1 {
-					mask &= pats[3*k+j]
-				}
-				if code>>uint(3+j)&1 == 1 {
-					mask &^= pats[3*k+j]
-				}
-			}
-			t[k][code] = mask
-		}
-	}
-	return t
-}()
-
 // denseCtx holds the fixed on/off sets of one minimization run over
 // n ≤ tt.MaxInputs inputs (2^16 minterms × an int32 counter per minterm
 // keeps the working set in cache). The engine works in cube space: a
 // cube is never materialized as a 2^n-bit set. Every test and count
-// walks only the words the cube touches — one in-word minterm mask for
-// variables 0..5, the word indices enumerated over the cube's free
-// variables above them.
+// walks only the words the cube touches (cube.Span) — one in-word
+// minterm mask for variables 0..5, the word indices enumerated over the
+// cube's free variables above them.
 type denseCtx struct {
-	n        int
-	wordMask uint64   // the minterms of a word that exist (all for n ≥ 6)
-	on       []uint64 // words of the on-set
-	off      []uint64 // words of the off-set (complement of on ∪ dc)
-	covered  []uint64 // expand's running union of primes
-	counts   []int32  // per-minterm coverage counts
-	poll     func() error
+	n       int
+	on      []uint64 // words of the on-set
+	off     []uint64 // words of the off-set (complement of on ∪ dc)
+	covered []uint64 // expand's running union of primes
+	counts  []int32  // per-minterm coverage counts
+	poll    func() error
 }
 
 func newDenseCtx(n int, on, off *bitset.Set, poll func() error) *denseCtx {
-	wordMask := ^uint64(0)
-	if n < 6 {
-		wordMask = uint64(1)<<(uint(1)<<uint(n)) - 1
-	}
 	return &denseCtx{
-		n:        n,
-		wordMask: wordMask,
-		on:       on.Words(),
-		off:      off.Words(),
-		covered:  make([]uint64, len(off.Words())),
-		counts:   make([]int32, 1<<uint(n)),
-		poll:     poll,
-	}
-}
-
-// span returns the words c touches — index base|s for every subset s
-// of free — and the in-word mask of its minterms, the same in each.
-func (ctx *denseCtx) span(c cube.Cube) (mask uint64, base, free uint32) {
-	ones, zeros := c.Masks()
-	mask = ctx.wordMask &
-		inWord[0][ones&7|(zeros&7)<<3] &
-		inWord[1][ones>>3&7|(zeros>>3&7)<<3]
-	return mask, ones >> 6, c.FreeMask() >> 6
-}
-
-// words yields the index and in-word minterm mask of every word of a
-// span (see denseCtx.span), in ascending index order.
-func words(mask uint64, base, free uint32) iter.Seq2[int, uint64] {
-	return func(yield func(int, uint64) bool) {
-		// Subsets of free in ascending order: s ← (s − free) & free.
-		for s := uint32(0); yield(int(base|s), mask); {
-			if s = (s - free) & free; s == 0 {
-				return
-			}
-		}
+		n:       n,
+		on:      on.Words(),
+		off:     off.Words(),
+		covered: make([]uint64, len(off.Words())),
+		counts:  make([]int32, 1<<uint(n)),
+		poll:    poll,
 	}
 }
 
 // offCount returns how many off-set minterms c covers.
 func (ctx *denseCtx) offCount(c cube.Cube) int {
 	total := 0
-	for i, mask := range words(ctx.span(c)) {
+	for i, mask := range cube.Words(c.Span()) {
 		total += bits.OnesCount64(ctx.off[i] & mask)
 	}
 	return total
@@ -106,7 +46,7 @@ func (ctx *denseCtx) offCount(c cube.Cube) int {
 
 // hitsOff reports whether c covers an off-set minterm.
 func (ctx *denseCtx) hitsOff(c cube.Cube) bool {
-	for i, mask := range words(ctx.span(c)) {
+	for i, mask := range cube.Words(c.Span()) {
 		if ctx.off[i]&mask != 0 {
 			return true
 		}
@@ -116,7 +56,7 @@ func (ctx *denseCtx) hitsOff(c cube.Cube) bool {
 
 // isCovered reports whether every minterm of c is in ctx.covered.
 func (ctx *denseCtx) isCovered(c cube.Cube) bool {
-	for i, mask := range words(ctx.span(c)) {
+	for i, mask := range cube.Words(c.Span()) {
 		if mask&^ctx.covered[i] != 0 {
 			return false
 		}
@@ -147,7 +87,7 @@ func (ctx *denseCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 		}
 		p := ctx.expandCube(c, variant)
 		out.Add(p)
-		for i, mask := range words(ctx.span(p)) {
+		for i, mask := range cube.Words(p.Span()) {
 			ctx.covered[i] |= mask
 		}
 	}
@@ -200,7 +140,7 @@ func (ctx *denseCtx) countCoverage(f *cube.Cover) {
 
 // addCounts adds d to the count of every minterm of c.
 func (ctx *denseCtx) addCounts(c cube.Cube, d int32) {
-	for i, mask := range words(ctx.span(c)) {
+	for i, mask := range cube.Words(c.Span()) {
 		for b := mask; b != 0; b &= b - 1 {
 			ctx.counts[i<<6|bits.TrailingZeros64(b)] += d
 		}
@@ -228,7 +168,7 @@ func (ctx *denseCtx) irredundant(f *cube.Cover) *cube.Cover {
 // coversUniquely reports whether c covers an on-set minterm no other
 // cube covers.
 func (ctx *denseCtx) coversUniquely(c cube.Cube) bool {
-	for i, mask := range words(ctx.span(c)) {
+	for i, mask := range cube.Words(c.Span()) {
 		for b := mask & ctx.on[i]; b != 0; b &= b - 1 {
 			if ctx.counts[i<<6|bits.TrailingZeros64(b)] == 1 {
 				return true
@@ -250,7 +190,7 @@ func (ctx *denseCtx) reduce(f *cube.Cover) *cube.Cover {
 		// One where every one has v set (and), to Zero where none has
 		// (or), and leaves it Full otherwise.
 		and, or, unique := ^0, 0, false
-		for i, mask := range words(ctx.span(c)) {
+		for i, mask := range cube.Words(c.Span()) {
 			for b := mask & ctx.on[i]; b != 0; b &= b - 1 {
 				if m := i<<6 | bits.TrailingZeros64(b); ctx.counts[m] == 1 {
 					and &= m
@@ -272,8 +212,8 @@ func (ctx *denseCtx) reduce(f *cube.Cover) *cube.Cover {
 			}
 		}
 		// Give up coverage of the abandoned minterms: c's, less reduced's.
-		rmask, rbase, rfree := ctx.span(reduced)
-		for i, mask := range words(ctx.span(c)) {
+		rmask, rbase, rfree := reduced.Span()
+		for i, mask := range cube.Words(c.Span()) {
 			if uint32(i)&^rfree == rbase {
 				mask &^= rmask
 			}

@@ -456,7 +456,10 @@ func Table2(threshold float64) ([]Table2Row, error) {
 		}
 
 		// Ranking at matched per-output fractions.
-		counts := core.RankableCounts(spec, opt)
+		counts, err := core.RankableCounts(spec, opt)
+		if err != nil {
+			return err
+		}
 		fracs := make([]float64, spec.NumOut())
 		perOut := make([]int, spec.NumOut())
 		for _, a := range lcf.Assigned {
@@ -479,7 +482,10 @@ func Table2(threshold float64) ([]Table2Row, error) {
 			return err
 		}
 
-		comp := core.CompleteCensus(spec, cs)
+		comp, err := core.CompleteCensus(spec, cs)
+		if err != nil {
+			return err
+		}
 		compM, compER, err := synthER(spec, comp.Func, synth.OptimizePower)
 		if err != nil {
 			return err

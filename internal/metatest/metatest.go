@@ -183,8 +183,12 @@ func CheckRankingExtremes(spec *tt.Function) error {
 	if err != nil {
 		return err
 	}
+	counts, err := core.RankableCounts(spec, core.Options{})
+	if err != nil {
+		return err
+	}
 	rankable := 0
-	for _, c := range core.RankableCounts(spec, core.Options{}) {
+	for _, c := range counts {
 		rankable += c
 	}
 	if len(one.Assigned) != rankable {
@@ -484,7 +488,11 @@ func CheckCensusEquivalence(spec *tt.Function, ref *OracleReference, p int) erro
 		if err := sameAssignments(fmt.Sprintf("LCF(%s, p=%d)", lane, p), lcf, ref.LCF); err != nil {
 			return err
 		}
-		if err := sameAssignments("Complete("+lane+")", core.CompleteCensus(spec, cs), ref.Complete); err != nil {
+		comp, err := core.CompleteCensus(spec, cs)
+		if err != nil {
+			return err
+		}
+		if err := sameAssignments("Complete("+lane+")", comp, ref.Complete); err != nil {
 			return err
 		}
 	}

@@ -478,7 +478,7 @@ func (r *runner) runAssign(f *tt.Function) *StageError {
 		case MethodLCF:
 			r.res.Assign, err = core.LCF(f, a.Threshold, copt)
 		case MethodComplete:
-			r.res.Assign = core.CompleteCensus(f, r.opt.Census)
+			r.res.Assign, err = core.CompleteCensus(f, r.opt.Census)
 		}
 		return err
 	})

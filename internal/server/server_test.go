@@ -527,6 +527,32 @@ func TestServerRefusesWideSpec(t *testing.T) {
 	}
 }
 
+// A header that resizes rows already read, and a spec past tt.MaxCells,
+// are refused at parse with a 400 naming the line: the first used to
+// panic the handler (net/http dropped the connection), the second used
+// to allocate NumOut·2^NumIn cells before any row was read.
+func TestServerRefusesResizedAndOversizedSpecs(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	for _, tc := range []struct{ pla, want string }{
+		{".i 2\n.o 1\n01 1\n.o 2\n.e", "line 4: header resizes earlier cube rows"},
+		{".i 3\n.o 1\n011 1\n.i 2\n.e", "line 4: header resizes earlier cube rows"},
+		{".i 16\n.o 200\n.e", "line 2: .i 16 .o 200: " + tt.ErrTooLarge.Error()},
+		{".i 16\n.o 100000\n.e", "line 2: .i 16 .o 100000: " + tt.ErrTooLarge.Error()},
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/synth", SynthRequest{PLA: tc.pla})
+		var sr SynthResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatalf("%q: %v (%s)", tc.pla, err, data)
+		}
+		if resp.StatusCode != http.StatusBadRequest || sr.Status != "invalid" || !strings.Contains(sr.Error, tc.want) {
+			t.Fatalf("%q: HTTP %d %+v, want 400 invalid containing %q", tc.pla, resp.StatusCode, sr, tc.want)
+		}
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Fatalf("refused specs submitted %d jobs, want 0", st.Submitted)
+	}
+}
+
 // Jobs that exhaust their deadline while queued are dropped by the
 // queue, reported as expired, and never reach a worker.
 func TestServerQueuedJobExpires(t *testing.T) {

@@ -28,7 +28,8 @@ var ErrZeroOutputs = errors.New("tt: function has zero outputs")
 // two-level minimization, census and assignment runs over 2^n-minterm
 // bitsets, which stay cache-resident and bounded in cost up to here.
 // Specs enter through the .pla boundary (pla.Parse, pla.File.ToFunction),
-// which refuses anything wider with ErrTooWide. Wider logic is a network
+// which refuses anything wider with ErrTooWide (and anything with more
+// than MaxCells cells with ErrTooLarge). Wider logic is a network
 // (BLIF) job, which never builds a dense table of its primary inputs.
 const MaxInputs = 16
 
@@ -36,6 +37,18 @@ const MaxInputs = 16
 // is refused: by the .pla boundary, and by the dense entry points of
 // internal/espresso and internal/exact.
 var ErrTooWide = fmt.Errorf("tt: spec wider than %d inputs", MaxInputs)
+
+// MaxCells bounds the dense table of an admitted spec: NumOut·2^NumIn,
+// the (output, minterm) cells its bitsets hold. Width alone does not
+// bound a spec's cost, which is linear in its output count: a 16-input
+// header with 200 outputs asks for 13M cells before any row is read.
+// The bound is 85× the largest suite spec (random1–3, 49,152 cells).
+const MaxCells = 1 << 22
+
+// ErrTooLarge is returned (wrapped) wherever a spec with more than
+// MaxCells cells is refused: by the .pla boundary, as soon as both its
+// .i and .o headers are known.
+var ErrTooLarge = fmt.Errorf("tt: spec larger than %d output-minterm cells", MaxCells)
 
 // Phase classifies a minterm with respect to one output.
 type Phase uint8

@@ -32,6 +32,7 @@ package relsyn
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"relsyn/internal/aig"
@@ -145,9 +146,15 @@ func ComplexityFactor(f *Function) (float64, error) {
 func ExpectedComplexityFactor(f *Function) (float64, error) { return complexity.ExpectedMean(f) }
 
 // LocalComplexityFactor returns LC^f for one minterm of one output
-// (paper §4).
-func LocalComplexityFactor(f *Function, output, minterm int) float64 {
-	return complexity.LocalAll(census.Output(f, output))[minterm]
+// (paper §4). An output or minterm index outside f is an error.
+func LocalComplexityFactor(f *Function, output, minterm int) (float64, error) {
+	if output < 0 || output >= f.NumOut() {
+		return 0, fmt.Errorf("relsyn: output %d outside [0,%d)", output, f.NumOut())
+	}
+	if minterm < 0 || minterm >= f.Size() {
+		return 0, fmt.Errorf("relsyn: minterm %d outside [0,%d)", minterm, f.Size())
+	}
+	return complexity.LocalAll(census.Output(f, output))[minterm], nil
 }
 
 // ErrorRate returns the exact single-bit input error rate of impl

@@ -103,7 +103,10 @@ func TestFacadeMetrics(t *testing.T) {
 	if ecf <= 0 || ecf >= 1 {
 		t.Fatalf("E[C^f] = %v", ecf)
 	}
-	lcf := relsyn.LocalComplexityFactor(spec, 0, 0)
+	lcf, err := relsyn.LocalComplexityFactor(spec, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if lcf < 0 || lcf > 1 {
 		t.Fatalf("LC^f = %v", lcf)
 	}
@@ -117,6 +120,21 @@ func TestFacadeMetrics(t *testing.T) {
 	}
 	if sig.Min > sig.Max || bor.Min > bor.Max {
 		t.Fatal("estimate intervals inverted")
+	}
+}
+
+// An output or minterm index outside the function is an error, not a
+// panic.
+func TestLocalComplexityFactorRejectsOutOfRange(t *testing.T) {
+	f := relsyn.NewFunction(3, 1)
+	f.SetPhase(0, 2, relsyn.DC)
+	for _, idx := range [][2]int{{1, 0}, {-1, 0}, {0, 8}, {0, -1}} {
+		if v, err := relsyn.LocalComplexityFactor(f, idx[0], idx[1]); err == nil {
+			t.Errorf("output %d minterm %d: LC^f %v, want an error", idx[0], idx[1], v)
+		}
+	}
+	if _, err := relsyn.LocalComplexityFactor(f, 0, 7); err != nil {
+		t.Fatalf("last minterm: %v", err)
 	}
 }
 
