@@ -606,7 +606,10 @@ func BenchmarkServerThroughput(b *testing.B) {
 // BenchmarkStoreThroughput measures what the durable job store costs on
 // the serving path: the same 64-request cold-cache burst as
 // BenchmarkServerThroughput, once without a store (base) and once
-// persisting every job record with -wal-sync always (wal). The gated
+// persisting job records with -wal-sync always (wal). Only the 8 jobs
+// that compute append (queued, running, done); the duplicates coalesce
+// or hit the cache, and a hit answers with the computing job's id and
+// appends nothing. The gated
 // quantity in BENCH_store.json is the base/wal ratio (cmd/benchjson
 // -pair wal,base) — not absolute throughput — so the gate fails when
 // WAL overhead grows relative to the serving path.

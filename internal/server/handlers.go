@@ -363,12 +363,12 @@ func (s *Server) handleResyn(w http.ResponseWriter, r *http.Request) {
 // cache inspection endpoint.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	res, ok := s.cache.Get(key)
+	js, ok := s.cache.Get(key)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, SynthResponse{Status: "miss"})
 		return
 	}
-	writeJSON(w, http.StatusOK, SynthResponse{Status: StatusDone, Cached: true, Result: res})
+	writeJSON(w, http.StatusOK, SynthResponse{Status: StatusDone, Cached: true, Result: js.result})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
