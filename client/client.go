@@ -33,8 +33,8 @@ import (
 	"relsyn/internal/pipeline"
 )
 
-// Response is the relsynd job envelope (the wire shape of
-// internal/server.SynthResponse).
+// Response is the relsynd job envelope: relsynd and relsyn-router
+// write this type (internal/server.SynthResponse is an alias of it).
 type Response struct {
 	JobID     string              `json:"job_id,omitempty"`
 	Status    string              `json:"status"`
@@ -159,8 +159,8 @@ type synthRequest struct {
 	Wait     *bool               `json:"wait,omitempty"`
 }
 
-// BatchResponse is the relsynd batch envelope (the wire shape of
-// internal/server.BatchResponse): one Response per submitted job, in
+// BatchResponse is the relsynd batch envelope (internal/server's
+// BatchResponse is an alias of it): one Response per submitted job, in
 // request order.
 type BatchResponse struct {
 	Results []Response `json:"results"`

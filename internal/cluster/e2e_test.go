@@ -229,15 +229,7 @@ func counterSum(reg *obs.Registry, name string) int64 {
 	return total
 }
 
-type synthEnvelope struct {
-	JobID  string              `json:"job_id"`
-	Status string              `json:"status"`
-	Cached bool                `json:"cached"`
-	Result *pipeline.JobResult `json:"result"`
-	Error  string              `json:"error"`
-}
-
-func postSynth(t *testing.T, baseURL, plaText string) synthEnvelope {
+func postSynth(t *testing.T, baseURL, plaText string) server.SynthResponse {
 	t.Helper()
 	raw, _ := json.Marshal(map[string]any{"pla": plaText})
 	resp, err := http.Post(baseURL+"/v1/synth", "application/json", bytes.NewReader(raw))
@@ -249,7 +241,7 @@ func postSynth(t *testing.T, baseURL, plaText string) synthEnvelope {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/synth: status %d: %s", resp.StatusCode, body)
 	}
-	var env synthEnvelope
+	var env server.SynthResponse
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("decode synth envelope: %v: %s", err, body)
 	}
@@ -429,9 +421,7 @@ func TestE2EKillShardMidBatch(t *testing.T) {
 	if br.code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", br.code, br.body)
 	}
-	var out struct {
-		Results []synthEnvelope `json:"results"`
-	}
+	var out server.BatchResponse
 	if err := json.Unmarshal(br.body, &out); err != nil {
 		t.Fatalf("decode batch: %v: %s", err, br.body)
 	}

@@ -1,6 +1,6 @@
 // The relsyn-router serving core: a stateless HTTP daemon that owns no
 // compute and no cache. It parses each submission just far enough to
-// content-address it (internal/pla.HashFunction), maps the hash onto
+// content-address it (internal/pla.ParseSpec), maps the hash onto
 // the consistent-hash ring, and forwards the request — byte-for-byte —
 // to the owning relsynd shard with the reliability behaviors a fleet
 // front door needs:
@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -44,10 +42,7 @@ import (
 	"relsyn/internal/obs"
 	"relsyn/internal/pla"
 	"relsyn/internal/store"
-	"relsyn/internal/tt"
 )
-
-const maxBodyBytes = 8 << 20
 
 // RouterConfig sizes the router. Peers is required; every other field
 // has a sensible default.
@@ -293,29 +288,13 @@ func forwardRace[T any](rt *Router, ctx context.Context, cands []*peer,
 	}
 }
 
-// hashSpec content-addresses one submission's .pla text.
-func hashSpec(plaText string) (string, error) {
-	if strings.TrimSpace(plaText) == "" {
-		return "", errors.New("empty pla")
-	}
-	file, err := pla.Parse(strings.NewReader(plaText))
-	if err != nil {
-		return "", err
-	}
-	var fn *tt.Function
-	if fn, err = file.ToFunction(); err != nil {
-		return "", err
-	}
-	return pla.HashFunction(fn), nil
-}
-
 // Handler returns the router's HTTP handler: the same public surface as
 // a shard (/v1/synth, /v1/synth/batch, /v1/jobs/{id}) plus router-side
 // /healthz, /statsz, and /metrics.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, rt.instrument(name, h))
+		mux.Handle(pattern, Instrument(rt.cfg.Metrics, name, h))
 	}
 	route("POST /v1/synth", "/v1/synth", rt.handleSynth)
 	route("POST /v1/synth/batch", "/v1/synth/batch", rt.handleBatch)
@@ -326,63 +305,12 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// instrument mirrors the shard's HTTP middleware: requests by
-// route/code, per-route latency, in-flight gauge — same series names,
-// scraped from the router's own registry.
-func (rt *Router) instrument(routeName string, h http.HandlerFunc) http.Handler {
-	reg := rt.cfg.Metrics
-	reg.SetHelp("relsyn_http_requests_total", "HTTP requests served, by route and status code.")
-	reg.SetHelp("relsyn_http_request_duration_seconds", "HTTP request latency, by route.")
-	reg.SetHelp("relsyn_http_in_flight", "HTTP requests currently being served.")
-	routeL := obs.L("route", routeName)
-	dur := reg.Histogram("relsyn_http_request_duration_seconds", routeL)
-	inFlight := reg.Gauge("relsyn_http_in_flight")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		inFlight.Add(1)
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		inFlight.Add(-1)
-		dur.Observe(time.Since(start).Seconds())
-		code := sw.code
-		if code == 0 {
-			code = http.StatusOK
-		}
-		reg.Counter("relsyn_http_requests_total", routeL,
-			obs.L("code", strconv.Itoa(code))).Inc()
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, client.Response{Status: "error", Error: fmt.Sprintf(format, args...)})
-}
-
 // breakLoop refuses requests that already crossed a routing hop.
 // Reports true when the request was handled (refused).
 func (rt *Router) breakLoop(w http.ResponseWriter, r *http.Request) bool {
 	if via := r.Header.Get(HeaderForwarded); via != "" {
 		rt.loops.Inc()
-		writeJSON(w, http.StatusLoopDetected, client.Response{
+		WriteJSON(w, http.StatusLoopDetected, client.Response{
 			Status: "loop",
 			Error:  fmt.Sprintf("cluster: forwarding loop: request already forwarded via %q — check -peers for the router's own address", via),
 		})
@@ -392,7 +320,7 @@ func (rt *Router) breakLoop(w http.ResponseWriter, r *http.Request) bool {
 }
 
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 }
 
 func (rt *Router) handleSynth(w http.ResponseWriter, r *http.Request) {
@@ -401,19 +329,19 @@ func (rt *Router) handleSynth(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		WriteError(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
 	var req struct {
 		PLA string `json:"pla"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	hash, err := hashSpec(req.PLA)
+	_, hash, err := pla.ParseSpec(req.PLA)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, client.Response{Status: "invalid", Error: fmt.Sprintf("parse pla: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, client.Response{Status: "invalid", Error: fmt.Sprintf("parse pla: %v", err)})
 		return
 	}
 	hdr := ForwardHeaders(r.Header, rt.cfg.Name)
@@ -422,15 +350,10 @@ func (rt *Router) handleSynth(w http.ResponseWriter, r *http.Request) {
 			return p.client.Do(ctx, http.MethodPost, "/v1/synth", body, hdr)
 		})
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, client.Response{Status: "unreachable", Error: err.Error()})
+		WriteJSON(w, http.StatusBadGateway, client.Response{Status: "unreachable", Error: err.Error()})
 		return
 	}
-	writeJSON(w, code, env)
-}
-
-// batchEnvelope mirrors the shard's BatchResponse shape.
-type batchEnvelope struct {
-	Results []client.Response `json:"results"`
+	WriteJSON(w, code, env)
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -439,18 +362,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		WriteError(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
 	var breq struct {
 		Jobs []json.RawMessage `json:"jobs"`
 	}
 	if err := json.Unmarshal(body, &breq); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
 	if len(breq.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+		WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	// Place every job; invalid specs are answered inline (the router is
@@ -467,7 +390,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = client.Response{Status: "invalid", Error: fmt.Sprintf("decode job: %v", err)}
 			continue
 		}
-		hash, err := hashSpec(job.PLA)
+		_, hash, err := pla.ParseSpec(job.PLA)
 		if err != nil {
 			results[i] = client.Response{Status: "invalid", Error: fmt.Sprintf("parse pla: %v", err)}
 			continue
@@ -529,7 +452,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(owner, idxs)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, batchEnvelope{Results: results})
+	WriteJSON(w, http.StatusOK, client.BatchResponse{Results: results})
 }
 
 // batchOutcome wraps DoBatch's two-envelope result for forwardRace.
@@ -577,7 +500,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		pr := <-results
 		switch {
 		case pr.err == nil && pr.code == http.StatusOK:
-			writeJSON(w, http.StatusOK, pr.env)
+			WriteJSON(w, http.StatusOK, pr.env)
 			return
 		case pr.err == nil && pr.code == http.StatusNotFound:
 			sawMiss = true
@@ -588,10 +511,10 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if sawMiss || lastErr == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusBadGateway, client.Response{Status: "unreachable", Error: lastErr.Error()})
+	WriteJSON(w, http.StatusBadGateway, client.Response{Status: "unreachable", Error: lastErr.Error()})
 }
 
 // RouterHealth is the /healthz body: overall status plus per-peer
@@ -636,7 +559,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if h.Status == "down" {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 // RouterStats is the /statsz body.
@@ -652,7 +575,7 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	for addr, p := range rt.byAddr {
 		peers[addr] = p.breaker.State()
 	}
-	writeJSON(w, http.StatusOK, RouterStats{
+	WriteJSON(w, http.StatusOK, RouterStats{
 		UptimeSeconds: time.Since(rt.started).Seconds(),
 		Ring:          rt.ring.Snapshot(),
 		Peers:         peers,

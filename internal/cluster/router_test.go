@@ -15,6 +15,7 @@ import (
 
 	"relsyn/client"
 	"relsyn/internal/obs"
+	"relsyn/internal/pla"
 )
 
 // specPLA builds a tiny but distinct 4-input spec per seed. An odd
@@ -76,7 +77,7 @@ func newStubShard(t *testing.T, name string) *stubShard {
 			h(w, r, body)
 			return
 		}
-		writeJSON(w, http.StatusOK, client.Response{Status: "done", JobID: s.name})
+		WriteJSON(w, http.StatusOK, client.Response{Status: "done", JobID: s.name})
 	}))
 	t.Cleanup(s.ts.Close)
 	return s
@@ -114,9 +115,9 @@ func seedOwnedBy(t *testing.T, ring *Ring, addr string) (plaText, hash string) {
 	t.Helper()
 	for seed := 0; seed < 2000; seed++ {
 		text := specPLA(seed)
-		h, err := hashSpec(text)
+		_, h, err := pla.ParseSpec(text)
 		if err != nil {
-			t.Fatalf("hashSpec(seed %d): %v", seed, err)
+			t.Fatalf("ParseSpec(seed %d): %v", seed, err)
 		}
 		if ring.Owner(h) == addr {
 			return text, h
@@ -194,7 +195,7 @@ func TestRouterForwardsToOwner(t *testing.T) {
 	}
 	for seed := 0; seed < 6; seed++ {
 		text := specPLA(seed)
-		hash, err := hashSpec(text)
+		_, hash, err := pla.ParseSpec(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +231,7 @@ func TestRouterFailover(t *testing.T) {
 	shards := []*stubShard{newStubShard(t, "s0"), newStubShard(t, "s1")}
 	for _, s := range shards {
 		s.handle = func(w http.ResponseWriter, r *http.Request, _ []byte) {
-			writeJSON(w, http.StatusInternalServerError, client.Response{Status: "error", Error: "injected"})
+			WriteJSON(w, http.StatusInternalServerError, client.Response{Status: "error", Error: "injected"})
 		}
 	}
 	peers := []string{shards[0].addr(), shards[1].addr()}
@@ -275,7 +276,7 @@ func TestRouterHedgeWin(t *testing.T) {
 		case <-r.Context().Done():
 			return
 		}
-		writeJSON(w, http.StatusOK, client.Response{Status: "done", JobID: "slow"})
+		WriteJSON(w, http.StatusOK, client.Response{Status: "done", JobID: "slow"})
 	}
 	peers := []string{slow.addr(), fast.addr()}
 	rt := newTestRouter(t, RouterConfig{Peers: peers, HedgeAfter: 10 * time.Millisecond})
@@ -363,14 +364,14 @@ func TestRouterBatchSplitsByOwner(t *testing.T) {
 				Jobs []json.RawMessage `json:"jobs"`
 			}
 			if err := json.Unmarshal(body, &breq); err != nil {
-				writeError(w, http.StatusBadRequest, "decode: %v", err)
+				WriteError(w, http.StatusBadRequest, "decode: %v", err)
 				return
 			}
-			out := batchEnvelope{Results: make([]client.Response, len(breq.Jobs))}
+			out := client.BatchResponse{Results: make([]client.Response, len(breq.Jobs))}
 			for i := range out.Results {
 				out.Results[i] = client.Response{Status: "done", JobID: name}
 			}
-			writeJSON(w, http.StatusOK, out)
+			WriteJSON(w, http.StatusOK, out)
 		}
 	}
 	rt := newTestRouter(t, RouterConfig{Peers: peers, HedgeAfter: -1})
@@ -379,7 +380,7 @@ func TestRouterBatchSplitsByOwner(t *testing.T) {
 	owners := make([]string, 0, 7)
 	for seed := 0; seed < 6; seed++ {
 		text := specPLA(seed)
-		hash, err := hashSpec(text)
+		_, hash, err := pla.ParseSpec(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +395,7 @@ func TestRouterBatchSplitsByOwner(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var out batchEnvelope
+	var out client.BatchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -434,10 +435,10 @@ func TestRouterJobFanout(t *testing.T) {
 	has := newStubShard(t, "has")
 	lacks := newStubShard(t, "lacks")
 	has.handle = func(w http.ResponseWriter, r *http.Request, _ []byte) {
-		writeJSON(w, http.StatusOK, client.Response{Status: "done", JobID: "job_abc"})
+		WriteJSON(w, http.StatusOK, client.Response{Status: "done", JobID: "job_abc"})
 	}
 	lacks.handle = func(w http.ResponseWriter, r *http.Request, _ []byte) {
-		writeJSON(w, http.StatusNotFound, client.Response{Status: "error", Error: "unknown job"})
+		WriteJSON(w, http.StatusNotFound, client.Response{Status: "error", Error: "unknown job"})
 	}
 	rt := newTestRouter(t, RouterConfig{Peers: []string{has.addr(), lacks.addr()}, HedgeAfter: -1, MaxAttempts: 1})
 

@@ -122,6 +122,33 @@ func (sh *soakShard) kill() {
 
 // bootSoakCluster claims listeners first (so membership is known before
 // traffic), then starts n cluster-aware shards plus one router.
+// busiestShard returns the shard that owns the most pool specs on the
+// ring. The shards listen on fresh ports, so placement changes from run
+// to run, and a shard that owns no spec (about 2% of placements for the
+// test pool) takes no traffic for a kill to interrupt.
+func busiestShard(t *testing.T, shards []*soakShard, pool *fleet.Pool) *soakShard {
+	t.Helper()
+	addrs := make([]string, len(shards))
+	for i, sh := range shards {
+		addrs[i] = sh.addr
+	}
+	ring, err := cluster.NewRing(addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := make(map[string]int)
+	for _, sp := range pool.Specs {
+		owned[ring.Owner(sp.Hash)]++
+	}
+	best := shards[0]
+	for _, sh := range shards[1:] {
+		if owned[sh.addr] > owned[best.addr] {
+			best = sh
+		}
+	}
+	return best
+}
+
 func bootSoakCluster(t *testing.T, n int) (shards []*soakShard, routerURL string, scrape []string) {
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -175,18 +202,20 @@ func TestFleetClusterKillOneMidSoak(t *testing.T) {
 		t.Skip("multi-second soak")
 	}
 	shards, routerURL, scrape := bootSoakCluster(t, 3)
+	pool := testPool(t)
+	victim := busiestShard(t, shards, pool)
 
 	killed := make(chan struct{})
 	go func() {
 		time.Sleep(1200 * time.Millisecond)
-		shards[0].kill()
+		victim.kill()
 		close(killed)
 	}()
 
 	rep, err := fleet.Run(context.Background(), fleet.Config{
 		Driver:        testDriver(t, routerURL),
 		ScrapeTargets: scrape,
-		Pool:          testPool(t),
+		Pool:          pool,
 		Duration:      3500 * time.Millisecond,
 		Rate:          100,
 		Seed:          23,
@@ -214,8 +243,8 @@ func TestFleetClusterKillOneMidSoak(t *testing.T) {
 	}
 	// The differ must have noticed the corpse instead of folding a giant
 	// negative delta into the fleet sums.
-	if len(rep.LostTargets) != 1 || rep.LostTargets[0] != shards[0].ts.URL {
-		t.Fatalf("lost_targets = %v, want [%s]", rep.LostTargets, shards[0].ts.URL)
+	if len(rep.LostTargets) != 1 || rep.LostTargets[0] != victim.ts.URL {
+		t.Fatalf("lost_targets = %v, want [%s]", rep.LostTargets, victim.ts.URL)
 	}
 	// The kill happened a third of the way in at 100 ops/s: traffic must
 	// actually have crossed the failure.

@@ -14,6 +14,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"strings"
 
 	"relsyn/internal/tt"
 )
@@ -72,4 +74,22 @@ func HashFunction(fn *tt.Function) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// ParseSpec turns a submission's .pla text into its dense function and
+// content hash: the one parse both relsynd and relsyn-router run on a
+// request body.
+func ParseSpec(text string) (*tt.Function, string, error) {
+	if strings.TrimSpace(text) == "" {
+		return nil, "", errors.New("empty pla")
+	}
+	file, err := Parse(strings.NewReader(text))
+	if err != nil {
+		return nil, "", err
+	}
+	fn, err := file.ToFunction()
+	if err != nil {
+		return nil, "", err
+	}
+	return fn, HashFunction(fn), nil
 }

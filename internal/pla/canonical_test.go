@@ -235,3 +235,24 @@ func FuzzCanonicalPLA(f *testing.F) {
 		}
 	})
 }
+
+// ParseSpec is the request-body parse: it refuses blank and malformed
+// text, and its hash is the file's content hash.
+func TestParseSpec(t *testing.T) {
+	for _, bad := range []string{"", " \n\t", ".i 2\n.o 1\n11 2x\n.e\n"} {
+		if _, _, err := ParseSpec(bad); err == nil {
+			t.Fatalf("ParseSpec(%q) accepted", bad)
+		}
+	}
+	const text = ".i 3\n.o 1\n01- 1\n111 1\n000 -\n.e\n"
+	fn, hash, err := ParseSpec(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fn.NumIn != 3 || fn.NumOut() != 1 {
+		t.Fatalf("function is %d-in %d-out, want 3-in 1-out", fn.NumIn, fn.NumOut())
+	}
+	if want := hashString(t, text); hash != want {
+		t.Fatalf("hash %s, want the file hash %s", hash, want)
+	}
+}

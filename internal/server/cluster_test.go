@@ -26,9 +26,9 @@ import (
 // so the options half of the key carries the default timeout.
 func cacheKeyFor(t *testing.T, plaText string, defaultTimeout time.Duration) string {
 	t.Helper()
-	_, hash, err := parseSpec(plaText)
+	_, hash, err := pla.ParseSpec(plaText)
 	if err != nil {
-		t.Fatalf("parseSpec: %v", err)
+		t.Fatalf("ParseSpec: %v", err)
 	}
 	jo := pipeline.JobOptions{TimeoutMs: defaultTimeout.Milliseconds()}.Normalize()
 	return hash + "|" + jo.Key()
@@ -194,7 +194,7 @@ func specOwnedBy(t *testing.T, peers []string, owner string, used map[string]boo
 	}
 	for seed := 0; seed < 2000; seed++ {
 		text := clusterSpecPLA(seed)
-		_, h, err := parseSpec(text)
+		_, h, err := pla.ParseSpec(text)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

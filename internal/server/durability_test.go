@@ -18,6 +18,7 @@ import (
 	"relsyn/internal/chaos"
 	"relsyn/internal/obs"
 	"relsyn/internal/pipeline"
+	"relsyn/internal/pla"
 	"relsyn/internal/store"
 	"relsyn/internal/tt"
 )
@@ -36,9 +37,9 @@ func openStore(t *testing.T, dir string, fs store.FS) (*store.Store, []store.Rec
 func submitPLA(t *testing.T, s *Server, seed, priority int) *SubmitOutcome {
 	t.Helper()
 	text := specPLA(seed)
-	fn, hash, err := parseSpec(text)
+	fn, hash, err := pla.ParseSpec(text)
 	if err != nil {
-		t.Fatalf("parseSpec: %v", err)
+		t.Fatalf("ParseSpec: %v", err)
 	}
 	out, err := s.SubmitSpec(fn, hash, text, pipeline.JobOptions{}, priority)
 	if err != nil {
@@ -67,7 +68,7 @@ func TestServerPersistsLifecycle(t *testing.T) {
 
 	out := submitPLA(t, s, 1, 3)
 	waitDone(t, out.Job)
-	// completeJob releases waiters before it appends the done record,
+	// finish releases waiters before it appends the done record,
 	// so the trail can lag the in-memory state by one append.
 	waitTerminalRecord(t, st, out.Job.id)
 
@@ -142,7 +143,7 @@ func TestServerRecoverTrailBeforeResult(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openStore(t, dir, nil)
 	text := specPLA(1)
-	_, hash, err := parseSpec(text)
+	_, hash, err := pla.ParseSpec(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,9 @@ func TestServerRecoverTrailBeforeResult(t *testing.T) {
 // TestServerQueuedRecordPrecedesWorkerRecords: the submitter appends a
 // job's queued record after the job is already in the queue. A worker
 // that appended its running and done records first would let replay
-// merge the late queued frame over them and requeue a finished job.
+// merge the late queued frame over them and requeue a finished job, so
+// a worker touches neither the store nor the backend until the job's
+// queued record is logged.
 func TestServerQueuedRecordPrecedesWorkerRecords(t *testing.T) {
 	st, _ := openStore(t, t.TempDir(), nil)
 	backend := &blockingBackend{release: make(chan struct{}), started: make(chan string, 1)}
@@ -191,37 +194,156 @@ func TestServerQueuedRecordPrecedesWorkerRecords(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 8, Store: st, Backend: backend.run, Metrics: obs.NewRegistry()})
 	defer s.Close()
 
-	text := specPLA(1)
-	fn, hash, err := parseSpec(text)
-	if err != nil {
-		t.Fatal(err)
+	// A dequeued job whose submitter has not yet appended its queued
+	// record.
+	js := &jobState{
+		id: "job_unlogged", key: "k", status: StatusQueued,
+		created: time.Now(), done: make(chan struct{}),
+		logged: make(chan struct{}),
 	}
-	// Holding the registry lock stops the submitter after queue
-	// admission, before its queued append.
-	s.mu.Lock()
-	outc := make(chan *SubmitOutcome, 1)
-	go func() {
-		out, err := s.SubmitSpec(fn, hash, text, pipeline.JobOptions{}, 0)
-		if err != nil {
-			t.Error(err)
-		}
-		outc <- out
-	}()
+	go s.runJob(&work{state: js, ctx: context.Background(), fn: tt.New(2, 1)})
 	select {
 	case <-backend.started:
-		s.mu.Unlock()
 		t.Fatal("the worker ran the job before its queued record was appended")
 	case <-time.After(100 * time.Millisecond):
 	}
-	s.mu.Unlock()
-	out := <-outc
-	if out == nil {
-		t.FailNow()
+	if rec, ok := st.Get(js.id); ok {
+		t.Fatalf("the worker appended %+v before the queued record", rec)
 	}
-	waitDone(t, out.Job)
-	waitTerminalRecord(t, st, out.Job.id)
-	if rec, ok := st.Get(out.Job.id); !ok || rec.Status != store.StatusDone {
-		t.Fatalf("record = %+v (ok=%v), want done", rec, ok)
+	s.persist(store.Record{ID: js.id, Key: js.key, Status: store.StatusQueued, CreatedUnixMs: 1})
+	close(js.logged)
+	waitDone(t, js)
+	waitTerminalRecord(t, st, js.id)
+	if rec, _ := st.Get(js.id); rec.Status != store.StatusDone || rec.CreatedUnixMs != 1 {
+		t.Fatalf("record = %+v, want done over the queued record", rec)
+	}
+}
+
+// gatedFS holds the fsync of the first WAL frame containing match until
+// open is called; held closes once that fsync is waiting.
+type gatedFS struct {
+	store.OSFS
+	match   string
+	held    chan struct{}
+	release chan struct{}
+	hold    sync.Once
+	opened  sync.Once
+}
+
+func newGatedFS(match string) *gatedFS {
+	return &gatedFS{match: match, held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedFS) open() { g.opened.Do(func() { close(g.release) }) }
+
+func (g *gatedFS) OpenAppend(name string) (store.File, error) {
+	f, err := g.OSFS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedFile{File: f, fs: g}, nil
+}
+
+// gatedFile remembers the last frame written: the store writes each
+// frame with one Write and then syncs it.
+type gatedFile struct {
+	store.File
+	fs   *gatedFS
+	last []byte
+}
+
+func (f *gatedFile) Write(p []byte) (int, error) {
+	f.last = append(f.last[:0], p...)
+	return f.File.Write(p)
+}
+
+func (f *gatedFile) Sync() error {
+	if strings.Contains(string(f.last), f.fs.match) {
+		f.fs.hold.Do(func() {
+			close(f.fs.held)
+			<-f.fs.release
+		})
+	}
+	return f.File.Sync()
+}
+
+// TestServerRetryWhileTerminalRecordSyncs: a failed or expired job
+// leaves the in-flight table in the same critical section that wakes
+// its waiters, before its terminal record is appended. A retry that
+// arrives while that append is still syncing must start a new job, not
+// join the dead one and answer with its outcome.
+func TestServerRetryWhileTerminalRecordSyncs(t *testing.T) {
+	for _, status := range []string{StatusFailed, StatusExpired} {
+		t.Run(status, func(t *testing.T) {
+			fs := newGatedFS(`"status":"` + status + `"`)
+			st, _ := openStore(t, t.TempDir(), fs)
+			cfg := Config{Workers: 1, QueueDepth: 8, Store: st, Metrics: obs.NewRegistry()}
+			if status == StatusFailed {
+				// The first execution panics; later ones run normally.
+				cfg.Backend = Backend(chaos.Backend(pipeline.RunJob, &chaos.WorkerFaults{Panic: &chaos.Trigger{On: 1}}))
+			}
+			s := New(cfg)
+			defer s.Close()
+			defer fs.open()
+			if status == StatusExpired {
+				// The first delivery is dropped, which expires the job.
+				s.queue.SetFaultHook(&chaos.QueueFaults{Drop: &chaos.Trigger{On: 1}})
+			}
+			first := submitPLA(t, s, 1, 0)
+			waitDone(t, first.Job)
+			if got, _, _ := first.Job.snapshot(); got != status {
+				t.Fatalf("first job = %s, want %s", got, status)
+			}
+			select {
+			case <-fs.held:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("the %s record was never synced", status)
+			}
+
+			// The worker is held in the terminal record's fsync. The
+			// retry's own queued append waits behind it on the store, so
+			// the retry runs on its own goroutine.
+			type result struct {
+				out *SubmitOutcome
+				err error
+			}
+			text := specPLA(1)
+			fn, hash, err := pla.ParseSpec(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			retry := make(chan result, 1)
+			go func() {
+				out, err := s.SubmitSpec(fn, hash, text, pipeline.JobOptions{}, 0)
+				retry <- result{out, err}
+			}()
+			// The retry is admitted once it has returned (a join appends
+			// nothing) or queued a new job (the held worker dequeues
+			// nothing); only then is the fsync released.
+			var r result
+			for deadline := time.Now().Add(10 * time.Second); r.out == nil && r.err == nil; {
+				select {
+				case r = <-retry:
+				case <-time.After(time.Millisecond):
+					if s.queue.Len() > 0 {
+						fs.open()
+					} else if time.Now().After(deadline) {
+						t.Fatal("the retry was never admitted")
+					}
+				}
+			}
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.out.Coalesced || r.out.Cached || r.out.Job.id == first.Job.id {
+				t.Fatalf("retry = job %s (coalesced %v, cached %v), want a new job, not %s",
+					r.out.Job.id, r.out.Coalesced, r.out.Cached, first.Job.id)
+			}
+			waitDone(t, r.out.Job)
+			if got, _, errMsg := r.out.Job.snapshot(); got != StatusDone {
+				t.Fatalf("retry = %s (%s), want done", got, errMsg)
+			}
+		})
 	}
 }
 
@@ -302,7 +424,7 @@ func TestServerRecoverRequeuesInterrupted(t *testing.T) {
 
 	mkRecord := func(id string, seed int, status string) store.Record {
 		text := specPLA(seed)
-		_, hash, err := parseSpec(text)
+		_, hash, err := pla.ParseSpec(text)
 		if err != nil {
 			t.Fatal(err)
 		}

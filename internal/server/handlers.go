@@ -16,10 +16,10 @@
 //	GET  /statsz          queue/worker/cache counters as JSON
 //	GET  /metrics         Prometheus text exposition (obs registry)
 //
-// Every route is wrapped in instrumentation middleware recording
-// relsyn_http_requests_total{route,code}, a per-route latency histogram
-// relsyn_http_request_duration_seconds{route}, and the
-// relsyn_http_in_flight gauge.
+// Every route is wrapped in cluster.Instrument, the middleware the
+// router shares, recording relsyn_http_requests_total{route,code}, a
+// per-route latency histogram relsyn_http_request_duration_seconds{route},
+// and the relsyn_http_in_flight gauge.
 //
 // Status mapping: 400 malformed request or spec, 404 unknown job, 429
 // queue full (with Retry-After), 503 draining, 200/202 otherwise. A job
@@ -34,16 +34,14 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
+	"relsyn/client"
 	"relsyn/internal/blif"
+	"relsyn/internal/cluster"
 	"relsyn/internal/obs"
 	"relsyn/internal/pipeline"
 	"relsyn/internal/pla"
-	"relsyn/internal/tt"
 )
-
-const maxBodyBytes = 8 << 20
 
 // SynthRequest is the POST /v1/synth body.
 type SynthRequest struct {
@@ -60,15 +58,10 @@ type SynthRequest struct {
 
 func (r *SynthRequest) wait() bool { return r.Wait == nil || *r.Wait }
 
-// SynthResponse is the envelope for job submissions and polls.
-type SynthResponse struct {
-	JobID     string              `json:"job_id,omitempty"`
-	Status    string              `json:"status"`
-	Cached    bool                `json:"cached,omitempty"`
-	Coalesced bool                `json:"coalesced,omitempty"`
-	Result    *pipeline.JobResult `json:"result,omitempty"`
-	Error     string              `json:"error,omitempty"`
-}
+// SynthResponse is the envelope for job submissions and polls: the
+// client's wire type, so the shard, the router and the client share one
+// format.
+type SynthResponse = client.Response
 
 // BatchRequest is the POST /v1/synth/batch body.
 type BatchRequest struct {
@@ -76,15 +69,13 @@ type BatchRequest struct {
 }
 
 // BatchResponse mirrors the request order one envelope per job.
-type BatchResponse struct {
-	Results []SynthResponse `json:"results"`
-}
+type BatchResponse = client.BatchResponse
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.instrument(name, h))
+		mux.Handle(pattern, cluster.Instrument(s.cfg.Metrics, name, h))
 	}
 	route("POST /v1/synth", "/v1/synth", s.handleSynth)
 	route("POST /v1/synth/batch", "/v1/synth/batch", s.handleBatch)
@@ -97,82 +88,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusWriter captures the response code for the request counter. The
-// zero code means WriteHeader was never called (implicit 200 on first
-// Write, or a hijacked/abandoned connection); it is reported as 200.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a route handler with the HTTP metrics. The route
-// label is the registered pattern (bounded cardinality: path parameters
-// stay as placeholders, never raw client input).
-func (s *Server) instrument(routeName string, h http.HandlerFunc) http.Handler {
-	reg := s.cfg.Metrics
-	reg.SetHelp("relsyn_http_requests_total", "HTTP requests served, by route and status code.")
-	reg.SetHelp("relsyn_http_request_duration_seconds", "HTTP request latency, by route.")
-	reg.SetHelp("relsyn_http_in_flight", "HTTP requests currently being served.")
-	routeL := obs.L("route", routeName)
-	dur := reg.Histogram("relsyn_http_request_duration_seconds", routeL)
-	inFlight := reg.Gauge("relsyn_http_in_flight")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		inFlight.Add(1)
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		inFlight.Add(-1)
-		dur.Observe(time.Since(start).Seconds())
-		code := sw.code
-		if code == 0 {
-			code = http.StatusOK
-		}
-		reg.Counter("relsyn_http_requests_total", routeL,
-			obs.L("code", strconv.Itoa(code))).Inc()
-	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, SynthResponse{Status: "error", Error: fmt.Sprintf(format, args...)})
-}
-
-// parseSpec turns a request's PLA text into a dense function plus its
-// content hash.
-func parseSpec(text string) (*tt.Function, string, error) {
-	if strings.TrimSpace(text) == "" {
-		return nil, "", errors.New("empty pla")
-	}
-	file, err := pla.Parse(strings.NewReader(text))
-	if err != nil {
-		return nil, "", err
-	}
-	fn, err := file.ToFunction()
-	if err != nil {
-		return nil, "", err
-	}
-	return fn, pla.HashFunction(fn), nil
-}
-
 // submitRequest runs the shared admission path for single and batch
 // submissions. The returned response is terminal for rejected/invalid
 // submissions; otherwise outcome carries the job handle.
 func (s *Server) submitRequest(req *SynthRequest) (*SubmitOutcome, *SynthResponse) {
-	fn, hash, err := parseSpec(req.PLA)
+	fn, hash, err := pla.ParseSpec(req.PLA)
 	if err != nil {
 		return nil, &SynthResponse{Status: "invalid", Error: fmt.Sprintf("parse pla: %v", err)}
 	}
@@ -204,7 +124,7 @@ func respond(js *jobState, cached, coalesced bool) SynthResponse {
 func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 	var req SynthRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
 	out, rejected := s.submitRequest(&req)
@@ -214,12 +134,12 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 	}
 	js := out.Job
 	if !req.wait() {
-		writeJSON(w, http.StatusAccepted, respond(js, out.Cached, out.Coalesced))
+		cluster.WriteJSON(w, http.StatusAccepted, respond(js, out.Cached, out.Coalesced))
 		return
 	}
 	select {
 	case <-js.done:
-		writeJSON(w, http.StatusOK, respond(js, out.Cached, out.Coalesced))
+		cluster.WriteJSON(w, http.StatusOK, respond(js, out.Cached, out.Coalesced))
 	case <-r.Context().Done():
 		// Client gone; the job keeps running and lands in the cache.
 	}
@@ -229,23 +149,23 @@ func (s *Server) writeRejection(w http.ResponseWriter, resp *SynthResponse) {
 	switch resp.Status {
 	case "rejected":
 		w.Header().Set("Retry-After",
-			strconv.Itoa(int(max64(1, int64(s.cfg.RetryAfter.Seconds())))))
-		writeJSON(w, http.StatusTooManyRequests, resp)
+			strconv.Itoa(int(max(1, s.cfg.RetryAfter.Seconds()))))
+		cluster.WriteJSON(w, http.StatusTooManyRequests, resp)
 	case "draining":
-		writeJSON(w, http.StatusServiceUnavailable, resp)
+		cluster.WriteJSON(w, http.StatusServiceUnavailable, resp)
 	default:
-		writeJSON(w, http.StatusBadRequest, resp)
+		cluster.WriteJSON(w, http.StatusBadRequest, resp)
 	}
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+		cluster.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	// Admit everything first so duplicates coalesce within the batch,
@@ -268,12 +188,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-sl.out.Job.done:
 		case <-r.Context().Done():
-			writeError(w, http.StatusRequestTimeout, "client cancelled batch")
+			cluster.WriteError(w, http.StatusRequestTimeout, "client cancelled batch")
 			return
 		}
 		results[i] = respond(sl.out.Job, sl.out.Cached, sl.out.Coalesced)
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+	cluster.WriteJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
 // ResynRequest is the POST /v1/resyn body: a combinational BLIF network
@@ -305,21 +225,21 @@ type ResynResponse struct {
 // with status "failed", like /v1/synth.
 func (s *Server) handleResyn(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, ResynResponse{Status: "draining", Error: ErrDraining.Error()})
+		cluster.WriteJSON(w, http.StatusServiceUnavailable, ResynResponse{Status: "draining", Error: ErrDraining.Error()})
 		return
 	}
 	var req ResynRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ResynResponse{Status: "invalid", Error: fmt.Sprintf("decode request: %v", err)})
+		cluster.WriteJSON(w, http.StatusBadRequest, ResynResponse{Status: "invalid", Error: fmt.Sprintf("decode request: %v", err)})
 		return
 	}
 	if strings.TrimSpace(req.BLIF) == "" {
-		writeJSON(w, http.StatusBadRequest, ResynResponse{Status: "invalid", Error: "empty blif"})
+		cluster.WriteJSON(w, http.StatusBadRequest, ResynResponse{Status: "invalid", Error: "empty blif"})
 		return
 	}
 	nw, err := blif.Parse(strings.NewReader(req.BLIF))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ResynResponse{Status: "invalid", Error: fmt.Sprintf("parse blif: %v", err)})
+		cluster.WriteJSON(w, http.StatusBadRequest, ResynResponse{Status: "invalid", Error: fmt.Sprintf("parse blif: %v", err)})
 		return
 	}
 	jo := req.Options
@@ -329,30 +249,23 @@ func (s *Server) handleResyn(w http.ResponseWriter, r *http.Request) {
 	if jo.Method == pipeline.JobMethodLCF && jo.Threshold == 0 {
 		jo.Threshold = 0.55
 	}
-	// Same timeout policy as Submit: server default when the request
-	// carries none, capped at MaxTimeout.
-	if jo.TimeoutMs == 0 {
-		jo.TimeoutMs = s.cfg.DefaultTimeout.Milliseconds()
-	}
-	if max := s.cfg.MaxTimeout.Milliseconds(); jo.TimeoutMs > max {
-		jo.TimeoutMs = max
-	}
+	jo.TimeoutMs = s.timeoutMs(jo.TimeoutMs)
 	jo = jo.Normalize()
 	if err := jo.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, ResynResponse{Status: "invalid", Error: err.Error()})
+		cluster.WriteJSON(w, http.StatusBadRequest, ResynResponse{Status: "invalid", Error: err.Error()})
 		return
 	}
 	res, err := s.cfg.ResynBackend(r.Context(), nw, jo)
 	if err != nil {
-		writeJSON(w, http.StatusOK, ResynResponse{Status: StatusFailed, Result: res, Error: err.Error()})
+		cluster.WriteJSON(w, http.StatusOK, ResynResponse{Status: StatusFailed, Result: res, Error: err.Error()})
 		return
 	}
 	var sb strings.Builder
 	if err := blif.WriteNetwork(&sb, res.Network, "relsyn"); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ResynResponse{Status: StatusFailed, Result: res, Error: fmt.Sprintf("emit blif: %v", err)})
+		cluster.WriteJSON(w, http.StatusInternalServerError, ResynResponse{Status: StatusFailed, Result: res, Error: fmt.Sprintf("emit blif: %v", err)})
 		return
 	}
-	writeJSON(w, http.StatusOK, ResynResponse{Status: StatusDone, Result: res, BLIF: sb.String()})
+	cluster.WriteJSON(w, http.StatusOK, ResynResponse{Status: StatusDone, Result: res, BLIF: sb.String()})
 }
 
 // handleCacheGet is the intra-cluster cache-fill protocol: a peer shard
@@ -362,23 +275,24 @@ func (s *Server) handleResyn(w http.ResponseWriter, r *http.Request) {
 // Registered unconditionally: on a non-clustered node it is just a
 // cache inspection endpoint.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	js, ok := s.cache.Get(key)
+	s.mu.Lock() // every cache read holds s.mu; see Server.finish
+	js, ok := s.cache.Get(r.PathValue("key"))
+	s.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, SynthResponse{Status: "miss"})
+		cluster.WriteJSON(w, http.StatusNotFound, SynthResponse{Status: "miss"})
 		return
 	}
-	writeJSON(w, http.StatusOK, SynthResponse{Status: StatusDone, Cached: true, Result: js.result})
+	cluster.WriteJSON(w, http.StatusOK, SynthResponse{Status: StatusDone, Cached: true, Result: js.result})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	js, ok := s.Lookup(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		cluster.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, respond(js, false, false))
+	cluster.WriteJSON(w, http.StatusOK, respond(js, false, false))
 }
 
 // handleHealthz reports ok / degraded / draining with a JSON body.
@@ -391,11 +305,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if h.Status == "draining" {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	cluster.WriteJSON(w, code, h)
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, StatszPayload{
+	cluster.WriteJSON(w, http.StatusOK, StatszPayload{
 		Stats:   s.Stats(),
 		Metrics: s.cfg.Metrics.Snapshot(),
 	})
@@ -416,14 +330,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

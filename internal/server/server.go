@@ -8,10 +8,14 @@
 // cubes, and logic-type encodings, and pipeline.JobOptions.Normalize
 // collapses equivalent option structs. Identical requests therefore
 //
-//   - coalesce while in flight (internal/flight: one queue slot, one
-//     worker execution, any number of waiters), and
+//   - coalesce while in flight (one queue slot, one worker execution,
+//     any number of waiters), and
 //   - hit the LRU result cache (internal/lru) afterwards, which
 //     answers with the finished job that computed the result.
+//
+// Both live in one key table guarded by Server.mu: every transition of
+// a key (admit, join, finish) is one critical section, so a key is
+// always exactly one of absent, in flight, or cached.
 //
 // Overload is explicit: a full queue rejects with ErrQueueFull, which
 // the HTTP layer maps to 429 + Retry-After. Shutdown is graceful: Drain
@@ -31,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"relsyn/internal/flight"
 	"relsyn/internal/jobqueue"
 	"relsyn/internal/lru"
 	"relsyn/internal/network"
@@ -99,8 +102,8 @@ type Config struct {
 	// instead of failing requests. Default: store.NewBreaker(0, 0)
 	// (3 consecutive failures, 5s cooldown) when Store is set.
 	Breaker *store.Breaker
-	// Metrics is the observability registry the server (and its queue,
-	// cache, and singleflight group) exports on GET /metrics. Default:
+	// Metrics is the observability registry the server (and its queue
+	// and cache) exports on GET /metrics. Default:
 	// obs.Default, which also carries the pipeline stage metrics. Tests
 	// pass a fresh registry for isolation.
 	Metrics *obs.Registry
@@ -168,11 +171,11 @@ const (
 )
 
 // jobState is the shared handle for one logical job: the queue item's
-// payload, the singleflight value, and the registry entry all point at
-// the same state. Result/Err are written exactly once before done is
-// closed; poll reads go through the mutex. A job enters the result
-// cache only once its result is set, so cache readers take result
-// without the mutex.
+// payload, the key-table entry, and the registry entry all point at the
+// same state. Result/Err are written exactly once, before done is
+// closed; poll reads go through js.mu. An admitted job finishes under
+// Server.mu, so readers that found it in the key table under Server.mu
+// take result without js.mu.
 type jobState struct {
 	id  string
 	key string
@@ -196,18 +199,6 @@ type jobState struct {
 	logged chan struct{}
 }
 
-// addAlias attaches a recovered duplicate's id unless js has finished:
-// its terminal records may already be appended without the id.
-func (js *jobState) addAlias(id string) bool {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	if store.Terminal(js.status) {
-		return false
-	}
-	js.aliases = append(js.aliases, id)
-	return true
-}
-
 func (js *jobState) aliasIDs() []string {
 	js.mu.Lock()
 	defer js.mu.Unlock()
@@ -222,33 +213,18 @@ func (js *jobState) setRunning() {
 	js.mu.Unlock()
 }
 
-// finish publishes the terminal state exactly once.
+// finish records the terminal state and wakes the waiters. Each job
+// finishes once: Server.finish for admitted jobs, recoverPending for a
+// record resolved without running.
 func (js *jobState) finish(status string, res *pipeline.JobResult, err error) {
-	if js.settle(status, res, err) {
-		js.wake()
-	}
-}
-
-// settle records the terminal state; it reports false, and changes
-// nothing, if js had already settled. Polls see the state at once; its
-// waiters wake only at wake.
-func (js *jobState) settle(status string, res *pipeline.JobResult, err error) bool {
 	js.mu.Lock()
-	defer js.mu.Unlock()
-	if store.Terminal(js.status) {
-		return false
-	}
 	js.status = status
 	js.result = res
 	if err != nil {
 		js.err = err.Error()
 	}
 	js.finished = time.Now()
-	return true
-}
-
-// wake releases a settled job's context and waiters.
-func (js *jobState) wake() {
+	js.mu.Unlock()
 	if js.cancel != nil {
 		js.cancel()
 	}
@@ -281,8 +257,12 @@ type work struct {
 // counters are the service-level job metrics, exported both on /statsz
 // (JSON) and /metrics (Prometheus). They are obs series registered in
 // New — a single source of truth for both views. Cache hit/miss/evict
-// and coalescing counters live in the cache and flight group themselves.
+// counters live in the cache itself.
 type counters struct {
+	// started counts jobs entered in the in-flight table (leaders);
+	// coalesced counts submissions that joined one.
+	started     obs.Counter
+	coalesced   obs.Counter
 	submitted   obs.Counter
 	completed   obs.Counter
 	failed      obs.Counter
@@ -298,13 +278,16 @@ type Server struct {
 	stop    context.CancelFunc
 
 	queue   *jobqueue.Queue
-	cache   *lru.Cache[string, *jobState] // settled jobs, by key
-	inFly   flight.Group[*jobState]
 	st      *store.Store
 	breaker *store.Breaker
 	peers   *peerFill // nil outside sharded deployments
 
+	// mu guards the key table (inFlight and cache) and the /v1/jobs
+	// registry (jobs, jobOrder). A key is in at most one of inFlight and
+	// cache, and moves between them only under mu.
 	mu       sync.Mutex
+	inFlight map[string]*jobState          // admitted, unfinished jobs
+	cache    *lru.Cache[string, *jobState] // finished jobs that succeeded
 	jobs     map[string]*jobState
 	jobOrder []string
 
@@ -321,16 +304,16 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := cfg.Metrics
 	s := &Server{
-		cfg:     cfg,
-		baseCtx: ctx,
-		stop:    cancel,
-		queue:   jobqueue.NewWithRegistry(cfg.QueueDepth, reg),
-		cache:   lru.New[string, *jobState](cfg.CacheSize),
-		jobs:    make(map[string]*jobState),
-		started: time.Now(),
+		cfg:      cfg,
+		baseCtx:  ctx,
+		stop:     cancel,
+		queue:    jobqueue.NewWithRegistry(cfg.QueueDepth, reg),
+		inFlight: make(map[string]*jobState),
+		cache:    lru.New[string, *jobState](cfg.CacheSize),
+		jobs:     make(map[string]*jobState),
+		started:  time.Now(),
 	}
 	s.cache.Instrument(reg, "results")
-	s.inFly.Instrument(reg, "synth")
 	if cfg.Store != nil {
 		s.st = cfg.Store
 		s.breaker = cfg.Breaker
@@ -355,6 +338,13 @@ func New(cfg Config) *Server {
 	reg.SetHelp("relsyn_jobs_expired_total", "Jobs whose deadline passed before execution.")
 	reg.SetHelp("relsyn_workers", "Configured worker-pool size.")
 	reg.SetHelp("relsyn_workers_busy", "Workers currently executing a job.")
+	reg.SetHelp("relsyn_flight_started_total", "Jobs entered in the in-flight table (leaders).")
+	reg.SetHelp("relsyn_flight_coalesced_total", "Submissions that joined an in-flight job.")
+	reg.SetHelp("relsyn_flight_inflight_keys", "Keys currently in the in-flight table.")
+	synth := obs.L("group", "synth")
+	reg.RegisterCounter("relsyn_flight_started_total", &s.c.started, synth)
+	reg.RegisterCounter("relsyn_flight_coalesced_total", &s.c.coalesced, synth)
+	reg.GaugeFunc("relsyn_flight_inflight_keys", func() float64 { return float64(s.inFlightKeys()) }, synth)
 	reg.RegisterCounter("relsyn_jobs_submitted_total", &s.c.submitted)
 	reg.RegisterCounter("relsyn_jobs_completed_total", &s.c.completed)
 	reg.RegisterCounter("relsyn_jobs_failed_total", &s.c.failed)
@@ -384,20 +374,13 @@ type SubmitOutcome struct {
 	Coalesced bool
 }
 
-// Submit admits one job: cache lookup, in-flight coalescing, then queue
-// admission. The returned state's done channel closes when the result
-// (or error) is available. priority orders the queue (higher first).
-// With a durable store configured, the spec is re-serialized from fn for
-// persistence; callers that hold the original .pla text should prefer
-// SubmitSpec, which persists it verbatim.
-func (s *Server) Submit(fn *tt.Function, specHash string, jo pipeline.JobOptions, priority int) (*SubmitOutcome, error) {
-	return s.SubmitSpec(fn, specHash, "", jo, priority)
-}
-
-// SubmitSpec is Submit with the specification's .pla text, persisted on
-// the job's durable record so crash recovery can re-parse and re-enqueue
-// it. An empty specPLA is serialized from fn on demand (only when a
-// store is configured).
+// SubmitSpec admits one job: a cache hit, a join onto an identical
+// in-flight job, or queue admission. The returned state's done channel
+// closes when the result (or error) is available. priority orders the
+// queue (higher first). specPLA is persisted on a new job's durable
+// record so crash recovery can re-parse and re-enqueue it; an empty
+// specPLA is serialized from fn on demand (only when a store is
+// configured).
 func (s *Server) SubmitSpec(fn *tt.Function, specHash, specPLA string, jo pipeline.JobOptions, priority int) (*SubmitOutcome, error) {
 	if s.draining.Load() {
 		return nil, ErrDraining
@@ -405,76 +388,119 @@ func (s *Server) SubmitSpec(fn *tt.Function, specHash, specPLA string, jo pipeli
 	// Server defaults are applied before normalization so that an
 	// explicit timeout equal to the default and an omitted timeout key
 	// identically.
-	if jo.TimeoutMs == 0 {
-		jo.TimeoutMs = s.cfg.DefaultTimeout.Milliseconds()
-	}
-	if max := s.cfg.MaxTimeout.Milliseconds(); jo.TimeoutMs > max {
-		jo.TimeoutMs = max
-	}
+	jo.TimeoutMs = s.timeoutMs(jo.TimeoutMs)
 	jo = jo.Normalize()
 	if err := jo.Validate(); err != nil {
 		return nil, err
 	}
 	s.c.submitted.Inc()
 	key := specHash + "|" + jo.Key()
-
-	// The cache counts its own hits/misses (lru.Instrument).
-	for {
-		if js, ok := s.cache.Get(key); ok {
-			return s.serveCached(js), nil
-		}
-		js, started, err := s.inFly.Do(key, func() (*jobState, error) {
-			// completeJob caches a job before it forgets the flight, so
-			// a flight that completed after the Get above has already
-			// published: go back and serve it from the cache instead of
-			// running the spec twice. Peek counts no second miss.
-			if _, ok := s.cache.Peek(key); ok {
-				return nil, errCached
-			}
-			return s.enqueueJob(newJobID(), key, fn, jo, priority)
-		})
-		if errors.Is(err, errCached) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !started {
-			// The flight group counted the join (flight.Instrument).
-			return &SubmitOutcome{Job: js, Coalesced: true}, nil
-		}
-		s.register(js)
-		s.persist(store.Record{
-			ID: js.id, Key: key, Status: store.StatusQueued,
-			Priority:      priority,
-			SpecPLA:       s.specText(fn, specPLA),
-			Options:       &jo,
-			CreatedUnixMs: js.created.UnixMilli(),
-		})
-		close(js.logged)
-		return &SubmitOutcome{Job: js}, nil
+	out, err := s.admit(key, fn, jo, priority, "")
+	if err != nil || out.Cached || out.Coalesced {
+		return out, err
 	}
+	js := out.Job
+	s.persist(store.Record{
+		ID: js.id, Key: key, Status: store.StatusQueued,
+		Priority:      priority,
+		SpecPLA:       s.specText(fn, specPLA),
+		Options:       &jo,
+		CreatedUnixMs: js.created.UnixMilli(),
+	})
+	close(js.logged)
+	return out, nil
 }
 
-// errCached stops a flight start whose result is already cached.
-var errCached = errors.New("server: result already cached")
-
-// serveCached answers a hit with the job that computed it. That job's
-// own records make its id durable, so a hit appends nothing; it only
-// re-registers the id if the registry has evicted it, so the id it
-// hands out can be polled.
-func (s *Server) serveCached(js *jobState) *SubmitOutcome {
-	s.mu.Lock()
-	if _, ok := s.jobs[js.id]; !ok {
-		s.registerLocked(js.id, js)
+// timeoutMs applies the server's timeout policy to a requested job
+// timeout: DefaultTimeout when the request carries none, capped at
+// MaxTimeout.
+func (s *Server) timeoutMs(requested int64) int64 {
+	if requested == 0 {
+		requested = s.cfg.DefaultTimeout.Milliseconds()
 	}
+	return min(requested, s.cfg.MaxTimeout.Milliseconds())
+}
+
+// admit is the admission transition of the key table, one critical
+// section under s.mu: a cached key answers with the job that computed
+// it, an in-flight key joins its job, and any other key enqueues a new
+// job and enters it in the in-flight table.
+//
+// recovered is "" for a live submission. Crash recovery passes the
+// replayed record's id instead: the job keeps that id, the cache probe
+// counts no hit or miss (a restart serves no request), and a join
+// attaches the id as an alias of the joined job. An in-flight job has
+// not finished, so its terminal records will carry the alias.
+func (s *Server) admit(key string, fn *tt.Function, jo pipeline.JobOptions, priority int, recovered string) (*SubmitOutcome, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	probe := s.cache.Get // the cache counts its own hits/misses
+	if recovered != "" {
+		probe = s.cache.Peek
+	}
+	if js, ok := probe(key); ok {
+		// The job's own records make its id durable, so a hit appends
+		// nothing; it re-registers the id only if the registry has
+		// evicted it, so the id it hands out can be polled.
+		if recovered == "" && s.jobs[js.id] == nil {
+			s.registerLocked(js.id, js)
+		}
+		return &SubmitOutcome{Job: js, Cached: true}, nil
+	}
+	if js, ok := s.inFlight[key]; ok {
+		s.c.coalesced.Inc()
+		if recovered != "" {
+			js.mu.Lock()
+			js.aliases = append(js.aliases, recovered)
+			js.mu.Unlock()
+			s.registerLocked(recovered, js)
+		}
+		return &SubmitOutcome{Job: js, Coalesced: true}, nil
+	}
+	id := recovered
+	if id == "" {
+		id = newJobID()
+	}
+	js, err := s.enqueueJob(id, key, fn, jo, priority)
+	if err != nil {
+		return nil, err
+	}
+	s.inFlight[key] = js
+	s.c.started.Inc()
+	s.registerLocked(id, js)
+	return &SubmitOutcome{Job: js}, nil
+}
+
+// finish is the terminal transition of the key table, one critical
+// section under s.mu: a successful job enters the cache, the job leaves
+// the in-flight table, and its state is published and its waiters
+// woken. The cache is read only under s.mu, so once a reply is out its
+// result can be fetched (GET /v1/cache/{key}, peer fill) and a repeat
+// is a hit; and a key is never both cached and in flight, so a
+// duplicate never recomputes and a retry never joins a finished job.
+// The terminal record is appended after the wake, outside the lock, so
+// the leader's latency excludes the fsync.
+func (s *Server) finish(js *jobState, status string, res *pipeline.JobResult, err error) {
+	s.mu.Lock()
+	if status == StatusDone {
+		s.cache.Add(js.key, js)
+	}
+	delete(s.inFlight, js.key)
+	js.finish(status, res, err)
 	s.mu.Unlock()
-	return &SubmitOutcome{Job: js, Cached: true}
+	s.persistFinish(js, status, res, err)
+}
+
+// inFlightKeys counts the keys in the in-flight table.
+func (s *Server) inFlightKeys() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.inFlight)
 }
 
 // enqueueJob creates the jobState for one leader job and admits it to
-// the queue. Runs under the flight-group lock; it must not call back
-// into the group.
+// the queue. Runs under s.mu; the queue never calls back into the
+// server from Enqueue.
 func (s *Server) enqueueJob(id, key string, fn *tt.Function, jo pipeline.JobOptions, priority int) (*jobState, error) {
 	js := &jobState{
 		id:      id,
@@ -573,14 +599,10 @@ func (s *Server) Lookup(id string) (*jobState, bool) {
 
 // register adds js to the bounded job registry, evicting the oldest
 // finished entries beyond MaxJobStates.
-func (s *Server) register(js *jobState) { s.registerAs(js.id, js) }
-
-// registerAs registers js under an explicit id — recovery aliases a
-// coalesced record's durable ID onto the surviving in-flight state.
-func (s *Server) registerAs(id string, js *jobState) {
+func (s *Server) register(js *jobState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.registerLocked(id, js)
+	s.registerLocked(js.id, js)
 }
 
 func (s *Server) registerLocked(id string, js *jobState) {
@@ -601,10 +623,7 @@ func (s *Server) registerLocked(id string, js *jobState) {
 func (s *Server) expireJob(js *jobState) {
 	<-js.logged
 	s.c.expired.Inc()
-	err := fmt.Errorf("server: job %s: %w", js.id, jobqueue.ErrExpired)
-	js.finish(StatusExpired, nil, err)
-	s.persistFinish(js, StatusExpired, nil, err)
-	s.inFly.Forget(js.key)
+	s.finish(js, StatusExpired, nil, fmt.Errorf("server: job %s: %w", js.id, jobqueue.ErrExpired))
 }
 
 // worker consumes the queue until it is closed and drained (graceful
@@ -623,8 +642,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one dequeued job and publishes its outcome to its
-// waiters, the store and (on success) the cache; see completeJob.
+// runJob executes one dequeued job and publishes its outcome; see
+// finish.
 //
 // A job whose deadline passed between dequeue and execution (the queue
 // only checks at dequeue time) is never handed to the backend: it is
@@ -643,37 +662,21 @@ func (s *Server) runJob(w *work) {
 	// Sharded deployments: before computing, ask the key's ring owner
 	// for the finished result — hedged/failed-over/rebalanced keys are
 	// fetched, not recomputed. Best-effort; any miss computes locally.
+	var res *pipeline.JobResult
 	if s.peers != nil {
-		if res, ok := s.peers.fetch(w.ctx, js.key); ok {
-			s.completeJob(js, res)
-			return
-		}
+		res, _ = s.peers.fetch(w.ctx, js.key)
 	}
-	res, err := s.callBackend(w)
+	var err error
+	if res == nil {
+		res, err = s.callBackend(w)
+	}
 	if err != nil {
 		s.c.failed.Inc()
-		js.finish(StatusFailed, res, err)
-		s.persistFinish(js, StatusFailed, res, err)
-		s.inFly.Forget(js.key)
+		s.finish(js, StatusFailed, res, err)
 		return
 	}
-	s.completeJob(js, res)
-}
-
-// completeJob publishes a successful result: the cache before the
-// waiters wake, so a result can be fetched once its reply is out, and
-// before the flight is forgotten, so duplicates never recompute; then
-// the done record with its result. A hit may hand out the id before
-// that record is on disk, but the job's queued record already is, so
-// after a crash Recover requeues the job under the same id.
-func (s *Server) completeJob(js *jobState, res *pipeline.JobResult) {
 	s.c.completed.Inc()
-	if js.settle(StatusDone, res, nil) {
-		s.cache.Add(js.key, js)
-		js.wake()
-	}
-	s.persistFinish(js, StatusDone, res, nil)
-	s.inFly.Forget(js.key)
+	s.finish(js, StatusDone, res, nil)
 }
 
 // callBackend shields the worker pool from a panicking backend: the
@@ -710,10 +713,10 @@ type RecoveryStats struct {
 //   - terminal records re-populate the /v1/jobs registry, and done
 //     results re-prime the content-addressed cache;
 //   - queued/running records — work the previous process accepted but
-//     never finished — are re-enqueued idempotently: a key whose result
-//     was recovered completes immediately from cache, and identical
-//     interrupted jobs coalesce through the singleflight group, so a
-//     recovered job never recomputes a cached result.
+//     never finished — are re-admitted through the same key table as
+//     live submissions: a key whose result was recovered completes
+//     immediately from cache, and identical interrupted jobs coalesce,
+//     so a recovered job never recomputes a cached result.
 //
 // Re-enqueued jobs keep their original IDs (pollers holding a pre-crash
 // job id keep working) and their original priority and options; their
@@ -725,6 +728,8 @@ func (s *Server) Recover(records []store.Record) RecoveryStats {
 	// record without a result for each cache hit (a trail record), at
 	// times ahead of the result it points at, so trails resolve only
 	// once every result is cached. Peek: a restart serves no request.
+	// No job is admitted before pass 2, so pass 1 fills the cache
+	// without s.mu.
 	var trails []store.Record
 	for _, rec := range records {
 		if !store.Terminal(rec.Status) {
@@ -793,53 +798,29 @@ func (s *Server) recoverPending(rec store.Record, st *RecoveryStats) {
 		fail(fmt.Errorf("server: recovered job %s: record carries no replayable spec", rec.ID))
 		return
 	}
-	file, err := pla.Parse(strings.NewReader(rec.SpecPLA))
+	fn, _, err := pla.ParseSpec(rec.SpecPLA)
 	if err != nil {
 		fail(fmt.Errorf("server: recovered job %s: parse spec: %w", rec.ID, err))
 		return
 	}
-	fn, err := file.ToFunction()
-	if err != nil {
-		fail(fmt.Errorf("server: recovered job %s: rebuild spec: %w", rec.ID, err))
-		return
-	}
-	// Cached result (recovered in pass 1, or computed by an earlier
-	// requeued duplicate that already finished): terminal, no recompute.
-	if cached, ok := s.cache.Peek(rec.Key); ok {
-		resolve(StatusDone, cached.result, nil)
-		st.Deduped++
-		return
-	}
-	jo := *rec.Options
-	js, started, err := s.inFly.Do(rec.Key, func() (*jobState, error) {
-		return s.enqueueJob(rec.ID, rec.Key, fn, jo, rec.Priority)
-	})
-	if err != nil {
+	out, err := s.admit(rec.Key, fn, *rec.Options, rec.Priority, rec.ID)
+	switch {
+	case err != nil:
 		fail(fmt.Errorf("server: recovered job %s: re-enqueue: %w", rec.ID, err))
-		return
-	}
-	if !started {
+	case out.Cached:
+		// Recovered in pass 1, or computed by an earlier requeued
+		// duplicate that already finished: terminal, no recompute.
+		resolve(StatusDone, out.Job.result, nil)
 		st.Deduped++
-		// Identical interrupted job already requeued: alias this record's
-		// ID onto the in-flight state so Lookup works and the terminal
-		// append covers it. If that job has just finished, take its
-		// outcome under this record's own id.
-		if js.addAlias(rec.ID) {
-			s.registerAs(rec.ID, js)
-			return
-		}
-		status, res, errMsg := js.snapshot()
-		var jobErr error
-		if errMsg != "" {
-			jobErr = errors.New(errMsg)
-		}
-		resolve(status, res, jobErr)
-		return
+	case out.Coalesced:
+		// Identical interrupted job already requeued: admit aliased
+		// this record's id onto it.
+		st.Deduped++
+	default:
+		// The queued record is already in the store.
+		close(out.Job.logged)
+		st.Requeued++
 	}
-	// The queued record is already in the store.
-	close(js.logged)
-	s.register(js)
-	st.Requeued++
 }
 
 // Health classifies the service for load balancers and operators.
@@ -946,9 +927,9 @@ func (s *Server) Stats() Stats {
 		Failed:        s.c.failed.Value(),
 		Rejected:      s.c.rejected.Value(),
 		Expired:       s.c.expired.Value(),
-		Coalesced:     s.inFly.Stats().Coalesced,
+		Coalesced:     s.c.coalesced.Value(),
 		Cache:         s.cache.Stats(),
-		InFlightKeys:  s.inFly.Len(),
+		InFlightKeys:  s.inFlightKeys(),
 	}
 }
 

@@ -139,8 +139,8 @@ func TestServer64ConcurrentMixedRequests(t *testing.T) {
 	if st.Submitted != total {
 		t.Fatalf("submitted %d, want %d", st.Submitted, total)
 	}
-	// Singleflight + cache guarantee exactly one execution per distinct
-	// spec: every other request must have been coalesced or cache-hit.
+	// The key table guarantees exactly one execution per distinct spec:
+	// every other request must have been coalesced or cache-hit.
 	if st.Completed != distinct {
 		t.Fatalf("completed %d pipeline executions, want %d (stats %+v)", st.Completed, distinct, st)
 	}
@@ -240,18 +240,25 @@ func TestServerQueueFullRejectsWith429(t *testing.T) {
 	if st.Rejected != 1 {
 		t.Fatalf("rejected counter %d, want 1", st.Rejected)
 	}
-	// Release the workers; the backlog drains and admission resumes.
+	// Release the workers and let the backlog drain.
 	close(bb.release)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if resp, _ := submit(2); resp.StatusCode == http.StatusAccepted ||
-			resp.StatusCode == http.StatusOK {
-			break
-		}
+	for deadline := time.Now().Add(5 * time.Second); serverStats(t, ts.URL).Completed < 2; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("admission did not resume after drain")
+			t.Fatal("backlog did not drain")
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	// The rejected spec left nothing behind: resubmitted, it starts a
+	// fresh job, neither joined nor served from the cache.
+	resp, data = submit(2)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmission: HTTP %d, want 202: %s", resp.StatusCode, data)
+	}
+	var fresh SynthResponse
+	if err := json.Unmarshal(data, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.JobID == "" || fresh.Coalesced || fresh.Cached {
+		t.Fatalf("resubmission = %+v, want a fresh job", fresh)
 	}
 }
 
@@ -611,7 +618,7 @@ func TestServerPriorityOvertakes(t *testing.T) {
 	fn.SetPhase(0, 3, tt.On)
 	submit := func(seed, prio int) *jobState {
 		t.Helper()
-		o, err := s.Submit(fn, fmt.Sprintf("spec-%d", seed), pipeline.JobOptions{}, prio)
+		o, err := s.SubmitSpec(fn, fmt.Sprintf("spec-%d", seed), "", pipeline.JobOptions{}, prio)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -693,7 +700,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 			t.Fatalf("synth: HTTP %d: %s", resp.StatusCode, data)
 		}
 	}
-	// A worker marks itself idle only after completeJob's WAL append,
+	// A worker marks itself idle only after finish's WAL append,
 	// which may land after the reply: wait for the gauge to settle.
 	var text string
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
