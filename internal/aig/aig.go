@@ -9,6 +9,7 @@ package aig
 
 import (
 	"fmt"
+	"math/bits"
 
 	"relsyn/internal/bitset"
 	"relsyn/internal/factor"
@@ -289,6 +290,60 @@ func (g *Graph) NodeTruthTables() []*bitset.Set {
 		tts[i] = s
 	}
 	return tts
+}
+
+// piWords[v] holds the minterms of a 64-minterm word with input v set,
+// for the inputs that select bits within a word.
+var piWords = [6]uint64{
+	0xaaaaaaaaaaaaaaaa,
+	0xcccccccccccccccc,
+	0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00,
+	0xffff0000ffff0000,
+	0xffffffff00000000,
+}
+
+// NodeOnCounts returns, for every node, how many of the 2^NumPI input
+// patterns set it: the Count of each of NodeTruthTables' sets. It
+// simulates one 64-pattern word at a time, so it keeps one word per
+// node instead of a table per node. NumPI must be ≤ 20.
+func (g *Graph) NodeOnCounts() []int {
+	if g.numPI > 20 {
+		panic(fmt.Sprintf("aig: %d inputs too many for exhaustive simulation", g.numPI))
+	}
+	size := 1 << uint(g.numPI)
+	valid := ^uint64(0)
+	if size < 64 {
+		valid = 1<<uint(size) - 1
+	}
+	word := make([]uint64, len(g.nodes))
+	counts := make([]int, len(g.nodes))
+	litWord := func(l Lit) uint64 {
+		if l.Compl() {
+			return ^word[l.Node()]
+		}
+		return word[l.Node()]
+	}
+	for wi := 0; wi < (size+63)/64; wi++ {
+		for v := 0; v < g.numPI; v++ {
+			switch {
+			case v < 6:
+				word[1+v] = piWords[v]
+			case wi>>uint(v-6)&1 == 1:
+				word[1+v] = ^uint64(0)
+			default:
+				word[1+v] = 0
+			}
+		}
+		for i := 1 + g.numPI; i < len(g.nodes); i++ {
+			n := g.nodes[i]
+			word[i] = litWord(n.f0) & litWord(n.f1)
+		}
+		for i, w := range word {
+			counts[i] += bits.OnesCount64(w & valid)
+		}
+	}
+	return counts
 }
 
 // trimSet zeroes bits at and above size in the final word.

@@ -274,6 +274,25 @@ func TestNodeTruthTablesCube(t *testing.T) {
 	}
 }
 
+// NodeOnCounts gives the count of every NodeTruthTables set on random
+// graphs of 0 to 14 inputs, across the one-word and many-word regimes.
+func TestNodeOnCountsMatchesTruthTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(2604))
+	for trial := 0; trial < 200; trial++ {
+		g := randomGraph(rng, trial%15, rng.Intn(300), 1+rng.Intn(4))
+		tts := g.NodeTruthTables()
+		counts := g.NodeOnCounts()
+		if len(counts) != len(tts) {
+			t.Fatalf("trial %d: %d counts for %d nodes", trial, len(counts), len(tts))
+		}
+		for i, tt := range tts {
+			if counts[i] != tt.Count() {
+				t.Fatalf("trial %d (%d inputs) node %d: count %d, truth table %d", trial, g.NumPI(), i, counts[i], tt.Count())
+			}
+		}
+	}
+}
+
 func BenchmarkAnd(b *testing.B) {
 	g := New(16)
 	rng := rand.New(rand.NewSource(95))

@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -68,51 +69,35 @@ func (cv *Cover) LiteralCount() int {
 	return total
 }
 
-// RemoveContainedPoll deletes every cube that is contained in another
-// single cube of the cover (single-cube containment). poll (nil = never)
-// is checked about every 2^20 containment tests, since the scan is
-// quadratic in the cube count. A non-nil return from poll stops the scan
-// and is returned; the cover's contents are then unspecified.
-func (cv *Cover) RemoveContainedPoll(poll func() error) error {
-	work := 0
-	keep := cv.Cubes[:0]
-	for i, c := range cv.Cubes {
-		if work += len(cv.Cubes); poll != nil && work >= 1<<20 {
-			work = 0
-			if err := poll(); err != nil {
-				return err
-			}
-		}
-		contained := false
-		for j, d := range cv.Cubes {
-			if i == j {
-				continue
-			}
-			if d.Contains(c) && !(c.Contains(d) && j > i) {
-				// When two cubes are identical, keep the earlier one.
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			keep = append(keep, c)
-		}
-	}
-	cv.Cubes = keep
-	return nil
-}
-
 // Sort orders cubes by descending minterm count, then in Compare order
 // (lexicographic on the String form), giving deterministic output for
-// serialization and tests.
+// serialization and tests. Compare is 0 only for identical cubes, so the
+// order is total and an unstable sort gives the one answer. Each cube's
+// literal count and order word are computed once, not per comparison.
 func (cv *Cover) Sort() {
-	slices.SortStableFunc(cv.Cubes, func(a, b Cube) int {
+	type keyed struct {
+		lits  int
+		order uint64
+		c     Cube
+	}
+	var buf [64]keyed // a cover this small sorts without allocating
+	keys := buf[:0]
+	if len(cv.Cubes) > len(buf) {
+		keys = make([]keyed, 0, len(cv.Cubes))
+	}
+	for _, c := range cv.Cubes {
+		keys = append(keys, keyed{c.NumLiterals(), c.order(), c})
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
 		// Fewer literals means more minterms.
-		if la, lb := a.NumLiterals(), b.NumLiterals(); la != lb {
-			return la - lb
+		if a.lits != b.lits {
+			return a.lits - b.lits
 		}
-		return Compare(a, b)
+		return cmp.Compare(a.order, b.order)
 	})
+	for i, k := range keys {
+		cv.Cubes[i] = k.c
+	}
 }
 
 // String renders the cover one cube per line.

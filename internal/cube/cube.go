@@ -282,6 +282,14 @@ func (c Cube) rank() uint64 {
 	return c.w ^ (same | same<<1)
 }
 
+// order returns a word whose unsigned order is Compare's among cubes of
+// one width: the rank pairs reversed, so variable 0's pair is the most
+// significant.
+func (c Cube) order() uint64 {
+	r := bits.Reverse64(c.rank())
+	return r>>1&evenMask | r&evenMask<<1
+}
+
 // litOf maps a .pla literal character to its pair bits; 0 (Empty)
 // marks a character that is not a literal.
 var litOf = [256]uint8{'0': uint8(Zero), '1': uint8(One), '-': uint8(Full), '2': uint8(Full), 'x': uint8(Full), 'X': uint8(Full)}

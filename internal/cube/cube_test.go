@@ -2,6 +2,7 @@ package cube
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -273,74 +274,6 @@ func TestCoverBasics(t *testing.T) {
 	}
 }
 
-func TestCoverRemoveContained(t *testing.T) {
-	cv := CoverOf(3,
-		mustParse(t, "01-"),
-		mustParse(t, "010"), // contained in 01-
-		mustParse(t, "1--"),
-		mustParse(t, "1--"), // duplicate
-	)
-	if err := cv.RemoveContainedPoll(nil); err != nil {
-		t.Fatal(err)
-	}
-	if cv.Len() != 2 {
-		t.Fatalf("RemoveContainedPoll left %d cubes, want 2:\n%s", cv.Len(), cv)
-	}
-}
-
-// removeContainedSnapshot is RemoveContainedPoll's scan run over an
-// unaliased snapshot of the input, where the in-place filter reads a
-// slice it is overwriting.
-func removeContainedSnapshot(in []Cube) []Cube {
-	var keep []Cube
-	for i, c := range in {
-		contained := false
-		for j, d := range in {
-			if i != j && d.Contains(c) && !(c.Contains(d) && j > i) {
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			keep = append(keep, c)
-		}
-	}
-	return keep
-}
-
-// RemoveContainedPoll filters in place while its inner loop still reads
-// the slice, so later cubes are compared against a partly overwritten
-// array. That cannot change the output: a dropped cube's container, or
-// that container's own container, is always still readable. Pin it
-// against the snapshot scan on random covers seeded with duplicates.
-func TestCoverRemoveContainedMatchesSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewSource(308))
-	for trial := 0; trial < 20000; trial++ {
-		n := 1 + rng.Intn(5)
-		cv := NewCover(n)
-		for k := rng.Intn(11); k > 0; k-- {
-			if cv.Len() > 0 && rng.Intn(4) == 0 {
-				cv.Add(cv.Cubes[rng.Intn(cv.Len())])
-			} else {
-				cv.Add(randomCube(rng, n))
-			}
-		}
-		in := cv.String()
-		want := removeContainedSnapshot(append([]Cube(nil), cv.Cubes...))
-		if err := cv.RemoveContainedPoll(func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if len(cv.Cubes) != len(want) {
-			t.Fatalf("trial %d: kept %d cubes, snapshot %d\n%s", trial, len(cv.Cubes), len(want), in)
-		}
-		for i := range want {
-			if cv.Cubes[i] != want[i] {
-				t.Fatalf("trial %d: cube %d is %s, snapshot %s\n%s", trial, i, cv.Cubes[i], want[i], in)
-			}
-		}
-	}
-}
-
 func TestCoverSortDeterministic(t *testing.T) {
 	cv := CoverOf(3,
 		mustParse(t, "111"),
@@ -352,6 +285,34 @@ func TestCoverSortDeterministic(t *testing.T) {
 	for i, w := range want {
 		if cv.Cubes[i].String() != w {
 			t.Fatalf("sort order: got %s at %d, want %s", cv.Cubes[i], i, w)
+		}
+	}
+}
+
+// Sort gives the order of the stable sort it replaced, by literal count
+// and then Compare, on random covers of every width with repeated cubes.
+func TestCoverSortMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(2603))
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + trial%MaxVars
+		cv := NewCover(n)
+		for k := rng.Intn(40); k > 0; k-- {
+			if cv.Len() > 0 && rng.Intn(4) == 0 {
+				cv.Add(cv.Cubes[rng.Intn(cv.Len())])
+			} else {
+				cv.Add(randomCube(rng, n))
+			}
+		}
+		want := slices.Clone(cv.Cubes)
+		slices.SortStableFunc(want, func(a, b Cube) int {
+			if la, lb := a.NumLiterals(), b.NumLiterals(); la != lb {
+				return la - lb
+			}
+			return Compare(a, b)
+		})
+		cv.Sort()
+		if !slices.Equal(cv.Cubes, want) {
+			t.Fatalf("trial %d (n=%d): Sort gave\n%s\nstable sort\n%s", trial, n, cv, CoverOf(n, want...))
 		}
 	}
 }

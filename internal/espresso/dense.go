@@ -68,6 +68,12 @@ func (ctx *denseCtx) isCovered(c cube.Cube) bool {
 // first, dropping cubes already covered by accumulated primes. The
 // variant selects a different (still deterministic) raise order, used by
 // the last-gasp pass to escape the default order's local optimum.
+//
+// No output cube contains another, so no containment cleanup follows.
+// expandCube tries every variable once, and a raise that hits the
+// off-set on a cube hits it on every larger cube too, so each output is
+// a prime of on∪dc; a prime inside another prime equals it, and a cube
+// equal to an earlier prime is skipped as covered.
 func (ctx *denseCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 	work := f.Clone()
 	work.Sort()
@@ -91,43 +97,42 @@ func (ctx *denseCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 			ctx.covered[i] |= mask
 		}
 	}
-	// The containment scan is quadratic in the prime count (32,768
-	// primes for 16-input parity), so it polls too.
-	if err := out.RemoveContainedPoll(ctx.poll); err != nil {
-		panic(interrupted{err})
-	}
 	return out
 }
 
 // expandCube greedily raises literals, preferring variables whose raise
 // exposes the fewest off-set minterms (zero exposures are valid raises;
 // the count orders the attempts deterministically). Variant 1 breaks
-// ties toward the highest variable index instead of the lowest.
+// ties toward the highest variable index instead of the lowest. Each
+// attempt is one integer key, the exposure count above the tie-break
+// index, so the order is a plain integer sort.
 func (ctx *denseCtx) expandCube(c cube.Cube, variant int) cube.Cube {
-	type cand struct{ v, exposed int }
-	var buf [cube.MaxVars]cand
-	cands := buf[:0]
+	const tieBits = 5 // a variable index < cube.MaxVars
+	var buf [cube.MaxVars]uint32
+	keys := buf[:0]
 	for v := 0; v < ctx.n; v++ {
 		if c.Val(v) == cube.Full {
 			continue
 		}
-		cands = append(cands, cand{v, ctx.offCount(c.SetVal(v, cube.Full))})
+		keys = append(keys, uint32(ctx.offCount(c.SetVal(v, cube.Full)))<<tieBits|tieKey(v, variant))
 	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		if a.exposed != b.exposed {
-			return a.exposed - b.exposed
-		}
-		if variant == 1 {
-			return b.v - a.v
-		}
-		return a.v - b.v
-	})
-	for _, cd := range cands {
-		if raised := c.SetVal(cd.v, cube.Full); !ctx.hitsOff(raised) {
+	slices.Sort(keys)
+	for _, k := range keys {
+		v := int(tieKey(int(k&(1<<tieBits-1)), variant))
+		if raised := c.SetVal(v, cube.Full); !ctx.hitsOff(raised) {
 			c = raised
 		}
 	}
 	return c
+}
+
+// tieKey orders variable v among equal exposure counts: ascending, or
+// descending under variant 1. It is its own inverse.
+func tieKey(v, variant int) uint32 {
+	if variant == 1 {
+		return uint32(cube.MaxVars - 1 - v)
+	}
+	return uint32(v)
 }
 
 // countCoverage sets ctx.counts[m] to how many cubes of f cover m.
@@ -284,6 +289,7 @@ func minimizeDense(n int, on, dc *bitset.Set, seed *cube.Cover, poll func() erro
 func mintermCover(n int, s *bitset.Set) *cube.Cover {
 	cv := cube.NewCover(n)
 	if s != nil {
+		cv.Cubes = make([]cube.Cube, 0, s.Count())
 		s.ForEach(func(m int) { cv.Add(cube.FromMinterm(n, uint(m))) })
 	}
 	return cv

@@ -2,9 +2,11 @@ package espresso
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"relsyn/internal/benchmarks"
 	"relsyn/internal/bitset"
 	"relsyn/internal/cube"
 	"relsyn/internal/tt"
@@ -315,6 +317,66 @@ func TestExpandProducesPrimes(t *testing.T) {
 	exp := ctx.expand(f.OnCover(0), 0)
 	if exp.Len() != 1 || exp.Cubes[0].String() != "1--" {
 		t.Fatalf("expand of x0 minterms = %s, want single cube 1--", exp)
+	}
+}
+
+// containedPair returns a pair i ≠ j of cv's cubes with cube i inside
+// cube j, or ok false when there is none.
+func containedPair(cv *cube.Cover) (i, j int, ok bool) {
+	for i, c := range cv.Cubes {
+		for j, d := range cv.Cubes {
+			if i != j && d.Contains(c) {
+				return i, j, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// expand emits no cube inside another, which is why it runs no
+// containment cleanup: every output cube is a prime of on∪dc, and a
+// cube equal to an earlier prime is skipped as already covered. Pinned
+// for all three raise orders, from minterm seeds and from reduced
+// covers, on seeded functions and on every output of the suite specs.
+func TestExpandOutputHasNoContainedPair(t *testing.T) {
+	check := func(name string, n int, on, dc *bitset.Set) {
+		t.Helper()
+		off := on.Clone()
+		if dc != nil {
+			off.InPlaceUnion(dc)
+		}
+		off = off.Complement()
+		if on.None() || off.None() {
+			return
+		}
+		ctx := newDenseCtx(n, on, off, nil)
+		seed := mintermCover(n, on)
+		reduced := ctx.reduce(ctx.irredundant(ctx.expand(seed, 0)))
+		for variant := 0; variant <= 2; variant++ {
+			for _, in := range []*cube.Cover{seed, reduced} {
+				out := ctx.expand(in, variant)
+				if i, j, ok := containedPair(out); ok {
+					t.Fatalf("%s variant %d: expand emitted %s inside %s", name, variant, out.Cubes[i], out.Cubes[j])
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(2602))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(10)
+		on, dc := randomSets(rng, n)
+		check(fmt.Sprintf("sets trial %d", trial), n, on, dc)
+		onCov, dcCov := randomCover(rng, n, 1+rng.Intn(3*n)), randomCover(rng, n, rng.Intn(2*n))
+		check(fmt.Sprintf("covers trial %d", trial), n, coverSet(n, onCov), coverSet(n, dcCov))
+	}
+	for _, spec := range benchmarks.Specs() {
+		f, err := benchmarks.Load(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o := range f.Outs {
+			check(fmt.Sprintf("%s output %d", spec.Name, o), f.NumIn, f.Outs[o].On, f.Outs[o].DC)
+		}
 	}
 }
 

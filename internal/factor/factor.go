@@ -185,7 +185,7 @@ func (x dividend) value(k []cube.Cube, kLits int) int {
 // The zero value is ready; later runs reuse its buffers.
 type kernelEnum struct {
 	n, limit int
-	yield    func(k []cube.Cube)
+	yield    func(k []cube.Cube) bool
 	bufs     [][]cube.Cube // bufs[d]: the cube-free cover at depth d
 	counts   [][]int       // counts[d]: literal counts of bufs[d]
 	seen     map[uint64]int32
@@ -197,8 +197,9 @@ type kernelEnum struct {
 
 // run calls yield for each distinct kernel of f in discovery order, up
 // to limit kernels (0 = unlimited), the top-level cover included when
-// it is cube-free. The slice yield gets is only valid during the call.
-func (e *kernelEnum) run(f *cube.Cover, limit int, yield func(k []cube.Cube)) {
+// it is cube-free; a false return from yield ends the enumeration. The
+// slice yield gets is only valid during the call.
+func (e *kernelEnum) run(f *cube.Cover, limit int, yield func(k []cube.Cube) bool) {
 	e.n, e.limit, e.yield = f.NumVars(), limit, yield
 	if e.seen == nil {
 		e.seen = make(map[uint64]int32)
@@ -324,8 +325,7 @@ func (e *kernelEnum) emit(k []cube.Cube) bool {
 	e.next = append(e.next, head)
 	e.starts = append(e.starts, len(e.keys))
 	e.keys = append(e.keys, e.scratch...)
-	e.yield(k)
-	return e.limit == 0 || len(e.starts) < e.limit
+	return e.yield(k) && (e.limit == 0 || len(e.starts) < e.limit)
 }
 
 // end returns where kernel i's words end in keys.
@@ -353,10 +353,11 @@ func mix(x uint64) uint64 {
 func Kernels(f *cube.Cover, limit int) []*cube.Cover {
 	var out []*cube.Cover
 	var e kernelEnum
-	e.run(f, limit, func(k []cube.Cube) {
+	e.run(f, limit, func(k []cube.Cube) bool {
 		kk := cube.CoverOf(f.NumVars(), k...)
 		kk.Sort()
 		out = append(out, kk)
+		return true
 	})
 	return out
 }
@@ -370,8 +371,9 @@ func GoodFactor(f *cube.Cover) *Expr {
 }
 
 // GoodFactorPoll is GoodFactor with a cancellation hook: poll (nil =
-// never) is checked once per kernel-factoring level, and its first
-// non-nil return is returned.
+// never) is checked at each kernel-factoring level and before each
+// kernel the level scores (scoring one kernel of a 32,768-cube cover
+// takes milliseconds), and its first non-nil return is returned.
 func GoodFactorPoll(f *cube.Cover, poll func() error) (*Expr, error) {
 	fc := factorer{poll: poll}
 	return fc.good(f)
@@ -440,12 +442,22 @@ func (fc *factorer) bestKernelFactor(f *cube.Cover) (*Expr, error) {
 	x := newDividend(f)
 	bestValue := 0
 	fc.best = fc.best[:0]
-	fc.enum.run(f, kernelCap, func(k []cube.Cube) {
+	var err error
+	fc.enum.run(f, kernelCap, func(k []cube.Cube) bool {
+		if fc.poll != nil {
+			if err = fc.poll(); err != nil {
+				return false
+			}
+		}
 		if v := x.value(k, literalCount(k)); v > bestValue {
 			bestValue = v
 			fc.best = append(fc.best[:0], k...)
 		}
+		return true
 	})
+	if err != nil {
+		return nil, err
+	}
 	if bestValue == 0 {
 		return nil, nil
 	}

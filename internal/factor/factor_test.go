@@ -182,7 +182,7 @@ func randomSparseCover(rng *rand.Rand, n, k int) *cube.Cover {
 		}
 		cv.Add(c)
 	}
-	_ = cv.RemoveContainedPoll(nil) // nil poll: no error
+	removeContained(cv)
 	return cv
 }
 

@@ -255,7 +255,9 @@ func trivialCut(i int) cut { return cut{leaves: kcut.Of(i), table: 0b10} }
 func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
 	total := 1 + g.NumPI() + g.NumNodes()
 	// Node i's cuts, its trivial cut {i} last, are all[start[i]:start[i+1]].
-	all := make([]cut, 0, 4*total)
+	// A PI has one cut and an AND node at most maxCutsPer+1, so all is
+	// sized once and never regrows.
+	all := make([]cut, 0, g.NumPI()+(maxCutsPer+1)*g.NumNodes())
 	start := make([]int, total+1)
 	for i := 1; i <= g.NumPI(); i++ {
 		start[i] = len(all)
@@ -316,69 +318,63 @@ func rowMask(k int) uint16 {
 	return uint16(1)<<uint(1<<uint(k)) - 1
 }
 
-// expandTable re-expresses a table over oldLeaves as a table over
-// newLeaves (a superset).
-func expandTable(t uint16, oldLeaves, newLeaves kcut.Leaves) uint16 {
-	var pos [maxCutLeaves]int
-	for i := 0; i < oldLeaves.Len(); i++ {
-		pos[i] = newLeaves.Index(oldLeaves.At(i))
-	}
-	var out uint16
-	for row := uint(0); row < 1<<uint(newLeaves.Len()); row++ {
-		var oldRow uint
-		for i := 0; i < oldLeaves.Len(); i++ {
-			if row>>uint(pos[i])&1 == 1 {
-				oldRow |= 1 << uint(i)
-			}
-		}
-		if t>>oldRow&1 == 1 {
-			out |= 1 << row
-		}
-	}
-	return out
+// varRows[v] holds the rows of a 4-input table in which variable v is 1.
+var varRows = [maxCutLeaves]uint16{0xaaaa, 0xcccc, 0xf0f0, 0xff00}
+
+// swapVars exchanges variables i < j of a 4-input table.
+func swapVars(t uint16, i, j int) uint16 {
+	up := varRows[i] &^ varRows[j] // rows with i=1, j=0
+	shift := uint(1)<<uint(j) - uint(1)<<uint(i)
+	return t&^(up|up<<shift) | (t&up)<<shift | t>>shift&up
 }
 
-// normalizeCut removes leaves outside the function's support.
+// expandTable re-expresses a table over oldLeaves as a table over
+// newLeaves (a superset). It replicates the table across all 16 rows,
+// so the variables from oldLeaves.Len() up are don't-cares, then moves
+// each old variable, highest first, up to its position in newLeaves by
+// swapping it with the don't-care there.
+func expandTable(t uint16, oldLeaves, newLeaves kcut.Leaves) uint16 {
+	k := oldLeaves.Len()
+	t &= rowMask(k)
+	for w := uint(1) << uint(k); w < 16; w <<= 1 {
+		t |= t << w
+	}
+	for i := k - 1; i >= 0; i-- {
+		if j := newLeaves.Index(oldLeaves.At(i)); j != i {
+			t = swapVars(t, i, j)
+		}
+	}
+	return t & rowMask(newLeaves.Len())
+}
+
+// normalizeCut removes leaves outside the function's support. It moves
+// the kept variables down, lowest first, each by a swap with a variable
+// the table does not depend on.
 func normalizeCut(c cut) cut {
 	k := c.leaves.Len()
-	var kept [maxCutLeaves]int
-	nk := 0
 	var keptMask uint
-	for i := 0; i < k; i++ {
-		if dependsOn(c.table, i, k) {
-			kept[nk] = i
-			nk++
-			keptMask |= 1 << uint(i)
+	for v := 0; v < k; v++ {
+		if dependsOn(c.table, v, k) {
+			keptMask |= 1 << uint(v)
 		}
 	}
-	if nk == k {
+	if keptMask == 1<<uint(k)-1 {
 		return c
 	}
-	var nt uint16
-	for row := uint(0); row < 1<<uint(nk); row++ {
-		var oldRow uint
-		for i, old := range kept[:nk] {
-			if row>>uint(i)&1 == 1 {
-				oldRow |= 1 << uint(old)
-			}
+	t, nk := c.table, 0
+	for m := keptMask; m != 0; m &= m - 1 {
+		if v := bits.TrailingZeros(m); v != nk {
+			t = swapVars(t, nk, v)
 		}
-		if c.table>>oldRow&1 == 1 {
-			nt |= 1 << row
-		}
+		nk++
 	}
-	return cut{leaves: c.leaves.Select(keptMask), table: nt}
+	return cut{leaves: c.leaves.Select(keptMask), table: t & rowMask(nk)}
 }
 
+// dependsOn reports whether a table over k leaves depends on variable
+// v < k: whether some row with v = 0 differs from its v = 1 partner.
 func dependsOn(t uint16, v, k int) bool {
-	for row := uint(0); row < 1<<uint(k); row++ {
-		if row>>uint(v)&1 == 1 {
-			continue
-		}
-		if t>>row&1 != t>>(row|1<<uint(v))&1 {
-			return true
-		}
-	}
-	return false
+	return (t^t>>(1<<uint(v)))&^varRows[v]&rowMask(k) != 0
 }
 
 // filterCuts appends to out the cuts of cs worth keeping: it drops
@@ -609,6 +605,16 @@ func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand, probs []float64
 	res := &Result{CellCounts: map[string]int{}}
 	nets := make([]netState, 2*len(best))
 	inv := lib.Inv
+	// Gate inputs are carved from shared slabs, not allocated per gate.
+	var slab []Net
+	inputs := func(k int) []Net {
+		if cap(slab)-len(slab) < k {
+			slab = make([]Net, 0, 256)
+		}
+		n := len(slab)
+		slab = slab[:n+k]
+		return slab[n : n+k : n+k]
+	}
 
 	var emit func(net Net) error
 	emit = func(net Net) error {
@@ -634,13 +640,15 @@ func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand, probs []float64
 			if err := emit(src); err != nil {
 				return err
 			}
-			res.Gates = append(res.Gates, Gate{Cell: inv, Inputs: []Net{src}, Output: net})
+			ins := inputs(1)
+			ins[0] = src
+			res.Gates = append(res.Gates, Gate{Cell: inv, Inputs: ins, Output: net})
 			res.CellCounts[inv.Name]++
 			s.arrival = nets[netIndex(src)].arrival + inv.Delay
 			return nil
 		}
 		k := b.m.cell.NumIn
-		ins := make([]Net, k)
+		ins := inputs(k)
 		worst := 0.0
 		for pin := 0; pin < k; pin++ {
 			leaf := b.cut.leaves.At(int(b.m.pinLeaf[pin]))
@@ -714,11 +722,11 @@ func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand, probs []float64
 // nodeProbabilities returns each node's signal probability (positive
 // phase) from exhaustive simulation.
 func nodeProbabilities(g *aig.Graph) []float64 {
-	tts := g.NodeTruthTables()
+	counts := g.NodeOnCounts()
 	size := float64(int(1) << uint(g.NumPI()))
-	probs := make([]float64, len(tts))
-	for i, t := range tts {
-		probs[i] = float64(t.Count()) / size
+	probs := make([]float64, len(counts))
+	for i, c := range counts {
+		probs[i] = float64(c) / size
 	}
 	return probs
 }

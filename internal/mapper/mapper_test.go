@@ -464,6 +464,61 @@ func TestFilterCutsMatchesOracle(t *testing.T) {
 	}
 }
 
+// testLeaves returns k distinct leaves whose order is the same
+// numerically and as printed.
+func testLeaves(k int) kcut.Leaves {
+	return kcut.Of([]int{11, 22, 33, 44}[:k]...)
+}
+
+// expandTable's replicate-and-swap algebra agrees with the row walk on
+// every 16-bit table (high rows included) for every embedding of an old
+// leaf set into a new one of up to four leaves.
+func TestExpandTableExhaustive(t *testing.T) {
+	for k := 0; k <= maxCutLeaves; k++ {
+		newLeaves := testLeaves(k)
+		for sub := uint(0); sub < 1<<uint(k); sub++ {
+			oldLeaves := newLeaves.Select(sub)
+			oldInts, newInts := oldLeaves.Ints(), newLeaves.Ints()
+			for tb := 0; tb < 1<<16; tb++ {
+				got := expandTable(uint16(tb), oldLeaves, newLeaves)
+				if want := oracleExpandTable(uint16(tb), oldInts, newInts); got != want {
+					t.Fatalf("expandTable(%04x, %v, %v) = %04x, row walk %04x", tb, oldInts, newInts, got, want)
+				}
+			}
+		}
+	}
+}
+
+// dependsOn's masked XOR agrees with the row walk on every 16-bit table
+// for every variable v < k.
+func TestDependsOnExhaustive(t *testing.T) {
+	for k := 1; k <= maxCutLeaves; k++ {
+		for v := 0; v < k; v++ {
+			for tb := 0; tb < 1<<16; tb++ {
+				if got, want := dependsOn(uint16(tb), v, k), oracleDependsOn(uint16(tb), v, k); got != want {
+					t.Fatalf("dependsOn(%04x, %d, %d) = %v, row walk %v", tb, v, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// normalizeCut's swaps give the row walk's leaves and table on every
+// 16-bit table over zero to four leaves.
+func TestNormalizeCutExhaustive(t *testing.T) {
+	for k := 0; k <= maxCutLeaves; k++ {
+		leaves := testLeaves(k)
+		for tb := 0; tb < 1<<16; tb++ {
+			got := normalizeCut(cut{leaves: leaves, table: uint16(tb)})
+			want := oracleNormalizeCut(oracleCut{leaves: leaves.Ints(), table: uint16(tb)})
+			if !sameCut(got, want) {
+				t.Fatalf("normalizeCut(%04x over %d leaves) = %v/%04x, row walk %v/%04x",
+					tb, k, got.leaves.Ints(), got.table, want.leaves, want.table)
+			}
+		}
+	}
+}
+
 // Map returns exactly the oracle's Result — gates, PO nets, area, delay,
 // power and cell counts, bit for bit — in both modes.
 func TestMapMatchesOracle(t *testing.T) {
@@ -785,7 +840,7 @@ func oracleNormalizeCut(c oracleCut) oracleCut {
 	k := len(c.leaves)
 	var kept []int
 	for i := 0; i < k; i++ {
-		if dependsOn(c.table, i, k) {
+		if oracleDependsOn(c.table, i, k) {
 			kept = append(kept, i)
 		}
 	}
@@ -809,6 +864,20 @@ func oracleNormalizeCut(c oracleCut) oracleCut {
 		}
 	}
 	return oracleCut{leaves: newLeaves, table: nt}
+}
+
+// oracleDependsOn walks the rows of a table over k leaves for a pair
+// that differs only in variable v.
+func oracleDependsOn(t uint16, v, k int) bool {
+	for row := uint(0); row < 1<<uint(k); row++ {
+		if row>>uint(v)&1 == 1 {
+			continue
+		}
+		if t>>row&1 != t>>(row|1<<uint(v))&1 {
+			return true
+		}
+	}
+	return false
 }
 
 // oracleFilterCuts deduplicates, removes dominated cuts (supersets of another

@@ -12,9 +12,10 @@ import (
 // FuzzSynthesize is the pipeline's headline property test: any seeded
 // random incompletely specified function driven through assignment,
 // synthesis, and verification must (a) never panic, (b) come back
-// CEC-verified, and (c) yield an implementation consistent with the
-// specification's care set. The fuzzer varies the function shape, the
-// DC density, and the assignment method.
+// verified by simulation of the mapped netlist, and (c) yield an
+// implementation consistent with the specification's care set. The
+// fuzzer varies the function shape, the DC density, and the assignment
+// method.
 func FuzzSynthesize(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(1), uint8(128), uint8(0))
 	f.Add(int64(2), uint8(5), uint8(2), uint8(60), uint8(1))
