@@ -52,7 +52,7 @@ func BenchmarkSatDC(b *testing.B) {
 		b.Run(tc.group+"/exhaustive", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := nw.Clone()
-				if _, err := c.ReassignLCF(0.55); err != nil {
+				if _, err := c.ReassignLCF(0.55, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

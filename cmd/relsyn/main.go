@@ -445,7 +445,7 @@ func runDecompose(args []string) error {
 	if err := conv.CompleteConventionalAll(); err != nil {
 		return err
 	}
-	assigned, err := rel.ReassignLCF(*threshold)
+	assigned, err := rel.ReassignLCF(*threshold, nil)
 	if err != nil {
 		return err
 	}

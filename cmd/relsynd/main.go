@@ -120,7 +120,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.IntVar(&cfg.server.Workers, "workers", 0, "worker pool size (default: GOMAXPROCS)")
 	fs.IntVar(&cfg.server.QueueDepth, "queue-depth", 0, "job queue depth (default 256)")
 	fs.IntVar(&cfg.server.CacheSize, "cache-size", 0, "result cache entries (default 512)")
-	fs.BoolVar(&cfg.server.DisableCache, "no-cache", false, "disable the result cache")
 	fs.DurationVar(&cfg.server.DefaultTimeout, "default-timeout", 0, "per-job budget when the request carries none (default 30s)")
 	fs.DurationVar(&cfg.server.MaxTimeout, "max-timeout", 0, "cap on requested per-job timeouts (default 5m)")
 	fs.DurationVar(&cfg.server.RetryAfter, "retry-after", 0, "Retry-After hint on 429 responses (default 1s)")

@@ -38,7 +38,7 @@ func main() {
 	if err := conv.CompleteConventionalAll(); err != nil {
 		log.Fatal(err)
 	}
-	assigned, err := rel.ReassignLCF(0.7)
+	assigned, err := rel.ReassignLCF(0.7, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

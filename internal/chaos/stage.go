@@ -93,7 +93,8 @@ func (h *Harness) Fired() bool {
 	return h.fired
 }
 
-// Hook is the pipeline.Options.Inject implementation.
+// Hook implements pipeline.Hooks.Inject: pass it to pipeline.Run as
+// pipeline.Hooks{Inject: h.Hook}.
 func (h *Harness) Hook(point string) error {
 	if h == nil || h.Point == "" {
 		return nil

@@ -56,7 +56,7 @@ func Nodal(names []string, threshold float64) ([]NodalRow, error) {
 		if err := conv.CompleteConventionalAll(); err != nil {
 			return err
 		}
-		assigned, err := rel.ReassignLCF(threshold)
+		assigned, err := rel.ReassignLCF(threshold, nil)
 		if err != nil {
 			return err
 		}

@@ -286,12 +286,24 @@ func coneTable(g *aig.Graph, root int, leaves []int) *bitset.Set {
 // SignalTables simulates the network over the whole PI space, returning
 // one truth table (2^NumPI bits) per signal.
 func (nw *Network) SignalTables() []*bitset.Set {
+	tabs, _ := nw.signalTables(nil) // nil poll: no error
+	return tabs
+}
+
+// signalTables is SignalTables with poll (nil = never) run before each
+// node's simulation.
+func (nw *Network) signalTables(poll func() error) ([]*bitset.Set, error) {
 	size := 1 << uint(nw.NumPI)
 	tabs := make([]*bitset.Set, nw.NumPI+len(nw.Nodes))
 	for i := 0; i < nw.NumPI; i++ {
 		tabs[i] = bitset.VarPattern(size, i)
 	}
 	for ni, nd := range nw.Nodes {
+		if poll != nil {
+			if err := poll(); err != nil {
+				return nil, err
+			}
+		}
 		out := bitset.New(size)
 		for m := 0; m < size; m++ {
 			if nd.Table.Test(nw.localRow(tabs, nd, m)) {
@@ -300,7 +312,7 @@ func (nw *Network) SignalTables() []*bitset.Set {
 		}
 		tabs[nw.NumPI+ni] = out
 	}
-	return tabs
+	return tabs, nil
 }
 
 // localRow extracts node nd's local input pattern at PI minterm m.
@@ -358,8 +370,9 @@ func (nw *Network) POFunction() *tt.Function {
 }
 
 // odcMask returns, for node ni, the set of PI minterms where
-// complementing the node's output leaves every PO unchanged.
-func (nw *Network) odcMask(tabs []*bitset.Set, ni int) *bitset.Set {
+// complementing the node's output leaves every PO unchanged. poll
+// (nil = never) runs before each downstream node's resimulation.
+func (nw *Network) odcMask(tabs []*bitset.Set, ni int, poll func() error) (*bitset.Set, error) {
 	size := 1 << uint(nw.NumPI)
 	// Resimulate downstream with node ni complemented.
 	alt := make([]*bitset.Set, len(tabs))
@@ -376,6 +389,11 @@ func (nw *Network) odcMask(tabs []*bitset.Set, ni int) *bitset.Set {
 		}
 		if !changed {
 			continue
+		}
+		if poll != nil {
+			if err := poll(); err != nil {
+				return nil, err
+			}
 		}
 		out := bitset.New(size)
 		for m := 0; m < size; m++ {
@@ -400,22 +418,27 @@ func (nw *Network) odcMask(tabs []*bitset.Set, ni int) *bitset.Set {
 		d.InPlaceSymDiff(tabs[s])
 		diff.InPlaceUnion(d)
 	}
-	return diff.Complement()
+	return diff.Complement(), nil
 }
 
 // LocalSpec builds node ni's local function with its exact internal
 // don't-cares: local patterns that never occur (SDC) or whose occurrences
 // are all output-insensitive (ODC) become DC.
 func (nw *Network) LocalSpec(ni int) *tt.Function {
-	tabs := nw.SignalTables()
-	return nw.localSpec(tabs, ni)
+	spec, _ := nw.localSpec(nw.SignalTables(), ni, nil) // nil poll: no error
+	return spec
 }
 
-func (nw *Network) localSpec(tabs []*bitset.Set, ni int) *tt.Function {
+// localSpec is LocalSpec on the signal tables tabs, passing poll to
+// odcMask.
+func (nw *Network) localSpec(tabs []*bitset.Set, ni int, poll func() error) (*tt.Function, error) {
 	nd := nw.Nodes[ni]
 	k := nd.NumIn()
 	size := 1 << uint(nw.NumPI)
-	odc := nw.odcMask(tabs, ni)
+	odc, err := nw.odcMask(tabs, ni, poll)
+	if err != nil {
+		return nil, err
+	}
 
 	occurs := make([]bool, 1<<uint(k))
 	sensitive := make([]bool, 1<<uint(k))
@@ -435,7 +458,7 @@ func (nw *Network) localSpec(tabs []*bitset.Set, ni int) *tt.Function {
 			spec.SetPhase(0, row, tt.On)
 		}
 	}
-	return spec
+	return spec, nil
 }
 
 // ReassignLCF rewrites every node's function: extract exact internal DCs,
@@ -444,12 +467,21 @@ func (nw *Network) localSpec(tabs []*bitset.Set, ni int) *tt.Function {
 // rest with espresso minimization (conventional assignment). Nodes are
 // processed in topological order with DCs re-extracted after each change,
 // so the primary-output functions are preserved exactly. It returns the
-// number of DC patterns bound for reliability.
-func (nw *Network) ReassignLCF(threshold float64) (int, error) {
+// number of DC patterns bound for reliability. poll (nil = never) runs
+// before every node simulation of the DC extraction, many times per
+// node; a non-nil return stops the rewrite with that error, leaving the
+// nodes already rewritten in place.
+func (nw *Network) ReassignLCF(threshold float64, poll func() error) (int, error) {
 	assigned := 0
 	for ni := range nw.Nodes {
-		tabs := nw.SignalTables()
-		spec := nw.localSpec(tabs, ni)
+		tabs, err := nw.signalTables(poll)
+		if err != nil {
+			return assigned, err
+		}
+		spec, err := nw.localSpec(tabs, ni, poll)
+		if err != nil {
+			return assigned, err
+		}
 		res, err := core.LCF(spec, threshold, core.Options{})
 		if err != nil {
 			return assigned, err
@@ -465,8 +497,7 @@ func (nw *Network) ReassignLCF(threshold float64) (int, error) {
 // — the baseline ReassignLCF is compared against.
 func (nw *Network) CompleteConventionalAll() error {
 	for ni := range nw.Nodes {
-		tabs := nw.SignalTables()
-		spec := nw.localSpec(tabs, ni)
+		spec, _ := nw.localSpec(nw.SignalTables(), ni, nil) // nil poll: no error
 		nw.Nodes[ni].Table = completeConventional(spec)
 	}
 	return nil
@@ -496,7 +527,7 @@ func (nw *Network) InternalErrorRate() float64 {
 	size := 1 << uint(nw.NumPI)
 	propagating := 0
 	for ni := range nw.Nodes {
-		odc := nw.odcMask(tabs, ni)
+		odc, _ := nw.odcMask(tabs, ni, nil) // nil poll: no error
 		propagating += size - odc.Count()
 	}
 	return float64(propagating) / float64(len(nw.Nodes)*size)
@@ -517,7 +548,7 @@ func (nw *Network) InputErrorRate() float64 {
 	size := 1 << uint(nw.NumPI)
 	propagating, events := 0, 0
 	for ni, nd := range nw.Nodes {
-		odc := nw.odcMask(tabs, ni)
+		odc, _ := nw.odcMask(tabs, ni, nil) // nil poll: no error
 		for b := 0; b < nd.NumIn(); b++ {
 			events += size
 			for m := 0; m < size; m++ {

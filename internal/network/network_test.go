@@ -165,7 +165,7 @@ func TestReassignLCFPreservesFunction(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := nw.POFunction()
-		if _, err := nw.ReassignLCF(0.65); err != nil {
+		if _, err := nw.ReassignLCF(0.65, nil); err != nil {
 			t.Fatal(err)
 		}
 		after := nw.POFunction()
@@ -228,7 +228,7 @@ func TestReassignImprovesInternalMaskingAggregate(t *testing.T) {
 		if err := nwConv.CompleteConventionalAll(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nwRel.ReassignLCF(0.7); err != nil {
+		if _, err := nwRel.ReassignLCF(0.7, nil); err != nil {
 			t.Fatal(err)
 		}
 		sumConv += nwConv.InternalErrorRate()

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"relsyn/internal/network"
-	"relsyn/internal/obs"
 	"relsyn/internal/tt"
 )
 
@@ -87,22 +86,11 @@ type NetworkJobResult struct {
 // exists to reassign internal DCs under the LC^f threshold), run the
 // extraction ladder, and fold the outcome into a NetworkJobResult.
 func RunNetworkJob(ctx context.Context, nw *network.Network, jo JobOptions) (*NetworkJobResult, error) {
-	n := jo.Normalize()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	opt, err := n.Options()
-	if err != nil {
-		return nil, err
-	}
-	return RunNetworkJobOpt(ctx, nw, jo, opt)
+	return runNetworkJob(ctx, nw, jo, Hooks{})
 }
 
-// RunNetworkJobOpt is RunNetworkJob under explicit runner Options — the
-// Run analogue for network jobs, exposing Strict, Inject, and Metrics to
-// tests and the daemon. Budgets and strictness are taken from opt; the
-// threshold from jo.
-func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, opt Options) (*NetworkJobResult, error) {
+// runNetworkJob is RunNetworkJob under the test seam h.
+func runNetworkJob(ctx context.Context, nw *network.Network, jo JobOptions, h Hooks) (*NetworkJobResult, error) {
 	n := jo.Normalize()
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -113,14 +101,9 @@ func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, o
 	if nw == nil {
 		return nil, fmt.Errorf("pipeline: nil network")
 	}
-	if opt.Budget.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Budget.Timeout)
-		defer cancel()
-	}
 	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "pipeline/netjob")
-	r := &runner{ctx: ctx, opt: opt, res: &Result{}, span: span}
+	r, cancel := newRunner(ctx, "pipeline/netjob", n, h)
+	defer cancel()
 
 	jr := &NetworkJobResult{
 		NumPI:          nw.NumPI,
@@ -128,15 +111,8 @@ func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, o
 		Nodes:          nw.NumNodes(),
 		LiteralsBefore: nw.TotalLiterals(),
 	}
-	serr := r.runExtract(nw, n.Threshold, jr)
-	status := "ok"
-	if serr != nil {
-		status = "error"
-		span.SetAttr("error", serr.Error())
-	}
-	r.reg().Counter("relsyn_pipeline_runs_total", obs.L("status", status)).Inc()
-	span.SetAttrf("fallbacks", "%d", len(r.res.Fallbacks))
-	span.End()
+	serr := r.runExtract(nw, jr)
+	r.finish(serr)
 
 	jr.Degraded = r.res.Degraded()
 	jr.Fallbacks, jr.Stages = wireTrail(r.res)
@@ -151,14 +127,14 @@ func RunNetworkJobOpt(ctx context.Context, nw *network.Network, jo JobOptions, o
 // runExtract walks the extraction ladder. Each rung reassigns a clone of
 // the input network, so a failed rung leaves no partial mutation behind
 // and the fallback rung starts from the pristine circuit.
-func (r *runner) runExtract(nw *network.Network, threshold float64, jr *NetworkJobResult) *StageError {
+func (r *runner) runExtract(nw *network.Network, jr *NetworkJobResult) *StageError {
 	began := time.Now()
 	defer r.finishStage(StageExtract, began)
 
 	windowed := func() error {
 		c := nw.Clone()
-		rep, err := c.ReassignLCFWindowed(threshold, network.SatDCOptions{
-			MaxConflicts: r.opt.Budget.MaxConflicts,
+		rep, err := c.ReassignLCFWindowed(r.n.Threshold, network.SatDCOptions{
+			MaxConflicts: r.n.MaxConflicts,
 			Interrupt:    r.interruptBool,
 		})
 		if rep != nil {
@@ -179,7 +155,7 @@ func (r *runner) runExtract(nw *network.Network, threshold float64, jr *NetworkJ
 	}
 	serr := r.attempt(StageExtract, "extract/exhaustive", func() error {
 		c := nw.Clone()
-		assigned, err := c.ReassignLCF(threshold)
+		assigned, err := c.ReassignLCF(r.n.Threshold, r.interrupt)
 		if err != nil {
 			return err
 		}

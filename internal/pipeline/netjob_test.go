@@ -115,9 +115,8 @@ func TestRunNetworkJobWindowed(t *testing.T) {
 // A starved conflict budget on a network above the dense ceiling is a
 // budget failure of the windowed rung: there is no rung to degrade to.
 func TestRunNetworkJobWindowedBudget(t *testing.T) {
-	opt := Options{Budget: Budget{MaxConflicts: 1}}
-	res, err := RunNetworkJobOpt(context.Background(), bigNetwork(t),
-		JobOptions{Method: "lcf", Threshold: 0.55}, opt)
+	res, err := RunNetworkJob(context.Background(), bigNetwork(t),
+		JobOptions{Method: "lcf", Threshold: 0.55, MaxConflicts: 1})
 	var se *StageError
 	if !errors.As(err, &se) || se.Attempt != "extract/windowed-sat" ||
 		se.Reason != ReasonBudget || !errors.Is(err, sat.ErrBudget) {
@@ -142,14 +141,14 @@ func TestRunNetworkJobExhaustiveDegrades(t *testing.T) {
 		t.Run(string(tc.reason), func(t *testing.T) {
 			nw := netTestNetwork(t)
 			want := nw.POFunction()
-			opt := Options{Inject: func(point string) error {
+			h := Hooks{Inject: func(point string) error {
 				if point == "extract/exhaustive" {
 					return tc.inject()
 				}
 				return nil
 			}}
 			jo := JobOptions{Method: "lcf", Threshold: 0.55}
-			res, err := RunNetworkJobOpt(context.Background(), nw, jo, opt)
+			res, err := runNetworkJob(context.Background(), nw, jo, h)
 			if err != nil {
 				t.Fatalf("ladder did not absorb the failure: %v", err)
 			}
@@ -163,8 +162,8 @@ func TestRunNetworkJobExhaustiveDegrades(t *testing.T) {
 				t.Fatalf("fallback result wrong: %+v", res)
 			}
 
-			opt.Strict = true
-			res, err = RunNetworkJobOpt(context.Background(), nw, jo, opt)
+			jo.Strict = true
+			res, err = runNetworkJob(context.Background(), nw, jo, h)
 			var se *StageError
 			if !errors.As(err, &se) || se.Attempt != "extract/exhaustive" || se.Reason != tc.reason {
 				t.Fatalf("strict: want a %s StageError at extract/exhaustive, got %v", tc.reason, err)

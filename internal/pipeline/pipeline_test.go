@@ -11,6 +11,7 @@ import (
 
 	"relsyn/internal/benchmarks"
 	"relsyn/internal/chaos"
+	"relsyn/internal/network"
 	"relsyn/internal/pipeline"
 	"relsyn/internal/reliability"
 	"relsyn/internal/synth"
@@ -26,11 +27,8 @@ func load(t *testing.T, name string) *tt.Function {
 	return f
 }
 
-func baseOptions() pipeline.Options {
-	return pipeline.Options{
-		Assign: pipeline.AssignSpec{Method: pipeline.MethodLCF, Threshold: 0.55},
-		Synth:  synth.Options{Flow: synth.FlowResyn},
-	}
+func baseOptions() pipeline.JobOptions {
+	return pipeline.JobOptions{Method: "lcf", Threshold: 0.55, Objective: "delay", Flow: "resyn"}
 }
 
 // checkConsistent asserts that the pipeline's implementation respects the
@@ -53,7 +51,7 @@ func checkConsistent(t *testing.T, spec *tt.Function, res *pipeline.Result) {
 
 func TestRunHappyPath(t *testing.T) {
 	spec := load(t, "bench")
-	res, err := pipeline.Run(context.Background(), spec, baseOptions())
+	res, err := pipeline.Run(context.Background(), spec, baseOptions(), pipeline.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,18 +72,18 @@ func TestRunHappyPath(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	spec := load(t, "bench")
-	cases := []pipeline.Options{
-		{Assign: pipeline.AssignSpec{Method: pipeline.MethodRanking, Fraction: 1.5}},
-		{Assign: pipeline.AssignSpec{Method: pipeline.MethodLCF, Threshold: 0}},
-		{Assign: pipeline.AssignSpec{Method: pipeline.MethodLCF, Threshold: 1}},
-		{Assign: pipeline.AssignSpec{Method: "bogus"}},
+	cases := []pipeline.JobOptions{
+		{Method: "rank", Fraction: 1.5},
+		{Method: "lcf", Threshold: 0},
+		{Method: "lcf", Threshold: 1},
+		{Method: "bogus"},
 	}
-	for i, opt := range cases {
-		if _, err := pipeline.Run(context.Background(), spec, opt); err == nil {
+	for i, jo := range cases {
+		if _, err := pipeline.Run(context.Background(), spec, jo, pipeline.Hooks{}); err == nil {
 			t.Fatalf("case %d: invalid options accepted", i)
 		}
 	}
-	if _, err := pipeline.Run(context.Background(), nil, pipeline.Options{}); err == nil {
+	if _, err := pipeline.Run(context.Background(), nil, pipeline.JobOptions{}, pipeline.Hooks{}); err == nil {
 		t.Fatal("nil function accepted")
 	}
 }
@@ -147,9 +145,7 @@ func TestInjectionSweep(t *testing.T) {
 					forcer := chaos.New(topo.forcer, chaos.Budget)
 					hook = chaos.Chain(forcer.Hook, h.Hook)
 				}
-				opt := baseOptions()
-				opt.Inject = hook
-				res, err := pipeline.Run(ctx, spec, opt)
+				res, err := pipeline.Run(ctx, spec, baseOptions(), pipeline.Hooks{Inject: hook})
 				if !h.Fired() {
 					t.Fatalf("injection at %s never fired", c.Point)
 				}
@@ -183,9 +179,8 @@ func TestInjectionSweep(t *testing.T) {
 				c := chaos.Case{Point: point, Kind: kind}
 				t.Run(bench+"/"+c.String(), func(t *testing.T) {
 					h := chaos.New(c.Point, c.Kind)
-					opt := baseOptions()
-					opt.Inject = h.Hook
-					res, err := pipeline.Run(h.Bind(context.Background()), spec, opt)
+					res, err := pipeline.Run(h.Bind(context.Background()), spec,
+						baseOptions(), pipeline.Hooks{Inject: h.Hook})
 					if h.Fired() {
 						t.Fatalf("retired point %s was reached", c.Point)
 					}
@@ -238,22 +233,20 @@ func assertStageError(t *testing.T, err error, attempt string, reason pipeline.R
 	}
 }
 
-// TestStrictDisablesDegradation checks that Options.Strict turns the
+// TestStrictDisablesDegradation checks that JobOptions.Strict turns the
 // first recoverable failure into a terminal StageError.
 func TestStrictDisablesDegradation(t *testing.T) {
 	spec := load(t, "bench")
 	h := chaos.New("synth/resyn", chaos.Panic)
-	opt := baseOptions()
-	opt.Strict = true
-	opt.Inject = h.Hook
-	_, err := pipeline.Run(context.Background(), spec, opt)
+	jo := baseOptions()
+	jo.Strict = true
+	_, err := pipeline.Run(context.Background(), spec, jo, pipeline.Hooks{Inject: h.Hook})
 	assertStageError(t, err, "synth/resyn", pipeline.ReasonPanic)
 
 	// The same fault degrades to synth/sop without Strict.
 	h2 := chaos.New("synth/resyn", chaos.Panic)
-	opt.Strict = false
-	opt.Inject = h2.Hook
-	res, err := pipeline.Run(context.Background(), spec, opt)
+	jo.Strict = false
+	res, err := pipeline.Run(context.Background(), spec, jo, pipeline.Hooks{Inject: h2.Hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +259,10 @@ func TestStrictDisablesDegradation(t *testing.T) {
 // budget StageError wrapping synth.ErrAIGBudget.
 func TestAIGBudget(t *testing.T) {
 	spec := load(t, "bench")
-	opt := baseOptions()
-	opt.Synth.Flow = synth.FlowSOP
-	opt.Budget.MaxAIGNodes = 2
-	_, err := pipeline.Run(context.Background(), spec, opt)
+	jo := baseOptions()
+	jo.Flow = "sop"
+	jo.MaxAIGNodes = 2
+	_, err := pipeline.Run(context.Background(), spec, jo, pipeline.Hooks{})
 	assertStageError(t, err, "synth/sop", pipeline.ReasonBudget)
 	if !errors.Is(err, synth.ErrAIGBudget) {
 		t.Fatalf("want ErrAIGBudget, got %v", err)
@@ -330,7 +323,8 @@ func TestWideSpecHonoursDeadline(t *testing.T) {
 		mustCancel bool
 	}{{50 * time.Millisecond, true}, {200 * time.Millisecond, true}, {time.Second, false}, {0, false}} {
 		start := time.Now()
-		res, err := pipeline.Run(context.Background(), f, pipeline.Options{Budget: pipeline.Budget{Timeout: tc.timeout}})
+		res, err := pipeline.Run(context.Background(), f,
+			pipeline.JobOptions{Objective: "delay", TimeoutMs: tc.timeout.Milliseconds()}, pipeline.Hooks{})
 		elapsed := time.Since(start)
 		if err == nil && !tc.mustCancel {
 			if !res.Verified {
@@ -363,10 +357,10 @@ func TestDeadlineReturnsPromptly(t *testing.T) {
 	for _, spec := range benchmarks.Specs() {
 		f := load(t, spec.Name)
 		for _, d := range timeouts {
-			opt := baseOptions()
-			opt.Budget.Timeout = d
+			jo := baseOptions()
+			jo.TimeoutMs = d.Milliseconds()
 			start := time.Now()
-			res, err := pipeline.Run(context.Background(), f, opt)
+			res, err := pipeline.Run(context.Background(), f, jo, pipeline.Hooks{})
 			elapsed := time.Since(start)
 			if over := elapsed - d; err != nil && over > latencySlack {
 				t.Errorf("%s timeout=%v: returned %v past the deadline (limit %v)",
@@ -387,12 +381,43 @@ func TestDeadlineReturnsPromptly(t *testing.T) {
 	}
 }
 
+// TestNetworkJobHonoursDeadline runs the exhaustive network engine on
+// suite circuits decomposed at k=4 under a 50 ms budget. Unbounded, the
+// three take from a few hundred milliseconds to seconds; each must come
+// back within latencySlack of the deadline as a cancel StageError of the
+// exhaustive rung, with no fallback to the windowed engine.
+func TestNetworkJobHonoursDeadline(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	for _, name := range []string{"t4", "random3", "ex1010"} {
+		syn, err := synth.Synthesize(load(t, name), synth.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := network.FromAIG(syn.Graph, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, err := pipeline.RunNetworkJob(context.Background(), nw, pipeline.JobOptions{
+			Method: "lcf", Threshold: 0.55, TimeoutMs: timeout.Milliseconds()})
+		elapsed := time.Since(start)
+		assertStageError(t, err, "extract/exhaustive", pipeline.ReasonCancel)
+		if res == nil || res.Network != nil || res.DCMode != "" || len(res.Fallbacks) != 0 {
+			t.Fatalf("%s: partial result wrong: %+v", name, res)
+		}
+		if over := elapsed - timeout; over > latencySlack {
+			t.Fatalf("%s: returned %v past the deadline (limit %v)", name, over, latencySlack)
+		}
+		t.Logf("%s: %d nodes, cancelled after %v", name, nw.NumNodes(), elapsed)
+	}
+}
+
 // TestCancelBeforeStart covers immediate cancellation.
 func TestCancelBeforeStart(t *testing.T) {
 	spec := load(t, "bench")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := pipeline.Run(ctx, spec, baseOptions())
+	_, err := pipeline.Run(ctx, spec, baseOptions(), pipeline.Hooks{})
 	var serr *pipeline.StageError
 	if !errors.As(err, &serr) || serr.Reason != pipeline.ReasonCancel {
 		t.Fatalf("want cancel StageError, got %v", err)
@@ -402,19 +427,18 @@ func TestCancelBeforeStart(t *testing.T) {
 // TestMethodsAndFlows exercises the full option matrix end to end.
 func TestMethodsAndFlows(t *testing.T) {
 	spec := load(t, "fout")
-	methods := []pipeline.AssignSpec{
-		{Method: pipeline.MethodNone},
-		{Method: pipeline.MethodRanking, Fraction: 0.5},
-		{Method: pipeline.MethodRanking, Fraction: 0.5, AssignTies: true},
-		{Method: pipeline.MethodLCF, Threshold: 0.55},
-		{Method: pipeline.MethodComplete},
+	methods := []pipeline.JobOptions{
+		{Method: "none"},
+		{Method: "rank", Fraction: 0.5},
+		{Method: "rank", Fraction: 0.5, AssignTies: true},
+		{Method: "lcf", Threshold: 0.55},
+		{Method: "complete"},
 	}
 	for _, m := range methods {
-		for _, flow := range []synth.Flow{synth.FlowSOP, synth.FlowResyn} {
-			res, err := pipeline.Run(context.Background(), spec, pipeline.Options{
-				Assign: m,
-				Synth:  synth.Options{Flow: flow},
-			})
+		for _, flow := range []string{"sop", "resyn"} {
+			jo := m
+			jo.Objective, jo.Flow = "delay", flow
+			res, err := pipeline.Run(context.Background(), spec, jo, pipeline.Hooks{})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", m.Method, flow, err)
 			}
@@ -431,17 +455,15 @@ func TestMethodsAndFlows(t *testing.T) {
 // paper's reliability win over conventional synthesis.
 func TestDegradedResultStillImprovesReliability(t *testing.T) {
 	spec := load(t, "bench")
-	conv, err := pipeline.Run(context.Background(), spec, pipeline.Options{
-		Synth: synth.Options{Flow: synth.FlowSOP},
-	})
+	conv, err := pipeline.Run(context.Background(), spec,
+		pipeline.JobOptions{Objective: "delay"}, pipeline.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hResyn := chaos.New("synth/resyn", chaos.Budget)
-	opt := baseOptions()
-	opt.Assign = pipeline.AssignSpec{Method: pipeline.MethodComplete}
-	opt.Inject = hResyn.Hook
-	rel, err := pipeline.Run(context.Background(), spec, opt)
+	jo := baseOptions()
+	jo.Method = "complete"
+	rel, err := pipeline.Run(context.Background(), spec, jo, pipeline.Hooks{Inject: hResyn.Hook})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,8 @@ func synthesizedJob(t testing.TB, name string) (f, fa *tt.Function, res *Result)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := JobOptions{Method: JobMethodRank, Fraction: 0.5, SkipVerify: true}.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = Run(context.Background(), f, opt)
+	res, err = Run(context.Background(), f,
+		JobOptions{Method: JobMethodRank, Fraction: 0.5, SkipVerify: true}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ type Backend func(ctx context.Context, f *tt.Function, opt pipeline.JobOptions) 
 
 // ResynBackend executes one network-reassignment job (POST /v1/resyn).
 // The default is pipeline.RunNetworkJob; relsynd substitutes a wrapper
-// that fills server-wide DC-mode and budget defaults.
+// that fills the server-wide SAT conflict budget.
 type ResynBackend func(ctx context.Context, nw *network.Network, opt pipeline.JobOptions) (*pipeline.NetworkJobResult, error)
 
 // Config sizes the service.
@@ -71,12 +71,10 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds the job queue (default 256).
 	QueueDepth int
-	// CacheSize bounds the result cache in entries (default 512; 0 with
-	// DisableCache set disables caching).
+	// CacheSize bounds the result cache in entries (default 512 when 0
+	// or negative). The cache cannot change an answer, so it has no off
+	// switch.
 	CacheSize int
-	// DisableCache turns the result cache off even if CacheSize is 0
-	// (meaning "default") elsewhere.
-	DisableCache bool
 	// DefaultTimeout is applied to jobs that carry no timeout_ms
 	// (default 30s). It bounds queue wait plus execution.
 	DefaultTimeout time.Duration
@@ -133,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 512
-	}
-	if c.DisableCache {
-		c.CacheSize = 0
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second

@@ -299,44 +299,9 @@ func RunNetworkJob(ctx context.Context, nw *Network, o JobOptions) (*NetworkJobR
 	return pipeline.RunNetworkJob(ctx, nw, o)
 }
 
-// PipelineOptions configures RunPipeline; see pipeline.Options.
-type PipelineOptions = pipeline.Options
-
-// PipelineResult is a (possibly degraded) pipeline run; see
-// pipeline.Result.
-type PipelineResult = pipeline.Result
-
-// PipelineBudget bounds a pipeline run's resources (wall clock, SAT
-// conflicts of network jobs, AIG nodes); see pipeline.Budget.
-type PipelineBudget = pipeline.Budget
-
-// PipelineAssign configures the pipeline's assignment stage.
-type PipelineAssign = pipeline.AssignSpec
-
-// StageError is the typed failure RunPipeline returns instead of
-// panicking or hanging; see pipeline.StageError.
+// StageError is the typed failure RunJob and RunNetworkJob return
+// instead of panicking or hanging; see pipeline.StageError.
 type StageError = pipeline.StageError
-
-// Fallback records one degradation-ladder step a pipeline run took.
-type Fallback = pipeline.Fallback
-
-// Assignment-method selectors for PipelineAssign.Method.
-const (
-	MethodNone     = pipeline.MethodNone
-	MethodRanking  = pipeline.MethodRanking
-	MethodLCF      = pipeline.MethodLCF
-	MethodComplete = pipeline.MethodComplete
-)
-
-// RunPipeline executes assignment, synthesis, and verification (an
-// exhaustive simulation of the mapped netlist) on f as a fault-tolerant
-// staged job: panics become typed *StageError values, resource budgets
-// bound the effort, and budget exhaustion degrades along an explicit
-// ladder (resyn flow → sop) instead of failing.
-// See internal/pipeline.
-func RunPipeline(ctx context.Context, f *Function, opt PipelineOptions) (*PipelineResult, error) {
-	return pipeline.Run(ctx, f, opt)
-}
 
 // JobOptions is the flat, JSON-serializable job configuration shared by
 // the relsynd service, the relsyn CLI, and library callers; see
