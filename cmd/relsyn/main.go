@@ -7,7 +7,7 @@
 //	relsyn stats  [-in spec.pla]
 //	relsyn assign [-in spec.pla] [-out out.pla] -method rank|lcf|complete \
 //	              [-fraction 0.5] [-threshold 0.55]
-//	relsyn synth  [-in spec.pla] [-objective delay|power|area] [-flow sop|resyn]
+//	relsyn synth  [-in spec.pla] [-objective delay|power] [-flow sop|resyn]
 //
 // A benchmark name from the built-in suite (e.g. "ex1010") may be given
 // via -bench instead of -in.
@@ -108,7 +108,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   relsyn stats  [-in spec.pla | -bench name]
   relsyn assign [-in spec.pla | -bench name] [-out out.pla] -method rank|lcf|complete [-fraction F] [-threshold T]
-  relsyn synth  [-in spec.pla | -bench name] [-objective delay|power|area] [-flow sop|resyn]
+  relsyn synth  [-in spec.pla | -bench name] [-objective delay|power] [-flow sop|resyn]
                 [-method none|rank|lcf|complete] [-fraction F] [-threshold T]
                 [-timeout D] [-max-aig-nodes N] [-strict] [-j N] [-json] [-trace]
   relsyn verilog [-in spec.pla | -bench name] [-module name] [-out file.v]
@@ -288,7 +288,7 @@ type synthEnvelope struct {
 func runSynth(args []string) error {
 	fs := flag.NewFlagSet("synth", flag.ExitOnError)
 	in, bench := inputFlags(fs)
-	objective := fs.String("objective", "power", "optimization objective: delay, power, or area")
+	objective := fs.String("objective", "power", "optimization objective: delay or power")
 	flow := fs.String("flow", "sop", "synthesis flow: sop or resyn")
 	method := fs.String("method", "none", "DC assignment before synthesis: none, rank, lcf, or complete")
 	fraction := fs.Float64("fraction", 0.5, "fraction of ranked DCs to assign (rank)")
@@ -317,7 +317,7 @@ func runSynth(args []string) error {
 		return usagef("unknown method %q", *method)
 	}
 	switch *objective {
-	case "delay", "power", "area":
+	case "delay", "power":
 	default:
 		return usagef("unknown objective %q", *objective)
 	}
@@ -594,7 +594,7 @@ func runVerilog(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := relsyn.Synthesize(f, relsyn.SynthOptions{Objective: relsyn.OptimizeArea})
+	res, err := relsyn.Synthesize(f, relsyn.SynthOptions{Objective: relsyn.OptimizePower})
 	if err != nil {
 		return err
 	}

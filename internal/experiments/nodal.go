@@ -30,7 +30,7 @@ type NodalRow struct {
 const NodalK = 5
 
 // Nodal runs the extension on the named benchmarks (small suite members
-// by default — DC extraction is exact and O(nodes²·2^n)).
+// by default — DC extraction is exact, simulating all 2^n minterms).
 func Nodal(names []string, threshold float64) ([]NodalRow, error) {
 	if len(names) == 0 {
 		names = []string{"bench", "fout", "p3"}

@@ -5,6 +5,10 @@
 // those internal DCs with the complexity-factor-based algorithm to
 // increase logical masking of errors *inside* the circuit.
 //
+// Its one simulation core works over the primary-input space, 64
+// minterms per word: simulate builds one node's table, and propagate
+// re-simulates only the later nodes that read a changed signal.
+//
 // A node's satisfiability DCs (SDCs) are local input patterns that never
 // occur in fault-free operation; its observability DCs (ODCs) are primary
 // input minterms where the node's value does not affect any primary
@@ -17,6 +21,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"relsyn/internal/aig"
@@ -298,32 +303,71 @@ func (nw *Network) signalTables(poll func() error) ([]*bitset.Set, error) {
 	for i := 0; i < nw.NumPI; i++ {
 		tabs[i] = bitset.VarPattern(size, i)
 	}
-	for ni, nd := range nw.Nodes {
-		if poll != nil {
-			if err := poll(); err != nil {
-				return nil, err
-			}
+	for ni := range nw.Nodes {
+		if err := nw.simulateNode(tabs, ni, poll); err != nil {
+			return nil, err
 		}
-		out := bitset.New(size)
-		for m := 0; m < size; m++ {
-			if nd.Table.Test(nw.localRow(tabs, nd, m)) {
-				out.Set(m)
-			}
-		}
-		tabs[nw.NumPI+ni] = out
 	}
 	return tabs, nil
 }
 
-// localRow extracts node nd's local input pattern at PI minterm m.
-func (nw *Network) localRow(tabs []*bitset.Set, nd Node, m int) int {
-	row := 0
-	for j, f := range nd.Fanins {
-		if tabs[f].Test(m) {
-			row |= 1 << uint(j)
+// simulateNode runs poll (nil = never), then rebuilds node ni's table in
+// tabs from its fanins' tables.
+func (nw *Network) simulateNode(tabs []*bitset.Set, ni int, poll func() error) error {
+	if poll != nil {
+		if err := poll(); err != nil {
+			return err
 		}
 	}
-	return row
+	nd := nw.Nodes[ni]
+	tabs[nw.NumPI+ni] = nw.simulate(nd.Table.Words()[0], nd.Fanins, tabs)
+	return nil
+}
+
+// simulate returns, over the PI space, the table of a node with local
+// truth table tbl whose fanins carry the tables tabs[fanins[j]]: the OR,
+// over tbl's on-rows r, of the AND of each fanin's words (bit j of r
+// set) or their complements, 64 minterms per word.
+func (nw *Network) simulate(tbl uint64, fanins []int, tabs []*bitset.Set) *bitset.Set {
+	out := bitset.New(1 << uint(nw.NumPI))
+	var in [MaxFanins][]uint64
+	for j, f := range fanins {
+		in[j] = tabs[f].Words()
+	}
+	for w := range out.Words() {
+		var acc uint64
+		for rows := tbl; rows != 0; rows &= rows - 1 {
+			r := bits.TrailingZeros64(rows)
+			term := ^uint64(0)
+			for j := range fanins { // complemented where bit j of r is 0
+				term &= in[j][w] ^ (uint64(r>>uint(j)&1) - 1)
+			}
+			acc |= term
+		}
+		out.Words()[w] = acc
+	}
+	out.Trim() // complemented words set the rows past 2^NumPI
+	return out
+}
+
+// propagate re-simulates, in topological order, the nodes after ni that
+// read a changed signal, node ni's own table in tabs having just been
+// replaced. A re-simulated node whose table is unchanged stops the
+// change there. poll (nil = never) runs before each re-simulation.
+func (nw *Network) propagate(tabs []*bitset.Set, ni int, poll func() error) error {
+	changed := make([]bool, len(tabs))
+	changed[nw.NumPI+ni] = true
+	for nj := ni + 1; nj < len(nw.Nodes); nj++ {
+		if !slices.ContainsFunc(nw.Nodes[nj].Fanins, func(f int) bool { return changed[f] }) {
+			continue
+		}
+		s, old := nw.NumPI+nj, tabs[nw.NumPI+nj]
+		if err := nw.simulateNode(tabs, nj, poll); err != nil {
+			return err
+		}
+		changed[s] = !tabs[s].Equal(old)
+	}
+	return nil
 }
 
 // Eval evaluates all POs on one PI minterm.
@@ -373,43 +417,12 @@ func (nw *Network) POFunction() *tt.Function {
 // complementing the node's output leaves every PO unchanged. poll
 // (nil = never) runs before each downstream node's resimulation.
 func (nw *Network) odcMask(tabs []*bitset.Set, ni int, poll func() error) (*bitset.Set, error) {
-	size := 1 << uint(nw.NumPI)
-	// Resimulate downstream with node ni complemented.
-	alt := make([]*bitset.Set, len(tabs))
-	copy(alt, tabs)
+	alt := slices.Clone(tabs)
 	alt[nw.NumPI+ni] = tabs[nw.NumPI+ni].Complement()
-	for nj := ni + 1; nj < len(nw.Nodes); nj++ {
-		nd := nw.Nodes[nj]
-		changed := false
-		for _, f := range nd.Fanins {
-			if !alt[f].Equal(tabs[f]) {
-				changed = true
-				break
-			}
-		}
-		if !changed {
-			continue
-		}
-		if poll != nil {
-			if err := poll(); err != nil {
-				return nil, err
-			}
-		}
-		out := bitset.New(size)
-		for m := 0; m < size; m++ {
-			row := 0
-			for j, f := range nd.Fanins {
-				if alt[f].Test(m) {
-					row |= 1 << uint(j)
-				}
-			}
-			if nd.Table.Test(row) {
-				out.Set(m)
-			}
-		}
-		alt[nj+nw.NumPI] = out
+	if err := nw.propagate(alt, ni, poll); err != nil {
+		return nil, err
 	}
-	diff := bitset.New(size)
+	diff := bitset.New(1 << uint(nw.NumPI))
 	for i, s := range nw.POs {
 		if nw.poConst[i] >= 0 {
 			continue
@@ -430,29 +443,18 @@ func (nw *Network) LocalSpec(ni int) *tt.Function {
 }
 
 // localSpec is LocalSpec on the signal tables tabs, passing poll to
-// odcMask.
+// odcMask. Row r is a DC iff the minterms where it occurs lie inside the
+// ODC mask; none at all makes it an SDC.
 func (nw *Network) localSpec(tabs []*bitset.Set, ni int, poll func() error) (*tt.Function, error) {
 	nd := nw.Nodes[ni]
-	k := nd.NumIn()
-	size := 1 << uint(nw.NumPI)
 	odc, err := nw.odcMask(tabs, ni, poll)
 	if err != nil {
 		return nil, err
 	}
-
-	occurs := make([]bool, 1<<uint(k))
-	sensitive := make([]bool, 1<<uint(k))
-	for m := 0; m < size; m++ {
-		row := nw.localRow(tabs, nd, m)
-		occurs[row] = true
-		if !odc.Test(m) {
-			sensitive[row] = true
-		}
-	}
-	spec := tt.New(k, 1)
-	for row := 0; row < 1<<uint(k); row++ {
+	spec := tt.New(nd.NumIn(), 1)
+	for row := 0; row < spec.Size(); row++ {
 		switch {
-		case !occurs[row] || !sensitive[row]:
+		case nw.simulate(1<<uint(row), nd.Fanins, tabs).SubsetOf(odc):
 			spec.SetPhase(0, row, tt.DC)
 		case nd.Table.Test(row):
 			spec.SetPhase(0, row, tt.On)
@@ -465,19 +467,20 @@ func (nw *Network) localSpec(tabs []*bitset.Set, ni int, poll func() error) (*tt
 // bind those with local complexity factor below threshold to the majority
 // neighbor phase (paper Fig. 7 applied to internal DCs), and complete the
 // rest with espresso minimization (conventional assignment). Nodes are
-// processed in topological order with DCs re-extracted after each change,
-// so the primary-output functions are preserved exactly. It returns the
-// number of DC patterns bound for reliability. poll (nil = never) runs
-// before every node simulation of the DC extraction, many times per
+// processed in topological order with DCs re-extracted after each change
+// (the signal tables are built once, then each rewrite re-simulates its
+// changed fanout), so the primary-output functions are preserved
+// exactly. It returns the number of DC patterns bound for reliability.
+// poll (nil = never) runs before every node simulation, many times per
 // node; a non-nil return stops the rewrite with that error, leaving the
 // nodes already rewritten in place.
 func (nw *Network) ReassignLCF(threshold float64, poll func() error) (int, error) {
+	tabs, err := nw.signalTables(poll)
+	if err != nil {
+		return 0, err
+	}
 	assigned := 0
 	for ni := range nw.Nodes {
-		tabs, err := nw.signalTables(poll)
-		if err != nil {
-			return assigned, err
-		}
 		spec, err := nw.localSpec(tabs, ni, poll)
 		if err != nil {
 			return assigned, err
@@ -488,6 +491,12 @@ func (nw *Network) ReassignLCF(threshold float64, poll func() error) (int, error
 		}
 		assigned += len(res.Assigned)
 		nw.Nodes[ni].Table = completeConventional(res.Func)
+		if err := nw.simulateNode(tabs, ni, poll); err != nil {
+			return assigned, err
+		}
+		if err := nw.propagate(tabs, ni, poll); err != nil {
+			return assigned, err
+		}
 	}
 	return assigned, nil
 }
@@ -496,9 +505,12 @@ func (nw *Network) ReassignLCF(threshold float64, poll func() error) (int, error
 // local function against its internal DCs (conventional assignment only)
 // — the baseline ReassignLCF is compared against.
 func (nw *Network) CompleteConventionalAll() error {
+	tabs := nw.SignalTables()
 	for ni := range nw.Nodes {
-		spec, _ := nw.localSpec(nw.SignalTables(), ni, nil) // nil poll: no error
+		spec, _ := nw.localSpec(tabs, ni, nil) // nil poll: no error
 		nw.Nodes[ni].Table = completeConventional(spec)
+		_ = nw.simulateNode(tabs, ni, nil) // nil poll: no error
+		_ = nw.propagate(tabs, ni, nil)    // nil poll: no error
 	}
 	return nil
 }
@@ -551,15 +563,11 @@ func (nw *Network) InputErrorRate() float64 {
 		odc, _ := nw.odcMask(tabs, ni, nil) // nil poll: no error
 		for b := 0; b < nd.NumIn(); b++ {
 			events += size
-			for m := 0; m < size; m++ {
-				row := nw.localRow(tabs, nd, m)
-				if nd.Table.Test(row) == nd.Table.Test(row^(1<<uint(b))) {
-					continue // masked at the node itself
-				}
-				if !odc.Test(m) {
-					propagating++
-				}
-			}
+			// Rows the node does not mask a flip of fanin b on.
+			flip := nd.Table.ShiftNeighbor(b)
+			flip.InPlaceSymDiff(nd.Table)
+			sens := nw.simulate(flip.Words()[0], nd.Fanins, tabs)
+			propagating += sens.Count() - sens.IntersectionCount(odc)
 		}
 	}
 	return float64(propagating) / float64(events)

@@ -70,7 +70,7 @@ func FuzzJobOptions(f *testing.F) {
 		`{"method": "rank", "fraction": 0.5}`,
 		`{"method": " LCF ", "threshold": 0.55, "fraction": 0.9, "assign_ties": true}`,
 		`{"method": "complete", "assign_ties": true, "objective": "Delay", "flow": "resyn"}`,
-		`{"method": "none", "objective": "area", "strict": true, "skip_verify": true}`,
+		`{"method": "none", "objective": "power", "strict": true, "skip_verify": true}`,
 		`{"method": "lcf", "threshold": 0.5, "max_aig_nodes": 1, "strict": true}`,
 		`{"timeout_ms": 1, "max_conflicts": 3, "parallelism": 4}`,
 		`{"timeout_ms": 9223372036854}`,

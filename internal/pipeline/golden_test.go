@@ -20,8 +20,7 @@ const suiteGoldenPath = "testdata/suite_answers.golden"
 // goldenJobs are the four assignment settings of the Table 1 experiment
 // the suite answers are pinned for, plus LC^f 0.55 under the delay
 // objective and through the resyn flow, so every synthesis path the job
-// options can select is pinned too (the area objective runs the power
-// objective's code).
+// options can select is pinned too.
 var goldenJobs = []struct {
 	label string
 	opts  JobOptions

@@ -40,7 +40,7 @@ type JobOptions struct {
 	Threshold float64 `json:"threshold,omitempty"`
 	// AssignTies forwards core.Options.AssignTies.
 	AssignTies bool `json:"assign_ties,omitempty"`
-	// Objective is "delay", "power", or "area".
+	// Objective is "delay" or "power".
 	Objective string `json:"objective,omitempty"`
 	// Flow is "sop" or "resyn".
 	Flow string `json:"flow,omitempty"`
@@ -127,7 +127,7 @@ func (o JobOptions) Validate() error {
 		return fmt.Errorf("pipeline: unknown job method %q", o.Method)
 	}
 	switch o.Objective {
-	case "delay", "power", "area":
+	case "delay", "power":
 	default:
 		return fmt.Errorf("pipeline: unknown job objective %q", o.Objective)
 	}

@@ -76,7 +76,7 @@ func TestJobOptionsKey(t *testing.T) {
 		{Method: "lcf", Threshold: 0.56},
 		{Method: "lcf", Threshold: 0.55, AssignTies: true},
 		{Method: "rank", Fraction: 0.55},
-		{Method: "lcf", Threshold: 0.55, Objective: "area"},
+		{Method: "lcf", Threshold: 0.55, Objective: "delay"},
 		{Method: "lcf", Threshold: 0.55, Flow: "resyn"},
 		{Method: "lcf", Threshold: 0.55, SkipVerify: true},
 		{Method: "lcf", Threshold: 0.55, Strict: true},
@@ -102,6 +102,7 @@ func TestJobOptionsValidate(t *testing.T) {
 		{Method: "lcf", Threshold: 0},
 		{Method: "lcf", Threshold: 1},
 		{Objective: "speed"},
+		{Objective: "area"},
 		{Flow: "fast"},
 		{TimeoutMs: -1},
 		{TimeoutMs: math.MaxInt64/int64(time.Millisecond) + 1},

@@ -432,11 +432,8 @@ func (r *runner) runSynth(fa *tt.Function) *StageError {
 		MaxAIGNodes: r.n.MaxAIGNodes,
 		Parallelism: r.n.Parallelism,
 	}
-	switch r.n.Objective {
-	case "delay":
+	if r.n.Objective == "delay" {
 		sopt.Objective = synth.OptimizeDelay
-	case "area":
-		sopt.Objective = synth.OptimizeArea
 	}
 	runFlow := func(name string, flow synth.Flow) *StageError {
 		return r.attempt(StageSynth, name, func() error {

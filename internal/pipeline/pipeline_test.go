@@ -382,13 +382,16 @@ func TestDeadlineReturnsPromptly(t *testing.T) {
 }
 
 // TestNetworkJobHonoursDeadline runs the exhaustive network engine on
-// suite circuits decomposed at k=4 under a 50 ms budget. Unbounded, the
-// three take from a few hundred milliseconds to seconds; each must come
-// back within latencySlack of the deadline as a cancel StageError of the
-// exhaustive rung, with no fallback to the windowed engine.
+// random1 and random2 decomposed at k=4, the suite circuits it takes
+// longest on (a few hundred milliseconds each). Under a 50 ms budget each
+// must come back within latencySlack of the deadline as a cancel
+// StageError of the exhaustive rung, with no fallback to the windowed
+// engine. Under relsynd's default 30 s job timeout each must finish on
+// the exhaustive rung with its primary-output functions unchanged.
 func TestNetworkJobHonoursDeadline(t *testing.T) {
 	const timeout = 50 * time.Millisecond
-	for _, name := range []string{"t4", "random3", "ex1010"} {
+	const relsyndDefault = 30 * time.Second // server.Config.DefaultTimeout
+	for _, name := range []string{"random1", "random2"} {
 		syn, err := synth.Synthesize(load(t, name), synth.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -409,6 +412,20 @@ func TestNetworkJobHonoursDeadline(t *testing.T) {
 			t.Fatalf("%s: returned %v past the deadline (limit %v)", name, over, latencySlack)
 		}
 		t.Logf("%s: %d nodes, cancelled after %v", name, nw.NumNodes(), elapsed)
+
+		start = time.Now()
+		res, err = pipeline.RunNetworkJob(context.Background(), nw, pipeline.JobOptions{
+			Method: "lcf", Threshold: 0.55, TimeoutMs: relsyndDefault.Milliseconds()})
+		if err != nil {
+			t.Fatalf("%s: under the default timeout: %v", name, err)
+		}
+		if res.DCMode != pipeline.JobDCExhaustive || len(res.Fallbacks) != 0 {
+			t.Fatalf("%s: finished on %q with fallbacks %v", name, res.DCMode, res.Fallbacks)
+		}
+		if !res.Network.POFunction().Equal(nw.POFunction()) {
+			t.Fatalf("%s: reassignment changed the primary-output functions", name)
+		}
+		t.Logf("%s: finished in %v", name, time.Since(start))
 	}
 }
 

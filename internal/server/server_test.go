@@ -473,6 +473,7 @@ func TestServerBadRequests(t *testing.T) {
 		{"empty pla", "/v1/synth", `{"pla": ""}`, http.StatusBadRequest},
 		{"malformed pla", "/v1/synth", `{"pla": ".i 2\n.o 1\n11 2x\n.e\n"}`, http.StatusBadRequest},
 		{"bad options", "/v1/synth", `{"pla": ".i 2\n.o 1\n11 1\n.e\n", "options": {"method": "bogus"}}`, http.StatusBadRequest},
+		{"area objective", "/v1/synth", `{"pla": ".i 2\n.o 1\n11 1\n.e\n", "options": {"objective": "area"}}`, http.StatusBadRequest},
 		{"empty batch", "/v1/synth/batch", `{"jobs": []}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -42,18 +42,13 @@ type Objective int
 const (
 	OptimizeDelay Objective = iota
 	OptimizePower
-	OptimizeArea
 )
 
 func (o Objective) String() string {
-	switch o {
-	case OptimizeDelay:
+	if o == OptimizeDelay {
 		return "delay"
-	case OptimizePower:
-		return "power"
-	default:
-		return "area"
 	}
+	return "power"
 }
 
 // Flow selects the restructuring recipe.

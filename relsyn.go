@@ -227,7 +227,6 @@ type SynthResult = synth.Result
 const (
 	OptimizeDelay = synth.OptimizeDelay
 	OptimizePower = synth.OptimizePower
-	OptimizeArea  = synth.OptimizeArea
 	FlowSOP       = synth.FlowSOP
 	FlowResyn     = synth.FlowResyn
 )
