@@ -9,18 +9,17 @@ import (
 )
 
 // denseCtx holds the fixed on/off sets of one minimization run over
-// n ≤ tt.MaxInputs inputs (2^16 minterms × an int32 counter per minterm
-// keeps the working set in cache). The engine works in cube space: a
-// cube is never materialized as a 2^n-bit set. Every test and count
-// walks only the words the cube touches (cube.Span) — one in-word
-// minterm mask for variables 0..5, the word indices enumerated over the
-// cube's free variables above them.
+// n ≤ tt.MaxInputs inputs. The engine works in cube space: a cube is
+// never materialized as a 2^n-bit set. Every test and count walks only
+// the words the cube touches (cube.Span) — one in-word minterm mask for
+// variables 0..5, the word indices enumerated over the cube's free
+// variables above them — and handles 64 minterms per word operation.
 type denseCtx struct {
 	n       int
 	on      []uint64 // words of the on-set
 	off     []uint64 // words of the off-set (complement of on ∪ dc)
 	covered []uint64 // expand's running union of primes
-	counts  []int32  // per-minterm coverage counts
+	counts  counters // per-minterm coverage counts
 	poll    func() error
 }
 
@@ -30,28 +29,58 @@ func newDenseCtx(n int, on, off *bitset.Set, poll func() error) *denseCtx {
 		on:      on.Words(),
 		off:     off.Words(),
 		covered: make([]uint64, len(off.Words())),
-		counts:  make([]int32, 1<<uint(n)),
 		poll:    poll,
 	}
 }
 
-// offCount returns how many off-set minterms c covers.
-func (ctx *denseCtx) offCount(c cube.Cube) int {
-	total := 0
-	for i, mask := range cube.Words(c.Span()) {
-		total += bits.OnesCount64(ctx.off[i] & mask)
-	}
-	return total
+// counters holds a count per minterm of a 2^n-minterm space, bit-sliced:
+// word i's counts are the planes w[i*planes : (i+1)*planes], plane p
+// holding bit p of the count of each of the word's 64 minterms. Adding
+// or removing a cube is a ripple-carry add or subtract of its in-word
+// mask on each word it touches.
+type counters struct {
+	planes int
+	w      []uint64
 }
 
-// hitsOff reports whether c covers an off-set minterm.
-func (ctx *denseCtx) hitsOff(c cube.Cube) bool {
-	for i, mask := range cube.Words(c.Span()) {
-		if ctx.off[i]&mask != 0 {
-			return true
-		}
+// reset zeroes the counts of the first words words, with planes enough
+// for counts up to top.
+func (k *counters) reset(words, top int) {
+	k.planes = bits.Len(uint(top))
+	k.w = slices.Grow(k.w[:0], words*k.planes)[:words*k.planes]
+	clear(k.w)
+}
+
+// add adds 1 to the count of every minterm of mask in word i.
+func (k *counters) add(i int, mask uint64) {
+	for p := i * k.planes; mask != 0; p++ {
+		carry := k.w[p] & mask
+		k.w[p] ^= mask
+		mask = carry
 	}
-	return false
+}
+
+// sub subtracts 1 from the count of every minterm of mask in word i;
+// each of those counts must be positive.
+func (k *counters) sub(i int, mask uint64) {
+	for p := i * k.planes; mask != 0; p++ {
+		borrow := mask &^ k.w[p]
+		k.w[p] ^= mask
+		mask = borrow
+	}
+}
+
+// once returns the minterms of word i whose count is exactly 1.
+func (k *counters) once(i int) uint64 {
+	if k.planes == 0 {
+		return 0
+	}
+	pl := k.w[i*k.planes : (i+1)*k.planes]
+	var more uint64
+	for _, x := range pl[1:] {
+		more |= x
+	}
+	return pl[0] &^ more
 }
 
 // isCovered reports whether every minterm of c is in ctx.covered.
@@ -91,13 +120,44 @@ func (ctx *denseCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 		if ctx.isCovered(c) {
 			continue
 		}
-		p := ctx.expandCube(c, variant)
-		out.Add(p)
-		for i, mask := range cube.Words(p.Span()) {
-			ctx.covered[i] |= mask
+		ctx.emit(out, ctx.expandCube(c, variant))
+	}
+	return out
+}
+
+// expandOnSet is expand(f, 0) for f the on-set's minterm cubes, without
+// building f: Cover.Sort puts fully bound cubes in ascending
+// bit-reversed minterm order (variable 0 decides first, Zero before
+// One), so the minterms are visited in that order straight off the
+// on-set words.
+func (ctx *denseCtx) expandOnSet() *cube.Cover {
+	out := cube.NewCover(ctx.n)
+	clear(ctx.covered)
+	// Minterm m is visited at r = reverse_n(m): r's top min(n,6) bits,
+	// reversed, are m's bit within its word and r's other bits, reversed,
+	// its word index, so counting r up varies the word fastest.
+	low := min(ctx.n, 6)
+	high := ctx.n - low
+	for t := uint32(0); t < 1<<low; t++ {
+		b := bits.Reverse32(t) >> (32 - low)
+		for s := uint32(0); s < 1<<high; s++ {
+			i := bits.Reverse32(s) >> (32 - high) // 0 when high = 0
+			if (ctx.on[i]&^ctx.covered[i])>>b&1 == 0 {
+				continue
+			}
+			check(ctx.poll)
+			ctx.emit(out, ctx.expandCube(cube.FromMinterm(ctx.n, uint(i<<6|b)), 0))
 		}
 	}
 	return out
+}
+
+// emit appends prime p to out and marks its minterms covered.
+func (ctx *denseCtx) emit(out *cube.Cover, p cube.Cube) {
+	out.Add(p)
+	for i, mask := range cube.Words(p.Span()) {
+		ctx.covered[i] |= mask
+	}
 }
 
 // expandCube greedily raises literals, preferring variables whose raise
@@ -106,24 +166,81 @@ func (ctx *denseCtx) expand(f *cube.Cover, variant int) *cube.Cover {
 // ties toward the highest variable index instead of the lowest. Each
 // attempt is one integer key, the exposure count above the tie-break
 // index, so the order is a plain integer sort.
+//
+// c covers no off-set minterm (it lies in a prime or in the on-set), so
+// the raise of a bound variable v exposes exactly the off-set minterms
+// of flip(c, v), the cube with v's literal complemented: all exposure
+// counts come from one walk over c's words, and each raise is tested on
+// that flipped half alone. Flipping v < 6 shifts the in-word mask by
+// 2^v; flipping v ≥ 6 moves to the word index with bit v-6 toggled.
 func (ctx *denseCtx) expandCube(c cube.Cube, variant int) cube.Cube {
 	const tieBits = 5 // a variable index < cube.MaxVars
+	mask, base, free := c.Span()
+	ones, zeros := c.Masks()
+	lowBound, highBound := (ones|zeros)&63, (ones|zeros)>>6
+	// flip[v] is the in-word mask of flip(c, v) for a bound v < 6.
+	var flip [6]uint64
+	for b := lowBound; b != 0; b &= b - 1 {
+		v := bits.TrailingZeros32(b)
+		flip[v] = flipLow(mask, v, ones)
+	}
+	var exposed [cube.MaxVars]uint32
+	for i, m := range cube.Words(mask, base, free) {
+		o := ctx.off[i]
+		for b := lowBound; b != 0; b &= b - 1 {
+			v := bits.TrailingZeros32(b)
+			exposed[v] += uint32(bits.OnesCount64(o & flip[v]))
+		}
+		for b := highBound; b != 0; b &= b - 1 {
+			j := bits.TrailingZeros32(b)
+			exposed[6+j] += uint32(bits.OnesCount64(ctx.off[i^1<<j] & m))
+		}
+	}
 	var buf [cube.MaxVars]uint32
 	keys := buf[:0]
-	for v := 0; v < ctx.n; v++ {
-		if c.Val(v) == cube.Full {
-			continue
-		}
-		keys = append(keys, uint32(ctx.offCount(c.SetVal(v, cube.Full)))<<tieBits|tieKey(v, variant))
+	for b := ones | zeros; b != 0; b &= b - 1 {
+		v := bits.TrailingZeros32(b)
+		keys = append(keys, exposed[v]<<tieBits|tieKey(v, variant))
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
 		v := int(tieKey(int(k&(1<<tieBits-1)), variant))
-		if raised := c.SetVal(v, cube.Full); !ctx.hitsOff(raised) {
-			c = raised
+		if v < 6 {
+			fm := flipLow(mask, v, ones)
+			if !ctx.anyOff(fm, base, free, 0) {
+				mask |= fm
+				c = c.SetVal(v, cube.Full)
+			}
+			continue
+		}
+		bit := uint32(1) << uint(v-6)
+		if !ctx.anyOff(mask, base, free, bit) {
+			base &^= bit
+			free |= bit
+			c = c.SetVal(v, cube.Full)
 		}
 	}
 	return c
+}
+
+// flipLow returns the in-word mask of a cube with in-word mask mask
+// after complementing its literal on v < 6 (One iff bit v of ones).
+func flipLow(mask uint64, v int, ones uint32) uint64 {
+	if ones>>uint(v)&1 == 1 {
+		return mask >> (1 << uint(v))
+	}
+	return mask << (1 << uint(v))
+}
+
+// anyOff reports whether the span (mask, base, free), its word indices
+// XORed with toggle, touches an off-set minterm.
+func (ctx *denseCtx) anyOff(mask uint64, base, free, toggle uint32) bool {
+	for i, m := range cube.Words(mask, base, free) {
+		if ctx.off[i^int(toggle)]&m != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // tieKey orders variable v among equal exposure counts: ascending, or
@@ -135,19 +252,13 @@ func tieKey(v, variant int) uint32 {
 	return uint32(v)
 }
 
-// countCoverage sets ctx.counts[m] to how many cubes of f cover m.
+// countCoverage sets ctx.counts to how many cubes of f cover each
+// minterm.
 func (ctx *denseCtx) countCoverage(f *cube.Cover) {
-	clear(ctx.counts)
+	ctx.counts.reset(len(ctx.on), f.Len())
 	for _, c := range f.Cubes {
-		ctx.addCounts(c, 1)
-	}
-}
-
-// addCounts adds d to the count of every minterm of c.
-func (ctx *denseCtx) addCounts(c cube.Cube, d int32) {
-	for i, mask := range cube.Words(c.Span()) {
-		for b := mask; b != 0; b &= b - 1 {
-			ctx.counts[i<<6|bits.TrailingZeros64(b)] += d
+		for i, mask := range cube.Words(c.Span()) {
+			ctx.counts.add(i, mask)
 		}
 	}
 }
@@ -164,7 +275,9 @@ func (ctx *denseCtx) irredundant(f *cube.Cover) *cube.Cover {
 		if ctx.coversUniquely(c) {
 			continue
 		}
-		ctx.addCounts(c, -1)
+		for w, mask := range cube.Words(c.Span()) {
+			ctx.counts.sub(w, mask)
+		}
 		work.Cubes = append(work.Cubes[:i], work.Cubes[i+1:]...)
 	}
 	return work
@@ -174,13 +287,21 @@ func (ctx *denseCtx) irredundant(f *cube.Cover) *cube.Cover {
 // cube covers.
 func (ctx *denseCtx) coversUniquely(c cube.Cube) bool {
 	for i, mask := range cube.Words(c.Span()) {
-		for b := mask & ctx.on[i]; b != 0; b &= b - 1 {
-			if ctx.counts[i<<6|bits.TrailingZeros64(b)] == 1 {
-				return true
-			}
+		if mask&ctx.on[i]&ctx.counts.once(i) != 0 {
+			return true
 		}
 	}
 	return false
+}
+
+// varPats[v] holds the minterms of a 64-minterm word with variable v set.
+var varPats = [6]uint64{
+	0xaaaaaaaaaaaaaaaa,
+	0xcccccccccccccccc,
+	0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00,
+	0xffff0000ffff0000,
+	0xffffffff00000000,
 }
 
 // reduce shrinks each cube to the bounding cube of the on-set minterms
@@ -193,16 +314,27 @@ func (ctx *denseCtx) reduce(f *cube.Cover) *cube.Cover {
 		check(ctx.poll)
 		// The bounding cube of the unique minterms binds variable v to
 		// One where every one has v set (and), to Zero where none has
-		// (or), and leaves it Full otherwise.
+		// (or), and leaves it Full otherwise. A word's minterms share
+		// their high variables, its index; the low six come from the
+		// in-word patterns.
 		and, or, unique := ^0, 0, false
 		for i, mask := range cube.Words(c.Span()) {
-			for b := mask & ctx.on[i]; b != 0; b &= b - 1 {
-				if m := i<<6 | bits.TrailingZeros64(b); ctx.counts[m] == 1 {
-					and &= m
-					or |= m
-					unique = true
+			u := mask & ctx.on[i] & ctx.counts.once(i)
+			if u == 0 {
+				continue
+			}
+			wordAnd, wordOr := i<<6, i<<6
+			for v, pat := range varPats {
+				if u&^pat == 0 {
+					wordAnd |= 1 << uint(v)
+				}
+				if u&pat != 0 {
+					wordOr |= 1 << uint(v)
 				}
 			}
+			and &= wordAnd
+			or |= wordOr
+			unique = true
 		}
 		if !unique {
 			continue // fully redundant; leave for irredundant
@@ -222,9 +354,7 @@ func (ctx *denseCtx) reduce(f *cube.Cover) *cube.Cover {
 			if uint32(i)&^rfree == rbase {
 				mask &^= rmask
 			}
-			for b := mask; b != 0; b &= b - 1 {
-				ctx.counts[i<<6|bits.TrailingZeros64(b)]--
-			}
+			ctx.counts.sub(i, mask)
 		}
 		work.Cubes[ci] = reduced
 	}
@@ -233,8 +363,8 @@ func (ctx *denseCtx) reduce(f *cube.Cover) *cube.Cover {
 
 // minimizeDense is the dense engine for n ≤ tt.MaxInputs: ESPRESSO's
 // improvement loop from the seed cover, against the fixed on/dc/off
-// minterm sets (dc may be nil). poll is checked at cube granularity
-// inside every pass.
+// minterm sets (dc may be nil). A nil seed stands for the on-set's
+// minterm cubes. poll is checked at cube granularity inside every pass.
 func minimizeDense(n int, on, dc *bitset.Set, seed *cube.Cover, poll func() error) *cube.Cover {
 	off := on.Clone()
 	if dc != nil {
@@ -248,7 +378,12 @@ func minimizeDense(n int, on, dc *bitset.Set, seed *cube.Cover, poll func() erro
 		return cube.CoverOf(n, cube.New(n)) // tautology: single universe cube
 	}
 	ctx := newDenseCtx(n, on, off, poll)
-	f := ctx.expand(seed, 0)
+	var f *cube.Cover
+	if seed == nil {
+		f = ctx.expandOnSet()
+	} else {
+		f = ctx.expand(seed, 0)
+	}
 	f = ctx.irredundant(f)
 	best := f
 	bestCost := CostOf(f)
@@ -283,16 +418,6 @@ func minimizeDense(n int, on, dc *bitset.Set, seed *cube.Cover, poll func() erro
 	}
 	best.Sort()
 	return best
-}
-
-// mintermCover returns s as a cover of minterm cubes, ascending.
-func mintermCover(n int, s *bitset.Set) *cube.Cover {
-	cv := cube.NewCover(n)
-	if s != nil {
-		cv.Cubes = make([]cube.Cube, 0, s.Count())
-		s.ForEach(func(m int) { cv.Add(cube.FromMinterm(n, uint(m))) })
-	}
-	return cv
 }
 
 // coverSet returns the minterms of cover f as a set over n inputs.

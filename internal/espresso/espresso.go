@@ -91,7 +91,7 @@ func MinimizeSets(n int, on, dc *bitset.Set, poll func() error) (cov *cube.Cover
 		return cube.NewCover(n), nil
 	}
 	defer recoverInterrupt(poll, &err)
-	return minimizeDense(n, on, dc, mintermCover(n, on), poll), nil
+	return minimizeDense(n, on, dc, nil, poll), nil
 }
 
 // checkWidth refuses functions the dense engine does not admit.

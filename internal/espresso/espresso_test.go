@@ -338,6 +338,8 @@ func containedPair(cv *cube.Cover) (i, j int, ok bool) {
 // cube equal to an earlier prime is skipped as already covered. Pinned
 // for all three raise orders, from minterm seeds and from reduced
 // covers, on seeded functions and on every output of the suite specs.
+// The on-set walk MinimizeSets expands first must equal expand of the
+// minterm seed, cube for cube.
 func TestExpandOutputHasNoContainedPair(t *testing.T) {
 	check := func(name string, n int, on, dc *bitset.Set) {
 		t.Helper()
@@ -351,6 +353,9 @@ func TestExpandOutputHasNoContainedPair(t *testing.T) {
 		}
 		ctx := newDenseCtx(n, on, off, nil)
 		seed := mintermCover(n, on)
+		if got, want := ctx.expandOnSet(), ctx.expand(seed, 0); !sameCover(got, want) {
+			t.Fatalf("%s: on-set walk\n%s\nexpand of the minterm seed\n%s", name, got, want)
+		}
 		reduced := ctx.reduce(ctx.irredundant(ctx.expand(seed, 0)))
 		for variant := 0; variant <= 2; variant++ {
 			for _, in := range []*cube.Cover{seed, reduced} {

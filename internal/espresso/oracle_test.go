@@ -280,6 +280,16 @@ func sameCover(a, b *cube.Cover) bool {
 	return true
 }
 
+// mintermCover returns s as a cover of minterm cubes, ascending.
+func mintermCover(n int, s *bitset.Set) *cube.Cover {
+	cv := cube.NewCover(n)
+	if s != nil {
+		cv.Cubes = make([]cube.Cube, 0, s.Count())
+		s.ForEach(func(m int) { cv.Add(cube.FromMinterm(n, uint(m))) })
+	}
+	return cv
+}
+
 // randomSets draws on and dc minterm sets over n inputs at a random
 // density for each phase.
 func randomSets(rng *rand.Rand, n int) (on, dc *bitset.Set) {
@@ -345,4 +355,138 @@ func TestMinimizeCoversMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d n=%d: got\n%s\nwant\n%s", trial, n, got, want)
 		}
 	}
+}
+
+// countOf reads minterm m's count from the bit-sliced counters.
+func countOf(k *counters, m int) int32 {
+	var c int32
+	for p := 0; p < k.planes; p++ {
+		c |= int32(k.w[(m>>6)*k.planes+p]>>uint(m&63)&1) << uint(p)
+	}
+	return c
+}
+
+// The bit-sliced counters hold exactly the per-minterm int32 counts,
+// and the exactly-once mask, through seeded random sequences of cube
+// additions and removals. One counters value serves every trial, so
+// each reset reuses a buffer sized for another plane count.
+func TestCountersMatchInt32(t *testing.T) {
+	rng := rand.New(rand.NewSource(2901))
+	var k counters
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		pool := randomCover(rng, n, 1+rng.Intn(40)).Cubes
+		if trial%3 == 0 {
+			// Repeats of a few cubes drive counts to the top plane.
+			for i := range pool {
+				pool[i] = pool[rng.Intn(1+i%3)]
+			}
+		}
+		words := (1<<uint(n) + 63) / 64
+		k.reset(words, len(pool))
+		want := make([]int32, 1<<uint(n))
+		in := make([]bool, len(pool))
+		apply := func(c cube.Cube, d int32) {
+			for i, mask := range cube.Words(c.Span()) {
+				if d > 0 {
+					k.add(i, mask)
+				} else {
+					k.sub(i, mask)
+				}
+			}
+			c.Minterms(func(m uint) { want[m] += d })
+		}
+		for op := 0; op < 4*len(pool); op++ {
+			ci := rng.Intn(len(pool))
+			if in[ci] {
+				apply(pool[ci], -1)
+			} else {
+				apply(pool[ci], 1)
+			}
+			in[ci] = !in[ci]
+			for m, w := range want {
+				if got := countOf(&k, m); got != w {
+					t.Fatalf("trial %d n=%d op %d: minterm %d count %d, want %d", trial, n, op, m, got, w)
+				}
+			}
+			for i := 0; i < words; i++ {
+				var once uint64
+				for b := 0; b < 64 && i<<6|b < len(want); b++ {
+					if want[i<<6|b] == 1 {
+						once |= 1 << uint(b)
+					}
+				}
+				if got := k.once(i); got != once {
+					t.Fatalf("trial %d n=%d op %d: word %d once %#x, want %#x", trial, n, op, i, got, once)
+				}
+			}
+		}
+	}
+}
+
+// Above n = 12 the suite never runs the on-set walk's bit-reversed
+// order over more than 64 words: MinimizeSets must still answer exactly
+// as the minterm-cover seed does, on sparse and dense functions.
+func TestMinimizeSetsMatchesMintermSeedWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(2902))
+	for n := 13; n <= 16; n++ {
+		for _, density := range []struct{ on, dc float64 }{{0.01, 0.05}, {0.02, 0.6}, {0.5, 0.1}, {0.3, 0.6}} {
+			size := 1 << uint(n)
+			on, dc := bitset.New(size), bitset.New(size)
+			for m := 0; m < size; m++ {
+				switch r := rng.Float64(); {
+				case r < density.on:
+					on.Set(m)
+				case r < density.on+density.dc:
+					dc.Set(m)
+				}
+			}
+			got, err := MinimizeSets(n, on, dc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := MinimizeInterruptible(mintermCover(n, on), mintermCover(n, dc), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCover(got, want) {
+				t.Fatalf("n=%d on %.2f dc %.2f: MinimizeSets gave %d cubes, minterm seed %d",
+					n, density.on, density.dc, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// FuzzMinimizeSetsOracle decodes an incompletely specified function
+// from the fuzz bytes (a variable count, then two bits per minterm,
+// 1 on and 2 don't-care, the bytes repeating when they run out) and
+// requires MinimizeSets to return the materializing oracle's cover.
+func FuzzMinimizeSetsOracle(f *testing.F) {
+	f.Add([]byte{3, 0x19, 0x64})
+	f.Add([]byte{7, 0x95, 0x21, 0x4a, 0x06, 0x59})
+	f.Add([]byte{9, 0x55, 0x11, 0xa5, 0x49, 0x12, 0x81, 0x66, 0x05, 0x94})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%10
+		data = data[1:]
+		size := 1 << uint(n)
+		on, dc := bitset.New(size), bitset.New(size)
+		for m := 0; m < size; m++ {
+			switch data[m/4%len(data)] >> uint(2*(m%4)) & 3 {
+			case 1:
+				on.Set(m)
+			case 2:
+				dc.Set(m)
+			}
+		}
+		got, err := MinimizeSets(n, on, dc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := minimizeOracle(mintermCover(n, on), mintermCover(n, dc), nil); !sameCover(got, want) {
+			t.Fatalf("n=%d: MinimizeSets\n%s\nwant\n%s", n, got, want)
+		}
+	})
 }

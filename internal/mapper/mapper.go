@@ -239,14 +239,22 @@ func popcount(x int) int {
 
 // cut is a set of at most maxCutLeaves leaves with the root's function
 // over them. It is a value: merging, normalizing, deduplicating and
-// copying cuts never allocates.
+// copying cuts never allocates. sig is the leaves' signature, bit
+// leaf%64 set for every leaf (as in ABC's priority-cut mapper): a merge
+// whose signatures' union has more than maxCutLeaves bits has more than
+// maxCutLeaves leaves, and a cut whose signature is not inside another's
+// is not a subset of it.
 type cut struct {
 	leaves kcut.Leaves // sorted AIG node indices
 	table  uint16
+	sig    uint64
 }
 
 // trivialCut is {i} with the identity function.
-func trivialCut(i int) cut { return cut{leaves: kcut.Of(i), table: 0b10} }
+func trivialCut(i int) cut { return cut{leaves: kcut.Of(i), table: 0b10, sig: leafSig(i)} }
+
+// leafSig is the signature bit of leaf i.
+func leafSig(i int) uint64 { return 1 << uint(i%64) }
 
 // enumerateCuts returns per-node cut sets (trivial cut excluded from the
 // returned matchable sets but used during merging). Every node's cuts
@@ -274,6 +282,10 @@ func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
 		cands = cands[:0]
 		for _, c0 := range all[start[n0]:start[n0+1]] {
 			for _, c1 := range all[start[n1]:start[n1+1]] {
+				sig := c0.sig | c1.sig
+				if bits.OnesCount64(sig) > maxCutLeaves {
+					continue
+				}
 				leaves, ok := kcut.Merge(c0.leaves, c1.leaves, maxCutLeaves)
 				if !ok {
 					continue
@@ -287,7 +299,7 @@ func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
 					t1 = ^t1
 				}
 				table := t0 & t1 & rowMask(leaves.Len())
-				cands = append(cands, normalizeCut(cut{leaves: leaves, table: table}))
+				cands = append(cands, normalizeCut(cut{leaves: leaves, table: table, sig: sig}))
 			}
 		}
 		all = append(filterCuts(cands, all), trivialCut(i))
@@ -368,7 +380,12 @@ func normalizeCut(c cut) cut {
 		}
 		nk++
 	}
-	return cut{leaves: c.leaves.Select(keptMask), table: t & rowMask(nk)}
+	leaves := c.leaves.Select(keptMask)
+	var sig uint64
+	for i := range leaves.Len() {
+		sig |= leafSig(leaves.At(i))
+	}
+	return cut{leaves: leaves, table: t & rowMask(nk), sig: sig}
 }
 
 // dependsOn reports whether a table over k leaves depends on variable
@@ -382,11 +399,13 @@ func dependsOn(t uint16, v, k int) bool {
 // fixed root function) and dominated cuts (strict supersets of another
 // cut), then keeps the best maxCutsPer by kcut.Compare — leaf count, then
 // the printed-order tie-break the golden answers were produced with. cs
-// is reordered in place.
+// is reordered in place. Signatures are compared before leaves: equal
+// leaves have equal signatures, and a subset's signature lies inside
+// its superset's.
 func filterCuts(cs []cut, out []cut) []cut {
 	uniq := cs[:0]
 	for _, c := range cs {
-		if c.leaves.Len() == 0 || slices.ContainsFunc(uniq, func(u cut) bool { return u.leaves == c.leaves }) {
+		if c.leaves.Len() == 0 || slices.ContainsFunc(uniq, func(u cut) bool { return u.sig == c.sig && u.leaves == c.leaves }) {
 			continue
 		}
 		uniq = append(uniq, c)
@@ -395,7 +414,7 @@ func filterCuts(cs []cut, out []cut) []cut {
 	for i, c := range uniq {
 		dominated := false
 		for j, d := range uniq {
-			if i != j && d.leaves.Len() < c.leaves.Len() && d.leaves.SubsetOf(c.leaves) {
+			if d.sig&^c.sig == 0 && i != j && d.leaves.Len() < c.leaves.Len() && d.leaves.SubsetOf(c.leaves) {
 				dominated = true
 				break
 			}
@@ -444,7 +463,8 @@ func better(a, b *cand, mode Mode) bool {
 
 // Map covers the graph with library cells under the given mode. Area
 // mode iterates the covering with measured reference counts (area
-// recovery); delay mode maps once.
+// recovery, at most three rounds, ending early once a round's reference
+// counts repeat its divisors); delay mode maps once.
 func Map(g *aig.Graph, lib *celllib.Library, mode Mode) (*Result, error) {
 	return MapInterruptible(g, lib, mode, nil)
 }
@@ -472,7 +492,6 @@ func MapInterruptible(g *aig.Graph, lib *celllib.Library, mode Mode, poll func()
 		rounds = 3
 	}
 	probs := nodeProbabilities(g)
-	refs := make([]float64, total)
 	var bestRes *Result
 	for r := 0; r < rounds; r++ {
 		cands, err := runDP(g, lib, mt, cuts, mode, div, poll)
@@ -488,25 +507,36 @@ func MapInterruptible(g *aig.Graph, lib *celllib.Library, mode Mode, poll func()
 			(mode == Delay && res.DelayPs < bestRes.DelayPs) {
 			bestRes = res
 		}
-		// Refine divisors with the actual reference counts of this cover.
-		clear(refs)
-		for _, gt := range res.Gates {
-			for _, in := range gt.Inputs {
-				refs[in.Node]++
-			}
-		}
-		for i := 0; i < g.NumPO(); i++ {
-			refs[g.PO(i).Node()]++
-		}
-		for i := range div {
-			if refs[i] >= 1 {
-				div[i] = refs[i]
-			} else {
-				div[i] = 1
-			}
+		// A round whose cover's counts repeat its divisors would be
+		// repeated exactly by the next.
+		if r == rounds-1 || !refineDivisors(g, res, div) {
+			break
 		}
 	}
 	return bestRes, nil
+}
+
+// refineDivisors sets div to the reference counts of res's cover (at
+// least 1) and reports whether any divisor changed.
+func refineDivisors(g *aig.Graph, res *Result, div []float64) bool {
+	refs := make([]float64, len(div))
+	for _, gt := range res.Gates {
+		for _, in := range gt.Inputs {
+			refs[in.Node]++
+		}
+	}
+	for i := 0; i < g.NumPO(); i++ {
+		refs[g.PO(i).Node()]++
+	}
+	changed := false
+	for i, r := range refs {
+		r = max(r, 1)
+		if div[i] != r {
+			div[i] = r
+			changed = true
+		}
+	}
+	return changed
 }
 
 // runDP computes the best candidate per (node, phase) with the given

@@ -464,6 +464,150 @@ func TestFilterCutsMatchesOracle(t *testing.T) {
 	}
 }
 
+// sigOf is the signature of a leaf list, bit leaf%64 per leaf.
+func sigOf(leaves []int) uint64 {
+	var sig uint64
+	for _, v := range leaves {
+		sig |= 1 << uint(v%64)
+	}
+	return sig
+}
+
+// Every enumerated cut carries its leaves' signature, and filterCuts
+// with signatures keeps the oracle's cuts when leaves collide mod 64, so
+// equal or nested signatures never stand in for equal or nested leaves.
+func TestCutSignatures(t *testing.T) {
+	names, gs := oracleGraphs(t)
+	for gi, g := range gs {
+		cuts, err := enumerateCuts(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cs := range cuts {
+			for _, c := range cs {
+				if want := sigOf(c.leaves.Ints()); c.sig != want {
+					t.Fatalf("%s node %d cut %v: sig %#x, want %#x", names[gi], i, c.leaves.Ints(), c.sig, want)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(291))
+	pool := []int{1, 2, 3, 65, 66, 67, 129, 130, 131, 193, 1025}
+	for trial := 0; trial < 3000; trial++ {
+		var cs []cut
+		var os []oracleCut
+		for n := rng.Intn(40); n > 0; n-- {
+			var leaves []int
+			if len(os) > 0 && rng.Intn(5) == 0 {
+				leaves = os[rng.Intn(len(os))].leaves // duplicate
+			} else {
+				seen := map[int]bool{}
+				for k := rng.Intn(maxCutLeaves + 1); k > 0; k-- {
+					if v := pool[rng.Intn(len(pool))]; !seen[v] {
+						seen[v] = true
+						leaves = append(leaves, v)
+					}
+				}
+				sort.Ints(leaves)
+			}
+			table := uint16(rng.Intn(1 << 16))
+			cs = append(cs, cut{leaves: kcut.Of(leaves...), table: table, sig: sigOf(leaves)})
+			os = append(os, oracleCut{leaves: leaves, table: table})
+		}
+		got := filterCuts(cs, nil)
+		want := oracleFilterCuts(os)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: kept %d, oracle %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if !sameCut(got[i], want[i]) {
+				t.Fatalf("trial %d cut %d: %v, oracle %v", trial, i, got[i].leaves.Ints(), want[i].leaves)
+			}
+		}
+	}
+}
+
+// mapFixedRounds is MapInterruptible with area recovery's fixed loop:
+// three rounds in Area mode whether or not they converge. It reports
+// whether a round before the last refined the divisors to the ones it
+// had used, the case in which MapInterruptible stops early.
+func mapFixedRounds(g *aig.Graph, lib *celllib.Library, mode Mode) (*Result, bool, error) {
+	cuts, err := enumerateCuts(g, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	total := 1 + g.NumPI() + g.NumNodes()
+	div := make([]float64, total)
+	for i, f := range g.FanoutCounts() {
+		div[i] = max(float64(f), 1)
+	}
+	rounds := 1
+	if mode == Area {
+		rounds = 3
+	}
+	converged := false
+	var bestRes *Result
+	for r := 0; r < rounds; r++ {
+		cands, err := runDP(g, lib, matcherFor(lib), cuts, mode, div, nil)
+		if err != nil {
+			return nil, false, err
+		}
+		res, err := extract(g, lib, cands, nodeProbabilities(g))
+		if err != nil {
+			return nil, false, err
+		}
+		if bestRes == nil ||
+			(mode == Area && res.Area < bestRes.Area) ||
+			(mode == Delay && res.DelayPs < bestRes.DelayPs) {
+			bestRes = res
+		}
+		if !refineDivisors(g, res, div) && r < rounds-1 {
+			converged = true
+		}
+	}
+	return bestRes, converged, nil
+}
+
+// Ending area recovery once a round repeats its divisors changes no
+// Result: MapInterruptible matches the fixed three-round loop on every
+// suite AIG and on seeded random AIGs, and the suite exercises the
+// early exit.
+func TestMapConvergedRoundsMatchFixedRounds(t *testing.T) {
+	lib := celllib.Generic70()
+	names, gs := suiteGraphs(t)
+	suite := len(gs)
+	rng := rand.New(rand.NewSource(292))
+	for i := 0; i < 40; i++ {
+		names = append(names, fmt.Sprintf("random-%d", i))
+		gs = append(gs, randomGraph(rng, 3+rng.Intn(8), 5+rng.Intn(300), 1+rng.Intn(6)))
+	}
+	suiteConverged := 0
+	for gi, g := range gs {
+		for _, mode := range []Mode{Delay, Area} {
+			got, err := Map(g, lib, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, converged, err := mapFixedRounds(g, lib, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v: area %v/%v delay %v/%v power %v/%v gates %d/%d",
+					names[gi], mode, got.Area, want.Area, got.DelayPs, want.DelayPs,
+					got.Power, want.Power, got.GateCount(), want.GateCount())
+			}
+			if converged && gi < suite {
+				suiteConverged++
+			}
+		}
+	}
+	if suiteConverged == 0 {
+		t.Fatal("no suite AIG converged before the last area-recovery round")
+	}
+	t.Logf("%d of %d suite AIGs converged early in Area mode", suiteConverged, suite)
+}
+
 // testLeaves returns k distinct leaves whose order is the same
 // numerically and as printed.
 func testLeaves(k int) kcut.Leaves {
