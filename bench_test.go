@@ -34,6 +34,7 @@ import (
 	"relsyn/internal/mapper"
 	"relsyn/internal/metatest"
 	"relsyn/internal/obs"
+	"relsyn/internal/pipeline"
 	"relsyn/internal/pla"
 	"relsyn/internal/reliability"
 	"relsyn/internal/server"
@@ -601,6 +602,52 @@ func BenchmarkServerThroughput(b *testing.B) {
 			fireServerRequests(b, ts.URL, specs, total)
 		}
 	})
+}
+
+// BenchmarkSynthHit measures one cached POST /v1/synth through
+// Server.Handler in process, with no socket: the hit path a repeated
+// request takes. The body has the service-mix shape (an 8-input,
+// 2-output fleet spec written out in full, ranking at fraction 0.5), so
+// ns/op and allocs/op are the hit cost that workload's p50 sits on.
+func BenchmarkSynthHit(b *testing.B) {
+	pool, err := fleet.BuildPool(fleet.PoolParams{Inputs: 8, Outputs: 2, Size: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fn, _, err := pla.ParseSpec(pool.Specs[0].PLA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := pla.FromFunction(fn, nil, nil).Write(&sb); err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(server.SynthRequest{
+		PLA:     sb.String(),
+		Options: pipeline.JobOptions{Method: pipeline.JobMethodRank, Fraction: 0.5},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(server.Config{Workers: 1, Metrics: obs.NewRegistry()})
+	defer srv.Close()
+	h := srv.Handler()
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/synth", bytes.NewReader(body)))
+		return rec
+	}
+	if rec := post(); rec.Code != http.StatusOK {
+		b.Fatalf("priming request: %d %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := post(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached": true`)) {
+			b.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
 }
 
 // BenchmarkStoreThroughput measures what the durable job store costs on

@@ -160,51 +160,55 @@ func (ctx *denseCtx) emit(out *cube.Cover, p cube.Cube) {
 	}
 }
 
-// expandCube greedily raises literals, preferring variables whose raise
-// exposes the fewest off-set minterms (zero exposures are valid raises;
-// the count orders the attempts deterministically). Variant 1 breaks
-// ties toward the highest variable index instead of the lowest. Each
-// attempt is one integer key, the exposure count above the tie-break
-// index, so the order is a plain integer sort.
+// expandCube greedily raises literals, trying the variables in
+// tie-break order: ascending index, or descending under variant 1.
 //
 // c covers no off-set minterm (it lies in a prime or in the on-set), so
-// the raise of a bound variable v exposes exactly the off-set minterms
-// of flip(c, v), the cube with v's literal complemented: all exposure
-// counts come from one walk over c's words, and each raise is tested on
-// that flipped half alone. Flipping v < 6 shifts the in-word mask by
-// 2^v; flipping v ≥ 6 moves to the word index with bit v-6 toggled.
+// the raise of a bound variable v covers an off-set minterm exactly when
+// flip(c, v), the cube with v's literal complemented, does. One walk
+// over c's words marks those variables blocked. A blocked variable can
+// never be raised: every cube the raises reach contains c, so its own
+// flipped half contains flip(c, v). The unblocked variables are tried in
+// tie-break order, each raise tested on its flipped half alone. This
+// gives the primes of Brayton et al.'s order, fewest exposed off-set
+// minterms first, since every variable that order raises has zero
+// exposures and the zero-exposure variables come first in tie-break
+// order. Flipping v < 6 shifts the in-word mask by 2^v; flipping v ≥ 6
+// moves to the word index with bit v-6 toggled.
 func (ctx *denseCtx) expandCube(c cube.Cube, variant int) cube.Cube {
-	const tieBits = 5 // a variable index < cube.MaxVars
 	mask, base, free := c.Span()
 	ones, zeros := c.Masks()
-	lowBound, highBound := (ones|zeros)&63, (ones|zeros)>>6
+	bound := ones | zeros
 	// flip[v] is the in-word mask of flip(c, v) for a bound v < 6.
 	var flip [6]uint64
-	for b := lowBound; b != 0; b &= b - 1 {
+	for b := bound & 63; b != 0; b &= b - 1 {
 		v := bits.TrailingZeros32(b)
 		flip[v] = flipLow(mask, v, ones)
 	}
-	var exposed [cube.MaxVars]uint32
+	var blocked uint32
 	for i, m := range cube.Words(mask, base, free) {
 		o := ctx.off[i]
-		for b := lowBound; b != 0; b &= b - 1 {
+		for b := bound &^ blocked & 63; b != 0; b &= b - 1 {
 			v := bits.TrailingZeros32(b)
-			exposed[v] += uint32(bits.OnesCount64(o & flip[v]))
+			if o&flip[v] != 0 {
+				blocked |= 1 << uint(v)
+			}
 		}
-		for b := highBound; b != 0; b &= b - 1 {
+		for b := (bound &^ blocked) >> 6; b != 0; b &= b - 1 {
 			j := bits.TrailingZeros32(b)
-			exposed[6+j] += uint32(bits.OnesCount64(ctx.off[i^1<<j] & m))
+			if ctx.off[i^1<<j]&m != 0 {
+				blocked |= 1 << uint(6+j)
+			}
 		}
 	}
-	var buf [cube.MaxVars]uint32
-	keys := buf[:0]
-	for b := ones | zeros; b != 0; b &= b - 1 {
-		v := bits.TrailingZeros32(b)
-		keys = append(keys, exposed[v]<<tieBits|tieKey(v, variant))
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		v := int(tieKey(int(k&(1<<tieBits-1)), variant))
+	for b := bound &^ blocked; b != 0; {
+		var v int
+		if variant == 1 {
+			v = bits.Len32(b) - 1
+		} else {
+			v = bits.TrailingZeros32(b)
+		}
+		b &^= 1 << uint(v)
 		if v < 6 {
 			fm := flipLow(mask, v, ones)
 			if !ctx.anyOff(fm, base, free, 0) {
@@ -241,15 +245,6 @@ func (ctx *denseCtx) anyOff(mask uint64, base, free, toggle uint32) bool {
 		}
 	}
 	return false
-}
-
-// tieKey orders variable v among equal exposure counts: ascending, or
-// descending under variant 1. It is its own inverse.
-func tieKey(v, variant int) uint32 {
-	if variant == 1 {
-		return uint32(cube.MaxVars - 1 - v)
-	}
-	return uint32(v)
 }
 
 // countCoverage sets ctx.counts to how many cubes of f cover each

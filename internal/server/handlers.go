@@ -28,9 +28,12 @@
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -121,9 +124,23 @@ func respond(js *jobState, cached, coalesced bool) SynthResponse {
 	}
 }
 
+// handleSynth reads the body once and looks its SHA-256 up in the
+// digest index: a body admitted before whose result is still cached is
+// answered from the cache without decoding, parsing or hashing it again.
+// Every other body takes the full path, and an admitted one is indexed.
 func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes))
+	if err != nil {
+		cluster.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
+		return
+	}
+	d := sha256.Sum256(body)
+	if out, wait, ok := s.submitDigest(d); ok {
+		s.reply(w, r, out, wait)
+		return
+	}
 	var req SynthRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
 		cluster.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -132,8 +149,15 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 		s.writeRejection(w, rejected)
 		return
 	}
+	s.indexDigest(d, out.Job.key, req.wait())
+	s.reply(w, r, out, req.wait())
+}
+
+// reply writes an admitted submission's envelope: 202 at once when the
+// client does not wait, otherwise 200 once the job is done.
+func (s *Server) reply(w http.ResponseWriter, r *http.Request, out *SubmitOutcome, wait bool) {
 	js := out.Job
-	if !req.wait() {
+	if !wait {
 		cluster.WriteJSON(w, http.StatusAccepted, respond(js, out.Cached, out.Coalesced))
 		return
 	}
@@ -330,7 +354,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes))
+	return decodeJSON(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes), v)
+}
+
+// decodeJSON decodes the first JSON value of rd into v, refusing
+// unknown fields.
+func decodeJSON(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }

@@ -26,6 +26,7 @@ package server
 import (
 	"context"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -277,12 +278,13 @@ type Server struct {
 	breaker *store.Breaker
 	peers   *peerFill // nil outside sharded deployments
 
-	// mu guards the key table (inFlight and cache) and the /v1/jobs
-	// registry (jobs, jobOrder). A key is in at most one of inFlight and
-	// cache, and moves between them only under mu.
+	// mu guards the key table (inFlight and cache), the digest index and
+	// the /v1/jobs registry (jobs, jobOrder). A key is in at most one of
+	// inFlight and cache, and moves between them only under mu.
 	mu       sync.Mutex
-	inFlight map[string]*jobState          // admitted, unfinished jobs
-	cache    *lru.Cache[string, *jobState] // finished jobs that succeeded
+	inFlight map[string]*jobState            // admitted, unfinished jobs
+	cache    *lru.Cache[string, *jobState]   // finished jobs that succeeded
+	digests  *lru.Cache[digest, digestEntry] // admitted /v1/synth bodies; see submitDigest
 	jobs     map[string]*jobState
 	jobOrder []string
 
@@ -305,6 +307,7 @@ func New(cfg Config) *Server {
 		queue:    jobqueue.NewWithRegistry(cfg.QueueDepth, reg),
 		inFlight: make(map[string]*jobState),
 		cache:    lru.New[string, *jobState](cfg.CacheSize),
+		digests:  lru.New[digest, digestEntry](cfg.CacheSize),
 		jobs:     make(map[string]*jobState),
 		started:  time.Now(),
 	}
@@ -429,18 +432,8 @@ func (s *Server) timeoutMs(requested int64) int64 {
 func (s *Server) admit(key string, fn *tt.Function, jo pipeline.JobOptions, priority int, recovered string) (*SubmitOutcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	probe := s.cache.Get // the cache counts its own hits/misses
-	if recovered != "" {
-		probe = s.cache.Peek
-	}
-	if js, ok := probe(key); ok {
-		// The job's own records make its id durable, so a hit appends
-		// nothing; it re-registers the id only if the registry has
-		// evicted it, so the id it hands out can be polled.
-		if recovered == "" && s.jobs[js.id] == nil {
-			s.registerLocked(js.id, js)
-		}
-		return &SubmitOutcome{Job: js, Cached: true}, nil
+	if out, ok := s.cachedLocked(key, recovered != ""); ok {
+		return out, nil
 	}
 	if js, ok := s.inFlight[key]; ok {
 		s.c.coalesced.Inc()
@@ -464,6 +457,71 @@ func (s *Server) admit(key string, fn *tt.Function, jo pipeline.JobOptions, prio
 	s.c.started.Inc()
 	s.registerLocked(id, js)
 	return &SubmitOutcome{Job: js}, nil
+}
+
+// cachedLocked is the key table's cache-hit branch, shared by admit and
+// the digest index: a cached key answers with the job that computed it.
+// The cache counts a live probe's hit or miss. The job's own records
+// make its id durable, so a hit appends nothing; a live hit re-registers
+// the id only if the registry has evicted it, so the id it hands out can
+// be polled. A recovery probe (recovered) counts and registers nothing:
+// a restart serves no request.
+func (s *Server) cachedLocked(key string, recovered bool) (*SubmitOutcome, bool) {
+	probe := s.cache.Get
+	if recovered {
+		probe = s.cache.Peek
+	}
+	js, ok := probe(key)
+	if !ok {
+		return nil, false
+	}
+	if !recovered && s.jobs[js.id] == nil {
+		s.registerLocked(js.id, js)
+	}
+	return &SubmitOutcome{Job: js, Cached: true}, true
+}
+
+// digest is the SHA-256 of a POST /v1/synth body.
+type digest = [sha256.Size]byte
+
+// digestEntry is what the digest index keeps for one body: the cache key
+// its admission derived and its "wait" flag, never the body itself.
+type digestEntry struct {
+	key  string
+	wait bool
+}
+
+// submitDigest answers a live submission whose body bytes were admitted
+// before and whose key is still cached, without decoding, parsing or
+// hashing the body again: the key is a pure function of the body bytes
+// and the server's fixed timeout policy, so an index entry never goes
+// stale, only cold. It reports false, moving no service counter, for an
+// unknown digest, a key that is in flight or evicted, and a draining
+// server; the caller then takes the full path, which counts the request
+// once.
+func (s *Server) submitDigest(d digest) (out *SubmitOutcome, wait, ok bool) {
+	if s.draining.Load() {
+		return nil, false, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.digests.Get(d)
+	if !ok {
+		return nil, false, false
+	}
+	if _, ok := s.cache.Peek(e.key); !ok {
+		return nil, false, false
+	}
+	s.c.submitted.Inc()
+	out, _ = s.cachedLocked(e.key, false)
+	return out, e.wait, true
+}
+
+// indexDigest records that body digest d was admitted under key.
+func (s *Server) indexDigest(d digest, key string, wait bool) {
+	s.mu.Lock()
+	s.digests.Add(d, digestEntry{key: key, wait: wait})
+	s.mu.Unlock()
 }
 
 // finish is the terminal transition of the key table, one critical
