@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"relsyn/internal/bitset"
@@ -279,17 +278,4 @@ func tableFromRows(k int, rows []row) (*bitset.Set, error) {
 		table = table.Complement()
 	}
 	return table, nil
-}
-
-// Signals returns deterministic sorted signal names for diagnostics.
-func Signals(nw *network.Network) []string {
-	var out []string
-	for i := 0; i < nw.NumPI; i++ {
-		out = append(out, fmt.Sprintf("i%d", i))
-	}
-	for i := range nw.Nodes {
-		out = append(out, fmt.Sprintf("n%d", i))
-	}
-	sort.Strings(out)
-	return out
 }

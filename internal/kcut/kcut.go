@@ -1,7 +1,10 @@
-// Package kcut holds the leaf set of a k-feasible AIG cut as a comparable
-// value, shared by the technology mapper and the network clusterer.
+// Package kcut holds the k-feasible AIG cut enumeration shared by the
+// technology mapper and the network clusterer: the leaf set of a cut as
+// a comparable value, the bottom-up enumerator (Enumerate) the two
+// callers specialize with their own merge and filter, and the poll
+// stride of the per-node passes over an AIG.
 //
-// Both cut enumerators rank a node's cuts by leaf count and then by the
+// The enumerator ranks a node's cuts by leaf count and then by the
 // byte order of the printed leaf list, fmt.Sprint(leaves). That order is
 // not numeric ("[10 3]" sorts before "[2 5]"), but it decides which cuts
 // survive truncation and so every mapped netlist and clustered network;
@@ -119,7 +122,7 @@ func (a Leaves) SubsetOf(b Leaves) bool {
 	return true
 }
 
-// Compare orders cuts the way both enumerators rank them: fewer leaves
+// Compare orders cuts the way Enumerate ranks them: fewer leaves
 // first, then equal-length lists by the byte order of fmt.Sprint(leaves).
 // It returns -1, 0 or +1.
 func Compare(a, b Leaves) int {

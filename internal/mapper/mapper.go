@@ -239,88 +239,62 @@ func popcount(x int) int {
 
 // cut is a set of at most maxCutLeaves leaves with the root's function
 // over them. It is a value: merging, normalizing, deduplicating and
-// copying cuts never allocates. sig is the leaves' signature, bit
-// leaf%64 set for every leaf (as in ABC's priority-cut mapper): a merge
-// whose signatures' union has more than maxCutLeaves bits has more than
-// maxCutLeaves leaves, and a cut whose signature is not inside another's
-// is not a subset of it.
-type cut struct {
-	leaves kcut.Leaves // sorted AIG node indices
-	table  uint16
-	sig    uint64
+// copying cuts never allocates.
+type cut = kcut.Cut[cutFunc]
+
+// cutFunc is what a cut carries beside its leaves: the root's function
+// over them, and the leaves' signature sig, bit leaf%64 set for every
+// leaf (as in ABC's priority-cut mapper). A merge whose signatures'
+// union has more than maxCutLeaves bits has more than maxCutLeaves
+// leaves, and a cut whose signature is not inside another's is not a
+// subset of it.
+type cutFunc struct {
+	table uint16
+	sig   uint64
 }
 
 // trivialCut is {i} with the identity function.
-func trivialCut(i int) cut { return cut{leaves: kcut.Of(i), table: 0b10, sig: leafSig(i)} }
+func trivialCut(i int) cut {
+	return cut{Leaves: kcut.Of(i), Data: cutFunc{table: 0b10, sig: leafSig(i)}}
+}
 
 // leafSig is the signature bit of leaf i.
 func leafSig(i int) uint64 { return 1 << uint(i%64) }
 
-// enumerateCuts returns per-node cut sets (trivial cut excluded from the
-// returned matchable sets but used during merging). Every node's cuts
-// live in one backing array, so the returned sets stay put and the DP
-// can point into them.
+// enumerateCuts returns each AND node's matchable cuts, at most
+// maxCutsPer; a primary input, which is never mapped, has none.
 func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
-	total := 1 + g.NumPI() + g.NumNodes()
-	// Node i's cuts, its trivial cut {i} last, are all[start[i]:start[i+1]].
-	// A PI has one cut and an AND node at most maxCutsPer+1, so all is
-	// sized once and never regrows.
-	all := make([]cut, 0, g.NumPI()+(maxCutsPer+1)*g.NumNodes())
-	start := make([]int, total+1)
-	for i := 1; i <= g.NumPI(); i++ {
-		start[i] = len(all)
-		all = append(all, trivialCut(i))
+	cuts, err := kcut.Enumerate(g, maxCutsPer, trivialCut, mergeCuts, filterCuts, poll)
+	if err != nil {
+		return nil, err
 	}
-	var cands []cut
-	for i := g.NumPI() + 1; i < total; i++ {
-		if err := checkPoll(poll, i); err != nil {
-			return nil, err
-		}
-		start[i] = len(all)
-		f0, f1 := g.Fanins(i)
-		n0, n1 := f0.Node(), f1.Node()
-		cands = cands[:0]
-		for _, c0 := range all[start[n0]:start[n0+1]] {
-			for _, c1 := range all[start[n1]:start[n1+1]] {
-				sig := c0.sig | c1.sig
-				if bits.OnesCount64(sig) > maxCutLeaves {
-					continue
-				}
-				leaves, ok := kcut.Merge(c0.leaves, c1.leaves, maxCutLeaves)
-				if !ok {
-					continue
-				}
-				t0 := expandTable(c0.table, c0.leaves, leaves)
-				if f0.Compl() {
-					t0 = ^t0
-				}
-				t1 := expandTable(c1.table, c1.leaves, leaves)
-				if f1.Compl() {
-					t1 = ^t1
-				}
-				table := t0 & t1 & rowMask(leaves.Len())
-				cands = append(cands, normalizeCut(cut{leaves: leaves, table: table, sig: sig}))
-			}
-		}
-		all = append(filterCuts(cands, all), trivialCut(i))
-	}
-	start[total] = len(all)
-	out := make([][]cut, total)
-	for i := g.NumPI() + 1; i < total; i++ {
-		out[i] = all[start[i] : start[i+1]-1 : start[i+1]-1]
-	}
-	return out, nil
+	clear(cuts[1 : g.NumPI()+1])
+	return cuts, nil
 }
 
-// pollStride is how many nodes the per-node passes visit between polls.
-const pollStride = 256
-
-// checkPoll calls poll (nil = never) once every pollStride nodes.
-func checkPoll(poll func() error, node int) error {
-	if poll == nil || node%pollStride != 0 {
-		return nil
+// mergeCuts returns the cut of an AND node with fanins f0 and f1 that
+// joins cut c0 of f0 and c1 of f1, normalized to the function's support,
+// or false when it has more than maxCutLeaves leaves. The signature
+// rejects most such merges before the leaves are merged.
+func mergeCuts(c0, c1 cut, f0, f1 aig.Lit) (cut, bool) {
+	sig := c0.Data.sig | c1.Data.sig
+	if bits.OnesCount64(sig) > maxCutLeaves {
+		return cut{}, false
 	}
-	return poll()
+	leaves, ok := kcut.Merge(c0.Leaves, c1.Leaves, maxCutLeaves)
+	if !ok {
+		return cut{}, false
+	}
+	t0 := expandTable(c0.Data.table, c0.Leaves, leaves)
+	if f0.Compl() {
+		t0 = ^t0
+	}
+	t1 := expandTable(c1.Data.table, c1.Leaves, leaves)
+	if f1.Compl() {
+		t1 = ^t1
+	}
+	table := t0 & t1 & rowMask(leaves.Len())
+	return normalizeCut(cut{Leaves: leaves, Data: cutFunc{table: table, sig: sig}}), true
 }
 
 func rowMask(k int) uint16 {
@@ -363,29 +337,29 @@ func expandTable(t uint16, oldLeaves, newLeaves kcut.Leaves) uint16 {
 // the kept variables down, lowest first, each by a swap with a variable
 // the table does not depend on.
 func normalizeCut(c cut) cut {
-	k := c.leaves.Len()
+	k := c.Leaves.Len()
 	var keptMask uint
 	for v := 0; v < k; v++ {
-		if dependsOn(c.table, v, k) {
+		if dependsOn(c.Data.table, v, k) {
 			keptMask |= 1 << uint(v)
 		}
 	}
 	if keptMask == 1<<uint(k)-1 {
 		return c
 	}
-	t, nk := c.table, 0
+	t, nk := c.Data.table, 0
 	for m := keptMask; m != 0; m &= m - 1 {
 		if v := bits.TrailingZeros(m); v != nk {
 			t = swapVars(t, nk, v)
 		}
 		nk++
 	}
-	leaves := c.leaves.Select(keptMask)
+	leaves := c.Leaves.Select(keptMask)
 	var sig uint64
 	for i := range leaves.Len() {
 		sig |= leafSig(leaves.At(i))
 	}
-	return cut{leaves: leaves, table: t & rowMask(nk), sig: sig}
+	return cut{Leaves: leaves, Data: cutFunc{table: t & rowMask(nk), sig: sig}}
 }
 
 // dependsOn reports whether a table over k leaves depends on variable
@@ -397,36 +371,23 @@ func dependsOn(t uint16, v, k int) bool {
 // filterCuts appends to out the cuts of cs worth keeping: it drops
 // constant-function cuts, duplicates (same leaves imply same table for a
 // fixed root function) and dominated cuts (strict supersets of another
-// cut), then keeps the best maxCutsPer by kcut.Compare — leaf count, then
-// the printed-order tie-break the golden answers were produced with. cs
-// is reordered in place. Signatures are compared before leaves: equal
-// leaves have equal signatures, and a subset's signature lies inside
-// its superset's.
-func filterCuts(cs []cut, out []cut) []cut {
+// cut). cs is reordered in place. Signatures are compared before leaves:
+// equal leaves have equal signatures, and a subset's signature lies
+// inside its superset's.
+func filterCuts(cs, out []cut) []cut {
 	uniq := cs[:0]
 	for _, c := range cs {
-		if c.leaves.Len() == 0 || slices.ContainsFunc(uniq, func(u cut) bool { return u.sig == c.sig && u.leaves == c.leaves }) {
+		if c.Leaves.Len() == 0 || slices.ContainsFunc(uniq, func(u cut) bool { return u.Data.sig == c.Data.sig && u.Leaves == c.Leaves }) {
 			continue
 		}
 		uniq = append(uniq, c)
 	}
-	base := len(out)
-	for i, c := range uniq {
-		dominated := false
-		for j, d := range uniq {
-			if d.sig&^c.sig == 0 && i != j && d.leaves.Len() < c.leaves.Len() && d.leaves.SubsetOf(c.leaves) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
+	for _, c := range uniq {
+		if !slices.ContainsFunc(uniq, func(d cut) bool {
+			return d.Data.sig&^c.Data.sig == 0 && d.Leaves.Len() < c.Leaves.Len() && d.Leaves.SubsetOf(c.Leaves)
+		}) {
 			out = append(out, c)
 		}
-	}
-	kept := out[base:]
-	slices.SortFunc(kept, func(a, b cut) int { return kcut.Compare(a.leaves, b.leaves) })
-	if len(kept) > maxCutsPer {
-		out = out[:base+maxCutsPer]
 	}
 	return out
 }
@@ -470,9 +431,9 @@ func Map(g *aig.Graph, lib *celllib.Library, mode Mode) (*Result, error) {
 }
 
 // MapInterruptible is Map with a cooperative cancellation hook: poll
-// (nil = never) is checked every pollStride nodes of the cut enumeration
-// and of each covering round, and a non-nil return aborts the mapping
-// with that error. The successful result is identical to Map's.
+// (nil = never) is checked every kcut.PollStride nodes of the cut
+// enumeration and of each covering round, and a non-nil return aborts
+// the mapping with that error. The successful result is identical to Map's.
 func MapInterruptible(g *aig.Graph, lib *celllib.Library, mode Mode, poll func() error) (*Result, error) {
 	mt := matcherFor(lib)
 	cuts, err := enumerateCuts(g, poll)
@@ -551,16 +512,16 @@ func runDP(g *aig.Graph, lib *celllib.Library, mt *matcher, cuts [][]cut, mode M
 		best[i][1] = cand{valid: true, viaInv: true, arrival: inv.Delay, flow: inv.Area}
 	}
 	for i := g.NumPI() + 1; i < total; i++ {
-		if err := checkPoll(poll, i); err != nil {
+		if err := kcut.CheckPoll(poll, i); err != nil {
 			return nil, err
 		}
 		bi := &best[i]
 		cs := cuts[i]
 		for ci := range cs {
 			c := &cs[ci]
-			k := c.leaves.Len()
+			k := c.Leaves.Len()
 			for phase := 0; phase < 2; phase++ {
-				table := c.table
+				table := c.Data.table
 				if phase == 1 {
 					table = ^table & rowMask(k)
 				}
@@ -570,7 +531,7 @@ func runDP(g *aig.Graph, lib *celllib.Library, mt *matcher, cuts [][]cut, mode M
 					cd := cand{valid: true, cut: c, m: m, flow: m.cell.Area}
 					feasible := true
 					for pin := 0; pin < k; pin++ {
-						leaf := c.leaves.At(int(m.pinLeaf[pin]))
+						leaf := c.Leaves.At(int(m.pinLeaf[pin]))
 						lb := &best[leaf][m.pinNeg(pin)]
 						if !lb.valid {
 							feasible = false
@@ -681,7 +642,7 @@ func extract(g *aig.Graph, lib *celllib.Library, best [][2]cand, probs []float64
 		ins := inputs(k)
 		worst := 0.0
 		for pin := 0; pin < k; pin++ {
-			leaf := b.cut.leaves.At(int(b.m.pinLeaf[pin]))
+			leaf := b.cut.Leaves.At(int(b.m.pinLeaf[pin]))
 			in := Net{Node: leaf, Neg: b.m.pinNeg(pin) == 1}
 			if err := emit(in); err != nil {
 				return err

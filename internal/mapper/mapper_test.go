@@ -391,7 +391,7 @@ func oracleGraphs(tb testing.TB) (names []string, gs []*aig.Graph) {
 }
 
 func sameCut(c cut, o oracleCut) bool {
-	return reflect.DeepEqual(c.leaves.Ints(), o.leaves) && c.table == o.table
+	return reflect.DeepEqual(c.Leaves.Ints(), o.leaves) && c.Data.table == o.table
 }
 
 // The value-cut enumerator returns exactly the string-keyed oracle's cut
@@ -399,34 +399,52 @@ func sameCut(c cut, o oracleCut) bool {
 func TestEnumerateCutsMatchesOracle(t *testing.T) {
 	names, gs := oracleGraphs(t)
 	for gi, g := range gs {
-		got, err := enumerateCuts(g, nil)
-		if err != nil {
-			t.Fatal(err)
+		checkEnumerateCuts(t, names[gi], g)
+	}
+}
+
+// FuzzEnumerateCuts holds the enumerator to the oracle on random graphs
+// of fuzzer-chosen shape, large enough for leaf indices to cross 999/1000.
+func FuzzEnumerateCuts(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint16(30), uint8(2))
+	f.Add(int64(2), uint8(9), uint16(1100), uint8(11))
+	f.Fuzz(func(t *testing.T, seed int64, numPI uint8, ands uint16, pos uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, 1+int(numPI)%12, int(ands)%1500, 1+int(pos)%12)
+		checkEnumerateCuts(t, "fuzz", g)
+	})
+}
+
+// checkEnumerateCuts fails t unless enumerateCuts returns the oracle's
+// cut lists on g, cut for cut and table for table.
+func checkEnumerateCuts(t *testing.T, name string, g *aig.Graph) {
+	got, err := enumerateCuts(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracleEnumerateCuts(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cut sets, oracle %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s node %d: %d cuts, oracle %d", name, i, len(got[i]), len(want[i]))
 		}
-		want, err := oracleEnumerateCuts(g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d cut sets, oracle %d", names[gi], len(got), len(want))
-		}
-		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("%s node %d: %d cuts, oracle %d", names[gi], i, len(got[i]), len(want[i]))
-			}
-			for j := range want[i] {
-				if !sameCut(got[i][j], want[i][j]) {
-					t.Fatalf("%s node %d cut %d: %v/%04x, oracle %v/%04x", names[gi], i, j,
-						got[i][j].leaves.Ints(), got[i][j].table, want[i][j].leaves, want[i][j].table)
-				}
+		for j := range want[i] {
+			if !sameCut(got[i][j], want[i][j]) {
+				t.Fatalf("%s node %d cut %d: %v/%04x, oracle %v/%04x", name, i, j,
+					got[i][j].Leaves.Ints(), got[i][j].Data.table, want[i][j].leaves, want[i][j].table)
 			}
 		}
 	}
 }
 
-// filterCuts keeps the oracle's cuts in the oracle's order on random
-// candidate lists whose leaves straddle decimal-width boundaries, with
-// duplicates, constant cuts and dominated cuts mixed in.
+// Ranking with filterCuts keeps the oracle's cuts in the oracle's order
+// on random candidate lists whose leaves straddle decimal-width
+// boundaries, with duplicates, constant cuts and dominated cuts mixed in.
 func TestFilterCutsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(171))
 	pool := []int{1, 2, 3, 9, 10, 11, 19, 20, 99, 100, 101, 109, 999, 1000, 1001}
@@ -448,17 +466,17 @@ func TestFilterCutsMatchesOracle(t *testing.T) {
 				sort.Ints(leaves)
 			}
 			table := uint16(rng.Intn(1 << 16))
-			cs = append(cs, cut{leaves: kcut.Of(leaves...), table: table})
+			cs = append(cs, cut{Leaves: kcut.Of(leaves...), Data: cutFunc{table: table}})
 			os = append(os, oracleCut{leaves: leaves, table: table})
 		}
-		got := filterCuts(cs, nil)
+		got := kcut.Rank(cs, nil, filterCuts, maxCutsPer)
 		want := oracleFilterCuts(os)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: kept %d, oracle %d", trial, len(got), len(want))
 		}
 		for i := range want {
 			if !sameCut(got[i], want[i]) {
-				t.Fatalf("trial %d cut %d: %v, oracle %v", trial, i, got[i].leaves.Ints(), want[i].leaves)
+				t.Fatalf("trial %d cut %d: %v, oracle %v", trial, i, got[i].Leaves.Ints(), want[i].leaves)
 			}
 		}
 	}
@@ -473,9 +491,9 @@ func sigOf(leaves []int) uint64 {
 	return sig
 }
 
-// Every enumerated cut carries its leaves' signature, and filterCuts
-// with signatures keeps the oracle's cuts when leaves collide mod 64, so
-// equal or nested signatures never stand in for equal or nested leaves.
+// Every enumerated cut carries its leaves' signature, and ranking with
+// filterCuts keeps the oracle's cuts when leaves collide mod 64, so equal
+// or nested signatures never stand in for equal or nested leaves.
 func TestCutSignatures(t *testing.T) {
 	names, gs := oracleGraphs(t)
 	for gi, g := range gs {
@@ -485,8 +503,8 @@ func TestCutSignatures(t *testing.T) {
 		}
 		for i, cs := range cuts {
 			for _, c := range cs {
-				if want := sigOf(c.leaves.Ints()); c.sig != want {
-					t.Fatalf("%s node %d cut %v: sig %#x, want %#x", names[gi], i, c.leaves.Ints(), c.sig, want)
+				if want := sigOf(c.Leaves.Ints()); c.Data.sig != want {
+					t.Fatalf("%s node %d cut %v: sig %#x, want %#x", names[gi], i, c.Leaves.Ints(), c.Data.sig, want)
 				}
 			}
 		}
@@ -511,17 +529,17 @@ func TestCutSignatures(t *testing.T) {
 				sort.Ints(leaves)
 			}
 			table := uint16(rng.Intn(1 << 16))
-			cs = append(cs, cut{leaves: kcut.Of(leaves...), table: table, sig: sigOf(leaves)})
+			cs = append(cs, cut{Leaves: kcut.Of(leaves...), Data: cutFunc{table: table, sig: sigOf(leaves)}})
 			os = append(os, oracleCut{leaves: leaves, table: table})
 		}
-		got := filterCuts(cs, nil)
+		got := kcut.Rank(cs, nil, filterCuts, maxCutsPer)
 		want := oracleFilterCuts(os)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: kept %d, oracle %d", trial, len(got), len(want))
 		}
 		for i := range want {
 			if !sameCut(got[i], want[i]) {
-				t.Fatalf("trial %d cut %d: %v, oracle %v", trial, i, got[i].leaves.Ints(), want[i].leaves)
+				t.Fatalf("trial %d cut %d: %v, oracle %v", trial, i, got[i].Leaves.Ints(), want[i].leaves)
 			}
 		}
 	}
@@ -653,11 +671,11 @@ func TestNormalizeCutExhaustive(t *testing.T) {
 	for k := 0; k <= maxCutLeaves; k++ {
 		leaves := testLeaves(k)
 		for tb := 0; tb < 1<<16; tb++ {
-			got := normalizeCut(cut{leaves: leaves, table: uint16(tb)})
+			got := normalizeCut(cut{Leaves: leaves, Data: cutFunc{table: uint16(tb)}})
 			want := oracleNormalizeCut(oracleCut{leaves: leaves.Ints(), table: uint16(tb)})
 			if !sameCut(got, want) {
 				t.Fatalf("normalizeCut(%04x over %d leaves) = %v/%04x, row walk %v/%04x",
-					tb, k, got.leaves.Ints(), got.table, want.leaves, want.table)
+					tb, k, got.Leaves.Ints(), got.Data.table, want.leaves, want.table)
 			}
 		}
 	}
@@ -876,7 +894,7 @@ func oracleEnumerateCuts(g *aig.Graph, poll func() error) ([][]oracleCut, error)
 		withTrivial[i] = []oracleCut{{leaves: []int{i}, table: 0b10}}
 	}
 	for i := g.NumPI() + 1; i < total; i++ {
-		if err := checkPoll(poll, i); err != nil {
+		if err := kcut.CheckPoll(poll, i); err != nil {
 			return nil, err
 		}
 		f0, f1 := g.Fanins(i)
@@ -1182,7 +1200,7 @@ func oracleRunDP(g *aig.Graph, lib *celllib.Library, mt *oracleMatcher, cuts [][
 		best[i][1] = oracleCand{valid: true, viaInv: true, arrival: inv.Delay, flow: inv.Area}
 	}
 	for i := g.NumPI() + 1; i < total; i++ {
-		if err := checkPoll(poll, i); err != nil {
+		if err := kcut.CheckPoll(poll, i); err != nil {
 			return nil, err
 		}
 		for _, c := range cuts[i] {

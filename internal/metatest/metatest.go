@@ -35,11 +35,11 @@
 //     measures the implementation), is held to the same oracle.
 //  7. Windowed ⊆ exhaustive don't-cares — for every node of a
 //     k-feasible network, the per-node spec computed by the windowed
-//     SAT engine (internal/network LocalSpecWindowedSAT) at any window
-//     depth marks a subset of the don't-cares the exhaustive
-//     whole-network simulation (LocalSpec) marks, never flips a care
-//     phase, and at full window depth reproduces the exhaustive spec
-//     exactly. The window is a soundness-preserving restriction, never
+//     SAT engine (internal/network NewDCExtractor(...).LocalSpec) at
+//     any window depth marks a subset of the don't-cares the
+//     exhaustive whole-network simulation (LocalSpec) marks, never
+//     flips a care phase, and at full window depth reproduces the
+//     exhaustive spec exactly. The window is a soundness-preserving restriction, never
 //     a different answer.
 //
 // The harness is a plain library (returning errors, not calling

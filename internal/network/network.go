@@ -81,7 +81,7 @@ func FromAIG(g *aig.Graph, k int) (*Network, error) {
 }
 
 // FromAIGInterruptible is FromAIG with a cooperative cancellation hook:
-// poll (nil = never) is checked every pollStride nodes of the cut
+// poll (nil = never) is checked every kcut.PollStride nodes of the cut
 // enumeration and of the area-flow pass, and before each PO's cone is
 // built; a non-nil return aborts the clustering with that error.
 func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, error) {
@@ -102,14 +102,14 @@ func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, err
 	chosen := make([]choice, total)
 	fo := g.FanoutCounts()
 	for i := g.NumPI() + 1; i < total; i++ {
-		if err := checkPoll(poll, i); err != nil {
+		if err := kcut.CheckPoll(poll, i); err != nil {
 			return nil, err
 		}
 		best := choice{flow: -1}
 		for _, c := range cuts[i] {
 			fl := 1.0
-			for j := 0; j < c.Len(); j++ {
-				if leaf := c.At(j); leaf > g.NumPI() {
+			for j := 0; j < c.Leaves.Len(); j++ {
+				if leaf := c.Leaves.At(j); leaf > g.NumPI() {
 					d := float64(fo[leaf])
 					if d < 1 {
 						d = 1
@@ -118,7 +118,7 @@ func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, err
 				}
 			}
 			if best.flow < 0 || fl < best.flow {
-				best = choice{cut: c, flow: fl}
+				best = choice{cut: c.Leaves, flow: fl}
 			}
 		}
 		if best.flow < 0 {
@@ -189,65 +189,31 @@ func FromAIGInterruptible(g *aig.Graph, k int, poll func() error) (*Network, err
 	return nw, nil
 }
 
+// leafSet is a cluster cut: a leaf set alone.
+type leafSet = kcut.Cut[struct{}]
+
 // enumerateCuts returns each node's k-feasible cuts: {i} for a primary
-// input, and for an AND node its best maxCuts non-trivial cuts by
-// kcut.Compare — leaf count, then the printed-order tie-break the mapper
-// shares. The trivial cut {i} of an AND node only feeds its parents'
-// merges. Every node's cuts live in one backing array.
-func enumerateCuts(g *aig.Graph, k int, poll func() error) ([][]kcut.Leaves, error) {
-	total := 1 + g.NumPI() + g.NumNodes()
+// input, and for an AND node its best maxCuts distinct non-trivial cuts
+// by kcut.Compare.
+func enumerateCuts(g *aig.Graph, k int, poll func() error) ([][]leafSet, error) {
 	const maxCuts = 10
-	// Node i's cuts, its trivial cut {i} last, are all[start[i]:start[i+1]].
-	all := make([]kcut.Leaves, 0, 4*total)
-	start := make([]int, total+1)
-	for i := 1; i <= g.NumPI(); i++ {
-		start[i] = len(all)
-		all = append(all, kcut.Of(i))
+	trivial := func(i int) leafSet { return leafSet{Leaves: kcut.Of(i)} }
+	merge := func(c0, c1 leafSet, _, _ aig.Lit) (leafSet, bool) {
+		l, ok := kcut.Merge(c0.Leaves, c1.Leaves, k)
+		return leafSet{Leaves: l}, ok
 	}
-	var cs []kcut.Leaves
-	for i := g.NumPI() + 1; i < total; i++ {
-		if err := checkPoll(poll, i); err != nil {
-			return nil, err
-		}
-		start[i] = len(all)
-		f0, f1 := g.Fanins(i)
-		n0, n1 := f0.Node(), f1.Node()
-		cs = cs[:0]
-		for _, c0 := range all[start[n0]:start[n0+1]] {
-			for _, c1 := range all[start[n1]:start[n1+1]] {
-				if merged, ok := kcut.Merge(c0, c1, k); ok && !slices.Contains(cs, merged) {
-					cs = append(cs, merged)
-				}
-			}
-		}
-		slices.SortFunc(cs, kcut.Compare)
-		if len(cs) > maxCuts {
-			cs = cs[:maxCuts]
-		}
-		all = append(append(all, cs...), kcut.Of(i))
-	}
-	start[total] = len(all)
-	cuts := make([][]kcut.Leaves, total)
-	for i := 1; i < total; i++ {
-		end := start[i+1]
-		if i > g.NumPI() {
-			end-- // strip the AND node's trivial cut
-		}
-		cuts[i] = all[start[i]:end:end]
-	}
-	return cuts, nil
+	return kcut.Enumerate(g, maxCuts, trivial, merge, distinct, poll)
 }
 
-// pollStride is how many AIG nodes the per-node passes visit between
-// polls.
-const pollStride = 256
-
-// checkPoll calls poll (nil = never) once every pollStride nodes.
-func checkPoll(poll func() error, node int) error {
-	if poll == nil || node%pollStride != 0 {
-		return nil
+// distinct appends to out the first of each leaf set in cs.
+func distinct(cs, out []leafSet) []leafSet {
+	base := len(out)
+	for _, c := range cs {
+		if !slices.Contains(out[base:], c) {
+			out = append(out, c)
+		}
 	}
-	return poll()
+	return out
 }
 
 // leafWord[i] holds cut leaf i's value on all 64 rows of a cone table:

@@ -360,7 +360,7 @@ func oracleMergeSorted(a, b []int, k int) []int {
 
 // The value-keyed enumerator returns the oracle's cut lists, in order,
 // node by node, on the synthesized AIG of every Table 1 suite spec at
-// k = 4 and k = 6.
+// every k FromAIG accepts, 2 through 6.
 func TestEnumerateCutsMatchesOracle(t *testing.T) {
 	for _, s := range benchmarks.Specs() {
 		f, err := benchmarks.Load(s.Name)
@@ -372,7 +372,7 @@ func TestEnumerateCutsMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := res.Graph
-		for _, k := range []int{4, 6} {
+		for _, k := range []int{2, 3, 4, 5, 6} {
 			got, err := network.EnumerateCuts(g, k, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -384,7 +384,7 @@ func TestEnumerateCutsMatchesOracle(t *testing.T) {
 			for i := range want {
 				var ints [][]int
 				for _, c := range got[i] {
-					ints = append(ints, c.Ints())
+					ints = append(ints, c.Leaves.Ints())
 				}
 				if !reflect.DeepEqual(ints, want[i]) {
 					t.Fatalf("%s k=%d node %d: cuts %v, oracle %v", s.Name, k, i, ints, want[i])
@@ -454,7 +454,7 @@ func TestConeTableMatchesOracle(t *testing.T) {
 			}
 			for n := g.NumPI() + 1; n < len(cuts); n++ {
 				for _, c := range cuts[n] {
-					leaves := c.Ints()
+					leaves := c.Leaves.Ints()
 					got, want := network.ConeTable(g, n, leaves), oracleConeTable(g, n, leaves)
 					if !got.Equal(want) {
 						t.Fatalf("%s k=%d node %d cut %v: table %s, oracle %s", s.Name, k, n, leaves, got, want)

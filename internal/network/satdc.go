@@ -59,7 +59,35 @@ func (st *SatDCStats) add(o SatDCStats) {
 	st.MemberNodes += o.MemberNodes
 }
 
-// LocalSpecSAT computes node ni's local function with its internal
+// DCExtractor extracts node local specifications with their internal
+// don't-cares by SAT over a TFI/TFO-bounded window around each node. It
+// is run-scoped, for callers sweeping many nodes of one network (the
+// metamorphic harness, reassignment loops): the fanout index (valid as
+// long as the node DAG is unchanged — reassignment only swaps tables)
+// and the per-node espresso-minimized covers, which every window
+// containing the node would otherwise re-minimize from scratch, are
+// computed once per run. On large networks the cover cache turns
+// O(nodes × window size) espresso calls into O(nodes). Not safe for
+// concurrent use. The covers go stale when a node's table is rewritten:
+// a caller that rewrites tables needs a new DCExtractor afterwards.
+type DCExtractor struct {
+	nw     *Network
+	opt    SatDCOptions
+	fo     [][]int
+	covers map[int]*cube.Cover
+}
+
+// NewDCExtractor builds a reusable extraction context over nw.
+func (nw *Network) NewDCExtractor(opt SatDCOptions) *DCExtractor {
+	return &DCExtractor{
+		nw:     nw,
+		opt:    opt,
+		fo:     nw.fanoutIndex(),
+		covers: make(map[int]*cube.Cover),
+	}
+}
+
+// LocalSpec computes node ni's local function with its internal
 // don't-cares using SAT instead of exhaustive simulation — the
 // simulation-and-satisfiability approach of the paper's reference [16]
 // (Mishchenko et al.). A local input pattern v is don't-care iff the
@@ -72,86 +100,25 @@ func (st *SatDCStats) add(o SatDCStats) {
 // outputs (observability DC). One incremental SAT call decides each of
 // the 2^k patterns.
 //
-// LocalSpecSAT runs at full window depth, so it returns the same
-// specification as LocalSpec (the exhaustive extractor); the test suite
-// enforces the agreement. If the conflict budget runs out mid-node it
-// returns the partial specification computed so far — sound, because
-// undecided patterns stay care — together with an error wrapping
-// sat.ErrBudget, instead of failing hard.
-func (nw *Network) LocalSpecSAT(ni int) (*tt.Function, error) {
-	spec, _, err := nw.localSpecWindowed(ni, SatDCOptions{Window: FullDepth()})
+// The returned don't-care set is a subset of the complete one (see
+// window.go for the soundness argument), so any downstream reassignment
+// remains PO-preserving. At full window depth (FullDepth) it equals the
+// complete set, so LocalSpec returns the same specification as
+// Network.LocalSpec (the exhaustive extractor); the test suite enforces
+// the agreement. If the conflict budget runs out mid-node it returns the
+// partial specification computed so far — sound, because undecided
+// patterns stay care — together with an error wrapping sat.ErrBudget,
+// instead of failing hard.
+func (x *DCExtractor) LocalSpec(ni int) (*tt.Function, error) {
+	spec, _, err := x.extract(ni)
 	return spec, err
-}
-
-// LocalSpecWindowedSAT is LocalSpecSAT restricted to a TFI/TFO-bounded
-// window around the node. The returned don't-care set is a subset of the
-// complete one (see window.go for the soundness argument), so any
-// downstream reassignment remains PO-preserving; at full depth it equals
-// the complete set. On budget exhaustion the partial specification is
-// returned with an error wrapping sat.ErrBudget.
-func (nw *Network) LocalSpecWindowedSAT(ni int, opt SatDCOptions) (*tt.Function, error) {
-	spec, _, err := nw.localSpecWindowed(ni, opt)
-	return spec, err
-}
-
-func (nw *Network) localSpecWindowed(ni int, opt SatDCOptions) (*tt.Function, SatDCStats, error) {
-	return nw.newDCExtractor(opt).extract(ni)
-}
-
-// DCExtractor is a run-scoped windowed-extraction context for callers
-// sweeping many nodes of one network (the metamorphic harness, custom
-// reassignment loops): the fanout index and the per-node minimized
-// covers are computed once and shared across LocalSpec calls, instead
-// of once per call as the one-shot LocalSpecWindowedSAT entry point
-// does. Not safe for concurrent use. If a node's table is rewritten
-// between calls, Invalidate it first.
-type DCExtractor struct {
-	x *dcExtractor
-}
-
-// NewDCExtractor builds a reusable extraction context over nw.
-func (nw *Network) NewDCExtractor(opt SatDCOptions) *DCExtractor {
-	return &DCExtractor{x: nw.newDCExtractor(opt)}
-}
-
-// LocalSpec computes node ni's windowed local specification with the
-// same semantics (and budget/partial-result contract) as
-// LocalSpecWindowedSAT.
-func (e *DCExtractor) LocalSpec(ni int) (*tt.Function, error) {
-	spec, _, err := e.x.extract(ni)
-	return spec, err
-}
-
-// Invalidate drops node ni's memoized cover after a table rewrite.
-func (e *DCExtractor) Invalidate(ni int) { e.x.invalidate(ni) }
-
-// dcExtractor amortizes the per-run state of windowed extraction over a
-// whole network sweep: the fanout index (valid as long as the node DAG
-// is unchanged — reassignment only swaps tables) and the per-node
-// espresso-minimized covers, which every window containing the node
-// would otherwise re-minimize from scratch. On large networks the cover
-// cache turns O(nodes × window size) espresso calls into O(nodes).
-type dcExtractor struct {
-	nw     *Network
-	opt    SatDCOptions
-	fo     [][]int
-	covers map[int]*cube.Cover
-}
-
-func (nw *Network) newDCExtractor(opt SatDCOptions) *dcExtractor {
-	return &dcExtractor{
-		nw:     nw,
-		opt:    opt,
-		fo:     nw.fanoutIndex(),
-		covers: make(map[int]*cube.Cover),
-	}
 }
 
 // invalidate drops the cached cover of a node whose table was rewritten.
-func (x *dcExtractor) invalidate(ni int) { delete(x.covers, ni) }
+func (x *DCExtractor) invalidate(ni int) { delete(x.covers, ni) }
 
 // cover returns the node's minimized on-set cover, memoized per run.
-func (x *dcExtractor) cover(ni int) *cube.Cover {
+func (x *DCExtractor) cover(ni int) *cube.Cover {
 	if c, ok := x.covers[ni]; ok {
 		return c
 	}
@@ -160,7 +127,8 @@ func (x *dcExtractor) cover(ni int) *cube.Cover {
 	return c
 }
 
-func (x *dcExtractor) extract(ni int) (*tt.Function, SatDCStats, error) {
+// extract is LocalSpec, also returning the extraction's effort.
+func (x *DCExtractor) extract(ni int) (*tt.Function, SatDCStats, error) {
 	nw, opt := x.nw, x.opt
 	var st SatDCStats
 	if ni < 0 || ni >= len(nw.Nodes) {
@@ -245,7 +213,7 @@ type WindowedReassignReport struct {
 func (nw *Network) ReassignLCFWindowed(threshold float64, opt SatDCOptions) (*WindowedReassignReport, error) {
 	orig := nw.Clone()
 	rep := &WindowedReassignReport{Nodes: len(nw.Nodes)}
-	x := nw.newDCExtractor(opt)
+	x := nw.NewDCExtractor(opt)
 	for ni := range nw.Nodes {
 		spec, st, err := x.extract(ni)
 		rep.Windows += st.Windows
@@ -429,12 +397,12 @@ type winEncoder struct {
 	cnf
 	nw   *Network
 	w    *Window
-	x    *dcExtractor // run-scoped cover cache
+	x    *DCExtractor // run-scoped cover cache
 	varA []int        // signal vars, copy A (boundary inputs shared)
 	varB []int
 }
 
-func newWinEncoder(nw *Network, w *Window, x *dcExtractor) *winEncoder {
+func newWinEncoder(nw *Network, w *Window, x *DCExtractor) *winEncoder {
 	total := nw.NumPI + len(nw.Nodes)
 	// Generous variable budget: inputs + 2 copies × (node + term vars)
 	// per member + one XOR var per window output.

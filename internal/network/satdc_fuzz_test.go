@@ -47,9 +47,10 @@ func FuzzWindowedDC(f *testing.F) {
 			Window: network.WindowOptions{TFI: int(tfi), TFO: int(tfo)},
 		}
 		full := opt.Window.TFI < 0 && opt.Window.TFO < 0
+		x := nw.NewDCExtractor(opt)
 		for ni := 0; ni < nw.NumNodes(); ni++ {
 			exact := nw.LocalSpec(ni)
-			win, err := nw.LocalSpecWindowedSAT(ni, opt)
+			win, err := x.LocalSpec(ni)
 			if err != nil {
 				t.Fatalf("node %d: %v", ni, err) // budgets never bind at this size
 			}

@@ -28,9 +28,10 @@ func TestLocalSpecSATMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		x := nw.NewDCExtractor(network.SatDCOptions{Window: network.FullDepth()})
 		for ni := range nw.Nodes {
 			exh := nw.LocalSpec(ni)
-			viaSAT, err := nw.LocalSpecSAT(ni)
+			viaSAT, err := x.LocalSpec(ni)
 			if err != nil {
 				t.Fatalf("trial %d node %d: %v", trial, ni, err)
 			}
@@ -53,10 +54,11 @@ func TestLocalSpecSATOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.LocalSpecSAT(-1); err == nil {
+	x := nw.NewDCExtractor(network.SatDCOptions{Window: network.FullDepth()})
+	if _, err := x.LocalSpec(-1); err == nil {
 		t.Fatal("negative node accepted")
 	}
-	if _, err := nw.LocalSpecSAT(nw.NumNodes()); err == nil {
+	if _, err := x.LocalSpec(nw.NumNodes()); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
 }
@@ -77,8 +79,9 @@ func TestLocalSpecSATPODrivingNode(t *testing.T) {
 		}
 	}
 	tabs := nw.SignalTables()
+	x := nw.NewDCExtractor(network.SatDCOptions{Window: network.FullDepth()})
 	for ni := range poNodes {
-		spec, err := nw.LocalSpecSAT(ni)
+		spec, err := x.LocalSpec(ni)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,10 +116,11 @@ func BenchmarkLocalSpecSAT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	full := network.SatDCOptions{Window: network.FullDepth()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ni := range nw.Nodes {
-			if _, err := nw.LocalSpecSAT(ni); err != nil {
+			if _, err := nw.NewDCExtractor(full).LocalSpec(ni); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -155,7 +155,7 @@ func TestWindowDeadPivotHasNoOutputs(t *testing.T) {
 	if len(w.Outputs) != 0 {
 		t.Fatalf("dead pivot has outputs %v", w.Outputs)
 	}
-	spec, err := nw.LocalSpecWindowedSAT(0, network.SatDCOptions{})
+	spec, err := nw.NewDCExtractor(network.SatDCOptions{}).LocalSpec(0)
 	if err != nil {
 		t.Fatal(err)
 	}

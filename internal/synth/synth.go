@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"relsyn/internal/aig"
+	"relsyn/internal/bitset"
 	"relsyn/internal/celllib"
 	"relsyn/internal/espresso"
 	"relsyn/internal/factor"
@@ -145,22 +146,11 @@ func Synthesize(f *tt.Function, opt Options) (*Result, error) {
 	}
 	g := aig.New(f.NumIn)
 	literals := 0
-	// Per-output two-level minimization and factoring are independent;
-	// fan them out through the shared pool into index-addressed slots.
-	// The AIG itself is built sequentially in output order below, so the
-	// structural hash (and hence every downstream metric) is identical
-	// at every parallelism level.
-	exprs := make([]*factor.Expr, f.NumOut())
-	err := par.Do(context.Background(), opt.Parallelism, f.NumOut(), func(o int) error {
-		if err := opt.check(); err != nil {
-			return err
-		}
-		cov, err := espresso.MinimizeSets(f.NumIn, f.Outs[o].On, f.Outs[o].DC, opt.Interrupt)
-		if err != nil {
-			return err
-		}
-		exprs[o], err = factor.GoodFactorPoll(cov, opt.Interrupt)
-		return err
+	// The AIG is built sequentially in output order, so the structural
+	// hash (and hence every downstream metric) is identical at every
+	// parallelism level.
+	exprs, err := minimizeFactor(f.NumOut(), opt.Parallelism, opt.Interrupt, func(o int) (int, *bitset.Set, *bitset.Set) {
+		return f.NumIn, f.Outs[o].On, f.Outs[o].DC
 	})
 	if err != nil {
 		return nil, err
@@ -246,17 +236,36 @@ func implFunction(spec *tt.Function, g *aig.Graph) (*tt.Function, error) {
 	return impl, nil
 }
 
-// Refactor re-synthesizes every PO cone from its exact truth table:
-// minimize the completely specified function, re-factor, and rebuild into
-// a fresh strashed graph. Cones whose rebuild is larger keep their
-// original structure.
-func Refactor(g *aig.Graph) *aig.Graph {
-	out, _ := refactorPoll(g, nil, 0)
-	return out
+// minimizeFactor minimizes and factors count functions, the i-th over
+// sets(i): its input count, on-set and don't-care set (nil = none). The
+// functions are independent, so they fan out through the shared pool
+// (parallelism as in Options) into index-addressed slots. poll (nil =
+// never) is checked before each function and inside minimization and
+// factoring; a non-nil return aborts with that error.
+func minimizeFactor(count, parallelism int, poll func() error, sets func(i int) (int, *bitset.Set, *bitset.Set)) ([]*factor.Expr, error) {
+	exprs := make([]*factor.Expr, count)
+	err := par.Do(context.Background(), parallelism, count, func(i int) error {
+		if poll != nil {
+			if err := poll(); err != nil {
+				return err
+			}
+		}
+		n, on, dc := sets(i)
+		cov, err := espresso.MinimizeSets(n, on, dc, poll)
+		if err != nil {
+			return err
+		}
+		exprs[i], err = factor.GoodFactorPoll(cov, poll)
+		return err
+	})
+	return exprs, err
 }
 
-// refactorPoll is Refactor with a cooperative cancellation hook and a
-// parallelism cap for the per-cone minimize+factor fan-out.
+// refactorPoll re-synthesizes every PO cone from its exact truth table:
+// minimize the completely specified function, re-factor, and rebuild
+// into a fresh strashed graph. Cones whose rebuild is larger keep their
+// original structure. poll is a cooperative cancellation hook and
+// parallelism caps the per-cone minimize+factor fan-out.
 func refactorPoll(g *aig.Graph, poll func() error, parallelism int) (*aig.Graph, error) {
 	n := g.NumPI()
 	if n > tt.MaxInputs {
@@ -265,15 +274,8 @@ func refactorPoll(g *aig.Graph, poll func() error, parallelism int) (*aig.Graph,
 	tts := g.NodeTruthTables()
 	// Per-cone re-minimization reads only the (immutable) simulation
 	// tables; rebuild stays sequential in PO order for determinism.
-	exprs := make([]*factor.Expr, g.NumPO())
-	err := par.Do(context.Background(), parallelism, g.NumPO(), func(o int) error {
-		table := g.LitTable(tts, g.PO(o))
-		cov, err := espresso.MinimizeSets(n, table, nil, poll)
-		if err != nil {
-			return err
-		}
-		exprs[o], err = factor.GoodFactorPoll(cov, poll)
-		return err
+	exprs, err := minimizeFactor(g.NumPO(), parallelism, poll, func(o int) (int, *bitset.Set, *bitset.Set) {
+		return n, g.LitTable(tts, g.PO(o)), nil
 	})
 	if err != nil {
 		return nil, err
@@ -289,33 +291,22 @@ func refactorPoll(g *aig.Graph, poll func() error, parallelism int) (*aig.Graph,
 	return out, nil
 }
 
-// ResynNodes re-synthesizes the graph at node granularity — the
+// resynNodesPoll re-synthesizes the graph at node granularity — the
 // renode-style analogue of ABC's refactor: cluster into k-feasible SOP
 // nodes, minimize and factor each node's completely specified local
 // function, and compose the factored forms back into a fresh strashed
-// graph. The rebuild is kept only if it has fewer AND nodes.
-func ResynNodes(g *aig.Graph, k int) (*aig.Graph, error) {
-	return resynNodesPoll(g, k, nil, 0)
-}
-
-// resynNodesPoll is ResynNodes with a cooperative cancellation hook and
-// a parallelism cap. Each node's local minimize+factor depends only on
-// the node's own truth table, so the expensive phase fans out; the
-// fanin-ordered graph composition stays sequential for determinism.
+// graph. The rebuild is kept only if it has fewer AND nodes. poll is a
+// cooperative cancellation hook and parallelism caps the fan-out. Each
+// node's local minimize+factor depends only on the node's own truth
+// table, so the expensive phase fans out; the fanin-ordered graph
+// composition stays sequential for determinism.
 func resynNodesPoll(g *aig.Graph, k int, poll func() error, parallelism int) (*aig.Graph, error) {
 	nw, err := network.FromAIGInterruptible(g, k, poll)
 	if err != nil {
 		return nil, err
 	}
-	exprs := make([]*factor.Expr, len(nw.Nodes))
-	err = par.Do(context.Background(), parallelism, len(nw.Nodes), func(ni int) error {
-		nd := nw.Nodes[ni]
-		cov, err := espresso.MinimizeSets(nd.NumIn(), nd.Table, nil, poll)
-		if err != nil {
-			return err
-		}
-		exprs[ni], err = factor.GoodFactorPoll(cov, poll)
-		return err
+	exprs, err := minimizeFactor(len(nw.Nodes), parallelism, poll, func(ni int) (int, *bitset.Set, *bitset.Set) {
+		return nw.Nodes[ni].NumIn(), nw.Nodes[ni].Table, nil
 	})
 	if err != nil {
 		return nil, err

@@ -189,7 +189,10 @@ func TestRefactorPreservesFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := Refactor(res.Graph)
+	g2, err := refactorPoll(res.Graph, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for m := uint(0); m < uint(f.Size()); m++ {
 		a, b := res.Graph.Eval(m), g2.Eval(m)
 		for i := range a {
@@ -211,7 +214,7 @@ func TestResynNodesPreservesFunction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := ResynNodes(res.Graph, 5)
+		g2, err := resynNodesPoll(res.Graph, 5, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -239,12 +239,6 @@ func (f *Function) DCCover(o int) *cube.Cover {
 	return setToCover(f.NumIn, f.Outs[o].DC)
 }
 
-// OffCover returns output o's off-set as a cover of minterm cubes.
-func (f *Function) OffCover(o int) *cube.Cover {
-	off := f.OffSet(o)
-	return setToCover(f.NumIn, off)
-}
-
 func setToCover(n int, s *bitset.Set) *cube.Cover {
 	cv := cube.NewCover(n)
 	s.ForEach(func(m int) {
