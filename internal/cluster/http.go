@@ -5,10 +5,12 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"relsyn/client"
@@ -47,6 +49,10 @@ func Instrument(reg *obs.Registry, route string, h http.HandlerFunc) http.Handle
 	routeL := obs.L("route", route)
 	dur := reg.Histogram("relsyn_http_request_duration_seconds", routeL)
 	inFlight := reg.Gauge("relsyn_http_in_flight")
+	// requests holds the route's request counter per status code,
+	// resolved on the first request with that code, so a code's series
+	// appears only once a request has had it.
+	var requests sync.Map // int -> *obs.Counter
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		inFlight.Add(1)
@@ -58,18 +64,37 @@ func Instrument(reg *obs.Registry, route string, h http.HandlerFunc) http.Handle
 		if code == 0 {
 			code = http.StatusOK
 		}
-		reg.Counter("relsyn_http_requests_total", routeL,
-			obs.L("code", strconv.Itoa(code))).Inc()
+		c, ok := requests.Load(code)
+		if !ok {
+			c, _ = requests.LoadOrStore(code, reg.Counter("relsyn_http_requests_total", routeL,
+				obs.L("code", strconv.Itoa(code))))
+		}
+		c.(*obs.Counter).Inc()
 	})
 }
 
 // WriteJSON writes v as an indented JSON body with status code.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	WriteEncoded(w, code, Encode(v))
+}
+
+// Encode returns v as WriteJSON writes it: indented by two spaces,
+// HTML-escaped and newline-terminated. A value JSON cannot encode gives
+// an empty body.
+func Encode(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+	return buf.Bytes()
+}
+
+// WriteEncoded writes body, a JSON value as Encode returns it, with
+// status code.
+func WriteEncoded(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
 }
 
 // WriteError writes a job envelope with status "error" and the

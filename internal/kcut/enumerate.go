@@ -1,6 +1,7 @@
 package kcut
 
 import (
+	"math/bits"
 	"slices"
 
 	"relsyn/internal/aig"
@@ -16,14 +17,16 @@ type Cut[T any] struct {
 // Enumerate computes every node's cuts bottom-up over g. A primary input
 // i has the one cut trivial(i). An AND node's candidates are merge(c0,
 // c1, f0, f1) for each cut c0 of fanin f0 and c1 of fanin f1, in that
-// order, where merge reports false for a candidate it rejects; Rank
+// order, where merge reports false for a candidate it rejects. A pair
+// whose leaf signatures show a union of more than k leaves is rejected
+// before merge sees it, so merge runs only on pairs that may fit. Rank
 // reduces them, with filter, to at most maxCuts. After them the node
 // holds trivial(i), which feeds its parents' merges but is left out of
 // the returned set. Every node's cuts live in one backing array sized
 // once, so the returned sets stay put and callers can point into them.
 // poll (nil = never) is checked every PollStride nodes; a non-nil return
 // aborts the enumeration with that error.
-func Enumerate[T any](g *aig.Graph, maxCuts int, trivial func(node int) Cut[T],
+func Enumerate[T any](g *aig.Graph, k, maxCuts int, trivial func(node int) Cut[T],
 	merge func(c0, c1 Cut[T], f0, f1 aig.Lit) (Cut[T], bool), filter func(cands, out []Cut[T]) []Cut[T],
 	poll func() error) ([][]Cut[T], error) {
 	total := 1 + g.NumPI() + g.NumNodes()
@@ -47,9 +50,13 @@ func Enumerate[T any](g *aig.Graph, maxCuts int, trivial func(node int) Cut[T],
 		f0, f1 := g.Fanins(i)
 		n0, n1 := f0.Node(), f1.Node()
 		cands = cands[:0]
-		for _, c0 := range all[start[n0]:start[n0+1]] {
-			for _, c1 := range all[start[n1]:start[n1+1]] {
-				if c, ok := merge(c0, c1, f0, f1); ok {
+		for i0 := start[n0]; i0 < start[n0+1]; i0++ {
+			for i1 := start[n1]; i1 < start[n1+1]; i1++ {
+				c0, c1 := &all[i0], &all[i1]
+				if bits.OnesCount64(c0.Leaves.sig|c1.Leaves.sig) > k {
+					continue
+				}
+				if c, ok := merge(*c0, *c1, f0, f1); ok {
 					cands = append(cands, c)
 				}
 			}

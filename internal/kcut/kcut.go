@@ -17,10 +17,19 @@ const MaxLeaves = 6
 // Leaves is a strictly increasing list of at most MaxLeaves AIG node
 // indices, each in [0, 2^31). It is a comparable value: == is set
 // equality, and copying one never allocates.
+//
+// A leaf set carries its signature, bit v%64 set for every leaf v (as
+// in ABC's priority cuts). A union whose signature has more than k bits
+// has more than k leaves, and a set whose signature is not inside
+// another's is not a subset of it.
 type Leaves struct {
+	sig  uint64
 	n    uint8
 	leaf [MaxLeaves]int32
 }
+
+// sigBit is the signature bit of leaf v.
+func sigBit(v int32) uint64 { return 1 << (uint32(v) % 64) }
 
 // Of returns the set of the given strictly increasing indices; it panics
 // on more than MaxLeaves of them.
@@ -31,10 +40,17 @@ func Of(vs ...int) Leaves {
 	var l Leaves
 	for _, v := range vs {
 		l.leaf[l.n] = int32(v)
+		l.sig |= sigBit(l.leaf[l.n])
 		l.n++
 	}
 	return l
 }
+
+// Sig returns the leaf set's signature. Equal sets have equal
+// signatures, and a subset's signature lies inside its superset's, so a
+// signature test can reject before the leaves are compared. The pointer
+// receiver keeps the inlined call from copying the set.
+func (l *Leaves) Sig() uint64 { return l.sig }
 
 // Len returns the leaf count.
 func (l Leaves) Len() int { return int(l.n) }
@@ -67,6 +83,7 @@ func (l Leaves) Select(mask uint) Leaves {
 	for i := 0; i < int(l.n); i++ {
 		if mask>>uint(i)&1 == 1 {
 			out.leaf[out.n] = l.leaf[i]
+			out.sig |= sigBit(l.leaf[i])
 			out.n++
 		}
 	}
@@ -76,7 +93,7 @@ func (l Leaves) Select(mask uint) Leaves {
 // Merge returns the union of a and b, or false when it has more than k
 // leaves (k ≤ MaxLeaves).
 func Merge(a, b Leaves, k int) (Leaves, bool) {
-	var out Leaves
+	out := Leaves{sig: a.sig | b.sig}
 	i, j := 0, 0
 	for i < int(a.n) || j < int(b.n) {
 		var v int32

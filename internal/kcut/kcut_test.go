@@ -173,4 +173,19 @@ func TestMergeAndSubset(t *testing.T) {
 	if m.Index(9) != 3 || m.Index(5) != -1 {
 		t.Fatal("Index wrong")
 	}
+	// 1, 65 and 129 share a signature bit: the signature screens, the
+	// leaves decide.
+	c := Of(1, 65)
+	if Of(129).SubsetOf(c) || !Of(65).SubsetOf(c) || c.SubsetOf(Of(1, 129)) {
+		t.Fatal("SubsetOf trusted a colliding signature")
+	}
+	if u, ok := Merge(c, Of(129), 3); !ok || u != Of(1, 65, 129) || u.sig != Of(1).sig {
+		t.Fatalf("Merge of colliding leaves = %v %v", u.Ints(), ok)
+	}
+	if m.sig != a.sig|b.sig {
+		t.Fatal("Merge: signature is not the union")
+	}
+	if s := Of(1, 2, 65, 100).Select(0b1010); s != Of(2, 100) {
+		t.Fatalf("Select = %v", s.Ints())
+	}
 }

@@ -243,28 +243,20 @@ func popcount(x int) int {
 type cut = kcut.Cut[cutFunc]
 
 // cutFunc is what a cut carries beside its leaves: the root's function
-// over them, and the leaves' signature sig, bit leaf%64 set for every
-// leaf (as in ABC's priority-cut mapper). A merge whose signatures'
-// union has more than maxCutLeaves bits has more than maxCutLeaves
-// leaves, and a cut whose signature is not inside another's is not a
-// subset of it.
+// over them.
 type cutFunc struct {
 	table uint16
-	sig   uint64
 }
 
 // trivialCut is {i} with the identity function.
 func trivialCut(i int) cut {
-	return cut{Leaves: kcut.Of(i), Data: cutFunc{table: 0b10, sig: leafSig(i)}}
+	return cut{Leaves: kcut.Of(i), Data: cutFunc{table: 0b10}}
 }
-
-// leafSig is the signature bit of leaf i.
-func leafSig(i int) uint64 { return 1 << uint(i%64) }
 
 // enumerateCuts returns each AND node's matchable cuts, at most
 // maxCutsPer; a primary input, which is never mapped, has none.
 func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
-	cuts, err := kcut.Enumerate(g, maxCutsPer, trivialCut, mergeCuts, filterCuts, poll)
+	cuts, err := kcut.Enumerate(g, maxCutLeaves, maxCutsPer, trivialCut, mergeCuts, filterCuts, poll)
 	if err != nil {
 		return nil, err
 	}
@@ -274,13 +266,8 @@ func enumerateCuts(g *aig.Graph, poll func() error) ([][]cut, error) {
 
 // mergeCuts returns the cut of an AND node with fanins f0 and f1 that
 // joins cut c0 of f0 and c1 of f1, normalized to the function's support,
-// or false when it has more than maxCutLeaves leaves. The signature
-// rejects most such merges before the leaves are merged.
+// or false when it has more than maxCutLeaves leaves.
 func mergeCuts(c0, c1 cut, f0, f1 aig.Lit) (cut, bool) {
-	sig := c0.Data.sig | c1.Data.sig
-	if bits.OnesCount64(sig) > maxCutLeaves {
-		return cut{}, false
-	}
 	leaves, ok := kcut.Merge(c0.Leaves, c1.Leaves, maxCutLeaves)
 	if !ok {
 		return cut{}, false
@@ -294,7 +281,7 @@ func mergeCuts(c0, c1 cut, f0, f1 aig.Lit) (cut, bool) {
 		t1 = ^t1
 	}
 	table := t0 & t1 & rowMask(leaves.Len())
-	return normalizeCut(cut{Leaves: leaves, Data: cutFunc{table: table, sig: sig}}), true
+	return normalizeCut(cut{Leaves: leaves, Data: cutFunc{table: table}}), true
 }
 
 func rowMask(k int) uint16 {
@@ -354,12 +341,7 @@ func normalizeCut(c cut) cut {
 		}
 		nk++
 	}
-	leaves := c.Leaves.Select(keptMask)
-	var sig uint64
-	for i := range leaves.Len() {
-		sig |= leafSig(leaves.At(i))
-	}
-	return cut{Leaves: leaves, Data: cutFunc{table: t & rowMask(nk), sig: sig}}
+	return cut{Leaves: c.Leaves.Select(keptMask), Data: cutFunc{table: t & rowMask(nk)}}
 }
 
 // dependsOn reports whether a table over k leaves depends on variable
@@ -371,20 +353,18 @@ func dependsOn(t uint16, v, k int) bool {
 // filterCuts appends to out the cuts of cs worth keeping: it drops
 // constant-function cuts, duplicates (same leaves imply same table for a
 // fixed root function) and dominated cuts (strict supersets of another
-// cut). cs is reordered in place. Signatures are compared before leaves:
-// equal leaves have equal signatures, and a subset's signature lies
-// inside its superset's.
+// cut). cs is reordered in place. Signatures are compared before leaves.
 func filterCuts(cs, out []cut) []cut {
 	uniq := cs[:0]
 	for _, c := range cs {
-		if c.Leaves.Len() == 0 || slices.ContainsFunc(uniq, func(u cut) bool { return u.Data.sig == c.Data.sig && u.Leaves == c.Leaves }) {
+		if c.Leaves.Len() == 0 || slices.ContainsFunc(uniq, func(u cut) bool { return u.Leaves.Sig() == c.Leaves.Sig() && u.Leaves == c.Leaves }) {
 			continue
 		}
 		uniq = append(uniq, c)
 	}
 	for _, c := range uniq {
 		if !slices.ContainsFunc(uniq, func(d cut) bool {
-			return d.Data.sig&^c.Data.sig == 0 && d.Leaves.Len() < c.Leaves.Len() && d.Leaves.SubsetOf(c.Leaves)
+			return d.Leaves.Sig()&^c.Leaves.Sig() == 0 && d.Leaves.Len() < c.Leaves.Len() && d.Leaves.SubsetOf(c.Leaves)
 		}) {
 			out = append(out, c)
 		}

@@ -482,18 +482,10 @@ func TestFilterCutsMatchesOracle(t *testing.T) {
 	}
 }
 
-// sigOf is the signature of a leaf list, bit leaf%64 per leaf.
-func sigOf(leaves []int) uint64 {
-	var sig uint64
-	for _, v := range leaves {
-		sig |= 1 << uint(v%64)
-	}
-	return sig
-}
-
-// Every enumerated cut carries its leaves' signature, and ranking with
-// filterCuts keeps the oracle's cuts when leaves collide mod 64, so equal
-// or nested signatures never stand in for equal or nested leaves.
+// Every enumerated cut carries its leaves' signature (== compares it, and
+// kcut.Of computes it afresh), and ranking with filterCuts keeps the
+// oracle's cuts when leaves collide mod 64, so equal or nested
+// signatures never stand in for equal or nested leaves.
 func TestCutSignatures(t *testing.T) {
 	names, gs := oracleGraphs(t)
 	for gi, g := range gs {
@@ -503,8 +495,8 @@ func TestCutSignatures(t *testing.T) {
 		}
 		for i, cs := range cuts {
 			for _, c := range cs {
-				if want := sigOf(c.Leaves.Ints()); c.Data.sig != want {
-					t.Fatalf("%s node %d cut %v: sig %#x, want %#x", names[gi], i, c.Leaves.Ints(), c.Data.sig, want)
+				if c.Leaves != kcut.Of(c.Leaves.Ints()...) {
+					t.Fatalf("%s node %d cut %v: signature does not match its leaves", names[gi], i, c.Leaves.Ints())
 				}
 			}
 		}
@@ -529,7 +521,7 @@ func TestCutSignatures(t *testing.T) {
 				sort.Ints(leaves)
 			}
 			table := uint16(rng.Intn(1 << 16))
-			cs = append(cs, cut{Leaves: kcut.Of(leaves...), Data: cutFunc{table: table, sig: sigOf(leaves)}})
+			cs = append(cs, cut{Leaves: kcut.Of(leaves...), Data: cutFunc{table: table}})
 			os = append(os, oracleCut{leaves: leaves, table: table})
 		}
 		got := kcut.Rank(cs, nil, filterCuts, maxCutsPer)

@@ -202,7 +202,7 @@ func enumerateCuts(g *aig.Graph, k int, poll func() error) ([][]leafSet, error) 
 		l, ok := kcut.Merge(c0.Leaves, c1.Leaves, k)
 		return leafSet{Leaves: l}, ok
 	}
-	return kcut.Enumerate(g, maxCuts, trivial, merge, distinct, poll)
+	return kcut.Enumerate(g, k, maxCuts, trivial, merge, distinct, poll)
 }
 
 // distinct appends to out the first of each leaf set in cs.

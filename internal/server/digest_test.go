@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"relsyn/internal/cluster"
 	"relsyn/internal/pipeline"
 )
 
@@ -338,4 +340,29 @@ func jobIDOf(t *testing.T, env []byte) string {
 		t.Fatalf("decode %s: %v", env, err)
 	}
 	return r.JobID
+}
+
+// readBody reads a body whatever its declared length, presizing its
+// buffer from a true length and capping the presize for a false one.
+func TestReadBodyPresize(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 3000)
+	for _, c := range []struct {
+		name     string
+		declared int64
+		maxCap   int
+	}{
+		{"true length", int64(len(body)), len(body) + bytes.MinRead},
+		{"unknown length", -1, 1 << 20},
+		{"false large length", cluster.MaxBodyBytes, maxPresize + bytes.MinRead},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/synth", bytes.NewReader(body))
+		r.ContentLength = c.declared
+		got, err := readBody(httptest.NewRecorder(), r)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%s: read %d bytes, err %v", c.name, len(got), err)
+		}
+		if cap(got) > c.maxCap {
+			t.Fatalf("%s: buffer cap %d, want at most %d", c.name, cap(got), c.maxCap)
+		}
+	}
 }

@@ -113,15 +113,9 @@ func (s *Server) submitRequest(req *SynthRequest) (*SubmitOutcome, *SynthRespons
 
 // respond renders a finished (or polled) job state.
 func respond(js *jobState, cached, coalesced bool) SynthResponse {
-	status, res, errMsg := js.snapshot()
-	return SynthResponse{
-		JobID:     js.id,
-		Status:    status,
-		Cached:    cached,
-		Coalesced: coalesced,
-		Result:    res,
-		Error:     errMsg,
-	}
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	return js.responseLocked(cached, coalesced)
 }
 
 // handleSynth reads the body once and looks its SHA-256 up in the
@@ -129,7 +123,7 @@ func respond(js *jobState, cached, coalesced bool) SynthResponse {
 // answered from the cache without decoding, parsing or hashing it again.
 // Every other body takes the full path, and an admitted one is indexed.
 func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		cluster.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
@@ -153,17 +147,32 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, r, out, req.wait())
 }
 
+// maxPresize caps the buffer readBody sizes from Content-Length before
+// reading, so a false large length costs no more than this up front.
+const maxPresize = 64 << 10
+
+// readBody reads the request body, at most cluster.MaxBodyBytes of it,
+// into a buffer sized once from the declared Content-Length.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	n := min(max(r.ContentLength, 0), maxPresize)
+	// ReadFrom keeps bytes.MinRead free before each read, the one that
+	// meets EOF included.
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes))
+	return buf.Bytes(), err
+}
+
 // reply writes an admitted submission's envelope: 202 at once when the
 // client does not wait, otherwise 200 once the job is done.
 func (s *Server) reply(w http.ResponseWriter, r *http.Request, out *SubmitOutcome, wait bool) {
 	js := out.Job
 	if !wait {
-		cluster.WriteJSON(w, http.StatusAccepted, respond(js, out.Cached, out.Coalesced))
+		cluster.WriteEncoded(w, http.StatusAccepted, js.envelope(out.Cached, out.Coalesced))
 		return
 	}
 	select {
 	case <-js.done:
-		cluster.WriteJSON(w, http.StatusOK, respond(js, out.Cached, out.Coalesced))
+		cluster.WriteEncoded(w, http.StatusOK, js.envelope(out.Cached, out.Coalesced))
 	case <-r.Context().Done():
 		// Client gone; the job keeps running and lands in the cache.
 	}
@@ -316,7 +325,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	cluster.WriteJSON(w, http.StatusOK, respond(js, false, false))
+	cluster.WriteEncoded(w, http.StatusOK, js.envelope(false, false))
 }
 
 // handleHealthz reports ok / degraded / draining with a JSON body.

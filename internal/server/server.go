@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"relsyn/internal/cluster"
 	"relsyn/internal/jobqueue"
 	"relsyn/internal/lru"
 	"relsyn/internal/network"
@@ -186,6 +187,9 @@ type jobState struct {
 	// during crash recovery; terminal persistence covers them too, so a
 	// recovered duplicate's record does not stay "queued" forever.
 	aliases []string
+	// forms holds the finished job's envelope, encoded as
+	// cluster.WriteJSON writes it, once per form; see envelope.
+	forms [numForms][]byte
 
 	done   chan struct{}
 	cancel context.CancelFunc
@@ -227,10 +231,51 @@ func (js *jobState) finish(status string, res *pipeline.JobResult, err error) {
 	close(js.done)
 }
 
-func (js *jobState) snapshot() (status string, res *pipeline.JobResult, errMsg string) {
+// The forms of a finished job's envelope. It varies only in its cached
+// and coalesced flags, and a reply sets at most one of them.
+const (
+	formComputed = iota
+	formCoalesced
+	formCached
+	numForms
+)
+
+// envelope returns the job's envelope with the given flags, encoded as
+// cluster.WriteJSON writes it. A finished job's state never changes, so
+// each of its forms is encoded on first use and kept: every later reply
+// writes the same bytes. A slot is encoded with its own form's flags, so
+// it never holds another form. An unfinished job's envelope is encoded
+// afresh.
+func (js *jobState) envelope(cached, coalesced bool) []byte {
+	if !js.isFinished() {
+		return cluster.Encode(respond(js, cached, coalesced))
+	}
+	f := formComputed
+	switch {
+	case cached:
+		f = formCached
+	case coalesced:
+		f = formCoalesced
+	}
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	return js.status, js.result, js.err
+	if js.forms[f] == nil {
+		js.forms[f] = cluster.Encode(js.responseLocked(f == formCached, f == formCoalesced))
+	}
+	return js.forms[f]
+}
+
+// responseLocked is the job's envelope with the given flags. js.mu is
+// held.
+func (js *jobState) responseLocked(cached, coalesced bool) SynthResponse {
+	return SynthResponse{
+		JobID:     js.id,
+		Status:    js.status,
+		Cached:    cached,
+		Coalesced: coalesced,
+		Result:    js.result,
+		Error:     js.err,
+	}
 }
 
 func (js *jobState) isFinished() bool {

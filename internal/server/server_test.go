@@ -40,6 +40,13 @@ func specPLA(seed int) string {
 	return b.String()
 }
 
+// snapshot reads the job's state.
+func (js *jobState) snapshot() (status string, res *pipeline.JobResult, errMsg string) {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	return js.status, js.result, js.err
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
